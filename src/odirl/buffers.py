@@ -28,7 +28,6 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.domain_tag = domain_tag
         self._data: deque = deque(maxlen=self.capacity)
-        self.insert_count = 0
 
     def __len__(self):
         return len(self._data)
@@ -40,9 +39,7 @@ class ReplayBuffer:
                     f"domain contamination: {t.domain_tag!r} transition pushed into "
                     f"{self.domain_tag!r} buffer"
                 )
-        for t in trajectory.transitions:
-            self._data.append(t)
-            self.insert_count += 1
+        self._data.extend(trajectory.transitions)
 
     def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
         """n transitions uniform with replacement."""

@@ -19,7 +19,7 @@ from . import harness
 from .config import load_config
 from .irl import Discriminator, reward_heatmap
 from .nets import load_params
-from .policy import GaussianPolicy, evaluate
+from .policy import evaluate
 
 logger = logging.getLogger("odirl")
 
@@ -156,8 +156,7 @@ def main(argv=None) -> int:
         streams = harness._streams(cfg.seed)
         src, tgt, src_eval, tgt_eval = harness.build_envs(cfg, streams["seeds"])
         env = tgt_eval if args.domain == "target" else src_eval
-        policy = GaussianPolicy(env.spec, hidden=tuple(cfg.policy.hidden),
-                                seed=0, init_log_std=cfg.policy.init_log_std)
+        policy = harness._policy(cfg, env.spec, 0)
         policy.load(args.policy)
         ret, succ = evaluate(policy, env, args.episodes)
         print(json.dumps({"domain": args.domain, "episodes": args.episodes,

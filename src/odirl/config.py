@@ -24,29 +24,6 @@ TASKS = ("pointmaze", "linkchain")
 
 
 @dataclass
-class PolicyConfig:
-    hidden: tuple = (64, 64)
-    init_log_std: float | None = None
-    entropy_coef: float = 0.01
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_ratio: float = 0.2
-    epochs: int = 10
-    minibatch_size: int = 64
-    lr: float = 3e-4
-    value_lr: float = 1e-3
-    adv_norm: bool = True
-    grad_clip: float = 10.0
-
-    def opt_config(self) -> PolicyOptConfig:
-        return PolicyOptConfig(
-            entropy_coef=self.entropy_coef, gamma=self.gamma, gae_lambda=self.gae_lambda,
-            clip_ratio=self.clip_ratio, epochs=self.epochs, minibatch_size=self.minibatch_size,
-            lr=self.lr, value_lr=self.value_lr, adv_norm=self.adv_norm, grad_clip=self.grad_clip,
-        )
-
-
-@dataclass
 class DiscConfig:
     hidden: tuple = (64, 64)
     state_only_g: bool = True
@@ -54,6 +31,11 @@ class DiscConfig:
     weight_decay: float = 1e-2
     minibatch_size: int = 128
     epochs: int = 1
+
+    def validate(self) -> None:
+        for key in ("minibatch_size", "epochs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"disc.{key} must be >= 1")
 
 
 @dataclass
@@ -123,23 +105,6 @@ class LinkChainPairConfig:
 
 
 @dataclass
-class DDSection:
-    hidden: tuple = (64, 64)
-    dd_clip: float | None = 5.0
-    input_noise_std: float = 0.03
-    lr: float = 3e-4
-    weight_decay: float = 3e-3
-    batch_size: int = 64
-    steps_per_iter: int = 2
-
-    def dd_config(self, alpha: float) -> DDConfig:
-        return DDConfig(
-            alpha=alpha, dd_clip=self.dd_clip, input_noise_std=self.input_noise_std,
-            lr=self.lr, batch_size=self.batch_size, steps_per_iter=self.steps_per_iter,
-        )
-
-
-@dataclass
 class ExperimentConfig:
     task: str = "pointmaze"
     method: str = "odirl"
@@ -159,8 +124,8 @@ class ExperimentConfig:
     final_eval_trajectories: int = 5
     pointmaze: PointMazePairConfig = field(default_factory=PointMazePairConfig)
     linkchain: LinkChainPairConfig = field(default_factory=LinkChainPairConfig)
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
-    dd: DDSection = field(default_factory=DDSection)
+    policy: PolicyOptConfig = field(default_factory=PolicyOptConfig)
+    dd: DDConfig = field(default_factory=DDConfig)
     disc: DiscConfig = field(default_factory=DiscConfig)
     buffers: BufferConfig = field(default_factory=BufferConfig)
     expert: ExpertConfig = field(default_factory=ExpertConfig)
@@ -170,16 +135,15 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {TASKS}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for key in ("r", "steps", "batch_steps", "eval_every", "eval_episodes",
+                    "final_eval_trajectories", "heatmap_grid"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.batch_steps < 1 or self.eval_every < 1 or self.eval_episodes < 1:
-            raise ValueError("bad cadence settings")
-        self.policy.opt_config().validate()
-        self.dd.dd_config(self.alpha).validate()
+        self.policy.validate()
+        self.dd.validate()
+        self.disc.validate()
         if self.task == "pointmaze":
             pm = self.pointmaze
             if not pm.target_wall_length > pm.source_wall_length:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import SOURCE, TARGET, stack_transitions
-from .nets import Adam, Mlp, load_params, save_params
+from .nets import Mlp, load_params, save_params
 
 logger = logging.getLogger(__name__)
 
@@ -25,21 +25,21 @@ CLS_SOURCE, CLS_TARGET = 0, 1
 
 @dataclass
 class DDConfig:
-    alpha: float = 1.0
-    dd_clip: float | None = 5.0
-    input_noise_std: float = 0.01
     hidden: tuple = (64, 64)
-    lr: float = 1e-3
+    dd_clip: float | None = 5.0
+    input_noise_std: float = 0.03
+    lr: float = 3e-4
+    weight_decay: float = 3e-3
     batch_size: int = 64              # per domain; batches are class-balanced
-    steps_per_iter: int = 10
+    steps_per_iter: int = 2
 
     def validate(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
         if self.dd_clip is not None and self.dd_clip <= 0:
             raise ValueError("dd_clip must be positive or None")
         if self.input_noise_std < 0:
             raise ValueError("input_noise_std must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("dd.batch_size must be >= 1")
 
 
 class ClassifierPair:
@@ -131,22 +131,13 @@ def classifier_loss(
     return losses[0] + losses[1], losses[0], losses[1]
 
 
-def classifier_accuracy(pair: ClassifierPair, source_batch, target_batch) -> float:
-    """Fraction of correct (s,a,s') domain predictions over both batches."""
-    xs_src, _ = _batch_features(source_batch)
-    xs_tgt, _ = _batch_features(target_batch)
-    pred_src = pair.q_sas.forward(xs_src).argmax(axis=1)
-    pred_tgt = pair.q_sas.forward(xs_tgt).argmax(axis=1)
-    correct = int((pred_src == CLS_SOURCE).sum()) + int((pred_tgt == CLS_TARGET).sum())
-    return correct / (len(source_batch) + len(target_batch))
-
-
 def dd_value(
     pair: ClassifierPair,
     s: np.ndarray,
     a: np.ndarray,
     s_next: np.ndarray,
     config: DDConfig,
+    alpha: float,
     swap_labels: bool = False,
 ) -> np.ndarray:
     """alpha * clamp(log-odds_sas - log-odds_sa) for a batch of transitions.
@@ -165,34 +156,10 @@ def dd_value(
     raw = (z_sas[:, hi] - z_sas[:, lo]) - (z_sa[:, hi] - z_sa[:, lo])
     if config.dd_clip is not None:
         raw = np.clip(raw, -config.dd_clip, config.dd_clip)
-    return config.alpha * raw
+    return alpha * raw
 
 
-def dd_for_transitions(pair: ClassifierPair, transitions, config: DDConfig) -> np.ndarray:
+def dd_for_transitions(pair: ClassifierPair, transitions, config: DDConfig,
+                       alpha: float) -> np.ndarray:
     s, a, sn, _ = stack_transitions(transitions)
-    return dd_value(pair, s, a, sn, config)
-
-
-def fit_classifiers(
-    pair: ClassifierPair,
-    source_transitions,
-    target_transitions,
-    steps: int,
-    config: DDConfig,
-    rng: np.random.Generator,
-    opt: Adam | None = None,
-) -> float:
-    """Convenience trainer over fixed transition lists; returns the last loss."""
-    opt = opt or Adam(pair.blocks(), lr=config.lr)
-    n_src, n_tgt = len(source_transitions), len(target_transitions)
-    full_batch = config.batch_size >= max(n_src, n_tgt)
-    last = float("nan")
-    for _ in range(steps):
-        if full_batch:
-            src, tgt = source_transitions, target_transitions
-        else:
-            src = [source_transitions[i] for i in rng.integers(0, n_src, config.batch_size)]
-            tgt = [target_transitions[i] for i in rng.integers(0, n_tgt, config.batch_size)]
-        last, _, _ = classifier_loss(pair, src, tgt, noise_std=config.input_noise_std, rng=rng)
-        opt.step()
-    return last
+    return dd_value(pair, s, a, sn, config, alpha)

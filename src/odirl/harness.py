@@ -14,6 +14,7 @@ import copy
 import csv
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .dd import ClassifierPair, classifier_loss, dd_for_transitions
 from .envs import make_linkchain_pair, make_pointmaze_pair, rollout, write_trajectory_csv
 from .irl import Discriminator, GailDiscriminator, disc_loss, gail_disc_loss, gail_policy_reward, policy_reward, reward_heatmap
 from .nets import Adam
-from .policy import GaussianPolicy, PolicyOptimizer, ValueNet, evaluate
+from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -112,9 +113,25 @@ def _gt_reward_fn(env):
     return reward_fn
 
 
-def _save_summary(out: Path, **fields) -> None:
-    with open(out / "summary.json", "w") as fh:
-        json.dump(fields, fh, indent=2, sort_keys=True)
+def _policy(cfg, spec, seed: int) -> GaussianPolicy:
+    return GaussianPolicy(spec, hidden=tuple(cfg.policy.hidden), seed=seed,
+                          init_log_std=cfg.policy.init_log_std)
+
+
+def _agent(cfg, spec, policy_seed: int, value_seed: int, opt_cfg: PolicyOptConfig):
+    """A fresh (policy, value, optimizer) triple."""
+    policy = _policy(cfg, spec, policy_seed)
+    value = ValueNet(spec, hidden=tuple(cfg.policy.hidden), seed=value_seed)
+    return policy, value, PolicyOptimizer(policy, value, opt_cfg)
+
+
+def _start_run(cfg: ExperimentConfig):
+    """Create the run directory with its resolved config; (out, seeds, rngs, envs)."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.yaml")
+    streams = _streams(cfg.seed)
+    return out, streams["seeds"], streams["rngs"], build_envs(cfg, streams["seeds"])
 
 
 def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float, float]:
@@ -129,6 +146,24 @@ def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float,
     return ret, succ
 
 
+def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict,
+                disc=None, alpha=None, **counts) -> Path:
+    """Final checkpoints, the reward heatmap, final-policy artifacts and summary.json."""
+    if checkpoints:
+        ckpt = out / "checkpoints"
+        ckpt.mkdir(exist_ok=True)
+        for name, net in checkpoints.items():
+            net.save(ckpt / f"{name}_final.bin")
+    if disc is not None and cfg.task == "pointmaze" and cfg.disc.state_only_g:
+        reward_heatmap(disc, cfg.heatmap_grid, path=out / "heatmap.csv")
+    final_return, final_success = _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
+    with open(out / "summary.json", "w") as fh:
+        json.dump(dict(method=cfg.method, task=cfg.task, seed=cfg.seed, alpha=alpha,
+                       final_gt_return=final_return, final_success_rate=final_success,
+                       **counts), fh, indent=2, sort_keys=True)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Expert training and demo collection
 # ---------------------------------------------------------------------------
@@ -140,12 +175,8 @@ def train_expert(cfg: ExperimentConfig, out_dir=None) -> Path:
     streams = _streams(cfg.seed)
     seeds, rngs = streams["seeds"], streams["rngs"]
     src, _, src_eval, _ = build_envs(cfg, seeds)
-    policy = GaussianPolicy(src.spec, hidden=tuple(cfg.policy.hidden),
-                            seed=seeds["policy_init"], init_log_std=cfg.policy.init_log_std)
-    value = ValueNet(src.spec, hidden=tuple(cfg.policy.hidden), seed=seeds["value_init"])
-    opt_cfg = cfg.policy.opt_config()
-    opt_cfg.entropy_coef = cfg.expert.entropy_coef
-    popt = PolicyOptimizer(policy, value, opt_cfg)
+    policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
+                             replace(cfg.policy, entropy_coef=cfg.expert.entropy_coef))
     reward_fn = _gt_reward_fn(src)
 
     path = out / "expert_policy.bin"
@@ -176,8 +207,7 @@ def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None)
     streams = _streams(cfg.seed)
     seeds, rngs = streams["seeds"], streams["rngs"]
     src, _, _, _ = build_envs(cfg, seeds)
-    policy = GaussianPolicy(src.spec, hidden=tuple(cfg.policy.hidden),
-                            seed=seeds["policy_init"], init_log_std=cfg.policy.init_log_std)
+    policy = _policy(cfg, src.spec, seeds["policy_init"])
     policy.load(expert_path)
     trajs, attempts = [], 0
     keep_success_only = cfg.expert.demo_success_only and cfg.task == "pointmaze"
@@ -197,6 +227,55 @@ def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None)
     save_demos(demos, out_path)
     logger.info("saved %d demo episodes (%d transitions) to %s", len(trajs), len(demos), out_path)
     return demos
+
+
+# ---------------------------------------------------------------------------
+# The AIRL discriminator and the discriminator minibatch loop
+# ---------------------------------------------------------------------------
+
+def _airl_discriminator(cfg, spec, seed: int):
+    """The AIRL discriminator (reward g + shaping h) and its optimizer."""
+    disc = Discriminator(spec.state_dim, spec.action_dim, gamma=cfg.policy.gamma,
+                         state_only_g=cfg.disc.state_only_g, hidden=tuple(cfg.disc.hidden),
+                         seed=seed)
+    return disc, Adam(disc.blocks(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
+
+
+def _airl_reward_fn(cfg, disc, policy):
+    def reward_fn(s, a, sn):
+        logp = policy.log_prob(s, a)
+        return policy_reward(disc, s, a, sn, logp, flip_sign=cfg.flip_reward_sign)
+    return reward_fn
+
+
+def _airl_loss_fn(disc, policy, pair=None, dd_cfg=None, alpha=0.0):
+    """disc_loss on one minibatch; with a classifier pair the demo logits carry DD."""
+    def loss_fn(d_mb, p_mb):
+        demo_logp = policy.log_prob(np.array([x.s for x in d_mb]), np.array([x.a for x in d_mb]))
+        pol_logp = policy.log_prob(np.array([x.s for x in p_mb]), np.array([x.a for x in p_mb]))
+        demo_dd = None if pair is None else dd_for_transitions(pair, d_mb, dd_cfg, alpha)
+        return disc_loss(disc, d_mb, p_mb, demo_logp, pol_logp, demo_dd)
+    return loss_fn
+
+
+def _train_discriminator(loss_fn, disc_opt, demo_batch, pol_batch, epochs: int,
+                         minibatch_size: int, rng) -> tuple[float, float, float]:
+    """Shuffled minibatch epochs over equal-size demo and policy batches.
+
+    Returns the mean loss, demo accuracy and policy accuracy over all minibatches.
+    """
+    n_batch = len(pol_batch)
+    d_losses, demo_accs, pol_accs = [], [], []
+    for _ in range(epochs):
+        perm = rng.permutation(n_batch)
+        for start in range(0, n_batch, minibatch_size):
+            idx = perm[start : start + minibatch_size]
+            _, stats = loss_fn([demo_batch[i] for i in idx], [pol_batch[i] for i in idx])
+            disc_opt.step()
+            d_losses.append(stats["loss"])
+            demo_accs.append(stats["demo_acc"])
+            pol_accs.append(stats["policy_acc"])
+    return float(np.mean(d_losses)), float(np.mean(demo_accs)), float(np.mean(pol_accs))
 
 
 # ---------------------------------------------------------------------------
@@ -222,43 +301,34 @@ def _load_demoset(cfg, spec) -> DemoSet:
 
 
 def _run_adversarial(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
-    streams = _streams(cfg.seed)
-    seeds, rngs = streams["seeds"], streams["rngs"]
-    src, tgt, src_eval, tgt_eval = build_envs(cfg, seeds)
+    out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_run(cfg)
     demos = _load_demoset(cfg, src.spec)
-
-    sd, ad = tgt.spec.state_dim, tgt.spec.action_dim
-    policy = GaussianPolicy(tgt.spec, hidden=tuple(cfg.policy.hidden),
-                            seed=seeds["policy_init"], init_log_std=cfg.policy.init_log_std)
-    value = ValueNet(tgt.spec, hidden=tuple(cfg.policy.hidden), seed=seeds["value_init"])
-    popt = PolicyOptimizer(policy, value, cfg.policy.opt_config())
+    policy, value, popt = _agent(cfg, tgt.spec, seeds["policy_init"], seeds["value_init"],
+                                 cfg.policy)
 
     use_dd_pipeline = cfg.method in ("odirl", "airl")
     alpha_eff = cfg.alpha if cfg.method == "odirl" else 0.0
     if use_dd_pipeline:
-        disc = Discriminator(sd, ad, gamma=cfg.policy.gamma, state_only_g=cfg.disc.state_only_g,
-                             hidden=tuple(cfg.disc.hidden), seed=seeds["disc_init"])
-        disc_opt = Adam(disc.blocks(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
-        pair = ClassifierPair(sd, ad, hidden=tuple(cfg.dd.hidden), seed=seeds["classifier_init"])
+        disc, disc_opt = _airl_discriminator(cfg, tgt.spec, seeds["disc_init"])
+        pair = ClassifierPair(tgt.spec.state_dim, tgt.spec.action_dim,
+                              hidden=tuple(cfg.dd.hidden), seed=seeds["classifier_init"])
         cls_opt = Adam(pair.blocks(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
-        dd_cfg = cfg.dd.dd_config(alpha_eff)
+        reward_fn = _airl_reward_fn(cfg, disc, policy)
+        loss_fn = _airl_loss_fn(disc, policy, pair, cfg.dd, alpha_eff)
+        nets = {"disc": disc, "classifiers": pair}
     else:
-        gail = GailDiscriminator(sd, ad, hidden=tuple(cfg.disc.hidden), seed=seeds["disc_init"])
+        disc = None
+        gail = GailDiscriminator(tgt.spec.state_dim, tgt.spec.action_dim,
+                                 hidden=tuple(cfg.disc.hidden), seed=seeds["disc_init"])
         disc_opt = Adam(gail.blocks(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
+        reward_fn = lambda s, a, sn: gail_policy_reward(gail, s, a)  # noqa: E731
+        loss_fn = lambda d_mb, p_mb: gail_disc_loss(gail, d_mb, p_mb)  # noqa: E731
+        nets = {"gail": gail}
 
     b_src = ReplayBuffer(cfg.buffers.source_capacity, src.domain_tag)
     b_tgt = ReplayBuffer(cfg.buffers.target_capacity, tgt.domain_tag)
     writer = ProgressWriter(out / "progress.csv")
     target_steps = source_steps = source_episodes = 0
-
-    def reward_fn(s, a, sn):
-        if use_dd_pipeline:
-            logp = policy.log_prob(s, a)
-            return policy_reward(disc, s, a, sn, logp, flip_sign=cfg.flip_reward_sign)
-        return gail_policy_reward(gail, s, a)
 
     for t in range(1, cfg.steps + 1):
         trajs = collect_batch(policy, tgt, cfg.batch_steps, rngs["actions"])
@@ -281,36 +351,17 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
                     cls_total, l_sas, l_sa = classifier_loss(
                         pair, sb, tb, noise_std=cfg.dd.input_noise_std, rng=rngs["classifier"])
                     cls_opt.step()
-            dd_demo_all = dd_for_transitions(pair, demos.transitions(), dd_cfg)
+            dd_demo_all = dd_for_transitions(pair, demos.transitions(), cfg.dd, alpha_eff)
             mean_dd, std_dd = float(dd_demo_all.mean()), float(dd_demo_all.std())
 
-        # Discriminator phase: one epoch over a buffer-sampled policy batch of
-        # the iteration's size, demo batch of equal size.
+        # Discriminator phase: a buffer-sampled policy batch of the
+        # iteration's size and a demo batch of equal size.
         n_batch = sum(len(traj) for traj in trajs)
         pol_batch = b_tgt.sample(n_batch, rngs["disc"])
         demo_batch = demos.sample(n_batch, rngs["disc"])
-        d_losses, demo_accs, pol_accs = [], [], []
-        for _ in range(cfg.disc.epochs):
-            perm = rngs["disc"].permutation(n_batch)
-            for start in range(0, n_batch, cfg.disc.minibatch_size):
-                idx = perm[start : start + cfg.disc.minibatch_size]
-                d_mb = [demo_batch[i] for i in idx]
-                p_mb = [pol_batch[i] for i in idx]
-                if use_dd_pipeline:
-                    d_s = np.array([x.s for x in d_mb])
-                    d_a = np.array([x.a for x in d_mb])
-                    p_s = np.array([x.s for x in p_mb])
-                    p_a = np.array([x.a for x in p_mb])
-                    demo_logp = policy.log_prob(d_s, d_a)
-                    pol_logp = policy.log_prob(p_s, p_a)
-                    demo_dd = dd_for_transitions(pair, d_mb, dd_cfg)
-                    _, stats = disc_loss(disc, d_mb, p_mb, demo_logp, pol_logp, demo_dd)
-                else:
-                    _, stats = gail_disc_loss(gail, d_mb, p_mb)
-                disc_opt.step()
-                d_losses.append(stats["loss"])
-                demo_accs.append(stats["demo_acc"])
-                pol_accs.append(stats["policy_acc"])
+        d_loss, demo_acc, pol_acc = _train_discriminator(
+            loss_fn, disc_opt, demo_batch, pol_batch, cfg.disc.epochs,
+            cfg.disc.minibatch_size, rngs["disc"])
 
         pstats = popt.update(trajs, reward_fn, rngs["policy_update"])
 
@@ -318,14 +369,14 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
         if t % cfg.eval_every == 0 or t == cfg.steps:
             gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
             logger.info("%s iter %d: return %.3f success %.2f disc %.3f",
-                        cfg.method, t, gt_return, success, float(np.mean(d_losses)))
+                        cfg.method, t, gt_return, success, d_loss)
         writer.write(
             iteration=t, target_steps=target_steps, source_steps=source_steps,
-            disc_loss=float(np.mean(d_losses)), classifier_loss=cls_total,
+            disc_loss=d_loss, classifier_loss=cls_total,
             mean_dd=mean_dd, policy_entropy=pstats["entropy"],
             gt_return=gt_return, success_rate=success,
             loss_sas=l_sas, loss_sa=l_sa, std_dd=std_dd,
-            demo_acc=float(np.mean(demo_accs)), policy_acc=float(np.mean(pol_accs)),
+            demo_acc=demo_acc, policy_acc=pol_acc,
         )
         if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
             ckpt = out / "checkpoints"
@@ -333,24 +384,10 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
             policy.save(ckpt / f"policy_{t:06d}.bin")
 
     writer.close()
-    ckpt = out / "checkpoints"
-    ckpt.mkdir(exist_ok=True)
-    policy.save(ckpt / "policy_final.bin")
-    value.save(ckpt / "value_final.bin")
-    if use_dd_pipeline:
-        disc.save(ckpt / "disc_final.bin")
-        pair.save(ckpt / "classifiers_final.bin")
-        if cfg.task == "pointmaze" and cfg.disc.state_only_g:
-            reward_heatmap(disc, cfg.heatmap_grid, path=out / "heatmap.csv")
-    else:
-        gail.save(ckpt / "gail_final.bin")
-    final_return, final_success = _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
-    _save_summary(
-        out, method=cfg.method, task=cfg.task, seed=cfg.seed, alpha=alpha_eff,
-        final_gt_return=final_return, final_success_rate=final_success,
-        target_steps=target_steps, source_steps=source_steps, source_episodes=source_episodes,
-    )
-    return out
+    return _finish_run(cfg, out, policy, src_eval, tgt_eval,
+                       {"policy": policy, "value": value, **nets}, disc=disc, alpha=alpha_eff,
+                       target_steps=target_steps, source_steps=source_steps,
+                       source_episodes=source_episodes)
 
 
 # ---------------------------------------------------------------------------
@@ -359,56 +396,33 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
 
 def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     """Evaluate the source expert directly in the target domain; no training."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
+    out, seeds, _, (src, tgt, src_eval, tgt_eval) = _start_run(cfg)
     if not cfg.expert_path:
         raise ValueError("expert_path is required for expert_transfer")
-    streams = _streams(cfg.seed)
-    seeds = streams["seeds"]
-    src, tgt, src_eval, tgt_eval = build_envs(cfg, seeds)
-    policy = GaussianPolicy(tgt.spec, hidden=tuple(cfg.policy.hidden),
-                            seed=seeds["policy_init"], init_log_std=cfg.policy.init_log_std)
+    policy = _policy(cfg, tgt.spec, seeds["policy_init"])
     policy.load(cfg.expert_path)
     writer = ProgressWriter(out / "progress.csv")
     gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
     writer.write(iteration=0, target_steps=0, source_steps=0,
                  policy_entropy=policy.entropy(), gt_return=gt_return, success_rate=success)
     writer.close()
-    final_return, final_success = _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
-    _save_summary(out, method=cfg.method, task=cfg.task, seed=cfg.seed, alpha=None,
-                  final_gt_return=final_return, final_success_rate=final_success,
-                  target_steps=0, source_steps=0, source_episodes=0)
-    return out
+    return _finish_run(cfg, out, policy, src_eval, tgt_eval, {},
+                       target_steps=0, source_steps=0, source_episodes=0)
 
 
 def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     """Adversarial IRL in the source domain on the same source budget, then
     the transferable reward term g trains a fresh target policy."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
-    streams = _streams(cfg.seed)
-    seeds, rngs = streams["seeds"], streams["rngs"]
-    src, tgt, src_eval, tgt_eval = build_envs(cfg, seeds)
+    out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_run(cfg)
     demos = _load_demoset(cfg, src.spec)
-    sd, ad = src.spec.state_dim, src.spec.action_dim
 
     # Phase 1: source-domain adversarial IRL, budget-matched to the main
     # method's source episode count, with an r-fold gradient-step multiplier.
-    policy = GaussianPolicy(src.spec, hidden=tuple(cfg.policy.hidden),
-                            seed=seeds["policy_init"], init_log_std=cfg.policy.init_log_std)
-    value = ValueNet(src.spec, hidden=tuple(cfg.policy.hidden), seed=seeds["value_init"])
-    src_opt_cfg = cfg.policy.opt_config()
-    src_opt_cfg.epochs = cfg.policy.epochs * cfg.r
-    popt = PolicyOptimizer(policy, value, src_opt_cfg)
-    disc = Discriminator(sd, ad, gamma=cfg.policy.gamma, state_only_g=cfg.disc.state_only_g,
-                         hidden=tuple(cfg.disc.hidden), seed=seeds["disc_init"])
-    disc_opt = Adam(disc.blocks(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
-
-    def src_reward_fn(s, a, sn):
-        logp = policy.log_prob(s, a)
-        return policy_reward(disc, s, a, sn, logp, flip_sign=cfg.flip_reward_sign)
+    policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
+                             replace(cfg.policy, epochs=cfg.policy.epochs * cfg.r))
+    disc, disc_opt = _airl_discriminator(cfg, src.spec, seeds["disc_init"])
+    src_reward_fn = _airl_reward_fn(cfg, disc, policy)
+    loss_fn = _airl_loss_fn(disc, policy)
 
     n_src_iters = cfg.steps // cfg.r
     source_steps = source_episodes = 0
@@ -419,31 +433,16 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
             traj = rollout(policy, src, src.spec.horizon, rngs["actions"])
             source_steps += len(traj)
             source_episodes += 1
-            n_batch = len(traj)
-            demo_batch = demos.sample(n_batch, rngs["disc"])
-            pol_batch = traj.transitions
-            d_losses = []
-            for _ in range(cfg.disc.epochs * cfg.r):
-                perm = rngs["disc"].permutation(n_batch)
-                for start in range(0, n_batch, cfg.disc.minibatch_size):
-                    idx = perm[start : start + cfg.disc.minibatch_size]
-                    d_mb = [demo_batch[i] for i in idx]
-                    p_mb = [pol_batch[i] for i in idx]
-                    demo_logp = policy.log_prob(np.array([x.s for x in d_mb]),
-                                                np.array([x.a for x in d_mb]))
-                    pol_logp = policy.log_prob(np.array([x.s for x in p_mb]),
-                                               np.array([x.a for x in p_mb]))
-                    _, stats = disc_loss(disc, d_mb, p_mb, demo_logp, pol_logp)
-                    disc_opt.step()
-                    d_losses.append(stats["loss"])
+            demo_batch = demos.sample(len(traj), rngs["disc"])
+            d_loss, _, _ = _train_discriminator(
+                loss_fn, disc_opt, demo_batch, traj.transitions, cfg.disc.epochs * cfg.r,
+                cfg.disc.minibatch_size, rngs["disc"])
             popt.update([traj], src_reward_fn, rngs["policy_update"])
-            phase_writer.writerow([t, source_steps, format(float(np.mean(d_losses)), ".10g")])
+            phase_writer.writerow([t, source_steps, format(d_loss, ".10g")])
 
     # Phase 2: transfer g as the reward for a fresh target-domain policy.
-    policy2 = GaussianPolicy(tgt.spec, hidden=tuple(cfg.policy.hidden),
-                             seed=seeds["policy2_init"], init_log_std=cfg.policy.init_log_std)
-    value2 = ValueNet(tgt.spec, hidden=tuple(cfg.policy.hidden), seed=seeds["value2_init"])
-    popt2 = PolicyOptimizer(policy2, value2, cfg.policy.opt_config())
+    policy2, _, popt2 = _agent(cfg, tgt.spec, seeds["policy2_init"], seeds["value2_init"],
+                               cfg.policy)
 
     def transfer_reward_fn(s, a, sn):
         return disc.g_value(s, a)
@@ -462,18 +461,10 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
         writer.write(iteration=t, target_steps=target_steps, source_steps=source_steps,
                      policy_entropy=pstats["entropy"], gt_return=gt_return, success_rate=success)
     writer.close()
-    ckpt = out / "checkpoints"
-    ckpt.mkdir(exist_ok=True)
-    policy2.save(ckpt / "policy_final.bin")
-    disc.save(ckpt / "disc_final.bin")
-    if cfg.task == "pointmaze" and cfg.disc.state_only_g:
-        reward_heatmap(disc, cfg.heatmap_grid, path=out / "heatmap.csv")
-    final_return, final_success = _final_artifacts(cfg, out, policy2, src_eval, tgt_eval)
-    _save_summary(out, method=cfg.method, task=cfg.task, seed=cfg.seed, alpha=None,
-                  final_gt_return=final_return, final_success_rate=final_success,
-                  target_steps=target_steps, source_steps=source_steps,
-                  source_episodes=source_episodes)
-    return out
+    return _finish_run(cfg, out, policy2, src_eval, tgt_eval,
+                       {"policy": policy2, "disc": disc}, disc=disc,
+                       target_steps=target_steps, source_steps=source_steps,
+                       source_episodes=source_episodes)
 
 
 # ---------------------------------------------------------------------------

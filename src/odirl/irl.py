@@ -124,6 +124,47 @@ def policy_reward(disc: Discriminator, s, a, s_next, log_pi, flip_sign: bool = F
     return -r if flip_sign else r
 
 
+def _stacked_batches(demo_batch, policy_batch):
+    """(s, a, s') over demo rows then policy rows, after the domain-tag checks."""
+    if len(demo_batch) == 0 or len(policy_batch) == 0:
+        raise ValueError("discriminator update needs nonempty demo and policy batches")
+    for t in demo_batch:
+        if t.domain_tag != "source":
+            raise ValueError("demo batch must be source-tagged")
+    pol_tags = {t.domain_tag for t in policy_batch}
+    if len(pol_tags) != 1:
+        raise ValueError("policy batch mixes domain tags")
+    ds, da, dsn, _ = stack_transitions(demo_batch)
+    ps, pa, psn, _ = stack_transitions(policy_batch)
+    return np.concatenate([ds, ps]), np.concatenate([da, pa]), np.concatenate([dsn, psn])
+
+
+def _clamped_logistic(raw: np.ndarray, n_demo: int, clip: float) -> tuple[np.ndarray, dict]:
+    """Logistic loss with the first n_demo logits labelled 1 and the rest 0.
+
+    Logits are clamped to [-clip, clip] before every sigmoid/log; clamped
+    samples contribute no gradient. Returns d(loss)/d(logit) and the stats.
+    """
+    n_pol = len(raw) - n_demo
+    logit = np.clip(raw, -clip, clip)
+    active = (np.abs(raw) < clip).astype(np.float64)
+    sig = _sigmoid(logit)
+    loss_demo = float(np.mean(_softplus(-logit[:n_demo])))
+    loss_pol = float(np.mean(_softplus(logit[n_demo:])))
+    dlogit = np.empty_like(logit)
+    dlogit[:n_demo] = -(1.0 - sig[:n_demo]) / n_demo
+    dlogit[n_demo:] = sig[n_demo:] / n_pol
+    dlogit *= active
+    stats = {
+        "loss": loss_demo + loss_pol,
+        "loss_demo": loss_demo,
+        "loss_policy": loss_pol,
+        "demo_acc": float(np.mean(logit[:n_demo] > 0.0)),
+        "policy_acc": float(np.mean(logit[n_demo:] < 0.0)),
+    }
+    return dlogit, stats
+
+
 def disc_loss(
     disc: Discriminator,
     demo_batch,
@@ -136,29 +177,16 @@ def disc_loss(
 
     Expert samples are pushed toward label 1 through sigmoid(f + dd - log pi);
     policy samples toward label 0 through sigmoid(f - log pi). The dd values
-    are inputs (no gradient flows into the classifier pair). Logits are
-    clamped before every sigmoid/log; clamped samples contribute no gradient.
+    are inputs (no gradient flows into the classifier pair).
     """
-    if len(demo_batch) == 0 or len(policy_batch) == 0:
-        raise ValueError("discriminator update needs nonempty demo and policy batches")
-    for t in demo_batch:
-        if t.domain_tag != "source":
-            raise ValueError("demo batch must be source-tagged")
-    pol_tags = {t.domain_tag for t in policy_batch}
-    if len(pol_tags) != 1:
-        raise ValueError("policy batch mixes domain tags")
-    ds, da, dsn, _ = stack_transitions(demo_batch)
-    ps, pa, psn, _ = stack_transitions(policy_batch)
-    n_demo, n_pol = len(demo_batch), len(policy_batch)
+    s, a, sn = _stacked_batches(demo_batch, policy_batch)
+    n_demo = len(demo_batch)
     if demo_dd is None:
         demo_dd = np.zeros(n_demo)
     demo_dd = np.asarray(demo_dd, dtype=np.float64)
     demo_log_pi = np.asarray(demo_log_pi, dtype=np.float64)
     policy_log_pi = np.asarray(policy_log_pi, dtype=np.float64)
 
-    s = np.concatenate([ds, ps])
-    a = np.concatenate([da, pa])
-    sn = np.concatenate([dsn, psn])
     x_g = disc._g_input(s, a)
     g = disc.g_net.forward(x_g)[:, 0]
     x_h = np.concatenate([sn, s])
@@ -168,30 +196,11 @@ def disc_loss(
     raw = f.copy()
     raw[:n_demo] += demo_dd - demo_log_pi
     raw[n_demo:] -= policy_log_pi
-    clip = disc.logit_clip
-    logit = np.clip(raw, -clip, clip)
-    active = (np.abs(raw) < clip).astype(np.float64)
-    sig = _sigmoid(logit)
-
-    loss_demo = float(np.mean(_softplus(-logit[:n_demo])))
-    loss_pol = float(np.mean(_softplus(logit[n_demo:])))
-
-    dlogit = np.empty_like(logit)
-    dlogit[:n_demo] = -(1.0 - sig[:n_demo]) / n_demo
-    dlogit[n_demo:] = sig[n_demo:] / n_pol
-    dlogit *= active
+    dlogit, stats = _clamped_logistic(raw, n_demo, disc.logit_clip)
     disc.g_net.backward(x_g, dlogit[:, None])
-    up_h = np.concatenate([disc.gamma * dlogit, -dlogit])[:, None]
     if disc.train_shaping:
-        disc.h_net.backward(x_h, up_h)
-    stats = {
-        "loss": loss_demo + loss_pol,
-        "loss_demo": loss_demo,
-        "loss_policy": loss_pol,
-        "demo_acc": float(np.mean(logit[:n_demo] > 0.0)),
-        "policy_acc": float(np.mean(logit[n_demo:] < 0.0)),
-    }
-    return loss_demo + loss_pol, stats
+        disc.h_net.backward(x_h, np.concatenate([disc.gamma * dlogit, -dlogit])[:, None])
+    return stats["loss"], stats
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +233,12 @@ class GailDiscriminator:
 
 def gail_disc_loss(gail: GailDiscriminator, demo_batch, policy_batch) -> tuple[float, dict]:
     """Standard GAN classifier loss over (s, a); accumulates gradients."""
-    if len(demo_batch) == 0 or len(policy_batch) == 0:
-        raise ValueError("discriminator update needs nonempty demo and policy batches")
-    ds, da, _, _ = stack_transitions(demo_batch)
-    ps, pa, _, _ = stack_transitions(policy_batch)
-    n_demo, n_pol = len(demo_batch), len(policy_batch)
-    x = np.concatenate([np.concatenate([ds, da], axis=1), np.concatenate([ps, pa], axis=1)])
-    raw = gail.d_net.forward(x)[:, 0]
-    clip = gail.logit_clip
-    logit = np.clip(raw, -clip, clip)
-    active = (np.abs(raw) < clip).astype(np.float64)
-    sig = _sigmoid(logit)
-    loss_demo = float(np.mean(_softplus(-logit[:n_demo])))
-    loss_pol = float(np.mean(_softplus(logit[n_demo:])))
-    dlogit = np.empty_like(logit)
-    dlogit[:n_demo] = -(1.0 - sig[:n_demo]) / n_demo
-    dlogit[n_demo:] = sig[n_demo:] / n_pol
-    dlogit *= active
+    s, a, _ = _stacked_batches(demo_batch, policy_batch)
+    x = np.concatenate([s, a], axis=1)
+    dlogit, stats = _clamped_logistic(gail.d_net.forward(x)[:, 0], len(demo_batch),
+                                      gail.logit_clip)
     gail.d_net.backward(x, dlogit[:, None])
-    stats = {
-        "loss": loss_demo + loss_pol,
-        "demo_acc": float(np.mean(logit[:n_demo] > 0.0)),
-        "policy_acc": float(np.mean(logit[n_demo:] < 0.0)),
-    }
-    return loss_demo + loss_pol, stats
+    return stats["loss"], stats
 
 
 def gail_policy_reward(gail: GailDiscriminator, s, a) -> np.ndarray:

@@ -24,6 +24,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class PolicyOptConfig:
+    hidden: tuple = (64, 64)         # policy and value network widths
+    init_log_std: float | None = None
     entropy_coef: float = 0.01       # lambda, scales the entropy bonus
     gamma: float = 0.99
     gae_lambda: float = 0.95

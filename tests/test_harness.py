@@ -66,6 +66,54 @@ def test_config_yaml_roundtrip(tmp_path):
     assert loaded.pointmaze.target_wall_length == cfg.pointmaze.target_wall_length
 
 
+def test_config_roundtrip_reproduces_whole_tree(tmp_path):
+    cfg = load_config(overrides={
+        "method": "airl", "heatmap_grid": 7,
+        "policy": {"hidden": [32, 16], "init_log_std": -1.5, "target_kl": None,
+                   "reward_norm": False, "bootstrap_on_done": False, "grad_clip": None},
+        "dd": {"weight_decay": 0.0, "dd_clip": None, "batch_size": 8},
+        "disc": {"epochs": 3},
+        "linkchain": {"goal_angles": [0.5, 0.25, -0.125]},
+    })
+    path = tmp_path / "conf.yaml"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+def test_yaml_policy_keys_reach_the_policy_optimizer(tmp_path, demo_file, monkeypatch):
+    demos, _ = demo_file
+    path = tmp_path / "conf.yaml"
+    save_config(tiny_cfg(tmp_path, "opt_keys", steps=1, method="gail"), path)
+    with open(path) as fh:
+        raw = yaml.safe_load(fh)
+    raw["policy"].update(target_kl=None, reward_norm=False)
+    raw["demos_path"] = demos
+    with open(path, "w") as fh:
+        yaml.safe_dump(raw, fh)
+    seen = []
+
+    class RecordingOptimizer(harness.PolicyOptimizer):
+        def __init__(self, policy, value, config):
+            seen.append(config)
+            super().__init__(policy, value, config)
+
+    monkeypatch.setattr(harness, "PolicyOptimizer", RecordingOptimizer)
+    run_experiment(load_config(path))
+    assert len(seen) == 1
+    assert seen[0].target_kl is None
+    assert seen[0].reward_norm is False
+
+
+@pytest.mark.parametrize("key", [
+    "final_eval_trajectories", "heatmap_grid", "disc.epochs", "disc.minibatch_size",
+    "dd.batch_size",
+])
+def test_config_rejects_zero_where_the_run_needs_one(key):
+    section, _, name = key.rpartition(".")
+    with pytest.raises(ValueError, match=key):
+        load_config(overrides={section: {name: 0}} if section else {name: 0})
+
+
 def test_config_rejects_alpha_for_non_odirl(tmp_path):
     path = tmp_path / "conf.yaml"
     path.write_text("method: gail\nalpha: 0.5\n")

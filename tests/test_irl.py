@@ -208,6 +208,17 @@ def test_gail_loss_balanced_indistinguishable_is_2ln2_when_converged():
     assert loss == pytest.approx(2 * LN2, abs=1e-12)
 
 
+def test_gail_loss_rejects_mistagged_batches():
+    rng = np.random.default_rng(10)
+    gail = GailDiscriminator(2, 2, hidden=(16,), seed=0)
+    demo = _toy_batch(4, SOURCE, rng)
+    pol = _toy_batch(4, TARGET, rng)
+    with pytest.raises(ValueError, match="source-tagged"):
+        gail_disc_loss(gail, pol, pol)
+    with pytest.raises(ValueError, match="mixes domain tags"):
+        gail_disc_loss(gail, demo, pol[:2] + demo[:2])
+
+
 def test_gail_reward_capped_by_logit_clamp():
     gail = GailDiscriminator(2, 2, hidden=(16,), seed=0)
     last = len(gail.d_net.layer_sizes) - 2
