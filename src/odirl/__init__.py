@@ -15,6 +15,7 @@ from .envs import (
     make_linkchain_pair,
     make_pointmaze_pair,
     rollout,
+    rollouts,
 )
 from .irl import (
     Discriminator,

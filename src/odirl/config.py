@@ -52,6 +52,13 @@ class ExpertConfig:
     n_demo_episodes: int = 40
     demo_success_only: bool = True
 
+    def validate(self) -> None:
+        for key in ("steps", "batch_steps", "n_demo_episodes"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"expert.{key} must be >= 1")
+        if self.entropy_coef < 0:
+            raise ValueError("expert.entropy_coef must be >= 0")
+
 
 @dataclass
 class PointMazePairConfig:
@@ -144,6 +151,7 @@ class ExperimentConfig:
         self.policy.validate()
         self.dd.validate()
         self.disc.validate()
+        self.expert.validate()
         if self.task == "pointmaze":
             pm = self.pointmaze
             if not pm.target_wall_length > pm.source_wall_length:

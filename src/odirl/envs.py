@@ -127,28 +127,14 @@ def _boxes_overlap(a: tuple, b: tuple) -> bool:
     return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
 
 
-def _point_in_box(p: np.ndarray, box: tuple) -> bool:
-    return box[0] < p[0] < box[2] and box[1] < p[1] < box[3]
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of (2,) or (N, 2) vectors."""
+    return np.hypot(v[..., 0], v[..., 1])
 
 
-def _segment_box_entry(p0: np.ndarray, p1: np.ndarray, box: tuple) -> float | None:
-    """Earliest t in [0, 1] where p0 + t*(p1-p0) is inside the closed box."""
-    d = p1 - p0
-    tmin, tmax = 0.0, 1.0
-    for axis, (lo, hi) in enumerate(((box[0], box[2]), (box[1], box[3]))):
-        if abs(d[axis]) < 1e-300:
-            if not (lo <= p0[axis] <= hi):
-                return None
-        else:
-            t1 = (lo - p0[axis]) / d[axis]
-            t2 = (hi - p0[axis]) / d[axis]
-            if t1 > t2:
-                t1, t2 = t2, t1
-            tmin = max(tmin, t1)
-            tmax = min(tmax, t2)
-            if tmin > tmax:
-                return None
-    return tmin
+def _per_row(values: np.ndarray):
+    """A 0-d result as a Python scalar (the 1-D form), a per-row array as is."""
+    return values.item() if values.ndim == 0 else values
 
 
 class PointMazeEnv:
@@ -157,6 +143,9 @@ class PointMazeEnv:
     State is the (x, y) position; actions are bounded displacements with
     additive Gaussian noise. Motion is truncated where the displacement
     segment first meets the wall rectangle or the arena boundary.
+
+    reset, step, ground_truth_reward and is_success take one (2,) state or a
+    leading batch axis of states, like ``Mlp.forward``.
     """
 
     def __init__(self, config: PointMazeConfig, domain_tag: str, seed: int):
@@ -173,34 +162,64 @@ class PointMazeEnv:
             horizon=config.horizon,
             goal=np.asarray(config.goal, dtype=np.float64),
         )
+        self._start_lo = np.array(config.start_region[:2], dtype=np.float64)
+        self._start_hi = np.array(config.start_region[2:], dtype=np.float64)
+        wall = config.wall_box()
+        self._wall_lo, self._wall_hi = np.array(wall[:2]), np.array(wall[2:])
 
-    def reset(self) -> np.ndarray:
-        xlo, ylo, xhi, yhi = self.config.start_region
-        return np.array([self.rng.uniform(xlo, xhi), self.rng.uniform(ylo, yhi)])
+    def reset(self, n: int | None = None) -> np.ndarray:
+        """One (2,) start state, or (n, 2) of them from one draw."""
+        return self.rng.uniform(self._start_lo, self._start_hi, 2 if n is None else (n, 2))
 
-    def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, bool]:
+    def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+        """Next state and done flag of a (2,) state, or of each row of (N, 2) states.
+
+        Draws one (N, 2) noise array per call (one (2,) draw for a 1-D state).
+        """
         state = np.asarray(state, dtype=np.float64)
-        if not np.all(np.isfinite(state)):
+        single = state.ndim == 1
+        p0 = state[None] if single else state
+        if not np.isfinite(p0).all():
             raise ValueError("non-finite state: simulator diverged")
-        a = np.clip(np.asarray(action, dtype=np.float64), self.spec.action_low, self.spec.action_high)
-        move = a.copy()
+        move = np.minimum(np.maximum(action, self.spec.action_low), self.spec.action_high)
         if self.config.noise_std > 0:
-            move += self.rng.normal(0.0, self.config.noise_std, size=2)
+            move = move + self.rng.normal(0.0, self.config.noise_std, size=move.shape)
         # Clamp to the arena first: motion that would leave the square slides
         # along its boundary, and the slid path must still respect the wall
         # (the wall reaches the top edge, so the edge is not a corridor).
-        proposed = np.clip(state + move, 0.0, 1.0)
-        wall = self.config.wall_box()
-        t_hit = _segment_box_entry(state, proposed, wall)
-        if t_hit is not None:
-            # Stop at the wall face, nudged outward so states stay strictly outside.
-            t_hit = max(0.0, t_hit - _WALL_EPS / max(np.linalg.norm(proposed - state), 1e-12))
-            proposed = state + t_hit * (proposed - state)
-        nxt = proposed
-        if _point_in_box(nxt, wall):  # numerical corner case guard
-            nxt = self._project_out(nxt, wall)
-        done = bool(np.linalg.norm(nxt - self.spec.goal) <= self.config.goal_radius)
-        return nxt, done
+        nxt = np.minimum(np.maximum(p0 + move, 0.0), 1.0)
+        nxt = self._stop_at_wall(p0, nxt)
+        done = _norm(nxt - self.spec.goal) <= self.config.goal_radius
+        return (nxt[0], bool(done[0])) if single else (nxt, done)
+
+    def _stop_at_wall(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+        """End points of (N, 2) segments p0 -> p1, each cut where it first
+        enters the closed wall box (a slab test over rows) and nudged back
+        along the segment so states stay strictly outside."""
+        lo, hi = self._wall_lo, self._wall_hi
+        d = p1 - p0
+        still = np.abs(d) < 1e-300
+        step = np.where(still, 1.0, d)
+        t_lo = (lo - p0) / step
+        t_hi = (hi - p0) / step
+        enter = np.minimum(t_lo, t_hi)
+        leave = np.maximum(t_lo, t_hi)
+        if still.any():
+            # A still coordinate inside its slab allows every t, outside it none.
+            inside_slab = (t_lo <= 0.0) & (t_hi >= 0.0)
+            enter[still] = np.where(inside_slab, -np.inf, np.inf)[still]
+            leave[still] = np.inf
+        t_in = np.maximum(np.maximum(enter[:, 0], enter[:, 1]), 0.0)
+        hit = t_in <= np.minimum(np.minimum(leave[:, 0], leave[:, 1]), 1.0)
+        out = p1
+        if hit.any():
+            # Rows without a hit keep p1 exactly; their t (possibly inf) is never used.
+            t = np.where(hit, t_in - _WALL_EPS / np.maximum(_norm(d), 1e-12), 0.0)
+            out = np.where(hit[:, None], p0 + np.maximum(t, 0.0)[:, None] * d, p1)
+        inside = (out > lo) & (out < hi)
+        for i in np.flatnonzero(inside[:, 0] & inside[:, 1]):  # numerical corner case guard
+            out[i] = self._project_out(out[i], self.config.wall_box())
+        return out
 
     @staticmethod
     def _project_out(p: np.ndarray, box: tuple) -> np.ndarray:
@@ -215,14 +234,14 @@ class PointMazeEnv:
         out[axis] = value
         return out
 
-    def ground_truth_reward(self, state: np.ndarray) -> float:
+    def ground_truth_reward(self, state: np.ndarray):
         state = np.asarray(state, dtype=np.float64)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise ValueError("non-finite state")
-        return -float(np.linalg.norm(state - self.spec.goal))
+        return _per_row(-_norm(state - self.spec.goal))
 
-    def is_success(self, state: np.ndarray) -> bool:
-        return bool(np.linalg.norm(np.asarray(state) - self.spec.goal) <= self.config.goal_radius)
+    def is_success(self, state: np.ndarray):
+        return _per_row(_norm(np.asarray(state) - self.spec.goal) <= self.config.goal_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -292,42 +311,44 @@ class LinkChainEnv:
             horizon=config.horizon,
             goal=self.goal_tip,
         )
+        self._init_range = np.repeat([config.init_angle_range, config.init_vel_range], n)
 
-    def reset(self) -> np.ndarray:
-        n = self.config.num_joints
-        angles = self.rng.uniform(-self.config.init_angle_range, self.config.init_angle_range, n)
-        vels = self.rng.uniform(-self.config.init_vel_range, self.config.init_vel_range, n)
-        return np.concatenate([angles, vels])
+    def reset(self, n: int | None = None) -> np.ndarray:
+        """One (2 * num_joints,) start state (angles, then velocities), or n rows of them."""
+        return self.rng.uniform(-self._init_range, self._init_range,
+                                self._init_range.shape if n is None else (n, self.spec.state_dim))
 
-    def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, bool]:
+    def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+        """Next state and done flag of one state, or of each row of (N, 2 * num_joints) states."""
         state = np.asarray(state, dtype=np.float64)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise ValueError("non-finite state: simulator diverged")
         n = self.config.num_joints
-        a = np.clip(np.asarray(action, dtype=np.float64), self.spec.action_low, self.spec.action_high)
+        a = np.minimum(np.maximum(action, self.spec.action_low), self.spec.action_high)
         a = np.where(self.mask, 0.0, a)
-        angles, vels = state[:n], state[n:]
+        angles, vels = state[..., :n], state[..., n:]
         accel = self.config.torque_gain * a - self.config.damping * vels
         new_vels = np.clip(vels + self.config.dt * accel, -self.config.vel_limit, self.config.vel_limit)
         new_angles = angles + self.config.dt * new_vels
-        return np.concatenate([new_angles, new_vels]), False
+        done = False if state.ndim == 1 else np.zeros(len(state), dtype=bool)
+        return np.concatenate([new_angles, new_vels], axis=-1), done
 
-    def ground_truth_reward(self, state: np.ndarray) -> float:
+    def ground_truth_reward(self, state: np.ndarray):
         state = np.asarray(state, dtype=np.float64)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise ValueError("non-finite state")
         n = self.config.num_joints
-        angles, vels = state[:n], state[n:]
+        angles, vels = state[..., :n], state[..., n:]
         if self.config.gt_variant == "forward_velocity":
-            cum = np.cumsum(angles)
-            cum_vel = np.cumsum(vels)
-            return float(-np.sum(np.sin(cum) * cum_vel) / n)  # d/dt of tip x
-        return -float(np.linalg.norm(_chain_tip(angles) - self.goal_tip))
+            cum = np.cumsum(angles, axis=-1)
+            cum_vel = np.cumsum(vels, axis=-1)
+            return _per_row(-np.sum(np.sin(cum) * cum_vel, axis=-1) / n)  # d/dt of tip x
+        return _per_row(-_norm(_chain_tip(angles) - self.goal_tip))
 
-    def is_success(self, state: np.ndarray) -> bool:
+    def is_success(self, state: np.ndarray):
         n = self.config.num_joints
-        tip = _chain_tip(np.asarray(state, dtype=np.float64)[:n])
-        return bool(np.linalg.norm(tip - self.goal_tip) <= self.config.success_radius)
+        tip = _chain_tip(np.asarray(state, dtype=np.float64)[..., :n])
+        return _per_row(_norm(tip - self.goal_tip) <= self.config.success_radius)
 
 
 def make_pointmaze_pair(
@@ -363,41 +384,55 @@ def make_linkchain_pair(
 # Rollouts and trajectory CSV
 # ---------------------------------------------------------------------------
 
+def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generator | None = None,
+             deterministic: bool = False) -> list[Trajectory]:
+    """Run `n_episodes` episodes of up to `horizon` transitions in lockstep.
+
+    The episodes start from one batched reset; each step makes one policy call
+    and one env.step over the rows still running, and a row drops out once
+    the environment reports done. Each transition carries the env's domain
+    tag and the evaluation-only ground-truth reward of the state it lands in.
+    Stochastic rollouts record the log-probability of each action taken;
+    deterministic ones record none. Within an episode, one transition's
+    s_next is the next one's s (the same array, which nothing modifies).
+    """
+    trajs = [Trajectory() for _ in range(n_episodes)]
+    log_probs = [[] for _ in range(n_episodes)]
+    live = list(range(n_episodes))      # trajectory index of each row of `states`
+    states = env.reset(n_episodes)
+    rows = [s.copy() for s in states]   # per live row, its current state as its own array
+    tag = env.domain_tag
+    for _ in range(horizon):
+        if not live:
+            break
+        if deterministic:
+            actions = policy.act_deterministic(states)
+        else:
+            actions, logps = policy.sample_action(states, rng)
+            for i, logp in zip(live, logps.tolist()):
+                log_probs[i].append(logp)
+        nxt, done = env.step(states, actions)
+        gt = env.ground_truth_reward(nxt) + np.zeros(len(live))  # a wrapper's scalar spreads to all rows
+        next_rows = [sn.copy() for sn in nxt]
+        for i, s, a, sn, d, r in zip(live, rows, actions, next_rows, done.tolist(), gt.tolist()):
+            trajs[i].transitions.append(Transition(s, a.copy(), sn, d, tag, r))
+        if done.any():
+            running = ~done
+            keep = running.tolist()
+            live = [i for i, k in zip(live, keep) if k]
+            next_rows = [sn for sn, k in zip(next_rows, keep) if k]
+            nxt = nxt[running]
+        states, rows = nxt, next_rows
+    if not deterministic:
+        for traj, lp in zip(trajs, log_probs):
+            traj.log_probs = np.array(lp)
+    return trajs
+
+
 def rollout(policy, env, horizon: int, rng: np.random.Generator | None = None,
             deterministic: bool = False) -> Trajectory:
-    """Collect up to `horizon` transitions from one episode.
-
-    Stops early when the environment reports done. Each transition carries
-    the env's domain tag and the evaluation-only ground-truth reward of the
-    state it lands in.
-    """
-    traj = Trajectory()
-    log_probs = []
-    state = env.reset()
-    for _ in range(horizon):
-        if deterministic:
-            action = policy.act_deterministic(state)
-            logp = policy.log_prob(state[None, :], action[None, :])[0]
-        else:
-            action, logp = policy.sample_action(state, rng)
-            logp = policy.log_prob(state[None, :], action[None, :])[0]
-        nxt, done = env.step(state, action)
-        traj.transitions.append(
-            Transition(
-                s=state.copy(),
-                a=np.asarray(action, dtype=np.float64).copy(),
-                s_next=nxt.copy(),
-                done=done,
-                domain_tag=env.domain_tag,
-                gt_reward=env.ground_truth_reward(nxt),
-            )
-        )
-        log_probs.append(float(logp))
-        state = nxt
-        if done:
-            break
-    traj.log_probs = np.array(log_probs)
-    return traj
+    """One episode: `rollouts` with a single row."""
+    return rollouts(policy, env, 1, horizon, rng, deterministic)[0]
 
 
 def trajectory_header(state_dim: int, action_dim: int) -> list[str]:

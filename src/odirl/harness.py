@@ -22,7 +22,7 @@ import numpy as np
 from .buffers import DemoSet, ReplayBuffer, load_demos, save_demos
 from .config import ExperimentConfig, save_config
 from .dd import ClassifierPair, classifier_loss, dd_for_transitions
-from .envs import make_linkchain_pair, make_pointmaze_pair, rollout, write_trajectory_csv
+from .envs import make_linkchain_pair, make_pointmaze_pair, rollout, rollouts, write_trajectory_csv
 from .irl import Discriminator, GailDiscriminator, disc_loss, gail_disc_loss, gail_policy_reward, policy_reward, reward_heatmap
 from .nets import Adam
 from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
@@ -62,7 +62,19 @@ class ProgressWriter:
 
 
 def _streams(seed: int) -> dict:
-    """Named deterministic RNG streams and integer seeds derived from one seed."""
+    """Named deterministic RNG streams and integer seeds derived from one seed.
+
+    Rollouts consume two kinds of stream (see ``envs.rollouts``):
+
+    - ``actions`` (``misc`` for demo collection): each step of a stochastic
+      rollout draws one (live rows, action_dim) standard normal, one row per
+      running episode in launch order; deterministic rollouts draw nothing.
+    - Each env's own stream (seeded from ``env_*``): each rollout draws one
+      (n, state_dim) uniform reset for its n episodes, then each point-maze
+      step one (live rows, 2) noise normal; the link chain draws no noise.
+
+    So a one-episode rollout draws exactly what a 1-D reset and step would.
+    """
     ints = np.random.SeedSequence(seed).generate_state(24)
     names = [
         "env_source", "env_target", "env_eval_source", "env_eval_target",
@@ -98,18 +110,26 @@ def build_envs(cfg: ExperimentConfig, seeds: dict):
 
 
 def collect_batch(policy, env, batch_steps: int, rng) -> list:
-    """Roll full episodes until at least batch_steps transitions are gathered."""
+    """Roll lockstep waves of full episodes until at least batch_steps transitions are gathered.
+
+    With n transitions gathered, a wave launches ceil((batch_steps - n) / horizon)
+    episodes, so every episode starts with fewer than batch_steps transitions
+    before it (earlier episodes counted in full): given the same episode
+    lengths, the batch holds exactly the episodes that rolling one episode at
+    a time until batch_steps would.
+    """
     trajs, n = [], 0
+    horizon = env.spec.horizon
     while n < batch_steps:
-        traj = rollout(policy, env, env.spec.horizon, rng)
-        trajs.append(traj)
-        n += len(traj)
+        wave = rollouts(policy, env, -(-(batch_steps - n) // horizon), horizon, rng)
+        trajs += wave
+        n += sum(len(traj) for traj in wave)
     return trajs
 
 
 def _gt_reward_fn(env):
     def reward_fn(s, a, sn):
-        return np.array([env.ground_truth_reward(x) for x in sn])
+        return env.ground_truth_reward(sn)
     return reward_fn
 
 
@@ -136,10 +156,9 @@ def _start_run(cfg: ExperimentConfig):
 
 def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float, float]:
     """Dump final-policy evaluation trajectories in both domains."""
-    tgt_trajs = [rollout(policy, tgt_eval, tgt_eval.spec.horizon, deterministic=True)
-                 for _ in range(cfg.final_eval_trajectories)]
-    src_trajs = [rollout(policy, src_eval, src_eval.spec.horizon, deterministic=True)
-                 for _ in range(cfg.final_eval_trajectories)]
+    n = cfg.final_eval_trajectories
+    tgt_trajs = rollouts(policy, tgt_eval, n, tgt_eval.spec.horizon, deterministic=True)
+    src_trajs = rollouts(policy, src_eval, n, src_eval.spec.horizon, deterministic=True)
     write_trajectory_csv(out / "final_eval_target.csv", tgt_trajs)
     write_trajectory_csv(out / "final_eval_source.csv", src_trajs)
     ret, succ = evaluate(policy, tgt_eval, cfg.eval_episodes)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import EnvSpec, rollout
+from .envs import EnvSpec, rollouts
 from .nets import Adam, FlatParams, Mlp, load_params, save_params
 
 logger = logging.getLogger(__name__)
@@ -42,13 +42,16 @@ class PolicyOptConfig:
 
     def validate(self) -> None:
         if self.entropy_coef < 0:
-            raise ValueError("entropy_coef must be >= 0")
+            raise ValueError("policy.entropy_coef must be >= 0")
         if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
+            raise ValueError("policy.gamma must be in [0, 1)")
         if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gae_lambda must be in [0, 1]")
-        if self.clip_ratio <= 0 or self.epochs < 1 or self.minibatch_size < 1:
-            raise ValueError("bad optimizer config")
+            raise ValueError("policy.gae_lambda must be in [0, 1]")
+        for key in ("epochs", "minibatch_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"policy.{key} must be >= 1")
+        if self.clip_ratio <= 0:
+            raise ValueError("policy.clip_ratio must be > 0")
 
 
 class GaussianPolicy:
@@ -73,27 +76,34 @@ class GaussianPolicy:
     def clipped_log_std(self) -> np.ndarray:
         return np.clip(self.log_std.params, LOG_STD_MIN, LOG_STD_MAX)
 
-    def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """Draw an action; the returned log-prob is the density of the pre-clip draw."""
-        mean = self.mean_net.forward(np.asarray(state, dtype=np.float64))
-        log_std = self.clipped_log_std()
-        std = np.exp(log_std)
-        raw = mean + std * rng.standard_normal(self.spec.action_dim)
-        z = (raw - mean) / std
-        logp = float(-0.5 * np.sum(z * z) - np.sum(log_std) - 0.5 * self.spec.action_dim * _LOG_2PI)
-        action = np.clip(raw, self.spec.action_low, self.spec.action_high)
-        return action, logp
+    def sample_action(self, states: np.ndarray,
+                      rng: np.random.Generator) -> tuple[np.ndarray, float | np.ndarray]:
+        """Draw actions for a (state_dim,) state or (N, state_dim) states.
 
-    def act_deterministic(self, state: np.ndarray) -> np.ndarray:
-        mean = self.mean_net.forward(np.asarray(state, dtype=np.float64))
+        Returns the clipped actions and their log-density from the same
+        forward pass: a float for one state, an (N,) array for a batch.
+        """
+        mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
+        std = np.exp(self.clipped_log_std())
+        action = np.clip(mean + std * rng.standard_normal(mean.shape),
+                         self.spec.action_low, self.spec.action_high)
+        logp = self._log_density(mean, action)
+        return action, (float(logp) if mean.ndim == 1 else logp)
+
+    def act_deterministic(self, states: np.ndarray) -> np.ndarray:
+        """The clipped mean action of a (state_dim,) state or each row of (N, state_dim) states."""
+        mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
         return np.clip(mean, self.spec.action_low, self.spec.action_high)
 
     def log_prob(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Gaussian log-density of the given actions, shape (batch,)."""
         mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
+        return self._log_density(mean, np.asarray(actions, dtype=np.float64))
+
+    def _log_density(self, mean: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Gaussian log-density of actions around the given means, over the last axis."""
         log_std = self.clipped_log_std()
-        std = np.exp(log_std)
-        z = (np.asarray(actions, dtype=np.float64) - mean) / std
+        z = (actions - mean) / np.exp(log_std)
         return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_std) - 0.5 * self.spec.action_dim * _LOG_2PI
 
     def entropy(self) -> float:
@@ -274,15 +284,10 @@ class PolicyOptimizer:
 
 def evaluate(policy: GaussianPolicy, env, n_episodes: int,
              horizon: int | None = None) -> tuple[float, float]:
-    """Mean ground-truth return and success rate of mean-action rollouts."""
+    """Mean ground-truth return and success rate of one lockstep wave of mean-action episodes."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    horizon = horizon or env.spec.horizon
-    returns, successes = [], 0
-    for _ in range(n_episodes):
-        traj = rollout(policy, env, horizon, deterministic=True)
-        returns.append(traj.gt_return())
-        last = traj.transitions[-1]
-        if last.done or env.is_success(last.s_next):
-            successes += 1
-    return float(np.mean(returns)), successes / n_episodes
+    trajs = rollouts(policy, env, n_episodes, horizon or env.spec.horizon, deterministic=True)
+    last = [traj.transitions[-1] for traj in trajs]
+    success = np.array([t.done for t in last]) | env.is_success(np.array([t.s_next for t in last]))
+    return float(np.mean([traj.gt_return() for traj in trajs])), int(success.sum()) / n_episodes

@@ -1,13 +1,13 @@
 """Independent oracles shared by module tests and the acceptance suite.
 
 Everything here is computed without touching the code paths under test:
-closed-form Gaussian log-density ratios, enumerated occupancy measures, and
-synthetic transition generators.
+closed-form Gaussian log-density ratios, enumerated occupancy measures,
+synthetic transition generators, and a one-state-at-a-time point-maze step.
 """
 
 import numpy as np
 
-from odirl.envs import SOURCE, TARGET, Transition
+from odirl.envs import _WALL_EPS, SOURCE, TARGET, Transition
 
 GAUSS_MU_SRC = 0.0
 GAUSS_MU_TGT = 0.3
@@ -115,3 +115,60 @@ def replicated_occupancy_batch(P, rho_sa, tag, scale=3000):
                 counts[s, a] += n
     realized = counts / counts.sum()
     return batch, realized
+
+
+# ---------------------------------------------------------------------------
+# Point maze, one state at a time
+# ---------------------------------------------------------------------------
+
+def point_in_box(p, box):
+    return box[0] < p[0] < box[2] and box[1] < p[1] < box[3]
+
+
+def segment_box_entry(p0, p1, box):
+    """Earliest t in [0, 1] where p0 + t*(p1-p0) is inside the closed box."""
+    d = p1 - p0
+    tmin, tmax = 0.0, 1.0
+    for axis, (lo, hi) in enumerate(((box[0], box[2]), (box[1], box[3]))):
+        if abs(d[axis]) < 1e-300:
+            if not (lo <= p0[axis] <= hi):
+                return None
+        else:
+            t1 = (lo - p0[axis]) / d[axis]
+            t2 = (hi - p0[axis]) / d[axis]
+            if t1 > t2:
+                t1, t2 = t2, t1
+            tmin = max(tmin, t1)
+            tmax = min(tmax, t2)
+            if tmin > tmax:
+                return None
+    return tmin
+
+
+def pointmaze_step(config, state, action):
+    """Noise-free point-maze step of one (2,) state: (next state, done).
+
+    Clip the action, clamp the displaced point to the arena, stop where the
+    segment first enters the wall box (nudged _WALL_EPS back along it), and
+    push a point still inside the box out through its nearest face.
+    """
+    state = np.asarray(state, dtype=np.float64)
+    a = np.clip(np.asarray(action, dtype=np.float64), -config.action_scale, config.action_scale)
+    proposed = np.clip(state + a, 0.0, 1.0)
+    wall = config.wall_box()
+    t_hit = segment_box_entry(state, proposed, wall)
+    if t_hit is not None:
+        t_hit = max(0.0, t_hit - _WALL_EPS / max(np.linalg.norm(proposed - state), 1e-12))
+        proposed = state + t_hit * (proposed - state)
+    if point_in_box(proposed, wall):
+        gaps = [
+            (proposed[0] - wall[0], 0, wall[0] - _WALL_EPS),
+            (wall[2] - proposed[0], 0, wall[2] + _WALL_EPS),
+            (proposed[1] - wall[1], 1, wall[1] - _WALL_EPS),
+            (wall[3] - proposed[1], 1, wall[3] + _WALL_EPS),
+        ]
+        _, axis, value = min(gaps, key=lambda g: g[0])
+        proposed = proposed.copy()
+        proposed[axis] = value
+    done = bool(np.linalg.norm(proposed - np.asarray(config.goal)) <= config.goal_radius)
+    return proposed, done

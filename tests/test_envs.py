@@ -14,6 +14,7 @@ from odirl.envs import (
     trajectory_header,
     write_trajectory_csv,
 )
+from oracles import pointmaze_step
 
 
 def default_pair(seed=7):
@@ -27,15 +28,19 @@ class ScriptedPolicy:
         self.point = np.asarray(point, dtype=np.float64)
         self.scale = scale
 
-    def sample_action(self, state, rng):
+    def _act(self, state):
         delta = self.point - state
         norm = np.linalg.norm(delta)
         if norm > self.scale:
             delta = delta / norm * self.scale
-        return delta, 0.0
+        return delta
 
-    def act_deterministic(self, state):
-        return self.sample_action(state, None)[0]
+    def sample_action(self, states, rng):
+        """Row-wise over (N, 2) states."""
+        return np.array([self._act(s) for s in states]), np.zeros(len(states))
+
+    def act_deterministic(self, states):
+        return self.sample_action(states, None)[0]
 
     def log_prob(self, states, actions):
         return np.zeros(states.shape[0])
@@ -212,3 +217,81 @@ def test_trajectory_csv_header_and_rows(tmp_path):
     assert lines[0] == ",".join(trajectory_header(2, 2))
     assert len(lines) == len(traj) + 1
     assert lines[1].endswith(SOURCE)
+
+
+def _grazing_and_corner_cases(cfg):
+    """(states, actions) along the wall faces, past its corners, along its bottom
+    edge and into the arena corners, where the segment-wall clip is tightest."""
+    xlo, ylo, xhi, yhi = cfg.wall_box()
+    a = cfg.action_scale
+    cases = [
+        # along the left and right faces, exactly on them and a hair outside
+        ((xlo, 0.8), (0.0, a)), ((xlo - 1e-12, 0.6), (0.0, -a)), ((xhi, 0.9), (0.0, -a)),
+        ((xhi + 1e-9, 0.5), (0.0, a)),
+        # ending exactly on a face, and just short of it
+        ((xlo - 0.05, 0.8), (0.05, 0.0)), ((xlo - 0.05, 0.8), (0.05 - 1e-12, 0.0)),
+        ((xhi + 0.05, 0.8), (-0.05, 0.0)),
+        # diagonals clipping the bottom corners, through and just past them
+        ((xlo - 0.04, ylo - 0.04), (0.04, 0.04)), ((xlo - 0.04, ylo - 0.04), (0.08, 0.04)),
+        ((xhi + 0.04, ylo - 0.04), (-0.04, 0.04)), ((xhi + 0.04, ylo - 0.05), (-0.04, 0.04)),
+        # along the bottom edge, on it and a hair below, and straight up into it
+        ((xlo - 0.05, ylo), (0.08, 0.0)), ((xhi + 0.05, ylo - 1e-12), (-0.08, 0.0)),
+        ((0.5 * (xlo + xhi), ylo - 0.03), (0.0, a)), ((xlo, ylo - 0.03), (0.0, a)),
+        # the top edge next to the wall, pushed out of the arena
+        ((xlo - 0.01, 1.0), (a, a)), ((xhi + 0.01, 1.0), (-a, a)),
+        # arena corners pushed outward, and a still point on a face
+        ((0.0, 0.0), (-a, -a)), ((1.0, 1.0), (a, a)), ((0.0, 1.0), (-a, a)),
+        ((1.0, 0.0), (a, -a)), ((xlo, 0.7), (0.0, 0.0)),
+    ]
+    states, actions = zip(*cases)
+    return np.array(states, dtype=np.float64), np.array(actions, dtype=np.float64)
+
+
+@pytest.mark.parametrize("wall_length", [0.5, 0.75])
+def test_pointmaze_batched_step_matches_scalar_oracle(wall_length):
+    cfg = PointMazeConfig(noise_std=0.0, wall_length=wall_length)
+    env = PointMazeEnv(cfg, TARGET, seed=0)
+    rng = np.random.default_rng(11)
+    grazing, grazing_actions = _grazing_and_corner_cases(cfg)
+    states = np.concatenate([rng.uniform(0.0, 1.0, (400, 2)), grazing])
+    actions = np.concatenate([rng.uniform(-0.1, 0.1, (400, 2)), grazing_actions])
+    nxt, done = env.step(states, actions)
+    assert nxt.shape == states.shape and done.shape == (len(states),)
+    for i, (s, a) in enumerate(zip(states, actions)):
+        ref, ref_done = pointmaze_step(cfg, s, a)
+        assert done[i] == ref_done, i
+        assert np.max(np.abs(nxt[i] - ref)) <= 1e-12, (i, s, a, nxt[i], ref)
+        one, one_done = env.step(s, a)
+        assert np.array_equal(one, nxt[i]) and one_done == done[i]
+
+
+def test_linkchain_batched_step_equals_row_by_row():
+    for gt_variant in ("distance", "forward_velocity"):
+        _, env = make_linkchain_pair(LinkChainConfig(gt_variant=gt_variant), (False, True, False), 0, 0)
+        rng = np.random.default_rng(5)
+        states = rng.normal(scale=2.0, size=(50, 6))
+        actions = rng.uniform(-1.5, 1.5, size=(50, 3))
+        nxt, done = env.step(states, actions)
+        assert not done.any() and done.shape == (50,)
+        rows = np.array([env.step(s, a)[0] for s, a in zip(states, actions)])
+        assert np.array_equal(nxt, rows)
+        rewards = env.ground_truth_reward(nxt)
+        assert np.array_equal(rewards, [env.ground_truth_reward(s) for s in nxt])
+        assert np.array_equal(env.is_success(nxt), [env.is_success(s) for s in nxt])
+
+
+def test_pointmaze_batched_reward_and_success_equal_row_by_row():
+    env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
+    states = np.random.default_rng(2).uniform(0.6, 1.0, (50, 2))
+    assert np.array_equal(env.ground_truth_reward(states),
+                          [env.ground_truth_reward(s) for s in states])
+    success = env.is_success(states)
+    assert success.any() and not success.all()
+    assert np.array_equal(success, [env.is_success(s) for s in states])
+
+
+def test_batched_reset_draws_what_one_dimensional_resets_draw():
+    for make in (lambda seed: PointMazeEnv(PointMazeConfig(), SOURCE, seed),
+                 lambda seed: LinkChainEnv(LinkChainConfig(), SOURCE, seed)):
+        assert np.array_equal(make(4).reset(1)[0], make(4).reset())
+        assert make(4).reset(3).shape == (3, make(4).spec.state_dim)

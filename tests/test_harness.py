@@ -8,10 +8,13 @@ import pytest
 import yaml
 
 import odirl.harness as harness
+import odirl.policy as policy_mod
 from odirl.buffers import load_demos
 from odirl.config import ExperimentConfig, load_config, save_config
-from odirl.envs import SOURCE, TARGET
+from odirl.envs import (SOURCE, TARGET, LinkChainConfig, LinkChainEnv, PointMazeConfig,
+                        PointMazeEnv, rollouts)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
+from odirl.policy import GaussianPolicy, evaluate
 
 
 def tiny_cfg(tmp_path, name, **kw):
@@ -407,3 +410,84 @@ def test_cli_smoke(tmp_path, demo_file):
     rc = main(["aggregate", "--runs", str(tmp_path / "cli_out"),
                "--out", str(tmp_path / "agg.csv")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("key,value", [
+    ("policy.epochs", 0), ("policy.minibatch_size", 0), ("policy.clip_ratio", 0.0),
+    ("expert.steps", 0), ("expert.batch_steps", 0), ("expert.n_demo_episodes", 0),
+    ("expert.entropy_coef", -0.1),
+])
+def test_config_names_the_bad_policy_or_expert_key(key, value):
+    section, name = key.split(".")
+    with pytest.raises(ValueError, match=key):
+        load_config(overrides={section: {name: value}})
+
+
+def _wave_envs():
+    """A point maze whose episodes often end early (start next to the goal)
+    and a link chain whose episodes always run to the horizon."""
+    maze = PointMazeEnv(PointMazeConfig(start_region=(0.7, 0.45, 0.76, 0.65), horizon=20),
+                        TARGET, seed=1)
+    chain = LinkChainEnv(LinkChainConfig(horizon=15), TARGET, seed=1)
+    return maze, chain
+
+
+@pytest.mark.parametrize("batch_steps", [1, 37, 100, 301])
+def test_collect_batch_stops_at_the_first_episode_reaching_batch_steps(batch_steps):
+    for env in _wave_envs():
+        policy = GaussianPolicy(env.spec, hidden=(8,), seed=0, init_log_std=1.0)
+        trajs = harness.collect_batch(policy, env, batch_steps, np.random.default_rng(0))
+        lengths = [len(t) for t in trajs]
+        assert sum(lengths[:-1]) < batch_steps <= sum(lengths)
+        assert all(t.transitions[-1].done or len(t) == env.spec.horizon for t in trajs)
+        assert all(len(t.log_probs) == len(t) for t in trajs)
+        if env.spec.horizon == 15:      # the link chain never terminates early
+            assert lengths == [15] * -(-batch_steps // 15)
+        elif batch_steps == 301:
+            assert min(lengths) < env.spec.horizon
+
+
+def test_evaluate_and_final_artifacts_roll_exactly_n_episodes(tmp_path, monkeypatch):
+    calls = []
+    real_rollouts = harness.rollouts
+
+    def recording_rollouts(policy, env, n_episodes, horizon, rng=None, deterministic=False):
+        trajs = real_rollouts(policy, env, n_episodes, horizon, rng, deterministic)
+        calls.append((env.domain_tag, n_episodes, len(trajs), deterministic))
+        return trajs
+
+    monkeypatch.setattr(harness, "rollouts", recording_rollouts)
+    monkeypatch.setattr(policy_mod, "rollouts", recording_rollouts)
+    maze, _ = _wave_envs()
+    policy = GaussianPolicy(maze.spec, hidden=(8,), seed=0, init_log_std=1.0)
+    evaluate(policy, maze, 7)
+    assert calls == [(TARGET, 7, 7, True)]
+
+    calls.clear()
+    cfg = tiny_cfg(tmp_path, "final")
+    cfg.final_eval_trajectories = 3
+    cfg.eval_episodes = 4
+    _, _, _, (_, _, src_eval, tgt_eval) = harness._start_run(cfg)
+    harness._final_artifacts(cfg, tmp_path, policy, src_eval, tgt_eval)
+    assert calls == [(TARGET, 3, 3, True), (SOURCE, 3, 3, True), (TARGET, 4, 4, True)]
+
+
+def test_rollouts_never_recompute_log_prob(monkeypatch):
+    def forbidden(self, states, actions):
+        raise AssertionError("log_prob called during a rollout")
+
+    monkeypatch.setattr(GaussianPolicy, "log_prob", forbidden)
+    for env in _wave_envs():
+        policy = GaussianPolicy(env.spec, hidden=(8,), seed=0)
+        trajs = harness.collect_batch(policy, env, 50, np.random.default_rng(0))
+        assert sum(len(t) for t in trajs) >= 50
+        evaluate(policy, env, 3)
+
+
+def test_rollout_log_probs_are_those_of_the_clipped_actions():
+    maze, _ = _wave_envs()
+    policy = GaussianPolicy(maze.spec, hidden=(8,), seed=0, init_log_std=1.0)
+    for traj in rollouts(policy, maze, 4, maze.spec.horizon, np.random.default_rng(3)):
+        expected = policy.log_prob(traj.states(), traj.actions())
+        assert np.allclose(traj.log_probs, expected, rtol=0, atol=1e-12)
+        assert np.all(np.abs(traj.actions()) <= maze.spec.action_high)

@@ -174,13 +174,17 @@ class StraightToGoal:
         self.goal = np.asarray(goal)
         self.scale = scale
 
-    def act_deterministic(self, state):
+    def _act(self, state):
         delta = self.goal - state
         n = np.linalg.norm(delta)
         return delta if n <= self.scale else delta / n * self.scale
 
-    def sample_action(self, state, rng):
-        return self.act_deterministic(state), 0.0
+    def act_deterministic(self, states):
+        """Row-wise over (N, 2) states."""
+        return np.array([self._act(s) for s in states])
+
+    def sample_action(self, states, rng):
+        return self.act_deterministic(states), np.zeros(len(states))
 
     def log_prob(self, states, actions):
         return np.zeros(states.shape[0])
