@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import SOURCE, Trajectory, Transition
+from .envs import SOURCE, Trajectory, Transition, trajectory_header, trajectory_row
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +87,9 @@ class DemoSet:
 def save_demos(demos: DemoSet, path) -> None:
     """Persist demos as CSV: one JSON metadata line, a header row, then rows.
 
-    Rows extend the trajectory-dump layout with an episode index and the
-    ground-truth reward so loading reconstructs trajectories field-by-field.
+    Rows are the trajectory-dump rows (``envs.trajectory_row``) between an
+    episode index and the ground-truth reward, so loading reconstructs
+    trajectories field-by-field.
     """
     first = demos.trajectories[0].transitions[0]
     sd, ad = first.s.shape[0], first.a.shape[0]
@@ -100,23 +101,13 @@ def save_demos(demos: DemoSet, path) -> None:
         "action_dim": ad,
         "n_trajectories": len(demos.trajectories),
     }
-    header = ["episode"]
-    header += [f"s_{i}" for i in range(sd)]
-    header += [f"a_{i}" for i in range(ad)]
-    header += [f"s_next_{i}" for i in range(sd)]
-    header += ["done", "domain_tag", "gt_reward"]
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(meta) + "\n")
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["episode", *trajectory_header(sd, ad), "gt_reward"])
         for ep, traj in enumerate(demos.trajectories):
-            for t in traj.transitions:
-                row = [ep]
-                row += [format(v, ".17g") for v in t.s]
-                row += [format(v, ".17g") for v in t.a]
-                row += [format(v, ".17g") for v in t.s_next]
-                row += [int(t.done), t.domain_tag, format(t.gt_reward, ".17g")]
-                writer.writerow(row)
+            writer.writerows([ep, *trajectory_row(t), format(t.gt_reward, ".17g")]
+                             for t in traj.transitions)
 
 
 def load_demos(path, expected_spec=None, expected_config_hash: str | None = None) -> DemoSet:

@@ -43,6 +43,11 @@ class BufferConfig:
     target_capacity: int = 1_000_000
     source_capacity: int = 100_000
 
+    def validate(self) -> None:
+        for key in ("target_capacity", "source_capacity"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"buffers.{key} must be >= 1")
+
 
 @dataclass
 class ExpertConfig:
@@ -58,57 +63,6 @@ class ExpertConfig:
                 raise ValueError(f"expert.{key} must be >= 1")
         if self.entropy_coef < 0:
             raise ValueError("expert.entropy_coef must be >= 0")
-
-
-@dataclass
-class PointMazePairConfig:
-    source_wall_length: float = 0.5
-    target_wall_length: float = 0.75
-    wall_x: float = 0.5
-    wall_half_width: float = 0.02
-    start_region: tuple = (0.06, 0.50, 0.14, 0.60)
-    goal_region: tuple = (0.78, 0.43, 1.0, 0.67)
-    goal: tuple = (0.9, 0.55)
-    goal_radius: float = 0.1
-    noise_std: float = 0.01
-    action_scale: float = 0.08
-    horizon: int = 80
-
-    def base_config(self) -> PointMazeConfig:
-        return PointMazeConfig(
-            wall_x=self.wall_x, wall_length=self.source_wall_length,
-            wall_half_width=self.wall_half_width, start_region=tuple(self.start_region),
-            goal_region=tuple(self.goal_region), goal=tuple(self.goal),
-            goal_radius=self.goal_radius, noise_std=self.noise_std,
-            action_scale=self.action_scale, horizon=self.horizon,
-        )
-
-
-@dataclass
-class LinkChainPairConfig:
-    num_joints: int = 3
-    target_disabled_mask: tuple = (False, False, True)
-    torque_limit: float = 1.0
-    dt: float = 0.05
-    damping: float = 0.8
-    torque_gain: float = 4.0
-    vel_limit: float = 8.0
-    init_angle_range: float = 0.1
-    init_vel_range: float = 0.05
-    goal_angles: tuple = (1.1, -0.6, 0.9)
-    success_radius: float = 0.25
-    gt_variant: str = "distance"
-    horizon: int = 60
-
-    def base_config(self) -> LinkChainConfig:
-        return LinkChainConfig(
-            num_joints=self.num_joints, torque_limit=self.torque_limit,
-            disabled_mask=tuple([False] * self.num_joints), dt=self.dt, damping=self.damping,
-            torque_gain=self.torque_gain, vel_limit=self.vel_limit,
-            init_angle_range=self.init_angle_range, init_vel_range=self.init_vel_range,
-            goal_angles=tuple(self.goal_angles), success_radius=self.success_radius,
-            gt_variant=self.gt_variant, horizon=self.horizon,
-        )
 
 
 @dataclass
@@ -129,8 +83,8 @@ class ExperimentConfig:
     flip_reward_sign: bool = False
     heatmap_grid: int = 50
     final_eval_trajectories: int = 5
-    pointmaze: PointMazePairConfig = field(default_factory=PointMazePairConfig)
-    linkchain: LinkChainPairConfig = field(default_factory=LinkChainPairConfig)
+    pointmaze: PointMazeConfig = field(default_factory=PointMazeConfig)
+    linkchain: LinkChainConfig = field(default_factory=LinkChainConfig)
     policy: PolicyOptConfig = field(default_factory=PolicyOptConfig)
     dd: DDConfig = field(default_factory=DDConfig)
     disc: DiscConfig = field(default_factory=DiscConfig)
@@ -146,24 +100,23 @@ class ExperimentConfig:
                     "final_eval_trajectories", "heatmap_grid"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         self.policy.validate()
         self.dd.validate()
         self.disc.validate()
         self.expert.validate()
-        if self.task == "pointmaze":
-            pm = self.pointmaze
-            if not pm.target_wall_length > pm.source_wall_length:
-                raise ValueError("target wall must be longer than source wall")
-            pm.base_config().validate()
-        else:
-            self.linkchain.base_config().validate()
-            if not any(self.linkchain.target_disabled_mask):
-                raise ValueError("target link chain needs at least one disabled actuator")
+        self.buffers.validate()
+        self.env_config().validate()
+
+    def env_config(self) -> PointMazeConfig | LinkChainConfig:
+        """The source/target pair config of the selected task."""
+        return self.pointmaze if self.task == "pointmaze" else self.linkchain
 
     def env_config_hash(self) -> str:
-        section = self.pointmaze if self.task == "pointmaze" else self.linkchain
+        section = self.env_config()
         payload = json.dumps({"task": self.task, **_as_plain(dataclasses.asdict(section))},
                              sort_keys=True)
         return hashlib.md5(payload.encode("utf-8")).hexdigest()[:12]
@@ -188,7 +141,9 @@ def _overlay(section, values: dict, path: str):
                 raise ValueError(f"{path}.{key} must be a mapping")
             _overlay(current, val, f"{path}.{key}")
         else:
-            if isinstance(current, tuple) and isinstance(val, list):
+            if isinstance(current, tuple):
+                if not isinstance(val, (list, tuple)):
+                    raise ValueError(f"{path}.{key} must be a list")
                 val = tuple(tuple(v) if isinstance(v, list) else v for v in val)
             setattr(section, key, val)
 

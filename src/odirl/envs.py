@@ -58,18 +58,6 @@ class Trajectory:
     def __len__(self):
         return len(self.transitions)
 
-    def states(self) -> np.ndarray:
-        return np.array([t.s for t in self.transitions])
-
-    def actions(self) -> np.ndarray:
-        return np.array([t.a for t in self.transitions])
-
-    def next_states(self) -> np.ndarray:
-        return np.array([t.s_next for t in self.transitions])
-
-    def dones(self) -> np.ndarray:
-        return np.array([t.done for t in self.transitions], dtype=bool)
-
     def gt_return(self) -> float:
         return float(sum(t.gt_reward for t in self.transitions))
 
@@ -89,8 +77,11 @@ def stack_transitions(transitions) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 @dataclass
 class PointMazeConfig:
+    """One point-maze task: both domains, which differ only in wall length."""
+
+    source_wall_length: float = 0.5   # fraction of arena height, hanging from the top
+    target_wall_length: float = 0.75
     wall_x: float = 0.5
-    wall_length: float = 0.5          # fraction of arena height, hanging from the top
     wall_half_width: float = 0.02
     start_region: tuple = (0.06, 0.50, 0.14, 0.60)   # xlo, ylo, xhi, yhi
     goal_region: tuple = (0.78, 0.43, 1.0, 0.67)
@@ -101,26 +92,30 @@ class PointMazeConfig:
     horizon: int = 80
 
     def validate(self) -> None:
-        if not 0.0 < self.wall_length <= 1.0:
-            raise ValueError("wall_length must be in (0, 1]")
+        if not 0.0 < self.source_wall_length < self.target_wall_length <= 1.0:
+            raise ValueError("pointmaze: need 0 < source_wall_length < target_wall_length <= 1")
         xlo, xhi = self.wall_x - self.wall_half_width, self.wall_x + self.wall_half_width
         if not (0.0 < xlo and xhi < 1.0):
-            raise ValueError("wall must lie strictly inside the arena horizontally")
-        wall = self.wall_box()
-        for name, box in (("start_region", self.start_region), ("goal_region", self.goal_region)):
-            if _boxes_overlap(box, wall):
-                raise ValueError(f"{name} overlaps the wall")
-        if self.noise_std < 0 or self.action_scale <= 0 or self.goal_radius <= 0:
-            raise ValueError("noise_std, action_scale, goal_radius must be valid")
+            raise ValueError("pointmaze.wall_x +- wall_half_width must lie strictly inside the arena")
+        wall = self.wall_box(TARGET)   # contains the source wall
+        for name in ("start_region", "goal_region"):
+            if _boxes_overlap(getattr(self, name), wall):
+                raise ValueError(f"pointmaze.{name} overlaps the target wall")
+        for name in ("action_scale", "goal_radius"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"pointmaze.{name} must be > 0")
+        if self.noise_std < 0:
+            raise ValueError("pointmaze.noise_std must be >= 0")
 
-    def wall_box(self) -> tuple:
-        """(xlo, ylo, xhi, yhi) of the wall rectangle; hangs from the top edge."""
-        return (
-            self.wall_x - self.wall_half_width,
-            1.0 - self.wall_length,
-            self.wall_x + self.wall_half_width,
-            1.0,
-        )
+    def wall_box(self, domain_tag: str) -> tuple:
+        """(xlo, ylo, xhi, yhi) of the domain's wall rectangle; hangs from the top edge."""
+        length = {SOURCE: self.source_wall_length, TARGET: self.target_wall_length}[domain_tag]
+        return (self.wall_x - self.wall_half_width, 1.0 - length,
+                self.wall_x + self.wall_half_width, 1.0)
+
+    def base_config(self) -> "PointMazeConfig":
+        """This config; kept only because benchmarks/workloads.py calls it."""
+        return self
 
 
 def _boxes_overlap(a: tuple, b: tuple) -> bool:
@@ -164,8 +159,8 @@ class PointMazeEnv:
         )
         self._start_lo = np.array(config.start_region[:2], dtype=np.float64)
         self._start_hi = np.array(config.start_region[2:], dtype=np.float64)
-        wall = config.wall_box()
-        self._wall_lo, self._wall_hi = np.array(wall[:2]), np.array(wall[2:])
+        self._wall = config.wall_box(domain_tag)
+        self._wall_lo, self._wall_hi = np.array(self._wall[:2]), np.array(self._wall[2:])
 
     def reset(self, n: int | None = None) -> np.ndarray:
         """One (2,) start state, or (n, 2) of them from one draw."""
@@ -218,7 +213,7 @@ class PointMazeEnv:
             out = np.where(hit[:, None], p0 + np.maximum(t, 0.0)[:, None] * d, p1)
         inside = (out > lo) & (out < hi)
         for i in np.flatnonzero(inside[:, 0] & inside[:, 1]):  # numerical corner case guard
-            out[i] = self._project_out(out[i], self.config.wall_box())
+            out[i] = self._project_out(out[i], self._wall)
         return out
 
     @staticmethod
@@ -250,9 +245,12 @@ class PointMazeEnv:
 
 @dataclass
 class LinkChainConfig:
+    """One link-chain task: the source chain drives every joint, the target
+    chain has the actuators of `target_disabled_mask` dead."""
+
     num_joints: int = 3
+    target_disabled_mask: tuple = (False, False, True)
     torque_limit: float = 1.0
-    disabled_mask: tuple = (False, False, False)
     dt: float = 0.05
     damping: float = 0.8
     torque_gain: float = 4.0
@@ -266,15 +264,21 @@ class LinkChainConfig:
 
     def validate(self) -> None:
         if self.num_joints < 1:
-            raise ValueError("num_joints must be positive")
-        if len(self.disabled_mask) != self.num_joints:
-            raise ValueError("disabled_mask length must equal num_joints")
-        if len(self.goal_angles) != self.num_joints:
-            raise ValueError("goal_angles length must equal num_joints")
+            raise ValueError("linkchain.num_joints must be >= 1")
+        for name in ("target_disabled_mask", "goal_angles"):
+            if len(getattr(self, name)) != self.num_joints:
+                raise ValueError(f"linkchain.{name} length must equal num_joints")
+        if not any(self.target_disabled_mask):
+            raise ValueError("linkchain.target_disabled_mask needs at least one disabled actuator")
         if self.gt_variant not in ("distance", "forward_velocity"):
-            raise ValueError("gt_variant must be 'distance' or 'forward_velocity'")
-        if self.torque_limit <= 0 or self.dt <= 0:
-            raise ValueError("torque_limit and dt must be positive")
+            raise ValueError("linkchain.gt_variant must be 'distance' or 'forward_velocity'")
+        for name in ("torque_limit", "dt"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"linkchain.{name} must be > 0")
+
+    def base_config(self) -> "LinkChainConfig":
+        """This config; kept only because benchmarks/workloads.py calls it."""
+        return self
 
 
 def _chain_tip(angles: np.ndarray) -> np.ndarray:
@@ -301,7 +305,8 @@ class LinkChainEnv:
         self.rng = np.random.default_rng(seed)
         n = config.num_joints
         lim = config.torque_limit
-        self.mask = np.asarray(config.disabled_mask, dtype=bool)
+        # A source chain drives every joint.
+        self.mask = np.asarray(config.target_disabled_mask, dtype=bool) & (domain_tag == TARGET)
         self.goal_tip = _chain_tip(np.asarray(config.goal_angles, dtype=np.float64))
         self.spec = EnvSpec(
             state_dim=2 * n,
@@ -358,11 +363,8 @@ def make_pointmaze_pair(
     source_seed: int,
     target_seed: int,
 ) -> tuple[PointMazeEnv, PointMazeEnv]:
-    if not target_wall_length > source_wall_length:
-        raise ValueError("target wall must be longer than source wall")
-    src = PointMazeEnv(replace(base, wall_length=source_wall_length), SOURCE, source_seed)
-    tgt = PointMazeEnv(replace(base, wall_length=target_wall_length), TARGET, target_seed)
-    return src, tgt
+    cfg = replace(base, source_wall_length=source_wall_length, target_wall_length=target_wall_length)
+    return PointMazeEnv(cfg, SOURCE, source_seed), PointMazeEnv(cfg, TARGET, target_seed)
 
 
 def make_linkchain_pair(
@@ -371,13 +373,8 @@ def make_linkchain_pair(
     source_seed: int,
     target_seed: int,
 ) -> tuple[LinkChainEnv, LinkChainEnv]:
-    mask = tuple(bool(m) for m in target_disabled_mask)
-    if not any(mask):
-        raise ValueError("target disabled_mask needs at least one disabled actuator")
-    n = base.num_joints
-    src = LinkChainEnv(replace(base, disabled_mask=tuple([False] * n)), SOURCE, source_seed)
-    tgt = LinkChainEnv(replace(base, disabled_mask=mask), TARGET, target_seed)
-    return src, tgt
+    cfg = replace(base, target_disabled_mask=tuple(target_disabled_mask))
+    return LinkChainEnv(cfg, SOURCE, source_seed), LinkChainEnv(cfg, TARGET, target_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +440,18 @@ def trajectory_header(state_dim: int, action_dim: int) -> list[str]:
     return cols
 
 
+def trajectory_row(t: Transition) -> list:
+    """One transition in the trajectory_header layout, floats written value-exactly."""
+    floats = [format(v, ".17g") for part in (t.s, t.a, t.s_next) for v in part]
+    return floats + [int(t.done), t.domain_tag]
+
+
 def write_trajectory_csv(path, trajectories) -> None:
     """Dump transitions as CSV with the s_*, a_*, s_next_*, done, domain_tag layout."""
     trajs = trajectories if isinstance(trajectories, (list, tuple)) else [trajectories]
     first = trajs[0].transitions[0]
-    header = trajectory_header(first.s.shape[0], first.a.shape[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(trajectory_header(first.s.shape[0], first.a.shape[0]))
         for traj in trajs:
-            for t in traj.transitions:
-                row = [format(v, ".17g") for v in t.s]
-                row += [format(v, ".17g") for v in t.a]
-                row += [format(v, ".17g") for v in t.s_next]
-                row += [int(t.done), t.domain_tag]
-                writer.writerow(row)
+            writer.writerows(trajectory_row(t) for t in traj.transitions)

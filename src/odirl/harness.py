@@ -22,7 +22,7 @@ import numpy as np
 from .buffers import DemoSet, ReplayBuffer, load_demos, save_demos
 from .config import ExperimentConfig, save_config
 from .dd import ClassifierPair, classifier_loss, dd_for_transitions
-from .envs import make_linkchain_pair, make_pointmaze_pair, rollout, rollouts, write_trajectory_csv
+from .envs import SOURCE, TARGET, LinkChainEnv, PointMazeEnv, rollout, rollouts, write_trajectory_csv
 from .irl import Discriminator, GailDiscriminator, disc_loss, gail_disc_loss, gail_policy_reward, policy_reward, reward_heatmap
 from .nets import Adam
 from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
@@ -93,20 +93,10 @@ def _streams(seed: int) -> dict:
 
 def build_envs(cfg: ExperimentConfig, seeds: dict):
     """(source, target, source_eval, target_eval) instances for the config."""
-    if cfg.task == "pointmaze":
-        pm = cfg.pointmaze
-        src, tgt = make_pointmaze_pair(pm.base_config(), pm.source_wall_length,
-                                       pm.target_wall_length, seeds["env_source"], seeds["env_target"])
-        src_eval, tgt_eval = make_pointmaze_pair(pm.base_config(), pm.source_wall_length,
-                                                 pm.target_wall_length, seeds["env_eval_source"],
-                                                 seeds["env_eval_target"])
-    else:
-        lc = cfg.linkchain
-        src, tgt = make_linkchain_pair(lc.base_config(), lc.target_disabled_mask,
-                                       seeds["env_source"], seeds["env_target"])
-        src_eval, tgt_eval = make_linkchain_pair(lc.base_config(), lc.target_disabled_mask,
-                                                 seeds["env_eval_source"], seeds["env_eval_target"])
-    return src, tgt, src_eval, tgt_eval
+    env_cls = PointMazeEnv if cfg.task == "pointmaze" else LinkChainEnv
+    return tuple(env_cls(cfg.env_config(), tag, seeds[name]) for tag, name in (
+        (SOURCE, "env_source"), (TARGET, "env_target"),
+        (SOURCE, "env_eval_source"), (TARGET, "env_eval_target")))
 
 
 def collect_batch(policy, env, batch_steps: int, rng) -> list:

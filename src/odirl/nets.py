@@ -186,15 +186,6 @@ class Mlp:
             "zero_init_output": self.zero_init_output,
         }
 
-    @classmethod
-    def from_meta(cls, meta: dict) -> "Mlp":
-        return cls(
-            meta["layer_sizes"],
-            meta["activations"],
-            seed=meta["seed"],
-            zero_init_output=meta.get("zero_init_output", False),
-        )
-
 
 class Adam:
     """Adaptive-moment optimizer over a list of (params, grad) blocks.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import EnvSpec, rollouts
+from .envs import EnvSpec, rollouts, stack_transitions
 from .nets import Adam, FlatParams, Mlp, load_params, save_params
 
 logger = logging.getLogger(__name__)
@@ -189,10 +189,10 @@ class PolicyOptimizer:
         if not trajectories:
             raise ValueError("empty batch")
         trajectories = [t for t in trajectories if len(t) > 0]
+        stacked = [stack_transitions(traj.transitions) for traj in trajectories]
         rewards = []
-        for traj in trajectories:
-            r = np.asarray(reward_fn(traj.states(), traj.actions(), traj.next_states()),
-                           dtype=np.float64)
+        for s, a, sn, _ in stacked:
+            r = np.asarray(reward_fn(s, a, sn), dtype=np.float64)
             if not np.all(np.isfinite(r)):
                 raise FloatingPointError("non-finite rewards in policy update")
             rewards.append(r)
@@ -207,8 +207,7 @@ class PolicyOptimizer:
 
         all_s, all_a, all_old = [], [], []
         adv_chunks, ret_chunks = [], []
-        for traj, r in zip(trajectories, rewards):
-            s, sn, d = traj.states(), traj.next_states(), traj.dones()
+        for traj, (s, a, sn, d), r in zip(trajectories, stacked, rewards):
             v = self.value.predict(s)
             vn = self.value.predict(sn)
             d_eff = np.zeros_like(d) if cfg.bootstrap_on_done else d
@@ -216,7 +215,7 @@ class PolicyOptimizer:
             adv_chunks.append(adv)
             ret_chunks.append(adv + v)
             all_s.append(s)
-            all_a.append(traj.actions())
+            all_a.append(a)
             all_old.append(traj.log_probs)
         S = np.concatenate(all_s)
         A = np.concatenate(all_a)

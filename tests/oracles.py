@@ -145,8 +145,10 @@ def segment_box_entry(p0, p1, box):
     return tmin
 
 
-def pointmaze_step(config, state, action):
+def pointmaze_step(config, wall, state, action):
     """Noise-free point-maze step of one (2,) state: (next state, done).
+
+    `wall` is the (xlo, ylo, xhi, yhi) box of the domain stepped in.
 
     Clip the action, clamp the displaced point to the arena, stop where the
     segment first enters the wall box (nudged _WALL_EPS back along it), and
@@ -155,7 +157,6 @@ def pointmaze_step(config, state, action):
     state = np.asarray(state, dtype=np.float64)
     a = np.clip(np.asarray(action, dtype=np.float64), -config.action_scale, config.action_scale)
     proposed = np.clip(state + a, 0.0, 1.0)
-    wall = config.wall_box()
     t_hit = segment_box_entry(state, proposed, wall)
     if t_hit is not None:
         t_hit = max(0.0, t_hit - _WALL_EPS / max(np.linalg.norm(proposed - state), 1e-12))

@@ -91,9 +91,9 @@ def test_pointmaze_step_rejects_nonfinite_state():
 
 
 def test_pointmaze_no_state_ever_inside_wall():
-    cfg = PointMazeConfig(noise_std=0.02)
+    cfg = PointMazeConfig(noise_std=0.02, source_wall_length=0.25, target_wall_length=0.5)
     env = PointMazeEnv(cfg, TARGET, seed=5)
-    xlo, ylo, xhi, yhi = cfg.wall_box()
+    xlo, ylo, xhi, yhi = cfg.wall_box(TARGET)
     rng = np.random.default_rng(4)
     state = env.reset()
     for _ in range(3000):
@@ -219,10 +219,10 @@ def test_trajectory_csv_header_and_rows(tmp_path):
     assert lines[1].endswith(SOURCE)
 
 
-def _grazing_and_corner_cases(cfg):
+def _grazing_and_corner_cases(cfg, wall):
     """(states, actions) along the wall faces, past its corners, along its bottom
     edge and into the arena corners, where the segment-wall clip is tightest."""
-    xlo, ylo, xhi, yhi = cfg.wall_box()
+    xlo, ylo, xhi, yhi = wall
     a = cfg.action_scale
     cases = [
         # along the left and right faces, exactly on them and a hair outside
@@ -249,16 +249,17 @@ def _grazing_and_corner_cases(cfg):
 
 @pytest.mark.parametrize("wall_length", [0.5, 0.75])
 def test_pointmaze_batched_step_matches_scalar_oracle(wall_length):
-    cfg = PointMazeConfig(noise_std=0.0, wall_length=wall_length)
+    cfg = PointMazeConfig(noise_std=0.0, source_wall_length=0.25, target_wall_length=wall_length)
     env = PointMazeEnv(cfg, TARGET, seed=0)
+    wall = cfg.wall_box(TARGET)
     rng = np.random.default_rng(11)
-    grazing, grazing_actions = _grazing_and_corner_cases(cfg)
+    grazing, grazing_actions = _grazing_and_corner_cases(cfg, wall)
     states = np.concatenate([rng.uniform(0.0, 1.0, (400, 2)), grazing])
     actions = np.concatenate([rng.uniform(-0.1, 0.1, (400, 2)), grazing_actions])
     nxt, done = env.step(states, actions)
     assert nxt.shape == states.shape and done.shape == (len(states),)
     for i, (s, a) in enumerate(zip(states, actions)):
-        ref, ref_done = pointmaze_step(cfg, s, a)
+        ref, ref_done = pointmaze_step(cfg, wall, s, a)
         assert done[i] == ref_done, i
         assert np.max(np.abs(nxt[i] - ref)) <= 1e-12, (i, s, a, nxt[i], ref)
         one, one_done = env.step(s, a)

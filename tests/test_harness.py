@@ -12,7 +12,7 @@ import odirl.policy as policy_mod
 from odirl.buffers import load_demos
 from odirl.config import ExperimentConfig, load_config, save_config
 from odirl.envs import (SOURCE, TARGET, LinkChainConfig, LinkChainEnv, PointMazeConfig,
-                        PointMazeEnv, rollouts)
+                        PointMazeEnv, rollouts, stack_transitions)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
 from odirl.policy import GaussianPolicy, evaluate
 
@@ -109,7 +109,7 @@ def test_yaml_policy_keys_reach_the_policy_optimizer(tmp_path, demo_file, monkey
 
 @pytest.mark.parametrize("key", [
     "final_eval_trajectories", "heatmap_grid", "disc.epochs", "disc.minibatch_size",
-    "dd.batch_size",
+    "dd.batch_size", "buffers.target_capacity", "buffers.source_capacity",
 ])
 def test_config_rejects_zero_where_the_run_needs_one(key):
     section, _, name = key.rpartition(".")
@@ -415,12 +415,36 @@ def test_cli_smoke(tmp_path, demo_file):
 @pytest.mark.parametrize("key,value", [
     ("policy.epochs", 0), ("policy.minibatch_size", 0), ("policy.clip_ratio", 0.0),
     ("expert.steps", 0), ("expert.batch_steps", 0), ("expert.n_demo_episodes", 0),
-    ("expert.entropy_coef", -0.1),
+    ("expert.entropy_coef", -0.1), ("policy.hidden", 64), ("disc.hidden", None),
+    ("checkpoint_every", -1),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
-    section, name = key.split(".")
+    section, _, name = key.rpartition(".")
     with pytest.raises(ValueError, match=key):
-        load_config(overrides={section: {name: value}})
+        load_config(overrides={section: {name: value}} if section else {name: value})
+
+
+@pytest.mark.parametrize("section,values,key", [
+    # the target wall (y from 0.55) covers the start region; the source wall does not
+    pytest.param("pointmaze", {"wall_x": 0.1, "source_wall_length": 0.3, "target_wall_length": 0.45},
+                 "pointmaze.start_region", id="target-wall-over-start"),
+    pytest.param("pointmaze", {"source_wall_length": 0.75, "target_wall_length": 0.5},
+                 "source_wall_length < target_wall_length", id="source-wall-longer"),
+    pytest.param("linkchain", {"target_disabled_mask": [True]}, "linkchain.target_disabled_mask",
+                 id="mask-too-short"),
+    pytest.param("linkchain", {"target_disabled_mask": [False, False, False]},
+                 "linkchain.target_disabled_mask", id="no-dead-actuator"),
+])
+def test_config_rejects_a_bad_source_target_pair_at_load(section, values, key):
+    with pytest.raises(ValueError, match=key):
+        load_config(overrides={"task": section, section: values})
+
+
+def test_default_env_config_hash_is_pinned():
+    # Demo files record this hash; a changed default hash would make every
+    # demo file recorded before the change load with a mismatch warning.
+    assert load_config(overrides={"task": "pointmaze"}).env_config_hash() == "ac2edbd1fbf5"
+    assert load_config(overrides={"task": "linkchain"}).env_config_hash() == "3d30ed26db03"
 
 
 def _wave_envs():
@@ -488,6 +512,7 @@ def test_rollout_log_probs_are_those_of_the_clipped_actions():
     maze, _ = _wave_envs()
     policy = GaussianPolicy(maze.spec, hidden=(8,), seed=0, init_log_std=1.0)
     for traj in rollouts(policy, maze, 4, maze.spec.horizon, np.random.default_rng(3)):
-        expected = policy.log_prob(traj.states(), traj.actions())
+        states, actions, _, _ = stack_transitions(traj.transitions)
+        expected = policy.log_prob(states, actions)
         assert np.allclose(traj.log_probs, expected, rtol=0, atol=1e-12)
-        assert np.all(np.abs(traj.actions()) <= maze.spec.action_high)
+        assert np.all(np.abs(actions) <= maze.spec.action_high)

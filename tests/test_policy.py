@@ -191,7 +191,7 @@ class StraightToGoal:
 
 
 def test_evaluate_scripted_goal_policy_in_wall_free_maze():
-    cfg = PointMazeConfig(noise_std=0.0, wall_x=0.5, wall_length=0.01,
+    cfg = PointMazeConfig(noise_std=0.0, wall_x=0.5, source_wall_length=0.01,
                           start_region=(0.05, 0.05, 0.15, 0.15),
                           goal=(0.3, 0.1), goal_region=(0.2, 0.0, 0.4, 0.2))
     env = PointMazeEnv(cfg, SOURCE, seed=0)
