@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +38,8 @@ class DiscConfig:
         for key in ("minibatch_size", "epochs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"disc.{key} must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("disc.lr must be > 0")
 
 
 @dataclass
@@ -131,9 +135,26 @@ def _as_plain(obj):
     return obj
 
 
+def _checked(hint, val, name: str):
+    """val as a value of the field type hint; a ValueError naming the key otherwise."""
+    types = typing.get_args(hint) or (hint,)        # float | None -> (float, NoneType)
+    if float in types and isinstance(val, str):     # PyYAML reads 1e-3 as a string
+        try:
+            val = float(val)
+        except ValueError:
+            pass
+    if tuple in types and isinstance(val, list):
+        val = tuple(tuple(v) if isinstance(v, list) else v for v in val)
+    accepted = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in types)
+    if not isinstance(val, accepted) or (isinstance(val, bool) and bool not in types):
+        raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {val!r}")
+    return val
+
+
 def _overlay(section, values: dict, path: str):
+    hints = typing.get_type_hints(type(section))
     for key, val in values.items():
-        if not hasattr(section, key):
+        if key not in hints:
             raise ValueError(f"unknown config key {path}.{key}")
         current = getattr(section, key)
         if dataclasses.is_dataclass(current):
@@ -141,11 +162,7 @@ def _overlay(section, values: dict, path: str):
                 raise ValueError(f"{path}.{key} must be a mapping")
             _overlay(current, val, f"{path}.{key}")
         else:
-            if isinstance(current, tuple):
-                if not isinstance(val, (list, tuple)):
-                    raise ValueError(f"{path}.{key} must be a list")
-                val = tuple(tuple(v) if isinstance(v, list) else v for v in val)
-            setattr(section, key, val)
+            setattr(section, key, _checked(hints[key], val, f"{path}.{key}"))
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:

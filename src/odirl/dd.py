@@ -40,6 +40,8 @@ class DDConfig:
             raise ValueError("input_noise_std must be >= 0")
         if self.batch_size < 1:
             raise ValueError("dd.batch_size must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("dd.lr must be > 0")
 
 
 class ClassifierPair:
@@ -77,11 +79,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _batch_features(transitions):
-    s, a, sn, _ = stack_transitions(transitions)
-    return np.concatenate([s, a, sn], axis=1), np.concatenate([s, a], axis=1)
-
-
 def classifier_loss(
     pair: ClassifierPair,
     source_batch,
@@ -105,10 +102,9 @@ def classifier_loss(
         if t.domain_tag != TARGET:
             raise ValueError("mislabeled transition in target batch")
 
-    xs_sas_src, xs_sa_src = _batch_features(source_batch)
-    xs_sas_tgt, xs_sa_tgt = _batch_features(target_batch)
-    x_sas = np.concatenate([xs_sas_src, xs_sas_tgt])
-    x_sa = np.concatenate([xs_sa_src, xs_sa_tgt])
+    s, a, sn, _ = stack_transitions([*source_batch, *target_batch])
+    x_sas = np.concatenate([s, a, sn], axis=1)
+    x_sa = np.concatenate([s, a], axis=1)
     labels = np.concatenate(
         [np.full(len(source_batch), CLS_SOURCE), np.full(len(target_batch), CLS_TARGET)]
     )

@@ -442,7 +442,7 @@ def trajectory_header(state_dim: int, action_dim: int) -> list[str]:
 
 def trajectory_row(t: Transition) -> list:
     """One transition in the trajectory_header layout, floats written value-exactly."""
-    floats = [format(v, ".17g") for part in (t.s, t.a, t.s_next) for v in part]
+    floats = [format(v, ".17g") for part in (t.s, t.a, t.s_next) for v in part.tolist()]
     return floats + [int(t.done), t.domain_tag]
 
 

@@ -24,7 +24,7 @@ from .config import ExperimentConfig, save_config
 from .dd import ClassifierPair, classifier_loss, dd_for_transitions
 from .envs import SOURCE, TARGET, LinkChainEnv, PointMazeEnv, rollout, rollouts, write_trajectory_csv
 from .irl import Discriminator, GailDiscriminator, disc_loss, gail_disc_loss, gail_policy_reward, policy_reward, reward_heatmap
-from .nets import Adam
+from .nets import Adam, minibatches
 from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
 
 logger = logging.getLogger(__name__)
@@ -273,12 +273,9 @@ def _train_discriminator(loss_fn, disc_opt, demo_batch, pol_batch, epochs: int,
 
     Returns the mean loss, demo accuracy and policy accuracy over all minibatches.
     """
-    n_batch = len(pol_batch)
     d_losses, demo_accs, pol_accs = [], [], []
     for _ in range(epochs):
-        perm = rng.permutation(n_batch)
-        for start in range(0, n_batch, minibatch_size):
-            idx = perm[start : start + minibatch_size]
+        for idx in minibatches(len(pol_batch), minibatch_size, rng):
             _, stats = loss_fn([demo_batch[i] for i in idx], [pol_batch[i] for i in idx])
             disc_opt.step()
             d_losses.append(stats["loss"])

@@ -52,7 +52,6 @@ class Discriminator:
         state_only_g: bool = True,
         hidden=(64, 64),
         seed: int = 0,
-        logit_clip: float = LOGIT_CLIP,
         train_shaping: bool = True,
     ):
         if not 0.0 <= gamma <= 1.0:
@@ -61,7 +60,6 @@ class Discriminator:
         self.action_dim = action_dim
         self.gamma = float(gamma)
         self.state_only_g = bool(state_only_g)
-        self.logit_clip = float(logit_clip)
         self.train_shaping = bool(train_shaping)
         g_in = state_dim if state_only_g else state_dim + action_dim
         self.g_net = Mlp([g_in, *hidden, 1], seed=seed, zero_init_output=True)
@@ -134,20 +132,18 @@ def _stacked_batches(demo_batch, policy_batch):
     pol_tags = {t.domain_tag for t in policy_batch}
     if len(pol_tags) != 1:
         raise ValueError("policy batch mixes domain tags")
-    ds, da, dsn, _ = stack_transitions(demo_batch)
-    ps, pa, psn, _ = stack_transitions(policy_batch)
-    return np.concatenate([ds, ps]), np.concatenate([da, pa]), np.concatenate([dsn, psn])
+    return stack_transitions([*demo_batch, *policy_batch])[:3]
 
 
-def _clamped_logistic(raw: np.ndarray, n_demo: int, clip: float) -> tuple[np.ndarray, dict]:
+def _clamped_logistic(raw: np.ndarray, n_demo: int) -> tuple[np.ndarray, dict]:
     """Logistic loss with the first n_demo logits labelled 1 and the rest 0.
 
-    Logits are clamped to [-clip, clip] before every sigmoid/log; clamped
-    samples contribute no gradient. Returns d(loss)/d(logit) and the stats.
+    Logits are clamped to [-LOGIT_CLIP, LOGIT_CLIP] before every sigmoid/log;
+    clamped samples contribute no gradient. Returns d(loss)/d(logit) and the stats.
     """
     n_pol = len(raw) - n_demo
-    logit = np.clip(raw, -clip, clip)
-    active = (np.abs(raw) < clip).astype(np.float64)
+    logit = np.clip(raw, -LOGIT_CLIP, LOGIT_CLIP)
+    active = (np.abs(raw) < LOGIT_CLIP).astype(np.float64)
     sig = _sigmoid(logit)
     loss_demo = float(np.mean(_softplus(-logit[:n_demo])))
     loss_pol = float(np.mean(_softplus(logit[n_demo:])))
@@ -196,7 +192,7 @@ def disc_loss(
     raw = f.copy()
     raw[:n_demo] += demo_dd - demo_log_pi
     raw[n_demo:] -= policy_log_pi
-    dlogit, stats = _clamped_logistic(raw, n_demo, disc.logit_clip)
+    dlogit, stats = _clamped_logistic(raw, n_demo)
     disc.g_net.backward(x_g, dlogit[:, None])
     if disc.train_shaping:
         disc.h_net.backward(x_h, np.concatenate([disc.gamma * dlogit, -dlogit])[:, None])
@@ -210,10 +206,8 @@ def disc_loss(
 class GailDiscriminator:
     """Plain GAN discriminator over (s, a); no reward decomposition."""
 
-    def __init__(self, state_dim: int, action_dim: int, hidden=(64, 64), seed: int = 0,
-                 logit_clip: float = LOGIT_CLIP):
+    def __init__(self, state_dim: int, action_dim: int, hidden=(64, 64), seed: int = 0):
         self.d_net = Mlp([state_dim + action_dim, *hidden, 1], seed=seed, zero_init_output=True)
-        self.logit_clip = float(logit_clip)
 
     def blocks(self):
         return [self.d_net]
@@ -235,15 +229,14 @@ def gail_disc_loss(gail: GailDiscriminator, demo_batch, policy_batch) -> tuple[f
     """Standard GAN classifier loss over (s, a); accumulates gradients."""
     s, a, _ = _stacked_batches(demo_batch, policy_batch)
     x = np.concatenate([s, a], axis=1)
-    dlogit, stats = _clamped_logistic(gail.d_net.forward(x)[:, 0], len(demo_batch),
-                                      gail.logit_clip)
+    dlogit, stats = _clamped_logistic(gail.d_net.forward(x)[:, 0], len(demo_batch))
     gail.d_net.backward(x, dlogit[:, None])
     return stats["loss"], stats
 
 
 def gail_policy_reward(gail: GailDiscriminator, s, a) -> np.ndarray:
     """-log(1 - D(s,a)), computed through the clamped logit (so capped)."""
-    logit = np.clip(gail.logits(s, a), -gail.logit_clip, gail.logit_clip)
+    logit = np.clip(gail.logits(s, a), -LOGIT_CLIP, LOGIT_CLIP)
     return _softplus(logit)
 
 

@@ -25,14 +25,14 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
+def _activate_grad(name: str, h: np.ndarray) -> np.ndarray:
+    """Derivative of the activation, from its output h."""
     if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - h * h
     if name == "relu":
-        return np.where(z > 0.0, 1.0, 0.0)
+        return np.where(h > 0.0, 1.0, 0.0)
     if name == "identity":
-        return np.ones_like(z)
+        return np.ones_like(h)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -140,14 +140,11 @@ class Mlp:
         if not np.all(np.isfinite(x2)):
             raise ValueError("non-finite network input")
         acts = [x2]
-        pre = []
         h = x2
         for i in range(len(self._w_views)):
-            z = h @ self._w_views[i] + self._b_views[i]
-            pre.append(z)
-            h = _activate(self.activations[i], z)
+            h = _activate(self.activations[i], h @ self._w_views[i] + self._b_views[i])
             acts.append(h)
-        self._cache = {"input": x2.copy(), "pre": pre, "acts": acts, "version": self.version}
+        self._cache = {"input": x2.copy(), "acts": acts, "version": self.version}
         out = acts[-1]
         return out[0] if single else out
 
@@ -169,7 +166,7 @@ class Mlp:
             raise ValueError(f"upstream shape {upstream.shape} does not match output")
         delta = u2
         for i in reversed(range(len(self._w_views))):
-            dz = delta * _activate_grad(self.activations[i], cache["pre"][i])
+            dz = delta * _activate_grad(self.activations[i], cache["acts"][i + 1])
             self._gw_views[i] += cache["acts"][i].T @ dz
             self._gb_views[i] += dz.sum(axis=0)
             delta = dz @ self._w_views[i].T
@@ -240,6 +237,15 @@ class Adam:
                 raise FloatingPointError("non-finite parameters after update")
             block.grad[...] = 0.0
             block.version += 1
+
+
+def minibatches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """One shuffled pass over n rows: index chunks of at most size rows.
+
+    Draws one shuffle of range(n) per call, before any chunk is used.
+    """
+    perm = rng.permutation(n)
+    return [perm[start : start + size] for start in range(0, n, size)]
 
 
 def finite_difference_check(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvSpec, rollouts, stack_transitions
-from .nets import Adam, FlatParams, Mlp, load_params, save_params
+from .nets import Adam, FlatParams, Mlp, load_params, minibatches, save_params
 
 logger = logging.getLogger(__name__)
 
@@ -50,8 +50,12 @@ class PolicyOptConfig:
         for key in ("epochs", "minibatch_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"policy.{key} must be >= 1")
-        if self.clip_ratio <= 0:
-            raise ValueError("policy.clip_ratio must be > 0")
+        for key in ("clip_ratio", "lr", "value_lr"):
+            if not getattr(self, key) > 0:          # also rejects nan
+                raise ValueError(f"policy.{key} must be > 0")
+        for key in ("grad_clip", "target_kl"):
+            if getattr(self, key) is not None and not getattr(self, key) > 0:
+                raise ValueError(f"policy.{key} must be > 0 or null")
 
 
 class GaussianPolicy:
@@ -132,8 +136,7 @@ class ValueNet:
         self.net = Mlp([spec.state_dim, *hidden, 1], seed=seed, zero_init_output=True)
 
     def predict(self, states: np.ndarray) -> np.ndarray:
-        out = self.net.forward(np.asarray(states, dtype=np.float64))
-        return out[..., 0] if out.ndim > 1 else out
+        return self.net.forward(np.asarray(states, dtype=np.float64))[..., 0]
 
     def save(self, path) -> None:
         save_params(path, {"value": self.net.params}, meta={"net": self.net.meta()})
@@ -155,15 +158,18 @@ def clipped_grad_coeff(ratio: np.ndarray, adv: np.ndarray, clip_ratio: float) ->
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, next_values: np.ndarray,
-                dones: np.ndarray, gamma: float, lam: float) -> np.ndarray:
-    """Generalized advantage estimates for one episode (arrays of length T)."""
+                dones: np.ndarray, ends: np.ndarray, gamma: float, lam: float) -> np.ndarray:
+    """Generalized advantage estimates over concatenated episodes (arrays of length T).
+
+    ends[t] marks the last transition of an episode; no advantage flows across it.
+    """
     T = len(rewards)
     adv = np.zeros(T)
     last = 0.0
     for t in range(T - 1, -1, -1):
         nonterminal = 0.0 if dones[t] else 1.0
         delta = rewards[t] + gamma * nonterminal * next_values[t] - values[t]
-        last = delta + gamma * lam * nonterminal * last
+        last = delta + gamma * lam * nonterminal * (0.0 if ends[t] else last)
         adv[t] = last
     return adv
 
@@ -186,42 +192,27 @@ class PolicyOptimizer:
         non-finite rewards raise. Returns summary statistics.
         """
         cfg = self.config
+        trajectories = [t for t in trajectories if len(t) > 0]
         if not trajectories:
             raise ValueError("empty batch")
-        trajectories = [t for t in trajectories if len(t) > 0]
-        stacked = [stack_transitions(traj.transitions) for traj in trajectories]
-        rewards = []
-        for s, a, sn, _ in stacked:
-            r = np.asarray(reward_fn(s, a, sn), dtype=np.float64)
-            if not np.all(np.isfinite(r)):
-                raise FloatingPointError("non-finite rewards in policy update")
-            rewards.append(r)
-        mean_reward = float(np.mean(np.concatenate(rewards)))
-        if cfg.reward_norm:
-            flat = np.concatenate(rewards)
-            mu, sd = flat.mean(), flat.std()
-            if sd > 1e-8:
-                rewards = [(r - mu) / (sd + 1e-8) for r in rewards]
-            else:
-                rewards = [np.zeros_like(r) for r in rewards]
+        S, A, S_next, done = stack_transitions([x for t in trajectories for x in t.transitions])
+        old_logp = np.concatenate([t.log_probs for t in trajectories])
+        ends = np.zeros(len(S), dtype=bool)
+        ends[np.cumsum([len(t) for t in trajectories]) - 1] = True
 
-        all_s, all_a, all_old = [], [], []
-        adv_chunks, ret_chunks = [], []
-        for traj, (s, a, sn, d), r in zip(trajectories, stacked, rewards):
-            v = self.value.predict(s)
-            vn = self.value.predict(sn)
-            d_eff = np.zeros_like(d) if cfg.bootstrap_on_done else d
-            adv = compute_gae(r, v, vn, d_eff, cfg.gamma, cfg.gae_lambda)
-            adv_chunks.append(adv)
-            ret_chunks.append(adv + v)
-            all_s.append(s)
-            all_a.append(a)
-            all_old.append(traj.log_probs)
-        S = np.concatenate(all_s)
-        A = np.concatenate(all_a)
-        old_logp = np.concatenate(all_old)
-        adv = np.concatenate(adv_chunks)
-        ret = np.concatenate(ret_chunks)
+        r = np.asarray(reward_fn(S, A, S_next), dtype=np.float64)
+        if not np.all(np.isfinite(r)):
+            raise FloatingPointError("non-finite rewards in policy update")
+        mean_reward = float(np.mean(r))
+        if cfg.reward_norm:
+            mu, sd = r.mean(), r.std()
+            r = (r - mu) / (sd + 1e-8) if sd > 1e-8 else np.zeros_like(r)
+
+        v = self.value.predict(S)
+        vn = self.value.predict(S_next)
+        d_eff = np.zeros_like(done) if cfg.bootstrap_on_done else done
+        adv = compute_gae(r, v, vn, d_eff, ends, cfg.gamma, cfg.gae_lambda)
+        ret = adv + v
 
         if cfg.adv_norm:
             std = adv.std()
@@ -231,18 +222,13 @@ class PolicyOptimizer:
         T = S.shape[0]
         approx_kl = 0.0
         for _ in range(cfg.epochs):
-            perm = rng.permutation(T)
-            kls = []
-            for start in range(0, T, cfg.minibatch_size):
-                idx = perm[start : start + cfg.minibatch_size]
-                kls.append(self._policy_step(S[idx], A[idx], old_logp[idx], adv[idx]))
+            kls = [self._policy_step(S[idx], A[idx], old_logp[idx], adv[idx])
+                   for idx in minibatches(T, cfg.minibatch_size, rng)]
             approx_kl = float(np.mean(kls))
             if cfg.target_kl is not None and approx_kl > 1.5 * cfg.target_kl:
                 break
         for _ in range(cfg.epochs):
-            perm = rng.permutation(T)
-            for start in range(0, T, cfg.minibatch_size):
-                idx = perm[start : start + cfg.minibatch_size]
+            for idx in minibatches(T, cfg.minibatch_size, rng):
                 self._value_step(S[idx], ret[idx])
         return {
             "mean_reward": mean_reward,

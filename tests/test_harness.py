@@ -417,11 +417,28 @@ def test_cli_smoke(tmp_path, demo_file):
     ("expert.steps", 0), ("expert.batch_steps", 0), ("expert.n_demo_episodes", 0),
     ("expert.entropy_coef", -0.1), ("policy.hidden", 64), ("disc.hidden", None),
     ("checkpoint_every", -1),
+    # values of the wrong type
+    ("pointmaze.horizon", 2.5), ("seed", "x"), ("steps", "10"), ("steps", True),
+    ("alpha", [1]), ("policy.lr", "fast"), ("policy.adv_norm", "no"),
+    ("disc.state_only_g", 0), ("policy.init_log_std", "x"), ("out_dir", 5),
+    # learning rates and clips out of range
+    ("policy.lr", 0.0), ("policy.value_lr", 0), ("disc.lr", -1e-3), ("dd.lr", 0.0),
+    ("policy.grad_clip", 0), ("policy.target_kl", 0.0), ("policy.lr", "nan"),
+    ("dd.lr", float("nan")), ("policy.grad_clip", "nan"),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
     with pytest.raises(ValueError, match=key):
         load_config(overrides={section: {name: value}} if section else {name: value})
+
+
+def test_config_converts_yaml_exponent_strings_and_takes_ints_and_null_for_floats(tmp_path):
+    path = tmp_path / "conf.yaml"
+    path.write_text("alpha: 2\npolicy:\n  lr: 1e-3\n  grad_clip: null\ndd:\n  dd_clip: 3\n")
+    cfg = load_config(path)
+    assert yaml.safe_load("lr: 1e-3") == {"lr": "1e-3"}
+    assert cfg.policy.lr == 1e-3 and isinstance(cfg.policy.lr, float)
+    assert cfg.alpha == 2 and cfg.dd.dd_clip == 3 and cfg.policy.grad_clip is None
 
 
 @pytest.mark.parametrize("section,values,key", [

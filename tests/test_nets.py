@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from odirl.nets import Adam, FlatParams, Mlp, finite_difference_check, load_params, save_params
+from odirl.nets import (Adam, FlatParams, Mlp, finite_difference_check, load_params, minibatches,
+                        save_params)
 
 
 def test_zero_init_output_layer_gives_zero_output():
@@ -179,3 +180,16 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert loaded_meta == meta
     for k in arrays:
         assert np.array_equal(loaded[k].reshape(arrays[k].shape), arrays[k])
+
+
+@pytest.mark.parametrize("n,size", [(0, 4), (1, 4), (7, 1), (64, 64), (65, 64), (100, 30)])
+def test_minibatches_cover_every_index_once_per_call(n, size):
+    rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(3):
+        chunks = minibatches(n, size, rng)
+        assert all(len(c) == size for c in chunks[:-1]) and all(1 <= len(c) <= size for c in chunks)
+        flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+        assert np.array_equal(np.sort(flat), np.arange(n))
+        # the chunks are one rng.permutation(n) in order, and nothing else is drawn
+        assert np.array_equal(flat, reference.permutation(n))
+    assert rng.bit_generator.state == reference.bit_generator.state

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import odirl.policy as policy_mod
 from odirl.envs import EnvSpec, PointMazeConfig, PointMazeEnv, SOURCE, Trajectory, Transition, rollout
 from odirl.policy import (
     GaussianPolicy,
@@ -8,6 +9,7 @@ from odirl.policy import (
     PolicyOptimizer,
     ValueNet,
     clipped_grad_coeff,
+    compute_gae,
     evaluate,
 )
 
@@ -89,7 +91,7 @@ def test_huge_clip_one_epoch_matches_reinforce_sign():
     policy = GaussianPolicy(bandit_spec(), hidden=(8,), seed=5, init_log_std=-0.5)
     value = ValueNet(bandit_spec(), hidden=(8,), seed=6)
     cfg = PolicyOptConfig(entropy_coef=0.0, epochs=1, minibatch_size=4096, lr=1e-3,
-                          value_lr=0.0, clip_ratio=1e9, gamma=0.0, adv_norm=True)
+                          clip_ratio=1e9, gamma=0.0, adv_norm=True)
     opt = PolicyOptimizer(policy, value, cfg)
     rng = np.random.default_rng(0)
     batch = collect_bandit_batch(policy, 256, rng)
@@ -158,6 +160,89 @@ def test_clip_coeff_sign_invariant_to_advantage_scaling():
     c1 = clipped_grad_coeff(ratio, adv, 0.2)
     c2 = clipped_grad_coeff(ratio, adv * 7.3, 0.2)
     assert np.array_equal(np.sign(c1), np.sign(c2))
+
+
+@pytest.mark.parametrize("gamma,lam", [(0.99, 0.95), (0.9, 1.0), (0.5, 0.0)])
+def test_gae_over_a_flat_batch_matches_the_per_episode_closed_form(gamma, lam):
+    # Episodes of lengths 4, 1, 6 and 3: the first and third end on done, the
+    # length-1 and the last are truncated (they bootstrap from next_values).
+    rng = np.random.default_rng(5)
+    lengths, ended_done = [4, 1, 6, 3], [True, False, True, False]
+    T = sum(lengths)
+    r, v, vn = rng.normal(size=T), rng.normal(size=T), rng.normal(size=T)
+    dones, ends = np.zeros(T, dtype=bool), np.zeros(T, dtype=bool)
+    last_rows = np.cumsum(lengths) - 1
+    ends[last_rows] = True
+    dones[last_rows] = ended_done
+
+    adv = compute_gae(r, v, vn, dones, ends, gamma, lam)
+
+    delta = r + gamma * np.where(dones, 0.0, vn) - v
+    expected = np.empty(T)
+    for first, last in zip(last_rows - np.array(lengths) + 1, last_rows):
+        for t in range(first, last + 1):
+            expected[t] = sum((gamma * lam) ** k * delta[t + k] for k in range(last - t + 1))
+    np.testing.assert_allclose(adv, expected, rtol=0, atol=1e-12)
+    # the one-episode recursion run episode by episode gives the same bits
+    chunks = np.split(np.arange(T), last_rows[:-1] + 1)
+    per_episode = [one_episode_gae(r[i], v[i], vn[i], dones[i], gamma, lam) for i in chunks]
+    assert np.array_equal(np.concatenate(per_episode), adv)
+
+
+def one_episode_gae(r, v, vn, dones, gamma, lam):
+    """The backward GAE recursion over a single episode."""
+    adv, last = np.zeros(len(r)), 0.0
+    for t in range(len(r) - 1, -1, -1):
+        nonterminal = 0.0 if dones[t] else 1.0
+        delta = r[t] + gamma * nonterminal * vn[t] - v[t]
+        last = delta + gamma * lam * nonterminal * last
+        adv[t] = last
+    return adv
+
+
+def test_update_makes_one_reward_call_two_value_forwards_and_one_gae_call(monkeypatch):
+    spec = EnvSpec(state_dim=2, action_dim=1, action_low=np.full(1, -1.0),
+                   action_high=np.full(1, 1.0), horizon=10)
+    policy = GaussianPolicy(spec, hidden=(8,), seed=0)
+    value = ValueNet(spec, hidden=(8,), seed=1)
+    opt = PolicyOptimizer(policy, value, PolicyOptConfig(epochs=2, minibatch_size=4))
+    rng = np.random.default_rng(2)
+    trajs = []
+    for length in (3, 0, 1, 5):
+        ts = [Transition(s=rng.normal(size=2), a=rng.uniform(-1, 1, 1), s_next=rng.normal(size=2),
+                         done=i == length - 1, domain_tag=SOURCE, gt_reward=0.0)
+              for i in range(length)]
+        trajs.append(Trajectory(transitions=ts, log_probs=rng.normal(size=length)))
+    rows = [t for traj in trajs for t in traj.transitions]
+
+    reward_calls, predict_calls, gae_calls = [], [], []
+    predict, gae = ValueNet.predict, policy_mod.compute_gae
+    monkeypatch.setattr(ValueNet, "predict",
+                        lambda self, s: predict_calls.append(len(s)) or predict(self, s))
+    monkeypatch.setattr(policy_mod, "compute_gae",
+                        lambda *args: gae_calls.append(len(args[0])) or gae(*args))
+
+    def reward_fn(s, a, sn):
+        reward_calls.append((s.copy(), a.copy(), sn.copy()))
+        return -np.sum(s * s, axis=1)
+
+    stats = opt.update(trajs, reward_fn, np.random.default_rng(0))
+    assert len(reward_calls) == 1
+    s, a, sn = reward_calls[0]
+    assert np.array_equal(s, np.array([t.s for t in rows]))
+    assert np.array_equal(a, np.array([t.a for t in rows]))
+    assert np.array_equal(sn, np.array([t.s_next for t in rows]))
+    assert predict_calls == [len(rows), len(rows)]
+    assert gae_calls == [len(rows)]
+    assert stats["n_samples"] == len(rows)
+
+
+def test_update_without_transitions_raises_empty_batch():
+    policy = GaussianPolicy(bandit_spec(), hidden=(8,), seed=0)
+    opt = PolicyOptimizer(policy, ValueNet(bandit_spec(), hidden=(8,), seed=1), PolicyOptConfig())
+    for batch in ([], [Trajectory()], [Trajectory(), Trajectory()]):
+        with pytest.raises(ValueError, match="empty batch"):
+            opt.update(batch, lambda s, a, sn: np.zeros(len(s)), np.random.default_rng(0))
 
 
 def test_evaluate_policy_that_never_moves_has_zero_success():
