@@ -20,14 +20,13 @@ from .envs import (
 from .irl import (
     Discriminator,
     GailDiscriminator,
-    disc_logit,
     disc_loss,
     gail_disc_loss,
     gail_policy_reward,
     policy_reward,
     reward_heatmap,
 )
-from .nets import Adam, FlatParams, Mlp, finite_difference_check, load_params, save_params
+from .nets import Adam, FlatParams, Mlp, load_blocks, load_params, save_blocks, save_params
 from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
 
 __version__ = "0.1.0"

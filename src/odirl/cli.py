@@ -18,7 +18,7 @@ import numpy as np
 from . import harness
 from .config import load_config
 from .irl import Discriminator, reward_heatmap
-from .nets import load_params
+from .nets import load_blocks, load_params
 from .policy import evaluate
 
 logger = logging.getLogger("odirl")
@@ -36,8 +36,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--flip-reward-sign", action="store_true", default=None,
-                   help="train the generator on the reversed reward sign")
 
 
 def _config_from_args(args, **extra):
@@ -46,24 +44,21 @@ def _config_from_args(args, **extra):
         "out_dir": args.out,
         "alpha": getattr(args, "alpha", None),
         "steps": getattr(args, "steps", None),
-        "flip_reward_sign": getattr(args, "flip_reward_sign", None),
     }
     overrides.update(extra)
     return load_config(args.config, overrides)
 
 
 def discriminator_from_checkpoint(path) -> Discriminator:
-    arrays, meta = load_params(path)
-    g_sizes = meta["g"]["layer_sizes"]
-    h_sizes = meta["h"]["layer_sizes"]
-    state_dim = h_sizes[0]
-    g_in = g_sizes[0]
-    disc = Discriminator(
-        state_dim, g_in - state_dim if g_in > state_dim else 1, gamma=meta["gamma"],
-        state_only_g=meta["state_only_g"], hidden=tuple(g_sizes[1:-1]), seed=0,
-    )
-    disc.g_net.params[...] = arrays["g"]
-    disc.h_net.params[...] = arrays["h"]
+    """The discriminator saved at path, rebuilt from its g/h meta."""
+    _, meta = load_params(path)
+    if not all(key in meta for key in ("g", "h", "gamma", "state_only_g")):
+        raise ValueError(f"{path}: not a discriminator checkpoint")
+    g_sizes, state_dim = meta["g"]["layer_sizes"], meta["h"]["layer_sizes"][0]
+    # A state-only g records no action dim; g never reads the action then.
+    disc = Discriminator(state_dim, g_sizes[0] - state_dim or 1, gamma=meta["gamma"],
+                         state_only_g=meta["state_only_g"], hidden=tuple(g_sizes[1:-1]))
+    load_blocks(path, disc.blocks())
     return disc
 
 
@@ -157,7 +152,7 @@ def main(argv=None) -> int:
         src, tgt, src_eval, tgt_eval = harness.build_envs(cfg, streams["seeds"])
         env = tgt_eval if args.domain == "target" else src_eval
         policy = harness._policy(cfg, env.spec, 0)
-        policy.load(args.policy)
+        load_blocks(args.policy, policy.blocks())
         ret, succ = evaluate(policy, env, args.episodes)
         print(json.dumps({"domain": args.domain, "episodes": args.episodes,
                           "mean_gt_return": ret, "success_rate": succ}))

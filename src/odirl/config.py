@@ -40,6 +40,8 @@ class DiscConfig:
                 raise ValueError(f"disc.{key} must be >= 1")
         if not self.lr > 0:
             raise ValueError("disc.lr must be > 0")
+        if not self.weight_decay >= 0:
+            raise ValueError("disc.weight_decay must be >= 0")
 
 
 @dataclass
@@ -84,7 +86,6 @@ class ExperimentConfig:
     eval_every: int = 10
     eval_episodes: int = 20
     checkpoint_every: int = 0          # 0 = final checkpoint only
-    flip_reward_sign: bool = False
     heatmap_grid: int = 50
     final_eval_trajectories: int = 5
     pointmaze: PointMazeConfig = field(default_factory=PointMazeConfig)
@@ -113,7 +114,8 @@ class ExperimentConfig:
         self.disc.validate()
         self.expert.validate()
         self.buffers.validate()
-        self.env_config().validate()
+        self.pointmaze.validate()
+        self.linkchain.validate()
 
     def env_config(self) -> PointMazeConfig | LinkChainConfig:
         """The source/target pair config of the selected task."""

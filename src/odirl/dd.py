@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import SOURCE, TARGET, stack_transitions
-from .nets import Mlp, load_params, save_params
+from .nets import Mlp
 
 logger = logging.getLogger(__name__)
 
@@ -34,10 +34,11 @@ class DDConfig:
     steps_per_iter: int = 2
 
     def validate(self) -> None:
-        if self.dd_clip is not None and self.dd_clip <= 0:
-            raise ValueError("dd_clip must be positive or None")
-        if self.input_noise_std < 0:
-            raise ValueError("input_noise_std must be >= 0")
+        if self.dd_clip is not None and not self.dd_clip > 0:
+            raise ValueError("dd.dd_clip must be > 0 or null")
+        for key in ("input_noise_std", "weight_decay"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"dd.{key} must be >= 0")
         if self.batch_size < 1:
             raise ValueError("dd.batch_size must be >= 1")
         if not self.lr > 0:
@@ -56,22 +57,8 @@ class ClassifierPair:
         self.q_sas = Mlp([sas_dim, *hidden, 2], seed=seed, zero_init_output=True)
         self.q_sa = Mlp([sa_dim, *hidden, 2], seed=seed + 1, zero_init_output=True)
 
-    def blocks(self):
-        return [self.q_sas, self.q_sa]
-
-    def save(self, path) -> None:
-        save_params(
-            path,
-            {"q_sas": self.q_sas.params, "q_sa": self.q_sa.params},
-            meta={"q_sas": self.q_sas.meta(), "q_sa": self.q_sa.meta()},
-        )
-
-    def load(self, path) -> None:
-        arrays, _ = load_params(path)
-        self.q_sas.params[...] = arrays["q_sas"]
-        self.q_sa.params[...] = arrays["q_sa"]
-        self.q_sas.version += 1
-        self.q_sa.version += 1
+    def blocks(self) -> dict:
+        return {"q_sas": self.q_sas, "q_sa": self.q_sa}
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -134,22 +121,18 @@ def dd_value(
     s_next: np.ndarray,
     config: DDConfig,
     alpha: float,
-    swap_labels: bool = False,
 ) -> np.ndarray:
     """alpha * clamp(log-odds_sas - log-odds_sa) for a batch of transitions.
 
     The log-probability differences reduce to raw logit differences, so no
     exponentials are involved and the value is numerically safe everywhere.
-    swap_labels queries the trained pair with source/target roles exchanged,
-    which negates the estimate exactly.
     """
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     s_next = np.atleast_2d(np.asarray(s_next, dtype=np.float64))
-    hi, lo = (CLS_SOURCE, CLS_TARGET) if swap_labels else (CLS_TARGET, CLS_SOURCE)
     z_sas = pair.q_sas.forward(np.concatenate([s, a, s_next], axis=1))
     z_sa = pair.q_sa.forward(np.concatenate([s, a], axis=1))
-    raw = (z_sas[:, hi] - z_sas[:, lo]) - (z_sa[:, hi] - z_sa[:, lo])
+    raw = (z_sas[:, CLS_TARGET] - z_sas[:, CLS_SOURCE]) - (z_sa[:, CLS_TARGET] - z_sa[:, CLS_SOURCE])
     if config.dd_clip is not None:
         raw = np.clip(raw, -config.dd_clip, config.dd_clip)
     return alpha * raw

@@ -106,6 +106,8 @@ class PointMazeConfig:
                 raise ValueError(f"pointmaze.{name} must be > 0")
         if self.noise_std < 0:
             raise ValueError("pointmaze.noise_std must be >= 0")
+        if self.horizon < 1:
+            raise ValueError("pointmaze.horizon must be >= 1")
 
     def wall_box(self, domain_tag: str) -> tuple:
         """(xlo, ylo, xhi, yhi) of the domain's wall rectangle; hangs from the top edge."""
@@ -275,6 +277,8 @@ class LinkChainConfig:
         for name in ("torque_limit", "dt"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"linkchain.{name} must be > 0")
+        if self.horizon < 1:
+            raise ValueError("linkchain.horizon must be >= 1")
 
     def base_config(self) -> "LinkChainConfig":
         """This config; kept only because benchmarks/workloads.py calls it."""

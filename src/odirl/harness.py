@@ -24,7 +24,7 @@ from .config import ExperimentConfig, save_config
 from .dd import ClassifierPair, classifier_loss, dd_for_transitions
 from .envs import SOURCE, TARGET, LinkChainEnv, PointMazeEnv, rollout, rollouts, write_trajectory_csv
 from .irl import Discriminator, GailDiscriminator, disc_loss, gail_disc_loss, gail_policy_reward, policy_reward, reward_heatmap
-from .nets import Adam, minibatches
+from .nets import Adam, load_blocks, minibatches, save_blocks
 from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
 
 logger = logging.getLogger(__name__)
@@ -157,12 +157,17 @@ def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float,
 
 def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict,
                 disc=None, alpha=None, **counts) -> Path:
-    """Final checkpoints, the reward heatmap, final-policy artifacts and summary.json."""
+    """Final checkpoints, the reward heatmap, final-policy artifacts and summary.json.
+
+    checkpoints maps a file stem to the trainable whose blocks are saved there.
+    """
     if checkpoints:
         ckpt = out / "checkpoints"
         ckpt.mkdir(exist_ok=True)
         for name, net in checkpoints.items():
-            net.save(ckpt / f"{name}_final.bin")
+            # The heatmap command rebuilds the discriminator from this meta.
+            meta = {"gamma": disc.gamma, "state_only_g": disc.state_only_g} if net is disc else {}
+            save_blocks(ckpt / f"{name}_final.bin", net.blocks(), **meta)
     if disc is not None and cfg.task == "pointmaze" and cfg.disc.state_only_g:
         reward_heatmap(disc, cfg.heatmap_grid, path=out / "heatmap.csv")
     final_return, final_success = _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
@@ -205,8 +210,8 @@ def train_expert(cfg: ExperimentConfig, out_dir=None) -> Path:
                 score = succ + 0.01 * ret  # success first, return breaks ties
                 if score >= best_score:
                     best_score = score
-                    policy.save(path)
-    policy.save(out / "expert_policy_final.bin")
+                    save_blocks(path, policy.blocks())
+    save_blocks(out / "expert_policy_final.bin", policy.blocks())
     return path
 
 
@@ -217,7 +222,7 @@ def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None)
     seeds, rngs = streams["seeds"], streams["rngs"]
     src, _, _, _ = build_envs(cfg, seeds)
     policy = _policy(cfg, src.spec, seeds["policy_init"])
-    policy.load(expert_path)
+    load_blocks(expert_path, policy.blocks())
     trajs, attempts = [], 0
     keep_success_only = cfg.expert.demo_success_only and cfg.task == "pointmaze"
     while len(trajs) < n_episodes and attempts < 20 * n_episodes:
@@ -247,13 +252,12 @@ def _airl_discriminator(cfg, spec, seed: int):
     disc = Discriminator(spec.state_dim, spec.action_dim, gamma=cfg.policy.gamma,
                          state_only_g=cfg.disc.state_only_g, hidden=tuple(cfg.disc.hidden),
                          seed=seed)
-    return disc, Adam(disc.blocks(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
+    return disc, Adam(disc.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
 
 
-def _airl_reward_fn(cfg, disc, policy):
+def _airl_reward_fn(disc, policy):
     def reward_fn(s, a, sn):
-        logp = policy.log_prob(s, a)
-        return policy_reward(disc, s, a, sn, logp, flip_sign=cfg.flip_reward_sign)
+        return policy_reward(disc, s, a, sn, policy.log_prob(s, a))
     return reward_fn
 
 
@@ -318,15 +322,15 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
         disc, disc_opt = _airl_discriminator(cfg, tgt.spec, seeds["disc_init"])
         pair = ClassifierPair(tgt.spec.state_dim, tgt.spec.action_dim,
                               hidden=tuple(cfg.dd.hidden), seed=seeds["classifier_init"])
-        cls_opt = Adam(pair.blocks(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
-        reward_fn = _airl_reward_fn(cfg, disc, policy)
+        cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
+        reward_fn = _airl_reward_fn(disc, policy)
         loss_fn = _airl_loss_fn(disc, policy, pair, cfg.dd, alpha_eff)
         nets = {"disc": disc, "classifiers": pair}
     else:
         disc = None
         gail = GailDiscriminator(tgt.spec.state_dim, tgt.spec.action_dim,
                                  hidden=tuple(cfg.disc.hidden), seed=seeds["disc_init"])
-        disc_opt = Adam(gail.blocks(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
+        disc_opt = Adam(gail.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
         reward_fn = lambda s, a, sn: gail_policy_reward(gail, s, a)  # noqa: E731
         loss_fn = lambda d_mb, p_mb: gail_disc_loss(gail, d_mb, p_mb)  # noqa: E731
         nets = {"gail": gail}
@@ -387,7 +391,7 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
         if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
             ckpt = out / "checkpoints"
             ckpt.mkdir(exist_ok=True)
-            policy.save(ckpt / f"policy_{t:06d}.bin")
+            save_blocks(ckpt / f"policy_{t:06d}.bin", policy.blocks())
 
     writer.close()
     return _finish_run(cfg, out, policy, src_eval, tgt_eval,
@@ -406,7 +410,7 @@ def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     if not cfg.expert_path:
         raise ValueError("expert_path is required for expert_transfer")
     policy = _policy(cfg, tgt.spec, seeds["policy_init"])
-    policy.load(cfg.expert_path)
+    load_blocks(cfg.expert_path, policy.blocks())
     writer = ProgressWriter(out / "progress.csv")
     gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
     writer.write(iteration=0, target_steps=0, source_steps=0,
@@ -427,7 +431,7 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
                              replace(cfg.policy, epochs=cfg.policy.epochs * cfg.r))
     disc, disc_opt = _airl_discriminator(cfg, src.spec, seeds["disc_init"])
-    src_reward_fn = _airl_reward_fn(cfg, disc, policy)
+    src_reward_fn = _airl_reward_fn(disc, policy)
     loss_fn = _airl_loss_fn(disc, policy)
 
     n_src_iters = cfg.steps // cfg.r

@@ -15,7 +15,7 @@ import logging
 import numpy as np
 
 from .envs import stack_transitions
-from .nets import Mlp, load_params, save_params
+from .nets import Mlp
 
 logger = logging.getLogger(__name__)
 
@@ -40,8 +40,8 @@ class Discriminator:
 
     g takes the state alone (heatmap-able, transferable reading) or the
     state-action pair, selected at construction. h is always state -> scalar.
-    With train_shaping=False the zero-initialized h stays identically zero,
-    which pins f = g for tabular oracle checks.
+    With train_shaping=False h is never run or given a gradient, so f = g
+    exactly, which tabular oracle checks rely on.
     """
 
     def __init__(
@@ -65,8 +65,8 @@ class Discriminator:
         self.g_net = Mlp([g_in, *hidden, 1], seed=seed, zero_init_output=True)
         self.h_net = Mlp([state_dim, *hidden, 1], seed=seed + 1, zero_init_output=True)
 
-    def blocks(self):
-        return [self.g_net, self.h_net] if self.train_shaping else [self.g_net]
+    def blocks(self) -> dict:
+        return {"g": self.g_net, "h": self.h_net}
 
     def _g_input(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         return s if self.state_only_g else np.concatenate([s, a], axis=1)
@@ -78,48 +78,19 @@ class Discriminator:
         return self.g_net.forward(np.concatenate([s, np.atleast_2d(a)], axis=1))[:, 0]
 
     def f_value(self, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> np.ndarray:
-        """f(s,a,s') = g(.) + gamma*h(s') - h(s), batched."""
+        """f(s,a,s') = g(.) + gamma*h(s') - h(s), batched; g alone without shaping."""
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        s_next = np.atleast_2d(np.asarray(s_next, dtype=np.float64))
-        g = self.g_net.forward(self._g_input(s, a))[:, 0]
-        h_next = self.h_net.forward(s_next)[:, 0]
-        h_cur = self.h_net.forward(s)[:, 0]
-        return g + self.gamma * h_next - h_cur
-
-    def save(self, path) -> None:
-        save_params(
-            path,
-            {"g": self.g_net.params, "h": self.h_net.params},
-            meta={
-                "g": self.g_net.meta(),
-                "h": self.h_net.meta(),
-                "gamma": self.gamma,
-                "state_only_g": self.state_only_g,
-            },
-        )
-
-    def load(self, path) -> None:
-        arrays, _ = load_params(path)
-        self.g_net.params[...] = arrays["g"]
-        self.h_net.params[...] = arrays["h"]
-        self.g_net.version += 1
-        self.h_net.version += 1
+        f = self.g_net.forward(self._g_input(s, a))[:, 0]
+        if self.train_shaping:
+            s_next = np.atleast_2d(np.asarray(s_next, dtype=np.float64))
+            f = f + self.gamma * self.h_net.forward(s_next)[:, 0] - self.h_net.forward(s)[:, 0]
+        return f
 
 
-def disc_logit(f_val, log_pi, dd_val=0.0):
-    """Raw discriminator logit; its sigmoid is the modified discriminator output."""
-    return (np.asarray(f_val) + np.asarray(dd_val)) - np.asarray(log_pi)
-
-
-def policy_reward(disc: Discriminator, s, a, s_next, log_pi, flip_sign: bool = False) -> np.ndarray:
-    """Generator reward f(s,a,s') - log pi(a|s); no dynamics-difference term.
-
-    flip_sign implements the reversed convention (reward = log(1-D) - log D)
-    for investigation; the default is the standard direction.
-    """
-    r = disc.f_value(s, a, s_next) - np.asarray(log_pi, dtype=np.float64)
-    return -r if flip_sign else r
+def policy_reward(disc: Discriminator, s, a, s_next, log_pi) -> np.ndarray:
+    """Generator reward f(s,a,s') - log pi(a|s); no dynamics-difference term."""
+    return disc.f_value(s, a, s_next) - np.asarray(log_pi, dtype=np.float64)
 
 
 def _stacked_batches(demo_batch, policy_batch):
@@ -184,12 +155,12 @@ def disc_loss(
     policy_log_pi = np.asarray(policy_log_pi, dtype=np.float64)
 
     x_g = disc._g_input(s, a)
-    g = disc.g_net.forward(x_g)[:, 0]
-    x_h = np.concatenate([sn, s])
-    h_out = disc.h_net.forward(x_h)[:, 0]
-    f = g + disc.gamma * h_out[: len(s)] - h_out[len(s):]
+    raw = disc.g_net.forward(x_g)[:, 0].copy()
+    if disc.train_shaping:
+        x_h = np.concatenate([sn, s])
+        h_out = disc.h_net.forward(x_h)[:, 0]
+        raw = raw + disc.gamma * h_out[: len(s)] - h_out[len(s):]
 
-    raw = f.copy()
     raw[:n_demo] += demo_dd - demo_log_pi
     raw[n_demo:] -= policy_log_pi
     dlogit, stats = _clamped_logistic(raw, n_demo)
@@ -209,20 +180,12 @@ class GailDiscriminator:
     def __init__(self, state_dim: int, action_dim: int, hidden=(64, 64), seed: int = 0):
         self.d_net = Mlp([state_dim + action_dim, *hidden, 1], seed=seed, zero_init_output=True)
 
-    def blocks(self):
-        return [self.d_net]
+    def blocks(self) -> dict:
+        return {"d": self.d_net}
 
     def logits(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         x = np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
         return self.d_net.forward(x)[:, 0]
-
-    def save(self, path) -> None:
-        save_params(path, {"d": self.d_net.params}, meta={"d": self.d_net.meta()})
-
-    def load(self, path) -> None:
-        arrays, _ = load_params(path)
-        self.d_net.params[...] = arrays["d"]
-        self.d_net.version += 1
 
 
 def gail_disc_loss(gail: GailDiscriminator, demo_batch, policy_batch) -> tuple[float, dict]:

@@ -2,7 +2,9 @@
 
 Everything is float64 numpy. Parameters live in a single flat vector per
 network so optimizers, checkpoints, and gradient checks can treat every
-trainable object uniformly through the (params, grad) interface.
+trainable object uniformly through the (params, grad) interface. Each
+trainable names its blocks once, in a `blocks()` map; `save_blocks` and
+`load_blocks` checkpoint any such map.
 """
 
 from __future__ import annotations
@@ -248,49 +250,6 @@ def minibatches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]
     return [perm[start : start + size] for start in range(0, n, size)]
 
 
-def finite_difference_check(
-    net: Mlp,
-    rng: np.random.Generator,
-    n_draws: int = 10,
-    eps: float = 1e-5,
-    rel_tol: float = 1e-4,
-    abs_floor: float = 1e-6,
-) -> float:
-    """Compare analytic parameter gradients against central differences.
-
-    For each draw a fresh random input and upstream vector are used and every
-    parameter is perturbed. Returns the worst relative error seen; raises
-    AssertionError on the first parameter outside tolerance.
-    """
-    worst = 0.0
-    for _ in range(n_draws):
-        x = rng.normal(size=net.in_dim)
-        upstream = rng.normal(size=net.out_dim)
-        net.zero_grad()
-        net.forward(x)
-        net.backward(x, upstream)
-        analytic = net.grad.copy()
-        net.zero_grad()
-        for j in range(net.params.size):
-            orig = net.params[j]
-            net.params[j] = orig + eps
-            up = float(net.forward(x) @ upstream)
-            net.params[j] = orig - eps
-            down = float(net.forward(x) @ upstream)
-            net.params[j] = orig
-            fd = (up - down) / (2.0 * eps)
-            diff = abs(analytic[j] - fd)
-            tol = max(abs_floor, rel_tol * max(abs(analytic[j]), abs(fd)))
-            if diff > tol:
-                raise AssertionError(
-                    f"gradient mismatch at param {j}: analytic={analytic[j]:.8g} fd={fd:.8g}"
-                )
-            denom = max(abs(analytic[j]), abs(fd), abs_floor)
-            worst = max(worst, diff / denom)
-        net.forward(x)  # leave a fresh cache so callers see a clean net
-    return worst
-
-
 def save_params(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named float64 arrays as a JSON header line plus raw bytes."""
     entries = []
@@ -316,6 +275,34 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise ValueError(f"truncated checkpoint reading {entry['name']!r}")
+                raise ValueError(f"{path}: truncated checkpoint reading {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return arrays, header.get("meta", {})
+
+
+def save_blocks(path, blocks: dict, **meta) -> None:
+    """Checkpoint a {name: Mlp or FlatParams} map: each block's params under its name.
+
+    The header's meta holds each Mlp block's meta() under the block's name,
+    plus the given meta entries.
+    """
+    save_params(path, {name: b.params for name, b in blocks.items()},
+                {**{name: b.meta() for name, b in blocks.items() if isinstance(b, Mlp)}, **meta})
+
+
+def load_blocks(path, blocks: dict) -> None:
+    """Copy the checkpoint at path into a {name: Mlp or FlatParams} map.
+
+    Every block needs an array of its own name and shape in the file; else a
+    ValueError names the file and the array, and no block is changed.
+    """
+    arrays, _ = load_params(path)
+    for name, block in blocks.items():
+        if name not in arrays:
+            raise ValueError(f"{path}: no array {name!r} in checkpoint")
+        if arrays[name].shape != block.params.shape:
+            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                             f"expected {block.params.shape}")
+    for name, block in blocks.items():
+        block.params[...] = arrays[name]
+        block.version += 1

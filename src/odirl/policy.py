@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvSpec, rollouts, stack_transitions
-from .nets import Adam, FlatParams, Mlp, load_params, minibatches, save_params
+from .nets import Adam, FlatParams, Mlp, minibatches
 
 logger = logging.getLogger(__name__)
 
@@ -113,22 +113,8 @@ class GaussianPolicy:
     def entropy(self) -> float:
         return float(np.sum(self.clipped_log_std()) + 0.5 * self.spec.action_dim * (1.0 + _LOG_2PI))
 
-    def blocks(self):
-        return [self.mean_net, self.log_std]
-
-    def save(self, path) -> None:
-        save_params(
-            path,
-            {"mean": self.mean_net.params, "log_std": self.log_std.params},
-            meta={"mean_net": self.mean_net.meta(), "kind": "gaussian_policy"},
-        )
-
-    def load(self, path) -> None:
-        arrays, _ = load_params(path)
-        self.mean_net.params[...] = arrays["mean"]
-        self.log_std.params[...] = arrays["log_std"]
-        self.mean_net.version += 1
-        self.log_std.version += 1
+    def blocks(self) -> dict:
+        return {"mean": self.mean_net, "log_std": self.log_std}
 
 
 class ValueNet:
@@ -138,13 +124,8 @@ class ValueNet:
     def predict(self, states: np.ndarray) -> np.ndarray:
         return self.net.forward(np.asarray(states, dtype=np.float64))[..., 0]
 
-    def save(self, path) -> None:
-        save_params(path, {"value": self.net.params}, meta={"net": self.net.meta()})
-
-    def load(self, path) -> None:
-        arrays, _ = load_params(path)
-        self.net.params[...] = arrays["value"]
-        self.net.version += 1
+    def blocks(self) -> dict:
+        return {"value": self.net}
 
 
 def clipped_grad_coeff(ratio: np.ndarray, adv: np.ndarray, clip_ratio: float) -> np.ndarray:
@@ -182,8 +163,8 @@ class PolicyOptimizer:
         self.policy = policy
         self.value = value
         self.config = config
-        self.policy_opt = Adam(policy.blocks(), lr=config.lr, clip_norm=config.grad_clip)
-        self.value_opt = Adam([value.net], lr=config.value_lr, clip_norm=config.grad_clip)
+        self.policy_opt = Adam(policy.blocks().values(), lr=config.lr, clip_norm=config.grad_clip)
+        self.value_opt = Adam(value.blocks().values(), lr=config.value_lr, clip_norm=config.grad_clip)
 
     def update(self, trajectories, reward_fn, rng: np.random.Generator) -> dict:
         """One MaxEnt clipped-ratio update on a batch of trajectories.

@@ -7,13 +7,16 @@ the benchmark itself runs.
 """
 
 import importlib
+import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from odirl.config import load_config
+from odirl.config import load_config, save_config
 from odirl.harness import run_experiment
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -47,3 +50,25 @@ def test_benchmark_probes_return_finite_values(bench):
     _, _, probes = bench
     values = probes.run_probes(0)
     assert values and all(math.isfinite(v) for v in values.values())
+
+
+def test_traced_worker_runs_and_counts_every_phase(bench, tmp_path):
+    # The tracer patches names under src/ (harness.dd_for_transitions,
+    # PolicyOptimizer._policy_step, envs.rollout, ...); a renamed one fails here.
+    _, workloads, _ = bench
+    config_path, _ = workloads.prepare(workloads.WORKLOADS["pointmaze-odirl"], 0, tmp_path)
+    save_config(replace(load_config(config_path), steps=2, r=2), config_path)
+    result_path, spans_path = tmp_path / "result.json", tmp_path / "spans.csv"
+    subprocess.run([sys.executable, str(BENCHMARKS / "worker.py"), str(config_path),
+                    str(tmp_path / "traced_run"), str(result_path), str(spans_path)],
+                   check=True, timeout=300)
+    counts = json.loads(result_path.read_text())["counts"]
+    for name in ("harness.run_experiment", "harness.collect_batch", "harness.final_artifacts",
+                 "envs.rollout", "envs.step", "nets.forward", "nets.backward", "nets.adam",
+                 "policy.sample_action", "policy.log_prob", "policy.update", "policy.evaluate",
+                 "dd.classifier_loss", "dd.dd_for_transitions", "irl.disc_loss",
+                 "irl.reward_heatmap", "buffers.push", "buffers.sample", "buffers.demo_sample",
+                 "buffers.load_demos"):
+        assert counts.get(f"{name}.calls", 0) > 0, name
+    assert counts["policy.update.minibatch_steps"] > 0
+    assert spans_path.read_text().startswith("id,parent,name,start,end\n")

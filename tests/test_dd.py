@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ LN2 = float(np.log(2.0))
 
 def fit_classifiers(pair, source_transitions, target_transitions, steps, config, rng):
     """Train the pair over fixed transition lists; returns the last loss."""
-    opt = Adam(pair.blocks(), lr=config.lr)
+    opt = Adam(pair.blocks().values(), lr=config.lr)
     n_src, n_tgt = len(source_transitions), len(target_transitions)
     full_batch = config.batch_size >= max(n_src, n_tgt)
     last = float("nan")
@@ -172,7 +174,12 @@ def test_swapped_label_query_is_exact_negation():
     s, a, sn = rng.normal(size=(6, 1)), rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
     cfg = DDConfig(dd_clip=None)
     base = dd_value(pair, s, a, sn, cfg, 1.0)
-    swapped = dd_value(pair, s, a, sn, cfg, 1.0, swap_labels=True)
+
+    def swapped(net):  # the classifier with its source and target logit columns exchanged
+        return SimpleNamespace(forward=lambda x: net.forward(x)[:, ::-1])
+
+    swapped_pair = SimpleNamespace(q_sas=swapped(pair.q_sas), q_sa=swapped(pair.q_sa))
+    swapped = dd_value(swapped_pair, s, a, sn, cfg, 1.0)
     assert np.array_equal(swapped, -base)
 
 

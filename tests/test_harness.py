@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,15 @@ import yaml
 import odirl.harness as harness
 import odirl.policy as policy_mod
 from odirl.buffers import load_demos
+from odirl.cli import discriminator_from_checkpoint
 from odirl.config import ExperimentConfig, load_config, save_config
+from odirl.dd import ClassifierPair
 from odirl.envs import (SOURCE, TARGET, LinkChainConfig, LinkChainEnv, PointMazeConfig,
                         PointMazeEnv, rollouts, stack_transitions)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
-from odirl.policy import GaussianPolicy, evaluate
+from odirl.irl import Discriminator, GailDiscriminator
+from odirl.nets import Mlp, load_blocks, save_params
+from odirl.policy import GaussianPolicy, ValueNet, evaluate
 
 
 def tiny_cfg(tmp_path, name, **kw):
@@ -382,6 +387,78 @@ def test_aggregate_mismatched_grids_error(tmp_path):
         aggregate(dirs, tmp_path / "agg.csv")
 
 
+def _fresh_trainable(stem, cfg, spec):
+    """A newly built object for the checkpoint file stem, on seeds the run does not use."""
+    dims = (spec.state_dim, spec.action_dim)
+    if stem == "policy":
+        return GaussianPolicy(spec, hidden=tuple(cfg.policy.hidden), seed=101)
+    if stem == "value":
+        return ValueNet(spec, hidden=tuple(cfg.policy.hidden), seed=102)
+    if stem == "disc":
+        return Discriminator(*dims, gamma=cfg.policy.gamma, state_only_g=cfg.disc.state_only_g,
+                             hidden=tuple(cfg.disc.hidden), seed=103)
+    if stem == "classifiers":
+        return ClassifierPair(*dims, hidden=tuple(cfg.dd.hidden), seed=104)
+    return GailDiscriminator(*dims, hidden=tuple(cfg.disc.hidden), seed=105)
+
+
+@pytest.mark.parametrize("method,stems", [
+    ("odirl", ["policy", "value", "disc", "classifiers"]),
+    ("gail", ["policy", "value", "gail"]),
+], ids=["odirl", "gail"])
+def test_final_checkpoints_load_into_fresh_objects_bit_exactly(tmp_path, demo_file, monkeypatch,
+                                                               method, stems):
+    demos, _ = demo_file
+    live = {}
+    real_save = harness.save_blocks
+
+    def recording_save(path, blocks, **meta):
+        live[Path(path).name] = blocks
+        real_save(path, blocks, **meta)
+
+    monkeypatch.setattr(harness, "save_blocks", recording_save)
+    cfg = tiny_cfg(tmp_path, method, steps=2, r=1, method=method)
+    cfg.demos_path = demos
+    ckpt = run_experiment(cfg) / "checkpoints"
+    assert sorted(live) == sorted(f"{stem}_final.bin" for stem in stems)
+
+    spec = PointMazeEnv(cfg.pointmaze, TARGET, 0).spec
+    rng = np.random.default_rng(0)
+    for stem in stems:
+        trained = live[f"{stem}_final.bin"]
+        loaded = [_fresh_trainable(stem, cfg, spec).blocks()]
+        if stem == "disc":
+            loaded.append(discriminator_from_checkpoint(ckpt / "disc_final.bin").blocks())
+        for blocks in loaded:
+            assert blocks.keys() == trained.keys()
+            load_blocks(ckpt / f"{stem}_final.bin", blocks)
+            for name, block in blocks.items():
+                assert np.array_equal(block.params, trained[name].params), (stem, name)
+                if isinstance(block, Mlp):
+                    x = rng.normal(size=(16, block.in_dim))
+                    assert np.array_equal(block.forward(x), trained[name].forward(x)), (stem, name)
+
+
+def test_checkpoint_load_names_the_file_and_array_it_rejects(tmp_path):
+    spec = PointMazeEnv(PointMazeConfig(), TARGET, 0).spec      # 2-d actions
+    policy = GaussianPolicy(spec, hidden=(8,), seed=0)
+    disc = Discriminator(2, 2, gamma=0.9, hidden=(8,), seed=0)
+    short_log_std = tmp_path / "short_log_std.bin"
+    save_params(short_log_std, {"mean": policy.mean_net.params, "log_std": np.array([0.3])})
+    no_h = tmp_path / "no_h.bin"
+    save_params(no_h, {"g": disc.g_net.params})
+    # Other seeds than the files': a load that copied the valid arrays before
+    # rejecting the bad one would change these blocks.
+    fresh_policy = GaussianPolicy(spec, hidden=(8,), seed=1)
+    fresh_disc = Discriminator(2, 2, gamma=0.9, hidden=(8,), seed=1)
+    for path, blocks, name in ((short_log_std, fresh_policy.blocks(), "log_std"),
+                               (no_h, fresh_disc.blocks(), "h")):
+        before = {key: block.params.copy() for key, block in blocks.items()}
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'{name}'"):
+            load_blocks(path, blocks)
+        assert all(np.array_equal(block.params, before[key]) for key, block in blocks.items())
+
+
 def test_demo_file_roundtrip_through_harness(demo_file):
     demos, _ = demo_file
     loaded = load_demos(demos)
@@ -425,6 +502,10 @@ def test_cli_smoke(tmp_path, demo_file):
     ("policy.lr", 0.0), ("policy.value_lr", 0), ("disc.lr", -1e-3), ("dd.lr", 0.0),
     ("policy.grad_clip", 0), ("policy.target_kl", 0.0), ("policy.lr", "nan"),
     ("dd.lr", float("nan")), ("policy.grad_clip", "nan"),
+    # env horizons, weight decays and the DD clamp
+    ("pointmaze.horizon", 0), ("linkchain.horizon", 0), ("disc.weight_decay", -1e-3),
+    ("dd.weight_decay", -1.0), ("disc.weight_decay", "nan"), ("dd.dd_clip", 0),
+    ("dd.dd_clip", -5.0), ("dd.input_noise_std", -0.1),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")

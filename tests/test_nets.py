@@ -1,8 +1,50 @@
 import numpy as np
 import pytest
 
-from odirl.nets import (Adam, FlatParams, Mlp, finite_difference_check, load_params, minibatches,
-                        save_params)
+from odirl.nets import Adam, FlatParams, Mlp, load_params, minibatches, save_params
+
+
+def finite_difference_check(
+    net: Mlp,
+    rng: np.random.Generator,
+    n_draws: int = 10,
+    eps: float = 1e-5,
+    rel_tol: float = 1e-4,
+    abs_floor: float = 1e-6,
+) -> float:
+    """Compare analytic parameter gradients against central differences.
+
+    For each draw a fresh random input and upstream vector are used and every
+    parameter is perturbed. Returns the worst relative error seen; raises
+    AssertionError on the first parameter outside tolerance.
+    """
+    worst = 0.0
+    for _ in range(n_draws):
+        x = rng.normal(size=net.in_dim)
+        upstream = rng.normal(size=net.out_dim)
+        net.zero_grad()
+        net.forward(x)
+        net.backward(x, upstream)
+        analytic = net.grad.copy()
+        net.zero_grad()
+        for j in range(net.params.size):
+            orig = net.params[j]
+            net.params[j] = orig + eps
+            up = float(net.forward(x) @ upstream)
+            net.params[j] = orig - eps
+            down = float(net.forward(x) @ upstream)
+            net.params[j] = orig
+            fd = (up - down) / (2.0 * eps)
+            diff = abs(analytic[j] - fd)
+            tol = max(abs_floor, rel_tol * max(abs(analytic[j]), abs(fd)))
+            if diff > tol:
+                raise AssertionError(
+                    f"gradient mismatch at param {j}: analytic={analytic[j]:.8g} fd={fd:.8g}"
+                )
+            denom = max(abs(analytic[j]), abs(fd), abs_floor)
+            worst = max(worst, diff / denom)
+        net.forward(x)  # leave a fresh cache so callers see a clean net
+    return worst
 
 
 def test_zero_init_output_layer_gives_zero_output():
