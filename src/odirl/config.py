@@ -109,6 +109,10 @@ class ExperimentConfig:
             raise ValueError("checkpoint_every must be >= 0")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        for key in ("policy", "disc", "dd"):
+            if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1
+                       for w in getattr(self, key).hidden):
+                raise ValueError(f"{key}.hidden widths must be integers >= 1")
         self.policy.validate()
         self.dd.validate()
         self.disc.validate()

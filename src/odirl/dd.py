@@ -39,8 +39,9 @@ class DDConfig:
         for key in ("input_noise_std", "weight_decay"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"dd.{key} must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("dd.batch_size must be >= 1")
+        for key in ("batch_size", "steps_per_iter"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"dd.{key} must be >= 1")
         if not self.lr > 0:
             raise ValueError("dd.lr must be > 0")
 

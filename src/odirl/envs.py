@@ -40,7 +40,7 @@ class EnvSpec:
             self.goal = np.asarray(self.goal, dtype=np.float64)
 
 
-@dataclass
+@dataclass(slots=True)
 class Transition:
     s: np.ndarray
     a: np.ndarray
@@ -163,6 +163,7 @@ class PointMazeEnv:
         self._start_hi = np.array(config.start_region[2:], dtype=np.float64)
         self._wall = config.wall_box(domain_tag)
         self._wall_lo, self._wall_hi = np.array(self._wall[:2]), np.array(self._wall[2:])
+        self._wall_bounds = np.array([self._wall_lo, self._wall_hi])[:, None]   # (2, 1, 2)
 
     def reset(self, n: int | None = None) -> np.ndarray:
         """One (2,) start state, or (n, 2) of them from one draw."""
@@ -192,28 +193,30 @@ class PointMazeEnv:
     def _stop_at_wall(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
         """End points of (N, 2) segments p0 -> p1, each cut where it first
         enters the closed wall box (a slab test over rows) and nudged back
-        along the segment so states stay strictly outside."""
-        lo, hi = self._wall_lo, self._wall_hi
+        along the segment so states stay strictly outside.
+
+        Entry and exit times of both wall bounds share one (2, N, 2) array,
+        so each stage of the test is one numpy call for every row and axis.
+        """
         d = p1 - p0
         still = np.abs(d) < 1e-300
-        step = np.where(still, 1.0, d)
-        t_lo = (lo - p0) / step
-        t_hi = (hi - p0) / step
-        enter = np.minimum(t_lo, t_hi)
-        leave = np.maximum(t_lo, t_hi)
-        if still.any():
+        any_still = still.any()
+        # t[0] / t[1]: where each coordinate enters / leaves its slab, (2, N, 2).
+        t = (self._wall_bounds - p0) / (np.where(still, 1.0, d) if any_still else d)
+        t.sort(axis=0)
+        if any_still:
             # A still coordinate inside its slab allows every t, outside it none.
-            inside_slab = (t_lo <= 0.0) & (t_hi >= 0.0)
-            enter[still] = np.where(inside_slab, -np.inf, np.inf)[still]
-            leave[still] = np.inf
-        t_in = np.maximum(np.maximum(enter[:, 0], enter[:, 1]), 0.0)
-        hit = t_in <= np.minimum(np.minimum(leave[:, 0], leave[:, 1]), 1.0)
+            inside_slab = (t[0] <= 0.0) & (t[1] >= 0.0)
+            t[0][still] = np.where(inside_slab, -np.inf, np.inf)[still]
+            t[1][still] = np.inf
+        t_in = np.maximum.reduce(t[0], axis=1, initial=0.0)
+        hit = t_in <= np.minimum.reduce(t[1], axis=1, initial=1.0)
         out = p1
         if hit.any():
             # Rows without a hit keep p1 exactly; their t (possibly inf) is never used.
             t = np.where(hit, t_in - _WALL_EPS / np.maximum(_norm(d), 1e-12), 0.0)
             out = np.where(hit[:, None], p0 + np.maximum(t, 0.0)[:, None] * d, p1)
-        inside = (out > lo) & (out < hi)
+        inside = (out > self._wall_lo) & (out < self._wall_hi)
         for i in np.flatnonzero(inside[:, 0] & inside[:, 1]):  # numerical corner case guard
             out[i] = self._project_out(out[i], self._wall)
         return out

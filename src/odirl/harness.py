@@ -22,7 +22,8 @@ import numpy as np
 from .buffers import DemoSet, ReplayBuffer, load_demos, save_demos
 from .config import ExperimentConfig, save_config
 from .dd import ClassifierPair, classifier_loss, dd_for_transitions
-from .envs import SOURCE, TARGET, LinkChainEnv, PointMazeEnv, rollout, rollouts, write_trajectory_csv
+from .envs import (SOURCE, TARGET, LinkChainEnv, PointMazeEnv, rollout, rollouts, stack_transitions,
+                   write_trajectory_csv)
 from .irl import Discriminator, GailDiscriminator, disc_loss, gail_disc_loss, gail_policy_reward, policy_reward, reward_heatmap
 from .nets import Adam, load_blocks, minibatches, save_blocks
 from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
@@ -262,25 +263,44 @@ def _airl_reward_fn(disc, policy):
 
 
 def _airl_loss_fn(disc, policy, pair=None, dd_cfg=None, alpha=0.0):
-    """disc_loss on one minibatch; with a classifier pair the demo logits carry DD."""
-    def loss_fn(d_mb, p_mb):
-        demo_logp = policy.log_prob(np.array([x.s for x in d_mb]), np.array([x.a for x in d_mb]))
-        pol_logp = policy.log_prob(np.array([x.s for x in p_mb]), np.array([x.a for x in p_mb]))
-        demo_dd = None if pair is None else dd_for_transitions(pair, d_mb, dd_cfg, alpha)
-        return disc_loss(disc, d_mb, p_mb, demo_logp, pol_logp, demo_dd)
-    return loss_fn
+    """The phase loss of `_train_discriminator` for disc_loss; with a
+    classifier pair the demo logits carry DD. log pi of both batches and the
+    demo rows' DD are computed once per phase (the policy and the pair are
+    frozen through it), and each minibatch slices them."""
+    def phase_loss(demo_batch, pol_batch):
+        demo_logp = policy.log_prob(*stack_transitions(demo_batch)[:2])
+        pol_logp = policy.log_prob(*stack_transitions(pol_batch)[:2])
+        demo_dd = None if pair is None else dd_for_transitions(pair, demo_batch, dd_cfg, alpha)
+
+        def minibatch_loss(idx):
+            return disc_loss(disc, [demo_batch[i] for i in idx], [pol_batch[i] for i in idx],
+                             demo_logp[idx], pol_logp[idx], None if demo_dd is None else demo_dd[idx])
+        return minibatch_loss
+    return phase_loss
 
 
-def _train_discriminator(loss_fn, disc_opt, demo_batch, pol_batch, epochs: int,
+def _gail_loss_fn(gail):
+    """The phase loss of `_train_discriminator` for gail_disc_loss."""
+    def phase_loss(demo_batch, pol_batch):
+        def minibatch_loss(idx):
+            return gail_disc_loss(gail, [demo_batch[i] for i in idx], [pol_batch[i] for i in idx])
+        return minibatch_loss
+    return phase_loss
+
+
+def _train_discriminator(phase_loss, disc_opt, demo_batch, pol_batch, epochs: int,
                          minibatch_size: int, rng) -> tuple[float, float, float]:
     """Shuffled minibatch epochs over equal-size demo and policy batches.
 
-    Returns the mean loss, demo accuracy and policy accuracy over all minibatches.
+    phase_loss(demo_batch, pol_batch), called once, returns the loss (which
+    accumulates gradients) of the minibatch at given row indices. Returns the
+    mean loss, demo accuracy and policy accuracy over all minibatches.
     """
+    minibatch_loss = phase_loss(demo_batch, pol_batch)
     d_losses, demo_accs, pol_accs = [], [], []
     for _ in range(epochs):
         for idx in minibatches(len(pol_batch), minibatch_size, rng):
-            _, stats = loss_fn([demo_batch[i] for i in idx], [pol_batch[i] for i in idx])
+            _, stats = minibatch_loss(idx)
             disc_opt.step()
             d_losses.append(stats["loss"])
             demo_accs.append(stats["demo_acc"])
@@ -332,7 +352,7 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
                                  hidden=tuple(cfg.disc.hidden), seed=seeds["disc_init"])
         disc_opt = Adam(gail.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
         reward_fn = lambda s, a, sn: gail_policy_reward(gail, s, a)  # noqa: E731
-        loss_fn = lambda d_mb, p_mb: gail_disc_loss(gail, d_mb, p_mb)  # noqa: E731
+        loss_fn = _gail_loss_fn(gail)
         nets = {"gail": gail}
 
     b_src = ReplayBuffer(cfg.buffers.source_capacity, src.domain_tag)

@@ -10,6 +10,7 @@ trainable names its blocks once, in a `blocks()` map; `save_blocks` and
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -17,24 +18,27 @@ import numpy as np
 ACTIVATIONS = ("tanh", "relu", "identity")
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> None:
+    """Apply the activation to the pre-activations z in place."""
     if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
+        np.tanh(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif name != "identity":
+        raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name: str, h: np.ndarray) -> np.ndarray:
-    """Derivative of the activation, from its output h."""
+def _activate_grad(name: str, h: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """delta times the activation's derivative, taken from its output h."""
     if name == "tanh":
-        return 1.0 - h * h
+        dz = h * h
+        np.subtract(1.0, dz, out=dz)
+        dz *= delta
+        return dz
     if name == "relu":
-        return np.where(h > 0.0, 1.0, 0.0)
+        return delta * np.where(h > 0.0, 1.0, 0.0)
     if name == "identity":
-        return np.ones_like(h)
+        return delta
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -56,6 +60,13 @@ class Mlp:
     output). Parameters are a flat float64 vector; per-layer weight/bias
     views share its memory, so in-place optimizer updates are visible
     everywhere.
+
+    forward rejects a non-finite input; backward rejects an input other than
+    the cached one, or a cache older than the last parameter update. The
+    kernels work in place on arrays they just made (z = h @ W; z += b;
+    act(z, out=z), and dz = h * h; 1 - dz; dz *= delta): the operations of
+    act(h @ W + b) and delta * (1 - h * h) in the same order, so bit for bit
+    the same outputs and gradients.
     """
 
     def __init__(
@@ -143,8 +154,10 @@ class Mlp:
             raise ValueError("non-finite network input")
         acts = [x2]
         h = x2
-        for i in range(len(self._w_views)):
-            h = _activate(self.activations[i], h @ self._w_views[i] + self._b_views[i])
+        for w, b, act in zip(self._w_views, self._b_views, self.activations):
+            h = h @ w
+            h += b
+            _activate(act, h)
             acts.append(h)
         self._cache = {"input": x2.copy(), "acts": acts, "version": self.version}
         out = acts[-1]
@@ -168,7 +181,7 @@ class Mlp:
             raise ValueError(f"upstream shape {upstream.shape} does not match output")
         delta = u2
         for i in reversed(range(len(self._w_views))):
-            dz = delta * _activate_grad(self.activations[i], cache["acts"][i + 1])
+            dz = _activate_grad(self.activations[i], cache["acts"][i + 1], delta)
             self._gw_views[i] += cache["acts"][i].T @ dz
             self._gb_views[i] += dz.sum(axis=0)
             delta = dz @ self._w_views[i].T
@@ -191,7 +204,15 @@ class Adam:
 
     Optionally rescales the joint gradient to a maximum norm before the
     update. step() zeroes gradients and bumps each block's version so stale
-    forward caches are detectable.
+    forward caches are detectable. The moments and the step go through two
+    work vectors per block, in the textbook update's arithmetic order.
+
+    step() raises FloatingPointError on a non-finite gradient element (before
+    changing anything) and on a non-finite parameter after the update. Each
+    check computes x @ x first (the clip norm needs it anyway): a nan or inf
+    element makes x @ x nan or inf, and finite elements make it finite unless
+    the sum overflows. Only a non-finite x @ x runs np.isfinite, which tells
+    a non-finite element (raise) from an overflow (a numpy warning only).
     """
 
     def __init__(
@@ -212,14 +233,16 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(b.params) for b in self.blocks]
         self._v = [np.zeros_like(b.params) for b in self.blocks]
+        self._work = [(np.empty_like(b.params), np.empty_like(b.params)) for b in self.blocks]
 
     def step(self) -> None:
         grads = [b.grad for b in self.blocks]
-        for g in grads:
-            if not np.all(np.isfinite(g)):
+        squares = [float(g @ g) for g in grads]
+        for g, sq in zip(grads, squares):
+            if not math.isfinite(sq) and not np.isfinite(g).all():
                 raise FloatingPointError("non-finite gradient")
         if self.clip_norm is not None:
-            total = np.sqrt(sum(float(g @ g) for g in grads))
+            total = np.sqrt(sum(squares))
             if total > self.clip_norm and total > 0.0:
                 scale = self.clip_norm / total
                 for g in grads:
@@ -227,17 +250,26 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for block, m, v, g in zip(self.blocks, self._m, self._v, grads):
+        for block, m, v, (s1, s2) in zip(self.blocks, self._m, self._v, self._work):
+            g, p = block.grad, block.params
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s1)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - self.beta2
+            v += s1
             if self.weight_decay:
-                block.params *= 1.0 - self.lr * self.weight_decay  # decoupled decay
-            block.params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if not np.all(np.isfinite(block.params)):
+                p *= 1.0 - self.lr * self.weight_decay  # decoupled decay
+            np.divide(m, bc1, out=s1)
+            s1 *= self.lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p -= s1
+            if not math.isfinite(p @ p) and not np.isfinite(p).all():
                 raise FloatingPointError("non-finite parameters after update")
-            block.grad[...] = 0.0
+            g[...] = 0.0
             block.version += 1
 
 

@@ -1,0 +1,93 @@
+"""Byte-identity digests of every run directory of every method.
+
+Usage: python tests/digests.py OUT_DIR
+
+On both tasks, with a small config (6 steps, r = 2, batches of 40,
+checkpoints every 3 steps), runs train_expert, collect_demos, odirl at
+alpha 1 and 0.5, airl, gail, airl_source_transfer (also with
+disc.epochs: 2) and expert_transfer, with BLAS pinned to one thread. Then
+prints one "sha256  path" line per file under OUT_DIR, paths relative to it,
+in sorted order. Each config.yaml records absolute paths, so compare two
+outputs written to the same OUT_DIR (move the first one away in between).
+OUT_DIR must be absent or empty.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+# Pin BLAS to one thread before numpy loads, as the benchmark worker does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import hashlib  # noqa: E402
+
+from odirl.config import load_config  # noqa: E402
+from odirl.harness import collect_demos, run_experiment, train_expert  # noqa: E402
+
+SMALL = {
+    "seed": 3, "steps": 6, "r": 2, "batch_steps": 40, "checkpoint_every": 3,
+    "eval_every": 2, "eval_episodes": 2, "final_eval_trajectories": 1, "heatmap_grid": 10,
+    "pointmaze": {"horizon": 20}, "linkchain": {"horizon": 15},
+    "policy": {"epochs": 2, "minibatch_size": 32},
+    "dd": {"batch_size": 16},
+    "disc": {"minibatch_size": 32},
+    "expert": {"steps": 3, "batch_steps": 40, "n_demo_episodes": 3, "demo_success_only": False},
+}
+
+# run directory name -> overrides on top of SMALL
+RUNS = {
+    "odirl": {"method": "odirl"},
+    "odirl_alpha0.5": {"method": "odirl", "alpha": 0.5},
+    "airl": {"method": "airl"},
+    "gail": {"method": "gail"},
+    "airl_source_transfer": {"method": "airl_source_transfer"},
+    "airl_source_transfer_disc_epochs2": {"method": "airl_source_transfer", "disc": {"epochs": 2}},
+    "expert_transfer": {"method": "expert_transfer"},
+}
+
+
+def _config(task: str, **overrides):
+    merged = {**SMALL, "task": task}
+    for key, val in overrides.items():
+        merged[key] = {**merged[key], **val} if isinstance(val, dict) else val
+    return load_config(overrides=merged)
+
+
+def run_all(out: Path) -> None:
+    for task in ("pointmaze", "linkchain"):
+        base = out / task
+        cfg = _config(task, out_dir=str(base / "expert"))
+        expert = train_expert(cfg)
+        demos = base / "demos.csv"
+        collect_demos(cfg, expert, demos)
+        for name, overrides in RUNS.items():
+            run_experiment(_config(task, out_dir=str(base / name), demos_path=str(demos),
+                                   expert_path=str(expert), **overrides))
+
+
+def digests(out: Path) -> list[str]:
+    """'sha256  relative/path' for every file under out, sorted by path."""
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
+            for path in sorted(p for p in out.rglob("*") if p.is_file())]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    run_all(out)
+    print("\n".join(digests(out)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

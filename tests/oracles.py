@@ -173,3 +173,51 @@ def pointmaze_step(config, wall, state, action):
         proposed[axis] = value
     done = bool(np.linalg.norm(proposed - np.asarray(config.goal)) <= config.goal_radius)
     return proposed, done
+
+
+# ---------------------------------------------------------------------------
+# Adam, as the textbook writes it
+# ---------------------------------------------------------------------------
+
+class TextbookAdam:
+    """Reference for `nets.Adam`: the same update, one temporary array per
+    operation and np.isfinite over every gradient and parameter block."""
+
+    def __init__(self, blocks, lr=3e-4, betas=(0.9, 0.999), eps=1e-8, clip_norm=None,
+                 weight_decay=0.0):
+        self.blocks = list(blocks)
+        self.lr = float(lr)
+        self.beta1, self.beta2 = betas
+        self.eps = float(eps)
+        self.clip_norm = clip_norm
+        self.weight_decay = float(weight_decay)
+        self.t = 0
+        self._m = [np.zeros_like(b.params) for b in self.blocks]
+        self._v = [np.zeros_like(b.params) for b in self.blocks]
+
+    def step(self):
+        grads = [b.grad for b in self.blocks]
+        for g in grads:
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError("non-finite gradient")
+        if self.clip_norm is not None:
+            total = np.sqrt(sum(float(g @ g) for g in grads))
+            if total > self.clip_norm and total > 0.0:
+                scale = self.clip_norm / total
+                for g in grads:
+                    g *= scale
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for block, m, v, g in zip(self.blocks, self._m, self._v, grads):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            if self.weight_decay:
+                block.params *= 1.0 - self.lr * self.weight_decay  # decoupled decay
+            block.params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if not np.all(np.isfinite(block.params)):
+                raise FloatingPointError("non-finite parameters after update")
+            block.grad[...] = 0.0
+            block.version += 1

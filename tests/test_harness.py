@@ -2,6 +2,8 @@ import copy
 import csv
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +15,12 @@ import odirl.policy as policy_mod
 from odirl.buffers import load_demos
 from odirl.cli import discriminator_from_checkpoint
 from odirl.config import ExperimentConfig, load_config, save_config
-from odirl.dd import ClassifierPair
+from odirl.dd import ClassifierPair, DDConfig, dd_for_transitions
 from odirl.envs import (SOURCE, TARGET, LinkChainConfig, LinkChainEnv, PointMazeConfig,
-                        PointMazeEnv, rollouts, stack_transitions)
+                        PointMazeEnv, Transition, rollouts, stack_transitions)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
-from odirl.irl import Discriminator, GailDiscriminator
-from odirl.nets import Mlp, load_blocks, save_params
+from odirl.irl import Discriminator, GailDiscriminator, disc_loss
+from odirl.nets import Adam, Mlp, load_blocks, minibatches, save_params
 from odirl.policy import GaussianPolicy, ValueNet, evaluate
 
 
@@ -506,6 +508,10 @@ def test_cli_smoke(tmp_path, demo_file):
     ("pointmaze.horizon", 0), ("linkchain.horizon", 0), ("disc.weight_decay", -1e-3),
     ("dd.weight_decay", -1.0), ("disc.weight_decay", "nan"), ("dd.dd_clip", 0),
     ("dd.dd_clip", -5.0), ("dd.input_noise_std", -0.1),
+    # classifier steps and layer widths
+    ("dd.steps_per_iter", 0), ("dd.steps_per_iter", -1), ("dd.hidden", [0]),
+    ("policy.hidden", [-3]), ("disc.hidden", [64, 0]), ("dd.hidden", [2.5]),
+    ("policy.hidden", [True]),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
@@ -614,3 +620,106 @@ def test_rollout_log_probs_are_those_of_the_clipped_actions():
         expected = policy.log_prob(states, actions)
         assert np.allclose(traj.log_probs, expected, rtol=0, atol=1e-12)
         assert np.all(np.abs(actions) <= maze.spec.action_high)
+
+
+def _phase_inputs(n, seed=0):
+    """Demo and policy batches of n point-maze-shaped rows, and a policy and a
+    classifier pair with random weights (so log pi and DD differ per row)."""
+    rng = np.random.default_rng(seed)
+
+    def batch(tag):
+        return [Transition(s=rng.uniform(0, 1, 2), a=rng.uniform(-0.08, 0.08, 2),
+                           s_next=rng.uniform(0, 1, 2), done=False, domain_tag=tag, gt_reward=0.0)
+                for _ in range(n)]
+
+    # std 1 keeps log pi, and so most logits, inside the logit clamp
+    spec = PointMazeEnv(PointMazeConfig(), TARGET, seed=0).spec
+    policy = GaussianPolicy(spec, hidden=(64, 64), seed=1, init_log_std=0.0)
+    pair = ClassifierPair(2, 2, hidden=(16,), seed=2)
+    for net in (policy.mean_net, pair.q_sas, pair.q_sa):
+        net.params[...] = rng.normal(0.0, 0.5, net.params.shape)
+    return batch(SOURCE), batch(TARGET), policy, pair
+
+
+def _disc_and_opt():
+    disc = Discriminator(2, 2, gamma=0.99, hidden=(16,), seed=4)
+    return disc, Adam(disc.blocks().values(), lr=1e-2, weight_decay=1e-2)
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("n,minibatch_size", [(40, 64), (40, 16), (45, 16), (64, 7)])
+def test_discriminator_phase_computes_log_pi_and_dd_once(monkeypatch, epochs, n, minibatch_size):
+    calls = {"log_prob": 0, "dd": 0, "disc_loss": 0, "gail_disc_loss": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GaussianPolicy, "log_prob", counted("log_prob", GaussianPolicy.log_prob))
+    for name, key in (("dd_for_transitions", "dd"), ("disc_loss", "disc_loss"),
+                      ("gail_disc_loss", "gail_disc_loss")):
+        monkeypatch.setattr(harness, name, counted(key, getattr(harness, name)))
+    demo, pol, policy, pair = _phase_inputs(n)
+    n_minibatches = epochs * -(-n // minibatch_size)
+
+    disc, opt = _disc_and_opt()
+    harness._train_discriminator(harness._airl_loss_fn(disc, policy, pair, DDConfig(), 1.0), opt,
+                                 demo, pol, epochs, minibatch_size, np.random.default_rng(0))
+    assert calls == {"log_prob": 2, "dd": 1, "disc_loss": n_minibatches, "gail_disc_loss": 0}
+
+    calls.update(dict.fromkeys(calls, 0))
+    gail = GailDiscriminator(2, 2, hidden=(16,), seed=4)
+    harness._train_discriminator(harness._gail_loss_fn(gail), Adam(gail.blocks().values()),
+                                 demo, pol, epochs, minibatch_size, np.random.default_rng(0))
+    assert calls == {"log_prob": 0, "dd": 0, "disc_loss": 0, "gail_disc_loss": n_minibatches}
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("n,minibatch_size", [(64, 64), (64, 32), (64, 16), (45, 16), (30, 7)])
+def test_discriminator_phase_equals_per_minibatch_disc_loss_calls(epochs, n, minibatch_size):
+    """One phase against the loop that computes log pi and DD per minibatch.
+
+    BLAS can round the rows of a matrix's last, partial row block (row counts
+    not a multiple of the kernel's block: 4 rows for OpenBLAS's x86-64 double
+    kernels) differently from the same rows inside a whole block. So with
+    every row count a multiple of 16 the parameters match bit for bit, and
+    with ragged row counts to rounding.
+    """
+    demo, pol, policy, pair = _phase_inputs(n, seed=epochs)
+    dd_cfg, alpha = DDConfig(), 0.7
+    disc, opt = _disc_and_opt()
+    harness._train_discriminator(harness._airl_loss_fn(disc, policy, pair, dd_cfg, alpha), opt,
+                                 demo, pol, epochs, minibatch_size, np.random.default_rng(5))
+
+    ref, ref_opt = _disc_and_opt()
+    rng = np.random.default_rng(5)
+    for _ in range(epochs):
+        for idx in minibatches(n, minibatch_size, rng):
+            d_mb, p_mb = [demo[i] for i in idx], [pol[i] for i in idx]
+            disc_loss(ref, d_mb, p_mb, policy.log_prob(*stack_transitions(d_mb)[:2]),
+                      policy.log_prob(*stack_transitions(p_mb)[:2]),
+                      dd_for_transitions(pair, d_mb, dd_cfg, alpha))
+            ref_opt.step()
+    assert not np.array_equal(ref.g_net.params, _disc_and_opt()[0].g_net.params)
+    for name, net in disc.blocks().items():
+        if n % 16 == 0 and minibatch_size % 16 == 0:
+            assert np.array_equal(net.params, ref.blocks()[name].params), name
+        else:
+            assert np.allclose(net.params, ref.blocks()[name].params, rtol=0, atol=1e-12), name
+
+
+def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
+    """tests/digests.py twice into the same directory: every file of every
+    method's run directory, on both tasks, has the same sha256 both times."""
+    script, out = Path(__file__).parent / "digests.py", tmp_path / "out"
+    outputs = []
+    for attempt in ("first", "second"):
+        outputs.append(subprocess.run([sys.executable, str(script), str(out)], check=True,
+                                      capture_output=True, text=True).stdout.splitlines())
+        out.rename(tmp_path / attempt)
+    assert outputs[0] == outputs[1]
+    # 7 runs per task; all but expert_transfer train and save a final policy
+    for name, runs in (("progress.csv", 14), ("policy_final.bin", 12)):
+        assert sum(line.endswith("/" + name) for line in outputs[0]) == runs

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import TextbookAdam
 
 from odirl.nets import Adam, FlatParams, Mlp, load_params, minibatches, save_params
 
@@ -206,6 +207,79 @@ def test_adam_raises_on_nonfinite_grad():
     x.grad[...] = np.array([np.inf, 0.0])
     with pytest.raises(FloatingPointError):
         opt.step()
+
+
+def _mlp_and_log_std(seed):
+    return [Mlp([3, 16, 16, 2], seed=seed), FlatParams(np.random.default_rng(seed).normal(size=2))]
+
+
+@pytest.mark.parametrize("clip_norm,weight_decay", [
+    (None, 0.0), (None, 1e-2), (0.5, 1e-2), (1e6, 1e-2), (0.5, 0.0)])
+def test_adam_matches_the_textbook_update_bit_for_bit(clip_norm, weight_decay):
+    blocks, reference = _mlp_and_log_std(4), _mlp_and_log_std(4)
+    opt = Adam(blocks, lr=1e-2, clip_norm=clip_norm, weight_decay=weight_decay)
+    ref = TextbookAdam(reference, lr=1e-2, clip_norm=clip_norm, weight_decay=weight_decay)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        for b, r in zip(blocks, reference):
+            b.grad[...] = r.grad[...] = rng.normal(0.0, 3.0, b.grad.shape)
+        if clip_norm is not None:       # the clip binds at 0.5 and never at 1e6
+            norm = np.sqrt(sum(float(b.grad @ b.grad) for b in blocks))
+            assert (norm > clip_norm) == (clip_norm == 0.5)
+        opt.step()
+        ref.step()
+        for b, r in zip(blocks, reference):
+            assert np.array_equal(b.params, r.params)
+            assert np.all(b.grad == 0.0) and b.version == r.version
+    assert opt.t == ref.t == 50
+
+
+@pytest.mark.parametrize("clip_norm", [None, 1.0])
+def test_adam_raises_on_a_nan_gradient_before_changing_anything(clip_norm):
+    x = FlatParams(np.ones(3))
+    opt = Adam([x], lr=0.1, clip_norm=clip_norm)
+    x.grad[...] = np.array([0.5, np.nan, 0.5])
+    with pytest.raises(FloatingPointError, match="gradient"):
+        opt.step()
+    assert np.array_equal(x.params, np.ones(3)) and opt.t == 0
+
+
+@pytest.mark.parametrize("clip_norm", [None, 1.0])
+def test_adam_takes_finite_gradients_and_parameters_whose_square_sum_overflows(clip_norm):
+    # g @ g and p @ p overflow to inf here, but every element is finite
+    x = FlatParams(np.full(4, 1e200))
+    opt = Adam([x], lr=0.1, clip_norm=clip_norm)
+    x.grad[...] = np.array([1e200, -1e200, 3.0, 0.0])
+    with np.errstate(over="ignore"):    # numpy's overflow warnings are errors under pytest
+        assert np.isinf(x.grad @ x.grad) and np.isinf(x.params @ x.params)
+        opt.step()
+    assert np.all(np.isfinite(x.params)) and opt.t == 1
+
+
+def test_adam_raises_on_a_parameter_the_update_makes_infinite():
+    x = FlatParams(np.array([1.7e308, 0.0]))
+    opt = Adam([x], lr=1e308)
+    x.grad[...] = np.array([-1.0, 0.0])     # the first step moves params[0] by +lr
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="parameters"):
+        opt.step()
+
+
+def test_forward_and_backward_match_the_textbook_kernels():
+    net = Mlp([4, 16, 8, 3], seed=2)
+    rng = np.random.default_rng(3)
+    x, up = rng.normal(size=(37, 4)), rng.normal(size=(37, 3))
+    acts = [x]
+    for i, act in enumerate(net.activations):
+        z = acts[-1] @ net.weights(i) + net.biases(i)
+        acts.append(np.tanh(z) if act == "tanh" else z)
+    delta, grads = up, []
+    for i in reversed(range(len(net.activations))):
+        dz = delta * (1.0 - acts[i + 1] * acts[i + 1]) if net.activations[i] == "tanh" else delta
+        grads = [(acts[i].T @ dz).ravel(), dz.sum(axis=0)] + grads
+        delta = dz @ net.weights(i).T
+    assert np.array_equal(net.forward(x), acts[-1])
+    assert np.array_equal(net.backward(x, up), delta)
+    assert np.array_equal(net.grad, np.concatenate(grads))
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
