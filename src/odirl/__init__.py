@@ -26,7 +26,7 @@ from .irl import (
     policy_reward,
     reward_heatmap,
 )
-from .nets import Adam, FlatParams, Mlp, load_blocks, load_params, save_blocks, save_params
+from .nets import Adam, FlatParams, Mlp, load_blocks, load_params, save_blocks
 from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
 
 __version__ = "0.1.0"

@@ -13,15 +13,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
 from .config import load_config
 from .irl import Discriminator, reward_heatmap
 from .nets import load_blocks, load_params
 from .policy import evaluate
-
-logger = logging.getLogger("odirl")
 
 
 def _setup_logging() -> None:

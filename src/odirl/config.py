@@ -67,7 +67,7 @@ class ExpertConfig:
         for key in ("steps", "batch_steps", "n_demo_episodes"):
             if getattr(self, key) < 1:
                 raise ValueError(f"expert.{key} must be >= 1")
-        if self.entropy_coef < 0:
+        if not self.entropy_coef >= 0:               # also rejects nan
             raise ValueError("expert.entropy_coef must be >= 0")
 
 
@@ -105,9 +105,10 @@ class ExperimentConfig:
                     "final_eval_trajectories", "heatmap_grid"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if self.alpha < 0:
+        for key in ("seed", "checkpoint_every"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        if not self.alpha >= 0:                      # also rejects nan
             raise ValueError("alpha must be >= 0")
         for key in ("policy", "disc", "dd"):
             if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1

@@ -9,15 +9,12 @@ is clamped and scaled by alpha before entering the discriminator.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envs import SOURCE, TARGET, stack_transitions
 from .nets import Mlp
-
-logger = logging.getLogger(__name__)
 
 # Classifier output convention: logits[:, 0] -> source, logits[:, 1] -> target.
 CLS_SOURCE, CLS_TARGET = 0, 1

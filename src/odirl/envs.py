@@ -94,18 +94,23 @@ class PointMazeConfig:
     def validate(self) -> None:
         if not 0.0 < self.source_wall_length < self.target_wall_length <= 1.0:
             raise ValueError("pointmaze: need 0 < source_wall_length < target_wall_length <= 1")
+        for name in ("wall_half_width", "action_scale", "goal_radius"):
+            if not getattr(self, name) > 0:          # also rejects nan
+                raise ValueError(f"pointmaze.{name} must be > 0")
+        if not self.noise_std >= 0:
+            raise ValueError("pointmaze.noise_std must be >= 0")
         xlo, xhi = self.wall_x - self.wall_half_width, self.wall_x + self.wall_half_width
         if not (0.0 < xlo and xhi < 1.0):
             raise ValueError("pointmaze.wall_x +- wall_half_width must lie strictly inside the arena")
+        if len(self.goal) != 2:
+            raise ValueError("pointmaze.goal must be an (x, y) pair")
         wall = self.wall_box(TARGET)   # contains the source wall
         for name in ("start_region", "goal_region"):
-            if _boxes_overlap(getattr(self, name), wall):
+            box = getattr(self, name)
+            if len(box) != 4 or not (box[0] <= box[2] and box[1] <= box[3]):
+                raise ValueError(f"pointmaze.{name} must be (xlo, ylo, xhi, yhi) with lo <= hi")
+            if _boxes_overlap(box, wall):
                 raise ValueError(f"pointmaze.{name} overlaps the target wall")
-        for name in ("action_scale", "goal_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"pointmaze.{name} must be > 0")
-        if self.noise_std < 0:
-            raise ValueError("pointmaze.noise_std must be >= 0")
         if self.horizon < 1:
             raise ValueError("pointmaze.horizon must be >= 1")
 
@@ -277,9 +282,12 @@ class LinkChainConfig:
             raise ValueError("linkchain.target_disabled_mask needs at least one disabled actuator")
         if self.gt_variant not in ("distance", "forward_velocity"):
             raise ValueError("linkchain.gt_variant must be 'distance' or 'forward_velocity'")
-        for name in ("torque_limit", "dt"):
-            if getattr(self, name) <= 0:
+        for name in ("torque_limit", "dt", "torque_gain", "vel_limit", "success_radius"):
+            if not getattr(self, name) > 0:          # also rejects nan
                 raise ValueError(f"linkchain.{name} must be > 0")
+        for name in ("damping", "init_angle_range", "init_vel_range"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"linkchain.{name} must be >= 0")
         if self.horizon < 1:
             raise ValueError("linkchain.horizon must be >= 1")
 

@@ -14,6 +14,7 @@ import copy
 import csv
 import json
 import logging
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,16 +39,17 @@ PROGRESS_COLUMNS = [
 
 
 class ProgressWriter:
-    """CSV logger with a fixed column set and deterministic float formatting."""
+    """CSV logger with a fixed column set and deterministic (.10g) float formatting."""
 
-    def __init__(self, path):
+    def __init__(self, path, columns=PROGRESS_COLUMNS):
         self._fh = open(path, "w", newline="")
         self._writer = csv.writer(self._fh)
-        self._writer.writerow(PROGRESS_COLUMNS)
+        self._writer.writerow(columns)
+        self._columns = columns
 
     def write(self, **fields) -> None:
         row = []
-        for col in PROGRESS_COLUMNS:
+        for col in self._columns:
             val = fields.get(col)
             if val is None:
                 row.append("")
@@ -156,6 +158,14 @@ def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float,
     return ret, succ
 
 
+def _checkpoint_policy(cfg, out: Path, t: int, policy) -> None:
+    """checkpoints/policy_NNNNNN.bin after every checkpoint_every-th iteration t (0: never)."""
+    if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
+        ckpt = out / "checkpoints"
+        ckpt.mkdir(exist_ok=True)
+        save_blocks(ckpt / f"policy_{t:06d}.bin", policy.blocks())
+
+
 def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict,
                 disc=None, alpha=None, **counts) -> Path:
     """Final checkpoints, the reward heatmap, final-policy artifacts and summary.json.
@@ -196,17 +206,14 @@ def train_expert(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     path = out / "expert_policy.bin"
     best_score = -np.inf
-    curve_path = out / "expert_curve.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "gt_return", "success_rate", "entropy"])
+    with closing(ProgressWriter(out / "expert_curve.csv",
+                                ["iteration", "gt_return", "success_rate", "entropy"])) as writer:
         for t in range(1, cfg.expert.steps + 1):
             trajs = collect_batch(policy, src, cfg.expert.batch_steps, rngs["actions"])
             stats = popt.update(trajs, reward_fn, rngs["policy_update"])
             if t % cfg.eval_every == 0 or t == cfg.expert.steps:
                 ret, succ = evaluate(policy, src_eval, cfg.eval_episodes)
-                writer.writerow([t, format(ret, ".10g"), format(succ, ".10g"),
-                                 format(stats["entropy"], ".10g")])
+                writer.write(iteration=t, gt_return=ret, success_rate=succ, entropy=stats["entropy"])
                 logger.info("expert iter %d: return %.3f success %.2f", t, ret, succ)
                 score = succ + 0.01 * ret  # success first, return breaks ties
                 if score >= best_score:
@@ -408,10 +415,7 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
             loss_sas=l_sas, loss_sa=l_sa, std_dd=std_dd,
             demo_acc=demo_acc, policy_acc=pol_acc,
         )
-        if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
-            ckpt = out / "checkpoints"
-            ckpt.mkdir(exist_ok=True)
-            save_blocks(ckpt / f"policy_{t:06d}.bin", policy.blocks())
+        _checkpoint_policy(cfg, out, t, policy)
 
     writer.close()
     return _finish_run(cfg, out, policy, src_eval, tgt_eval,
@@ -456,9 +460,8 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
 
     n_src_iters = cfg.steps // cfg.r
     source_steps = source_episodes = 0
-    with open(out / "source_phase.csv", "w", newline="") as fh:
-        phase_writer = csv.writer(fh)
-        phase_writer.writerow(["iteration", "source_steps", "disc_loss"])
+    with closing(ProgressWriter(out / "source_phase.csv",
+                                ["iteration", "source_steps", "disc_loss"])) as phase_writer:
         for t in range(1, n_src_iters + 1):
             traj = rollout(policy, src, src.spec.horizon, rngs["actions"])
             source_steps += len(traj)
@@ -468,7 +471,7 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
                 loss_fn, disc_opt, demo_batch, traj.transitions, cfg.disc.epochs * cfg.r,
                 cfg.disc.minibatch_size, rngs["disc"])
             popt.update([traj], src_reward_fn, rngs["policy_update"])
-            phase_writer.writerow([t, source_steps, format(d_loss, ".10g")])
+            phase_writer.write(iteration=t, source_steps=source_steps, disc_loss=d_loss)
 
     # Phase 2: transfer g as the reward for a fresh target-domain policy.
     policy2, _, popt2 = _agent(cfg, tgt.spec, seeds["policy2_init"], seeds["value2_init"],
@@ -490,6 +493,7 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
                         t, gt_return, success)
         writer.write(iteration=t, target_steps=target_steps, source_steps=source_steps,
                      policy_entropy=pstats["entropy"], gt_return=gt_return, success_rate=success)
+        _checkpoint_policy(cfg, out, t, policy2)
     writer.close()
     return _finish_run(cfg, out, policy2, src_eval, tgt_eval,
                        {"policy": policy2, "disc": disc}, disc=disc,

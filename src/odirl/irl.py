@@ -10,14 +10,11 @@ alpha = 0 everything reduces exactly to the plain adversarial-IRL baseline.
 from __future__ import annotations
 
 import csv
-import logging
 
 import numpy as np
 
 from .envs import stack_transitions
 from .nets import Mlp
-
-logger = logging.getLogger(__name__)
 
 LOGIT_CLIP = 10.0
 
@@ -208,8 +205,8 @@ def gail_policy_reward(gail: GailDiscriminator, s, a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def reward_heatmap(disc: Discriminator, grid_n: int = 50,
-                   bounds: tuple = (0.0, 1.0), path=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate g over grid cell centers of the square arena.
+                   path=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate g over grid cell centers of the unit-square arena.
 
     Only defined for state-only g. Returns (xs, ys, values) with
     values[i, j] = g([xs[i], ys[j]]); optionally writes x,y,value CSV rows.
@@ -218,8 +215,7 @@ def reward_heatmap(disc: Discriminator, grid_n: int = 50,
         raise ValueError("reward heatmap requires a state-only reward term")
     if disc.state_dim != 2:
         raise ValueError("reward heatmap is defined for 2-d state spaces")
-    lo, hi = bounds
-    centers = lo + (hi - lo) * (np.arange(grid_n) + 0.5) / grid_n
+    centers = (np.arange(grid_n) + 0.5) / grid_n
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
     values = disc.g_net.forward(pts)[:, 0].reshape(grid_n, grid_n)

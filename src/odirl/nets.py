@@ -1,4 +1,4 @@
-"""Dense networks with hand-written backprop, Adam, and flat-file checkpoints.
+"""Tanh MLPs with identity outputs, hand-written backprop, Adam, flat-file checkpoints.
 
 Everything is float64 numpy. Parameters live in a single flat vector per
 network so optimizers, checkpoints, and gradient checks can treat every
@@ -15,64 +15,34 @@ from typing import Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu", "identity")
-
-
-def _activate(name: str, z: np.ndarray) -> None:
-    """Apply the activation to the pre-activations z in place."""
-    if name == "tanh":
-        np.tanh(z, out=z)
-    elif name == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif name != "identity":
-        raise ValueError(f"unknown activation {name!r}")
-
-
-def _activate_grad(name: str, h: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """delta times the activation's derivative, taken from its output h."""
-    if name == "tanh":
-        dz = h * h
-        np.subtract(1.0, dz, out=dz)
-        dz *= delta
-        return dz
-    if name == "relu":
-        return delta * np.where(h > 0.0, 1.0, 0.0)
-    if name == "identity":
-        return delta
-    raise ValueError(f"unknown activation {name!r}")
-
-
 class FlatParams:
     """A bare trainable vector (e.g. a Gaussian policy's log-std)."""
 
-    def __init__(self, values: np.ndarray, name: str = "params"):
+    def __init__(self, values: np.ndarray):
         self.params = np.asarray(values, dtype=np.float64).copy()
         self.grad = np.zeros_like(self.params)
-        self.name = name
         self.version = 0
 
 
 class Mlp:
     """Fully connected network with cached forward and accumulating backward.
 
-    layer_sizes is the full chain [in, h1, ..., out]; activations has one
-    entry per weight layer (default: tanh on hidden layers, identity on the
-    output). Parameters are a flat float64 vector; per-layer weight/bias
-    views share its memory, so in-place optimizer updates are visible
-    everywhere.
+    layer_sizes is the full chain [in, h1, ..., out]. Hidden layers are tanh
+    and the output is identity; every network the method trains has this
+    shape. Parameters are a flat float64 vector; per-layer weight/bias views
+    share its memory, so in-place optimizer updates are visible everywhere.
 
     forward rejects a non-finite input; backward rejects an input other than
     the cached one, or a cache older than the last parameter update. The
     kernels work in place on arrays they just made (z = h @ W; z += b;
-    act(z, out=z), and dz = h * h; 1 - dz; dz *= delta): the operations of
-    act(h @ W + b) and delta * (1 - h * h) in the same order, so bit for bit
+    tanh(z, out=z), and dz = h * h; 1 - dz; dz *= delta): the operations of
+    tanh(h @ W + b) and delta * (1 - h * h) in the same order, so bit for bit
     the same outputs and gradients.
     """
 
     def __init__(
         self,
         layer_sizes: Sequence[int],
-        activations: Sequence[str] | None = None,
         seed: int = 0,
         zero_init_output: bool = False,
     ):
@@ -82,14 +52,6 @@ class Mlp:
             raise ValueError("layer sizes must be positive")
         self.layer_sizes = [int(n) for n in layer_sizes]
         n_layers = len(self.layer_sizes) - 1
-        if activations is None:
-            activations = ["tanh"] * (n_layers - 1) + ["identity"]
-        if len(activations) != n_layers:
-            raise ValueError("need one activation per weight layer")
-        for act in activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
-        self.activations = list(activations)
         self.seed = int(seed)
         self.zero_init_output = bool(zero_init_output)
 
@@ -154,10 +116,12 @@ class Mlp:
             raise ValueError("non-finite network input")
         acts = [x2]
         h = x2
-        for w, b, act in zip(self._w_views, self._b_views, self.activations):
+        last = len(self._w_views) - 1
+        for i, (w, b) in enumerate(zip(self._w_views, self._b_views)):
             h = h @ w
             h += b
-            _activate(act, h)
+            if i < last:
+                np.tanh(h, out=h)
             acts.append(h)
         self._cache = {"input": x2.copy(), "acts": acts, "version": self.version}
         out = acts[-1]
@@ -179,12 +143,16 @@ class Mlp:
             raise RuntimeError("stale forward cache: call forward on this input first")
         if u2.shape != (x2.shape[0], self.out_dim):
             raise ValueError(f"upstream shape {upstream.shape} does not match output")
-        delta = u2
+        acts = cache["acts"]
+        dz = u2                                 # the identity output passes upstream through
         for i in reversed(range(len(self._w_views))):
-            dz = _activate_grad(self.activations[i], cache["acts"][i + 1], delta)
-            self._gw_views[i] += cache["acts"][i].T @ dz
+            self._gw_views[i] += acts[i].T @ dz
             self._gb_views[i] += dz.sum(axis=0)
             delta = dz @ self._w_views[i].T
+            if i > 0:                           # through the tanh that made acts[i]
+                dz = acts[i] * acts[i]
+                np.subtract(1.0, dz, out=dz)
+                dz *= delta
         return delta[0] if single else delta
 
     def zero_grad(self) -> None:
@@ -193,7 +161,8 @@ class Mlp:
     def meta(self) -> dict:
         return {
             "layer_sizes": self.layer_sizes,
-            "activations": self.activations,
+            # Fixed tanh/identity; still listed so checkpoint headers keep their layout.
+            "activations": ["tanh"] * (len(self.layer_sizes) - 2) + ["identity"],
             "seed": self.seed,
             "zero_init_output": self.zero_init_output,
         }
@@ -282,22 +251,8 @@ def minibatches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]
     return [perm[start : start + size] for start in range(0, n, size)]
 
 
-def save_params(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write named float64 arrays as a JSON header line plus raw bytes."""
-    entries = []
-    for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        entries.append({"name": name, "shape": list(arr.shape)})
-    header = {"meta": meta or {}, "arrays": entries, "dtype": "<f8"}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        for name in arrays:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
-
-
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of save_params; bit-exact for float64 payloads."""
+    """The arrays and meta of a save_blocks checkpoint; bit-exact for float64 payloads."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("utf-8"))
@@ -313,13 +268,20 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def save_blocks(path, blocks: dict, **meta) -> None:
-    """Checkpoint a {name: Mlp or FlatParams} map: each block's params under its name.
+    """Checkpoint a {name: Mlp or FlatParams} map: a JSON header line, then
+    each block's params as raw little-endian float64 bytes, in map order.
 
     The header's meta holds each Mlp block's meta() under the block's name,
     plus the given meta entries.
     """
-    save_params(path, {name: b.params for name, b in blocks.items()},
-                {**{name: b.meta() for name, b in blocks.items() if isinstance(b, Mlp)}, **meta})
+    header = {"meta": {**{name: b.meta() for name, b in blocks.items() if isinstance(b, Mlp)}, **meta},
+              "arrays": [{"name": name, "shape": list(b.params.shape)} for name, b in blocks.items()],
+              "dtype": "<f8"}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8"))
+        fh.write(b"\n")
+        for b in blocks.values():
+            fh.write(np.ascontiguousarray(b.params, dtype="<f8").tobytes())
 
 
 def load_blocks(path, blocks: dict) -> None:

@@ -8,15 +8,12 @@ and flow into the mean network / log-std vector by hand.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envs import EnvSpec, rollouts, stack_transitions
 from .nets import Adam, FlatParams, Mlp, minibatches
-
-logger = logging.getLogger(__name__)
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -41,8 +38,10 @@ class PolicyOptConfig:
     target_kl: float | None = 0.02   # stop policy epochs once exceeded
 
     def validate(self) -> None:
-        if self.entropy_coef < 0:
+        if not self.entropy_coef >= 0:               # also rejects nan
             raise ValueError("policy.entropy_coef must be >= 0")
+        if self.init_log_std is not None and not np.isfinite(self.init_log_std):
+            raise ValueError("policy.init_log_std must be finite or null")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("policy.gamma must be in [0, 1)")
         if not 0.0 <= self.gae_lambda <= 1.0:
@@ -75,7 +74,7 @@ class GaussianPolicy:
             init = np.log(np.clip(0.5 * half_range, np.exp(LOG_STD_MIN), np.exp(LOG_STD_MAX)))
         else:
             init = np.full(spec.action_dim, float(init_log_std))
-        self.log_std = FlatParams(init, name="log_std")
+        self.log_std = FlatParams(init)
 
     def clipped_log_std(self) -> np.ndarray:
         return np.clip(self.log_std.params, LOG_STD_MIN, LOG_STD_MAX)
@@ -248,12 +247,11 @@ class PolicyOptimizer:
         self.value_opt.step()
 
 
-def evaluate(policy: GaussianPolicy, env, n_episodes: int,
-             horizon: int | None = None) -> tuple[float, float]:
+def evaluate(policy: GaussianPolicy, env, n_episodes: int) -> tuple[float, float]:
     """Mean ground-truth return and success rate of one lockstep wave of mean-action episodes."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    trajs = rollouts(policy, env, n_episodes, horizon or env.spec.horizon, deterministic=True)
+    trajs = rollouts(policy, env, n_episodes, env.spec.horizon, deterministic=True)
     last = [traj.transitions[-1] for traj in trajs]
     success = np.array([t.done for t in last]) | env.is_success(np.array([t.s_next for t in last]))
     return float(np.mean([traj.gt_return() for traj in trajs])), int(success.sum()) / n_episodes

@@ -20,7 +20,7 @@ from odirl.envs import (SOURCE, TARGET, LinkChainConfig, LinkChainEnv, PointMaze
                         PointMazeEnv, Transition, rollouts, stack_transitions)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
 from odirl.irl import Discriminator, GailDiscriminator, disc_loss
-from odirl.nets import Adam, Mlp, load_blocks, minibatches, save_params
+from odirl.nets import Adam, FlatParams, Mlp, load_blocks, minibatches, save_blocks
 from odirl.policy import GaussianPolicy, ValueNet, evaluate
 
 
@@ -300,6 +300,23 @@ def test_airl_source_transfer_budget_parity_on_linkchain(tmp_path, demo_file):
     assert s1["target_steps"] == s2["target_steps"]
 
 
+@pytest.mark.parametrize("method", ["odirl", "airl", "gail", "airl_source_transfer"])
+def test_every_training_method_checkpoints_its_target_policy_every_checkpoint_every(
+        tmp_path, demo_file, method):
+    demos, _ = demo_file
+    cfg = tiny_cfg(tmp_path, method, steps=5, r=1, method=method, checkpoint_every=2)
+    cfg.demos_path = demos
+    ckpt = Path(run_experiment(cfg)) / "checkpoints"
+    assert sorted(p.name for p in ckpt.glob("policy_0*.bin")) == ["policy_000002.bin",
+                                                                  "policy_000004.bin"]
+    # The last periodic checkpoint holds the trained target policy as of step 4;
+    # with checkpoint_every = 1 the one of the last step is the final policy itself.
+    cfg = tiny_cfg(tmp_path, f"{method}_every_step", steps=2, r=1, method=method, checkpoint_every=1)
+    cfg.demos_path = demos
+    ckpt = Path(run_experiment(cfg)) / "checkpoints"
+    assert (ckpt / "policy_000002.bin").read_bytes() == (ckpt / "policy_final.bin").read_bytes()
+
+
 def test_ablation_produces_one_dir_per_alpha(tmp_path, demo_file):
     demos, _ = demo_file
     cfg = tiny_cfg(tmp_path, "ablate", steps=2, r=2)
@@ -446,9 +463,9 @@ def test_checkpoint_load_names_the_file_and_array_it_rejects(tmp_path):
     policy = GaussianPolicy(spec, hidden=(8,), seed=0)
     disc = Discriminator(2, 2, gamma=0.9, hidden=(8,), seed=0)
     short_log_std = tmp_path / "short_log_std.bin"
-    save_params(short_log_std, {"mean": policy.mean_net.params, "log_std": np.array([0.3])})
+    save_blocks(short_log_std, {"mean": policy.mean_net, "log_std": FlatParams(np.array([0.3]))})
     no_h = tmp_path / "no_h.bin"
-    save_params(no_h, {"g": disc.g_net.params})
+    save_blocks(no_h, {"g": disc.g_net})
     # Other seeds than the files': a load that copied the valid arrays before
     # rejecting the bad one would change these blocks.
     fresh_policy = GaussianPolicy(spec, hidden=(8,), seed=1)
@@ -512,6 +529,19 @@ def test_cli_smoke(tmp_path, demo_file):
     ("dd.steps_per_iter", 0), ("dd.steps_per_iter", -1), ("dd.hidden", [0]),
     ("policy.hidden", [-3]), ("disc.hidden", [64, 0]), ("dd.hidden", [2.5]),
     ("policy.hidden", [True]),
+    # nan passes a `x < 0` or `x <= 0` check; these are written `not x >= 0` / `not x > 0`
+    ("alpha", float("nan")), ("policy.entropy_coef", float("nan")),
+    ("expert.entropy_coef", float("nan")), ("policy.init_log_std", float("nan")),
+    ("policy.init_log_std", float("inf")), ("pointmaze.noise_std", float("nan")),
+    ("pointmaze.goal_radius", float("nan")), ("pointmaze.action_scale", float("nan")),
+    ("linkchain.torque_limit", float("nan")), ("linkchain.dt", float("nan")),
+    # env fields that had no range check
+    ("linkchain.damping", -1), ("linkchain.torque_gain", -1), ("linkchain.vel_limit", -1),
+    ("linkchain.init_angle_range", -1), ("linkchain.init_vel_range", -1),
+    ("linkchain.success_radius", -1), ("pointmaze.wall_half_width", -1),
+    # point-maze shapes, and a seed numpy cannot take
+    ("pointmaze.goal", [0.9]), ("pointmaze.start_region", [0.14, 0.60, 0.06, 0.50]),
+    ("pointmaze.start_region", [0.06, 0.50]), ("seed", -1),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import TextbookAdam
 
-from odirl.nets import Adam, FlatParams, Mlp, load_params, minibatches, save_params
+from odirl.nets import Adam, FlatParams, Mlp, load_params, minibatches, save_blocks
 
 
 def finite_difference_check(
@@ -57,7 +57,7 @@ def test_zero_init_output_layer_gives_zero_output():
 
 
 def test_identity_single_layer_passes_input_through():
-    net = Mlp([2, 2], activations=["identity"], seed=0)
+    net = Mlp([2, 2], seed=0)
     net.weights(0)[...] = np.eye(2)
     net.biases(0)[...] = 0.0
     x = np.array([0.3, -1.7])
@@ -92,19 +92,10 @@ def test_deterministic_init_given_seed():
     assert not np.array_equal(a.params, c.params)
 
 
-@pytest.mark.parametrize(
-    "sizes,acts",
-    [
-        ([3, 8, 1], None),
-        ([2, 5, 5, 2], None),
-        ([4, 6, 3], ["relu", "identity"]),
-        ([1, 4, 4, 1], ["tanh", "relu", "identity"]),
-        ([5, 2], ["identity"]),
-    ],
-)
-def test_gradients_match_finite_differences_on_small_nets(sizes, acts):
+@pytest.mark.parametrize("sizes", [[3, 8, 1], [2, 5, 5, 2], [5, 2]])
+def test_gradients_match_finite_differences_on_small_nets(sizes):
     # Mandatory pre-build check: every parameter against central differences.
-    net = Mlp(sizes, activations=acts, seed=7)
+    net = Mlp(sizes, seed=7)
     rng = np.random.default_rng(42)
     worst = finite_difference_check(net, rng, n_draws=20)
     assert worst <= 1e-4
@@ -268,13 +259,13 @@ def test_forward_and_backward_match_the_textbook_kernels():
     net = Mlp([4, 16, 8, 3], seed=2)
     rng = np.random.default_rng(3)
     x, up = rng.normal(size=(37, 4)), rng.normal(size=(37, 3))
-    acts = [x]
-    for i, act in enumerate(net.activations):
+    acts, n_layers = [x], len(net.layer_sizes) - 1      # tanh hidden layers, identity output
+    for i in range(n_layers):
         z = acts[-1] @ net.weights(i) + net.biases(i)
-        acts.append(np.tanh(z) if act == "tanh" else z)
+        acts.append(np.tanh(z) if i < n_layers - 1 else z)
     delta, grads = up, []
-    for i in reversed(range(len(net.activations))):
-        dz = delta * (1.0 - acts[i + 1] * acts[i + 1]) if net.activations[i] == "tanh" else delta
+    for i in reversed(range(n_layers)):
+        dz = delta * (1.0 - acts[i + 1] * acts[i + 1]) if i < n_layers - 1 else delta
         grads = [(acts[i].T @ dz).ravel(), dz.sum(axis=0)] + grads
         delta = dz @ net.weights(i).T
     assert np.array_equal(net.forward(x), acts[-1])
@@ -284,18 +275,23 @@ def test_forward_and_backward_match_the_textbook_kernels():
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    arrays = {
-        "a": rng.normal(size=137),
-        "b": rng.normal(size=(3, 5)) * 1e-17,
-        "c": np.array([np.pi, -0.0, 1e300]),
+    blocks = {
+        "a": FlatParams(rng.normal(size=137)),
+        "b": FlatParams(rng.normal(size=(3, 5)) * 1e-17),
+        "c": FlatParams(np.array([np.pi, -0.0, 1e300])),
+        "net": Mlp([3, 4, 4, 2], seed=5, zero_init_output=True),
     }
-    meta = {"layer_shapes": [[3, 5]], "activations": ["tanh"], "seed": 4}
+    meta = {"layer_shapes": [[3, 5]], "seed": 4}
     path = tmp_path / "ckpt.bin"
-    save_params(path, arrays, meta)
+    save_blocks(path, blocks, **meta)
     loaded, loaded_meta = load_params(path)
-    assert loaded_meta == meta
-    for k in arrays:
-        assert np.array_equal(loaded[k].reshape(arrays[k].shape), arrays[k])
+    # Each Mlp's meta lists its activations, so headers keep one layout for every file.
+    assert loaded_meta == {"net": {"layer_sizes": [3, 4, 4, 2], "activations": ["tanh", "tanh", "identity"],
+                                   "seed": 5, "zero_init_output": True}, **meta}
+    assert list(loaded) == list(blocks)
+    for k, block in blocks.items():
+        assert loaded[k].shape == block.params.shape
+        assert loaded[k].tobytes() == block.params.tobytes()
 
 
 @pytest.mark.parametrize("n,size", [(0, 4), (1, 4), (7, 1), (64, 64), (65, 64), (100, 30)])
