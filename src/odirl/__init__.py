@@ -5,6 +5,7 @@ from .dd import ClassifierPair, DDConfig, classifier_loss, dd_value
 from .envs import (
     SOURCE,
     TARGET,
+    Batch,
     EnvSpec,
     LinkChainConfig,
     LinkChainEnv,

@@ -1,7 +1,7 @@
 """Replay buffers and demonstration persistence.
 
-Buffers are single-domain rings: pushing a transition whose tag does not
-match the buffer is a correctness bug (domain contamination) and raises.
+Buffers are single-domain rings: pushing a batch whose tag does not match
+the buffer is a correctness bug (domain contamination) and raises.
 Demonstrations round-trip through CSV value-exactly with a JSON metadata
 header line.
 """
@@ -11,103 +11,123 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .envs import SOURCE, Trajectory, Transition, trajectory_header, trajectory_row
+from .envs import SOURCE, Batch, trajectory_header, trajectory_rows
 
 logger = logging.getLogger(__name__)
 
 
 class ReplayBuffer:
+    """The newest `capacity` (s, a, s_next) rows of one domain, in a numpy ring.
+
+    The ring's arrays grow by doubling up to `capacity` rows, so a large
+    capacity costs memory only as the buffer fills. Once full, a push
+    overwrites the oldest rows: row i, oldest first, sits at
+    (head + i) % capacity.
+    """
+
     def __init__(self, capacity: int, domain_tag: str):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self.domain_tag = domain_tag
-        self._data: deque = deque(maxlen=self.capacity)
+        self._arrays: tuple = ()      # s, a, s_next
+        self._head = 0
+        self._size = 0
 
     def __len__(self):
-        return len(self._data)
+        return self._size
 
-    def push(self, trajectory: Trajectory) -> None:
-        for t in trajectory.transitions:
-            if t.domain_tag != self.domain_tag:
-                raise ValueError(
-                    f"domain contamination: {t.domain_tag!r} transition pushed into "
-                    f"{self.domain_tag!r} buffer"
-                )
-        self._data.extend(trajectory.transitions)
-
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        """n transitions uniform with replacement."""
-        if len(self._data) == 0:
-            raise ValueError("cannot sample from an empty buffer")
+    def push(self, batch: Batch) -> None:
+        if batch.domain_tag != self.domain_tag:
+            raise ValueError(
+                f"domain contamination: {batch.domain_tag!r} batch pushed into "
+                f"{self.domain_tag!r} buffer"
+            )
+        new = [x[-self.capacity:] for x in (batch.s, batch.a, batch.s_next)]
+        n = len(new[0])
         if n == 0:
-            return []
-        idx = rng.integers(0, len(self._data), size=n)
-        return [self._data[i] for i in idx]
+            return
+        size = min(self._size + n, self.capacity)
+        if not self._arrays or size > len(self._arrays[0]):
+            # Only a ring that has never wrapped grows, so its rows start at 0.
+            rows = min(self.capacity, max(size, 2 * len(self._arrays[0]) if self._arrays else 0))
+            grown = tuple(np.empty((rows, x.shape[1])) for x in new)
+            for dst, src in zip(grown, self._arrays):
+                dst[: self._size] = src[: self._size]
+            self._arrays = grown
+        at = (self._head + self._size + np.arange(n)) % self.capacity
+        for dst, src in zip(self._arrays, new):
+            dst[at] = src
+        self._head = (self._head + self._size + n - size) % self.capacity
+        self._size = size
 
-    def transitions(self) -> list[Transition]:
-        return list(self._data)
+    def sample(self, n: int, rng: np.random.Generator) -> Batch:
+        """n rows uniform with replacement (no draw for n = 0)."""
+        if self._size == 0:
+            raise ValueError("cannot sample from an empty buffer")
+        idx = rng.integers(0, self._size, size=n) if n else np.zeros(0, dtype=np.intp)
+        at = (self._head + idx) % self.capacity
+        s, a, s_next = (x[at] for x in self._arrays)
+        return Batch(s, a, s_next, self.domain_tag)
 
 
 @dataclass
 class DemoSet:
-    """Expert demonstrations: source-domain trajectories plus provenance metadata."""
+    """Expert demonstrations: one source-domain batch plus provenance metadata.
 
-    trajectories: list[Trajectory]
+    ``DemoSet(trajectories=...)`` packs a list of ``Trajectory`` episodes
+    into the batch instead.
+    """
+
+    batch: Batch | None = None
     env_config_hash: str = ""
     expert_seed: int = 0
     horizon: int = 0
-    _transitions: list = field(default_factory=list, repr=False)
+    trajectories: InitVar[list | None] = None
 
-    def __post_init__(self):
-        if not self.trajectories:
+    def __post_init__(self, trajectories):
+        if trajectories is not None:
+            self.batch = Batch.of(trajectories)
+        if self.batch is None or len(self.batch) == 0:
             raise ValueError("demo set must be nonempty")
-        for traj in self.trajectories:
-            for t in traj.transitions:
-                if t.domain_tag != SOURCE:
-                    raise ValueError("demo transitions must be source-tagged")
-        self._transitions = [t for traj in self.trajectories for t in traj.transitions]
+        if self.batch.domain_tag != SOURCE:
+            raise ValueError("demo transitions must be source-tagged")
 
     def __len__(self):
-        return len(self._transitions)
+        return len(self.batch)
 
-    def transitions(self) -> list[Transition]:
-        return self._transitions
-
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        idx = rng.integers(0, len(self._transitions), size=n)
-        return [self._transitions[i] for i in idx]
+    def sample(self, n: int, rng: np.random.Generator) -> Batch:
+        return self.batch.rows(rng.integers(0, len(self.batch), size=n))
 
 
 def save_demos(demos: DemoSet, path) -> None:
     """Persist demos as CSV: one JSON metadata line, a header row, then rows.
 
-    Rows are the trajectory-dump rows (``envs.trajectory_row``) between an
+    Rows are the trajectory-dump rows (``envs.trajectory_rows``) between an
     episode index and the ground-truth reward, so loading reconstructs
-    trajectories field-by-field.
+    the batch field by field.
     """
-    first = demos.trajectories[0].transitions[0]
-    sd, ad = first.s.shape[0], first.a.shape[0]
+    batch = demos.batch
+    sd, ad = batch.s.shape[1], batch.a.shape[1]
     meta = {
         "env_config_hash": demos.env_config_hash,
         "expert_seed": demos.expert_seed,
         "horizon": demos.horizon,
         "state_dim": sd,
         "action_dim": ad,
-        "n_trajectories": len(demos.trajectories),
+        "n_trajectories": int(batch.ends.sum()),
     }
+    episode = np.cumsum(batch.ends) - batch.ends       # episode index of each row
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(meta) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["episode", *trajectory_header(sd, ad), "gt_reward"])
-        for ep, traj in enumerate(demos.trajectories):
-            writer.writerows([ep, *trajectory_row(t), format(t.gt_reward, ".17g")]
-                             for t in traj.transitions)
+        writer.writerows([ep, *row, format(gt, ".17g")] for ep, row, gt in
+                         zip(episode.tolist(), trajectory_rows(batch), batch.gt_reward.tolist()))
 
 
 def load_demos(path, expected_spec=None, expected_config_hash: str | None = None) -> DemoSet:
@@ -141,30 +161,34 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
         n_cols = 1 + sd + ad + sd + 3
         if header is None or len(header) != n_cols:
             raise ValueError(f"{path}: line 2: bad header, expected {n_cols} columns")
-        episodes: dict[int, list[Transition]] = {}
+        episodes, values, dones, tags, rewards = [], [], [], set(), []
+        n_vals = 2 * sd + ad
         for line_no, row in enumerate(reader, start=3):
             if len(row) != n_cols:
                 raise ValueError(
                     f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
                 )
             try:
-                ep = int(row[0])
-                vals = [float(v) for v in row[1 : 1 + 2 * sd + ad]]
-                done = bool(int(row[1 + 2 * sd + ad]))
-                tag = row[2 + 2 * sd + ad]
-                gt = float(row[3 + 2 * sd + ad])
+                episodes.append(int(row[0]))
+                values.append([float(v) for v in row[1 : 1 + n_vals]])
+                dones.append(bool(int(row[1 + n_vals])))
+                rewards.append(float(row[3 + n_vals]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: unparseable value: {exc}") from exc
-            vals = np.asarray(vals)
-            episodes.setdefault(ep, []).append(
-                Transition(
-                    s=vals[:sd], a=vals[sd : sd + ad], s_next=vals[sd + ad :],
-                    done=done, domain_tag=tag, gt_reward=gt,
-                )
-            )
-    trajectories = [Trajectory(transitions=episodes[ep]) for ep in sorted(episodes)]
+            tags.add(row[2 + n_vals])
+    if len(tags) > 1:
+        raise ValueError(f"{path}: rows mix domain tags {sorted(tags)}")
+    # Rows grouped by episode index, in file order within an episode.
+    order = np.argsort(episodes, kind="stable")
+    ep = np.asarray(episodes, dtype=np.int64)[order]
+    values = np.asarray(values, dtype=np.float64).reshape(-1, n_vals)[order]
+    s, a, s_next = (np.ascontiguousarray(x) for x in np.split(values, [sd, sd + ad], axis=1))
+    batch = Batch(s, a, s_next, tags.pop() if tags else SOURCE,
+                  done=np.asarray(dones, dtype=bool)[order],
+                  gt_reward=np.asarray(rewards, dtype=np.float64)[order],
+                  ends=np.append(ep[1:] != ep[:-1], True)[: len(ep)])
     return DemoSet(
-        trajectories=trajectories,
+        batch,
         env_config_hash=meta.get("env_config_hash", ""),
         expert_seed=int(meta.get("expert_seed", 0)),
         horizon=int(meta.get("horizon", 0)),

@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     if args.command == "collect-demos":
         cfg = _config_from_args(args)
         demos = harness.collect_demos(cfg, args.expert, args.demos_out, n_episodes=args.episodes)
-        print(f"saved {len(demos.trajectories)} episodes to {args.demos_out}")
+        print(f"saved {int(demos.batch.ends.sum())} episodes to {args.demos_out}")
         return 0
 
     if args.command == "run":

@@ -108,8 +108,8 @@ class ExperimentConfig:
         for key in ("seed", "checkpoint_every"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0")
-        if not self.alpha >= 0:                      # also rejects nan
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < float("inf"):       # also rejects nan
+            raise ValueError("alpha must be finite and >= 0")
         for key in ("policy", "disc", "dd"):
             if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1
                        for w in getattr(self, key).hidden):
@@ -144,6 +144,11 @@ def _as_plain(obj):
 
 def _checked(hint, val, name: str):
     """val as a value of the field type hint; a ValueError naming the key otherwise."""
+    if typing.get_origin(hint) is tuple:            # tuple[float, ...]: check every element
+        if not isinstance(val, (list, tuple)):
+            raise ValueError(f"{name} must be a list, not {val!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_checked(item, v, f"{name}[{i}]") for i, v in enumerate(val))
     types = typing.get_args(hint) or (hint,)        # float | None -> (float, NoneType)
     if float in types and isinstance(val, str):     # PyYAML reads 1e-3 as a string
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import SOURCE, TARGET, stack_transitions
+from .envs import SOURCE, TARGET, Batch
 from .nets import Mlp
 
 # Classifier output convention: logits[:, 0] -> source, logits[:, 1] -> target.
@@ -76,18 +76,17 @@ def classifier_loss(
     Returns (total, loss_sas, loss_sa), each the mean negative log-probability
     of the true domain label over the combined batch, and accumulates
     gradients into both networks. Training-time Gaussian input smoothing is
-    applied when noise_std > 0.
+    applied when noise_std > 0. Each batch is a ``Batch`` or a list of
+    ``Transition`` rows (packed with ``Batch.of``).
     """
     if len(source_batch) == 0 or len(target_batch) == 0:
         raise ValueError("classifier loss needs transitions from both domains")
-    for t in source_batch:
-        if t.domain_tag != SOURCE:
-            raise ValueError("mislabeled transition in source batch")
-    for t in target_batch:
-        if t.domain_tag != TARGET:
-            raise ValueError("mislabeled transition in target batch")
+    source_batch, target_batch = Batch.of(source_batch), Batch.of(target_batch)
+    if source_batch.domain_tag != SOURCE or target_batch.domain_tag != TARGET:
+        raise ValueError("mislabeled batch: need a source batch, then a target batch")
 
-    s, a, sn, _ = stack_transitions([*source_batch, *target_batch])
+    s, a, sn = (np.concatenate([getattr(source_batch, k), getattr(target_batch, k)])
+                for k in ("s", "a", "s_next"))
     x_sas = np.concatenate([s, a, sn], axis=1)
     x_sa = np.concatenate([s, a], axis=1)
     labels = np.concatenate(
@@ -136,7 +135,7 @@ def dd_value(
     return alpha * raw
 
 
-def dd_for_transitions(pair: ClassifierPair, transitions, config: DDConfig,
+def dd_for_transitions(pair: ClassifierPair, batch: Batch, config: DDConfig,
                        alpha: float) -> np.ndarray:
-    s, a, sn, _ = stack_transitions(transitions)
-    return dd_value(pair, s, a, sn, config, alpha)
+    """dd_value over the rows of a batch."""
+    return dd_value(pair, batch.s, batch.a, batch.s_next, config, alpha)

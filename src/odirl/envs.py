@@ -42,6 +42,8 @@ class EnvSpec:
 
 @dataclass(slots=True)
 class Transition:
+    """One transition as its own object: an input form only (see ``Batch.of``)."""
+
     s: np.ndarray
     a: np.ndarray
     s_next: np.ndarray
@@ -52,23 +54,78 @@ class Transition:
 
 @dataclass
 class Trajectory:
+    """One episode of ``Transition`` rows: an input form only (see ``Batch.of``)."""
+
     transitions: list[Transition] = field(default_factory=list)
-    log_probs: np.ndarray | None = None
+
+
+@dataclass
+class Batch:
+    """Transitions of one domain as arrays: row i is (s[i], a[i], s_next[i]).
+
+    A rollout fills every field, its episodes back to back in launch order:
+    ends[i] marks each episode's last row, and log_prob (the log-density of
+    each action taken) is None for deterministic rollouts. Row samples from
+    buffers and demo sets carry s, a and s_next only.
+    """
+
+    s: np.ndarray                          # (n, state_dim)
+    a: np.ndarray                          # (n, action_dim)
+    s_next: np.ndarray                     # (n, state_dim)
+    domain_tag: str
+    done: np.ndarray | None = None         # (n,) bool
+    gt_reward: np.ndarray | None = None    # (n,) evaluation only
+    ends: np.ndarray | None = None         # (n,) bool
+    log_prob: np.ndarray | None = None     # (n,)
 
     def __len__(self):
-        return len(self.transitions)
+        return len(self.s)
 
-    def gt_return(self) -> float:
-        return float(sum(t.gt_reward for t in self.transitions))
+    def rows(self, idx) -> Batch:
+        """The (s, a, s_next) rows at idx, as a batch of the same domain."""
+        return Batch(self.s[idx], self.a[idx], self.s_next[idx], self.domain_tag)
 
+    def episode_returns(self) -> list[float]:
+        """Each episode's ground-truth return, summed left to right as Python floats."""
+        rewards = self.gt_reward.tolist()
+        stops = (np.flatnonzero(self.ends) + 1).tolist()
+        return [sum(rewards[i:j]) for i, j in zip([0, *stops], stops)]
 
-def stack_transitions(transitions) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(states, actions, next_states, dones) arrays for a list of transitions."""
-    s = np.array([t.s for t in transitions])
-    a = np.array([t.a for t in transitions])
-    sn = np.array([t.s_next for t in transitions])
-    d = np.array([t.done for t in transitions], dtype=bool)
-    return s, a, sn, d
+    @classmethod
+    def concat(cls, batches) -> Batch:
+        """The rows of one domain's batches, in order."""
+        first = batches[0]
+        if any(b.domain_tag != first.domain_tag for b in batches):
+            raise ValueError("batches mix domain tags")
+
+        def cat(name):
+            parts = [getattr(b, name) for b in batches]
+            return None if parts[0] is None else np.concatenate(parts)
+        return cls(cat("s"), cat("a"), cat("s_next"), first.domain_tag, cat("done"),
+                   cat("gt_reward"), cat("ends"), cat("log_prob"))
+
+    @classmethod
+    def of(cls, rows) -> Batch:
+        """Pack a list of ``Transition`` rows, or of ``Trajectory`` episodes (each
+        one ending an episode), into a batch; a Batch is returned as it is.
+
+        Every row must carry the same domain tag.
+        """
+        if isinstance(rows, Batch):
+            return rows
+        episodes = [t.transitions for t in rows] if rows and isinstance(rows[0], Trajectory) else [rows]
+        flat = [t for ep in episodes for t in ep]
+        if not flat:
+            raise ValueError("no rows to pack: an empty list has no domain tag")
+        tags = {t.domain_tag for t in flat}
+        if len(tags) > 1:
+            raise ValueError(f"batch mixes domain tags {sorted(tags)}")
+        ends = np.zeros(len(flat), dtype=bool)
+        ends[np.cumsum([len(ep) for ep in episodes if ep]) - 1] = True
+        return cls(np.array([t.s for t in flat]), np.array([t.a for t in flat]),
+                   np.array([t.s_next for t in flat]), tags.pop(),
+                   done=np.array([t.done for t in flat], dtype=bool),
+                   gt_reward=np.array([t.gt_reward for t in flat], dtype=np.float64), ends=ends)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +140,9 @@ class PointMazeConfig:
     target_wall_length: float = 0.75
     wall_x: float = 0.5
     wall_half_width: float = 0.02
-    start_region: tuple = (0.06, 0.50, 0.14, 0.60)   # xlo, ylo, xhi, yhi
-    goal_region: tuple = (0.78, 0.43, 1.0, 0.67)
-    goal: tuple = (0.9, 0.55)
+    start_region: tuple[float, ...] = (0.06, 0.50, 0.14, 0.60)   # xlo, ylo, xhi, yhi
+    goal_region: tuple[float, ...] = (0.78, 0.43, 1.0, 0.67)
+    goal: tuple[float, ...] = (0.9, 0.55)
     goal_radius: float = 0.1
     noise_std: float = 0.01
     action_scale: float = 0.08
@@ -259,7 +316,7 @@ class LinkChainConfig:
     chain has the actuators of `target_disabled_mask` dead."""
 
     num_joints: int = 3
-    target_disabled_mask: tuple = (False, False, True)
+    target_disabled_mask: tuple[bool, ...] = (False, False, True)
     torque_limit: float = 1.0
     dt: float = 0.05
     damping: float = 0.8
@@ -267,7 +324,7 @@ class LinkChainConfig:
     vel_limit: float = 8.0
     init_angle_range: float = 0.1
     init_vel_range: float = 0.05
-    goal_angles: tuple = (1.1, -0.6, 0.9)
+    goal_angles: tuple[float, ...] = (1.1, -0.6, 0.9)
     success_radius: float = 0.25
     gt_variant: str = "distance"      # "distance" | "forward_velocity"
     horizon: int = 60
@@ -397,54 +454,53 @@ def make_linkchain_pair(
 # ---------------------------------------------------------------------------
 
 def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generator | None = None,
-             deterministic: bool = False) -> list[Trajectory]:
+             deterministic: bool = False) -> Batch:
     """Run `n_episodes` episodes of up to `horizon` transitions in lockstep.
 
     The episodes start from one batched reset; each step makes one policy call
     and one env.step over the rows still running, and a row drops out once
-    the environment reports done. Each transition carries the env's domain
-    tag and the evaluation-only ground-truth reward of the state it lands in.
-    Stochastic rollouts record the log-probability of each action taken;
-    deterministic ones record none. Within an episode, one transition's
-    s_next is the next one's s (the same array, which nothing modifies).
+    the environment reports done. Each step writes its rows into
+    preallocated (episode, step) arrays, which are flattened episode by
+    episode at the end. The batch carries the env's domain tag and the
+    evaluation-only ground-truth reward of each state landed in. Stochastic
+    rollouts record the log-probability of each action taken; deterministic
+    ones record none. Within an episode, one row's s_next is the next row's s.
     """
-    trajs = [Trajectory() for _ in range(n_episodes)]
-    log_probs = [[] for _ in range(n_episodes)]
-    live = list(range(n_episodes))      # trajectory index of each row of `states`
+    shape = (n_episodes, horizon)
+    s = np.empty((*shape, env.spec.state_dim))
+    a = np.empty((*shape, env.spec.action_dim))
+    s_next = np.empty_like(s)
+    done_at = np.empty(shape, dtype=bool)
+    gt = np.empty(shape)
+    log_prob = None if deterministic else np.empty(shape)
+    lengths = np.zeros(n_episodes, dtype=np.intp)
+    live = np.arange(n_episodes)          # episode of each row of `states`
     states = env.reset(n_episodes)
-    rows = [s.copy() for s in states]   # per live row, its current state as its own array
-    tag = env.domain_tag
-    for _ in range(horizon):
-        if not live:
+    for t in range(horizon):
+        if len(live) == 0:
             break
         if deterministic:
             actions = policy.act_deterministic(states)
         else:
-            actions, logps = policy.sample_action(states, rng)
-            for i, logp in zip(live, logps.tolist()):
-                log_probs[i].append(logp)
+            actions, log_prob[live, t] = policy.sample_action(states, rng)
         nxt, done = env.step(states, actions)
-        gt = env.ground_truth_reward(nxt) + np.zeros(len(live))  # a wrapper's scalar spreads to all rows
-        next_rows = [sn.copy() for sn in nxt]
-        for i, s, a, sn, d, r in zip(live, rows, actions, next_rows, done.tolist(), gt.tolist()):
-            trajs[i].transitions.append(Transition(s, a.copy(), sn, d, tag, r))
+        s[live, t], a[live, t], s_next[live, t], done_at[live, t] = states, actions, nxt, done
+        gt[live, t] = env.ground_truth_reward(nxt)   # a wrapper's scalar spreads to all rows
+        lengths[live] = t + 1
         if done.any():
-            running = ~done
-            keep = running.tolist()
-            live = [i for i, k in zip(live, keep) if k]
-            next_rows = [sn for sn, k in zip(next_rows, keep) if k]
-            nxt = nxt[running]
-        states, rows = nxt, next_rows
-    if not deterministic:
-        for traj, lp in zip(trajs, log_probs):
-            traj.log_probs = np.array(lp)
-    return trajs
+            live, nxt = live[~done], nxt[~done]
+        states = nxt
+    steps = np.arange(horizon)
+    valid = steps < lengths[:, None]
+    ends = (steps == lengths[:, None] - 1)[valid]
+    return Batch(s[valid], a[valid], s_next[valid], env.domain_tag, done_at[valid], gt[valid],
+                 ends, None if deterministic else log_prob[valid])
 
 
 def rollout(policy, env, horizon: int, rng: np.random.Generator | None = None,
-            deterministic: bool = False) -> Trajectory:
+            deterministic: bool = False) -> Batch:
     """One episode: `rollouts` with a single row."""
-    return rollouts(policy, env, 1, horizon, rng, deterministic)[0]
+    return rollouts(policy, env, 1, horizon, rng, deterministic)
 
 
 def trajectory_header(state_dim: int, action_dim: int) -> list[str]:
@@ -455,18 +511,17 @@ def trajectory_header(state_dim: int, action_dim: int) -> list[str]:
     return cols
 
 
-def trajectory_row(t: Transition) -> list:
-    """One transition in the trajectory_header layout, floats written value-exactly."""
-    floats = [format(v, ".17g") for part in (t.s, t.a, t.s_next) for v in part.tolist()]
-    return floats + [int(t.done), t.domain_tag]
+def trajectory_rows(batch: Batch):
+    """The batch's rows in the trajectory_header layout, floats written value-exactly."""
+    tag = batch.domain_tag
+    for s, a, sn, done in zip(batch.s.tolist(), batch.a.tolist(), batch.s_next.tolist(),
+                              batch.done.tolist()):
+        yield [format(v, ".17g") for v in (*s, *a, *sn)] + [int(done), tag]
 
 
-def write_trajectory_csv(path, trajectories) -> None:
-    """Dump transitions as CSV with the s_*, a_*, s_next_*, done, domain_tag layout."""
-    trajs = trajectories if isinstance(trajectories, (list, tuple)) else [trajectories]
-    first = trajs[0].transitions[0]
+def write_trajectory_csv(path, batch: Batch) -> None:
+    """Dump a batch as CSV with the s_*, a_*, s_next_*, done, domain_tag layout."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(trajectory_header(first.s.shape[0], first.a.shape[0]))
-        for traj in trajs:
-            writer.writerows(trajectory_row(t) for t in traj.transitions)
+        writer.writerow(trajectory_header(batch.s.shape[1], batch.a.shape[1]))
+        writer.writerows(trajectory_rows(batch))

@@ -23,7 +23,7 @@ import numpy as np
 from .buffers import DemoSet, ReplayBuffer, load_demos, save_demos
 from .config import ExperimentConfig, save_config
 from .dd import ClassifierPair, classifier_loss, dd_for_transitions
-from .envs import (SOURCE, TARGET, LinkChainEnv, PointMazeEnv, rollout, rollouts, stack_transitions,
+from .envs import (SOURCE, TARGET, Batch, LinkChainEnv, PointMazeEnv, rollout, rollouts,
                    write_trajectory_csv)
 from .irl import Discriminator, GailDiscriminator, disc_loss, gail_disc_loss, gail_policy_reward, policy_reward, reward_heatmap
 from .nets import Adam, load_blocks, minibatches, save_blocks
@@ -102,7 +102,7 @@ def build_envs(cfg: ExperimentConfig, seeds: dict):
         (SOURCE, "env_eval_source"), (TARGET, "env_eval_target")))
 
 
-def collect_batch(policy, env, batch_steps: int, rng) -> list:
+def collect_batch(policy, env, batch_steps: int, rng) -> Batch:
     """Roll lockstep waves of full episodes until at least batch_steps transitions are gathered.
 
     With n transitions gathered, a wave launches ceil((batch_steps - n) / horizon)
@@ -111,13 +111,12 @@ def collect_batch(policy, env, batch_steps: int, rng) -> list:
     lengths, the batch holds exactly the episodes that rolling one episode at
     a time until batch_steps would.
     """
-    trajs, n = [], 0
+    waves, n = [], 0
     horizon = env.spec.horizon
     while n < batch_steps:
-        wave = rollouts(policy, env, -(-(batch_steps - n) // horizon), horizon, rng)
-        trajs += wave
-        n += sum(len(traj) for traj in wave)
-    return trajs
+        waves.append(rollouts(policy, env, -(-(batch_steps - n) // horizon), horizon, rng))
+        n += len(waves[-1])
+    return Batch.concat(waves)
 
 
 def _gt_reward_fn(env):
@@ -150,10 +149,10 @@ def _start_run(cfg: ExperimentConfig):
 def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float, float]:
     """Dump final-policy evaluation trajectories in both domains."""
     n = cfg.final_eval_trajectories
-    tgt_trajs = rollouts(policy, tgt_eval, n, tgt_eval.spec.horizon, deterministic=True)
-    src_trajs = rollouts(policy, src_eval, n, src_eval.spec.horizon, deterministic=True)
-    write_trajectory_csv(out / "final_eval_target.csv", tgt_trajs)
-    write_trajectory_csv(out / "final_eval_source.csv", src_trajs)
+    tgt_batch = rollouts(policy, tgt_eval, n, tgt_eval.spec.horizon, deterministic=True)
+    src_batch = rollouts(policy, src_eval, n, src_eval.spec.horizon, deterministic=True)
+    write_trajectory_csv(out / "final_eval_target.csv", tgt_batch)
+    write_trajectory_csv(out / "final_eval_source.csv", src_batch)
     ret, succ = evaluate(policy, tgt_eval, cfg.eval_episodes)
     return ret, succ
 
@@ -209,8 +208,8 @@ def train_expert(cfg: ExperimentConfig, out_dir=None) -> Path:
     with closing(ProgressWriter(out / "expert_curve.csv",
                                 ["iteration", "gt_return", "success_rate", "entropy"])) as writer:
         for t in range(1, cfg.expert.steps + 1):
-            trajs = collect_batch(policy, src, cfg.expert.batch_steps, rngs["actions"])
-            stats = popt.update(trajs, reward_fn, rngs["policy_update"])
+            batch = collect_batch(policy, src, cfg.expert.batch_steps, rngs["actions"])
+            stats = popt.update(batch, reward_fn, rngs["policy_update"])
             if t % cfg.eval_every == 0 or t == cfg.expert.steps:
                 ret, succ = evaluate(policy, src_eval, cfg.eval_episodes)
                 writer.write(iteration=t, gt_return=ret, success_rate=succ, entropy=stats["entropy"])
@@ -231,23 +230,24 @@ def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None)
     src, _, _, _ = build_envs(cfg, seeds)
     policy = _policy(cfg, src.spec, seeds["policy_init"])
     load_blocks(expert_path, policy.blocks())
-    trajs, attempts = [], 0
+    episodes, attempts = [], 0
     keep_success_only = cfg.expert.demo_success_only and cfg.task == "pointmaze"
-    while len(trajs) < n_episodes and attempts < 20 * n_episodes:
+    while len(episodes) < n_episodes and attempts < 20 * n_episodes:
         attempts += 1
-        traj = rollout(policy, src, src.spec.horizon, rngs["misc"])
-        if keep_success_only and not traj.transitions[-1].done:
+        episode = rollout(policy, src, src.spec.horizon, rngs["misc"])
+        if keep_success_only and not episode.done[-1]:
             continue
-        trajs.append(traj)
-    if len(trajs) < n_episodes:
+        episodes.append(episode)
+    if len(episodes) < n_episodes:
         raise RuntimeError(
-            f"collected only {len(trajs)}/{n_episodes} demo episodes; expert too weak"
+            f"collected only {len(episodes)}/{n_episodes} demo episodes; expert too weak"
         )
-    demos = DemoSet(trajectories=trajs, env_config_hash=cfg.env_config_hash(),
+    demos = DemoSet(Batch.concat(episodes), env_config_hash=cfg.env_config_hash(),
                     expert_seed=cfg.seed, horizon=src.spec.horizon)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_demos(demos, out_path)
-    logger.info("saved %d demo episodes (%d transitions) to %s", len(trajs), len(demos), out_path)
+    logger.info("saved %d demo episodes (%d transitions) to %s", len(episodes), len(demos),
+                out_path)
     return demos
 
 
@@ -275,12 +275,12 @@ def _airl_loss_fn(disc, policy, pair=None, dd_cfg=None, alpha=0.0):
     demo rows' DD are computed once per phase (the policy and the pair are
     frozen through it), and each minibatch slices them."""
     def phase_loss(demo_batch, pol_batch):
-        demo_logp = policy.log_prob(*stack_transitions(demo_batch)[:2])
-        pol_logp = policy.log_prob(*stack_transitions(pol_batch)[:2])
+        demo_logp = policy.log_prob(demo_batch.s, demo_batch.a)
+        pol_logp = policy.log_prob(pol_batch.s, pol_batch.a)
         demo_dd = None if pair is None else dd_for_transitions(pair, demo_batch, dd_cfg, alpha)
 
         def minibatch_loss(idx):
-            return disc_loss(disc, [demo_batch[i] for i in idx], [pol_batch[i] for i in idx],
+            return disc_loss(disc, demo_batch.rows(idx), pol_batch.rows(idx),
                              demo_logp[idx], pol_logp[idx], None if demo_dd is None else demo_dd[idx])
         return minibatch_loss
     return phase_loss
@@ -290,7 +290,7 @@ def _gail_loss_fn(gail):
     """The phase loss of `_train_discriminator` for gail_disc_loss."""
     def phase_loss(demo_batch, pol_batch):
         def minibatch_loss(idx):
-            return gail_disc_loss(gail, [demo_batch[i] for i in idx], [pol_batch[i] for i in idx])
+            return gail_disc_loss(gail, demo_batch.rows(idx), pol_batch.rows(idx))
         return minibatch_loss
     return phase_loss
 
@@ -368,14 +368,13 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
     target_steps = source_steps = source_episodes = 0
 
     for t in range(1, cfg.steps + 1):
-        trajs = collect_batch(policy, tgt, cfg.batch_steps, rngs["actions"])
-        for traj in trajs:
-            b_tgt.push(traj)
-            target_steps += len(traj)
+        batch = collect_batch(policy, tgt, cfg.batch_steps, rngs["actions"])
+        b_tgt.push(batch)
+        target_steps += len(batch)
         if use_dd_pipeline and t % cfg.r == 0:
-            straj = rollout(policy, src, src.spec.horizon, rngs["actions"])
-            b_src.push(straj)
-            source_steps += len(straj)
+            episode = rollout(policy, src, src.spec.horizon, rngs["actions"])
+            b_src.push(episode)
+            source_steps += len(episode)
             source_episodes += 1
 
         cls_total = l_sas = l_sa = None
@@ -388,19 +387,18 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
                     cls_total, l_sas, l_sa = classifier_loss(
                         pair, sb, tb, noise_std=cfg.dd.input_noise_std, rng=rngs["classifier"])
                     cls_opt.step()
-            dd_demo_all = dd_for_transitions(pair, demos.transitions(), cfg.dd, alpha_eff)
+            dd_demo_all = dd_for_transitions(pair, demos.batch, cfg.dd, alpha_eff)
             mean_dd, std_dd = float(dd_demo_all.mean()), float(dd_demo_all.std())
 
         # Discriminator phase: a buffer-sampled policy batch of the
         # iteration's size and a demo batch of equal size.
-        n_batch = sum(len(traj) for traj in trajs)
-        pol_batch = b_tgt.sample(n_batch, rngs["disc"])
-        demo_batch = demos.sample(n_batch, rngs["disc"])
+        pol_batch = b_tgt.sample(len(batch), rngs["disc"])
+        demo_batch = demos.sample(len(batch), rngs["disc"])
         d_loss, demo_acc, pol_acc = _train_discriminator(
             loss_fn, disc_opt, demo_batch, pol_batch, cfg.disc.epochs,
             cfg.disc.minibatch_size, rngs["disc"])
 
-        pstats = popt.update(trajs, reward_fn, rngs["policy_update"])
+        pstats = popt.update(batch, reward_fn, rngs["policy_update"])
 
         gt_return = success = None
         if t % cfg.eval_every == 0 or t == cfg.steps:
@@ -463,14 +461,14 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     with closing(ProgressWriter(out / "source_phase.csv",
                                 ["iteration", "source_steps", "disc_loss"])) as phase_writer:
         for t in range(1, n_src_iters + 1):
-            traj = rollout(policy, src, src.spec.horizon, rngs["actions"])
-            source_steps += len(traj)
+            episode = rollout(policy, src, src.spec.horizon, rngs["actions"])
+            source_steps += len(episode)
             source_episodes += 1
-            demo_batch = demos.sample(len(traj), rngs["disc"])
+            demo_batch = demos.sample(len(episode), rngs["disc"])
             d_loss, _, _ = _train_discriminator(
-                loss_fn, disc_opt, demo_batch, traj.transitions, cfg.disc.epochs * cfg.r,
+                loss_fn, disc_opt, demo_batch, episode, cfg.disc.epochs * cfg.r,
                 cfg.disc.minibatch_size, rngs["disc"])
-            popt.update([traj], src_reward_fn, rngs["policy_update"])
+            popt.update(episode, src_reward_fn, rngs["policy_update"])
             phase_writer.write(iteration=t, source_steps=source_steps, disc_loss=d_loss)
 
     # Phase 2: transfer g as the reward for a fresh target-domain policy.
@@ -483,9 +481,9 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     writer = ProgressWriter(out / "progress.csv")
     target_steps = 0
     for t in range(1, cfg.steps + 1):
-        trajs = collect_batch(policy2, tgt, cfg.batch_steps, rngs["actions"])
-        target_steps += sum(len(traj) for traj in trajs)
-        pstats = popt2.update(trajs, transfer_reward_fn, rngs["policy_update"])
+        batch = collect_batch(policy2, tgt, cfg.batch_steps, rngs["actions"])
+        target_steps += len(batch)
+        pstats = popt2.update(batch, transfer_reward_fn, rngs["policy_update"])
         gt_return = success = None
         if t % cfg.eval_every == 0 or t == cfg.steps:
             gt_return, success = evaluate(policy2, tgt_eval, cfg.eval_episodes)

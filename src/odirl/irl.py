@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 
-from .envs import stack_transitions
+from .envs import SOURCE, Batch
 from .nets import Mlp
 
 LOGIT_CLIP = 10.0
@@ -91,16 +91,17 @@ def policy_reward(disc: Discriminator, s, a, s_next, log_pi) -> np.ndarray:
 
 
 def _stacked_batches(demo_batch, policy_batch):
-    """(s, a, s') over demo rows then policy rows, after the domain-tag checks."""
+    """(s, a, s') over demo rows then policy rows, after the domain-tag checks.
+
+    Each batch is a ``Batch`` or a list of ``Transition`` rows (packed with ``Batch.of``).
+    """
     if len(demo_batch) == 0 or len(policy_batch) == 0:
         raise ValueError("discriminator update needs nonempty demo and policy batches")
-    for t in demo_batch:
-        if t.domain_tag != "source":
-            raise ValueError("demo batch must be source-tagged")
-    pol_tags = {t.domain_tag for t in policy_batch}
-    if len(pol_tags) != 1:
-        raise ValueError("policy batch mixes domain tags")
-    return stack_transitions([*demo_batch, *policy_batch])[:3]
+    demo_batch, policy_batch = Batch.of(demo_batch), Batch.of(policy_batch)
+    if demo_batch.domain_tag != SOURCE:
+        raise ValueError("demo batch must be source-tagged")
+    return tuple(np.concatenate([getattr(demo_batch, k), getattr(policy_batch, k)])
+                 for k in ("s", "a", "s_next"))
 
 
 def _clamped_logistic(raw: np.ndarray, n_demo: int) -> tuple[np.ndarray, dict]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import EnvSpec, rollouts, stack_transitions
+from .envs import Batch, EnvSpec, rollouts
 from .nets import Adam, FlatParams, Mlp, minibatches
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
@@ -165,20 +165,17 @@ class PolicyOptimizer:
         self.policy_opt = Adam(policy.blocks().values(), lr=config.lr, clip_norm=config.grad_clip)
         self.value_opt = Adam(value.blocks().values(), lr=config.value_lr, clip_norm=config.grad_clip)
 
-    def update(self, trajectories, reward_fn, rng: np.random.Generator) -> dict:
-        """One MaxEnt clipped-ratio update on a batch of trajectories.
+    def update(self, batch: Batch, reward_fn, rng: np.random.Generator) -> dict:
+        """One MaxEnt clipped-ratio update on a rollout batch of whole episodes.
 
         reward_fn maps batched (s, a, s_next) to per-transition rewards;
         non-finite rewards raise. Returns summary statistics.
         """
         cfg = self.config
-        trajectories = [t for t in trajectories if len(t) > 0]
-        if not trajectories:
+        if len(batch) == 0:
             raise ValueError("empty batch")
-        S, A, S_next, done = stack_transitions([x for t in trajectories for x in t.transitions])
-        old_logp = np.concatenate([t.log_probs for t in trajectories])
-        ends = np.zeros(len(S), dtype=bool)
-        ends[np.cumsum([len(t) for t in trajectories]) - 1] = True
+        S, A, S_next, done, ends = batch.s, batch.a, batch.s_next, batch.done, batch.ends
+        old_logp = batch.log_prob
 
         r = np.asarray(reward_fn(S, A, S_next), dtype=np.float64)
         if not np.all(np.isfinite(r)):
@@ -251,7 +248,6 @@ def evaluate(policy: GaussianPolicy, env, n_episodes: int) -> tuple[float, float
     """Mean ground-truth return and success rate of one lockstep wave of mean-action episodes."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    trajs = rollouts(policy, env, n_episodes, env.spec.horizon, deterministic=True)
-    last = [traj.transitions[-1] for traj in trajs]
-    success = np.array([t.done for t in last]) | env.is_success(np.array([t.s_next for t in last]))
-    return float(np.mean([traj.gt_return() for traj in trajs])), int(success.sum()) / n_episodes
+    batch = rollouts(policy, env, n_episodes, env.spec.horizon, deterministic=True)
+    success = batch.done[batch.ends] | env.is_success(batch.s_next[batch.ends])
+    return float(np.mean(batch.episode_returns())), int(success.sum()) / n_episodes

@@ -4,8 +4,9 @@ Usage: python tests/digests.py OUT_DIR
 
 On both tasks, with a small config (6 steps, r = 2, batches of 40,
 checkpoints every 3 steps), runs train_expert, collect_demos, odirl at
-alpha 1 and 0.5, airl, gail, airl_source_transfer (also with
-disc.epochs: 2) and expert_transfer, with BLAS pinned to one thread. Then
+alpha 1 and 0.5 and with replay buffers small enough to wrap, airl, gail,
+airl_source_transfer (also with disc.epochs: 2) and expert_transfer, with
+BLAS pinned to one thread. Then
 prints one "sha256  path" line per file under OUT_DIR, paths relative to it,
 in sorted order. Each config.yaml records absolute paths, so compare two
 outputs written to the same OUT_DIR (move the first one away in between).
@@ -43,6 +44,10 @@ SMALL = {
 RUNS = {
     "odirl": {"method": "odirl"},
     "odirl_alpha0.5": {"method": "odirl", "alpha": 0.5},
+    # Each ring fills and wraps several times; a source episode (up to 20
+    # or 15 rows) can exceed its 13 rows on its own.
+    "odirl_wrapping_buffers": {"method": "odirl",
+                               "buffers": {"target_capacity": 57, "source_capacity": 13}},
     "airl": {"method": "airl"},
     "gail": {"method": "gail"},
     "airl_source_transfer": {"method": "airl_source_transfer"},
@@ -54,7 +59,7 @@ RUNS = {
 def _config(task: str, **overrides):
     merged = {**SMALL, "task": task}
     for key, val in overrides.items():
-        merged[key] = {**merged[key], **val} if isinstance(val, dict) else val
+        merged[key] = {**merged.get(key, {}), **val} if isinstance(val, dict) else val
     return load_config(overrides=merged)
 
 

@@ -2,12 +2,15 @@
 
 Everything here is computed without touching the code paths under test:
 closed-form Gaussian log-density ratios, enumerated occupancy measures,
-synthetic transition generators, and a one-state-at-a-time point-maze step.
+synthetic transition generators, a one-state-at-a-time point-maze step, and
+a replay buffer kept as a deque of rows.
 """
+
+from collections import deque
 
 import numpy as np
 
-from odirl.envs import _WALL_EPS, SOURCE, TARGET, Transition
+from odirl.envs import _WALL_EPS, Batch
 
 GAUSS_MU_SRC = 0.0
 GAUSS_MU_TGT = 0.3
@@ -19,13 +22,7 @@ def gaussian_domain_transitions(n, mu, tag, rng, sigma=GAUSS_SIGMA):
     s = rng.uniform(-1.0, 1.0, n)
     a = rng.uniform(-1.0, 1.0, n)
     sn = s + a + mu + sigma * rng.standard_normal(n)
-    return [
-        Transition(
-            s=np.array([s[i]]), a=np.array([a[i]]), s_next=np.array([sn[i]]),
-            done=False, domain_tag=tag, gt_reward=0.0,
-        )
-        for i in range(n)
-    ]
+    return Batch(s[:, None], a[:, None], sn[:, None], tag)
 
 
 def gaussian_true_dd(s, a, sn, mu_src=GAUSS_MU_SRC, mu_tgt=GAUSS_MU_TGT, sigma=GAUSS_SIGMA):
@@ -82,21 +79,16 @@ def onehot(i, n):
     return v
 
 
-def _make_transition(s, a, sn, tag):
-    return Transition(
-        s=onehot(s, N_STATES), a=onehot(a, N_ACTIONS), s_next=onehot(sn, N_STATES),
-        done=False, domain_tag=tag, gt_reward=0.0,
-    )
+def _onehot_batch(counts, tag):
+    """A batch holding counts[s, a, sn] one-hot rows of each (s, a, s')."""
+    s, a, sn = np.repeat(np.indices(counts.shape).reshape(3, -1), counts.ravel(), axis=1)
+    eye_s, eye_a = np.eye(N_STATES), np.eye(N_ACTIONS)
+    return Batch(eye_s[s], eye_a[a], eye_s[sn], tag)
 
 
 def replicated_uniform_sa_batch(P, tag, copies=120):
     """Noise-free batch: uniform (s,a), s' replicated proportional to P[s,a]."""
-    out = []
-    for s in range(N_STATES):
-        for a in range(N_ACTIONS):
-            for sn in range(N_STATES):
-                out.extend([_make_transition(s, a, sn, tag)] * int(round(P[s, a, sn] * copies)))
-    return out
+    return _onehot_batch(np.round(P * copies).astype(int), tag)
 
 
 def replicated_occupancy_batch(P, rho_sa, tag, scale=3000):
@@ -105,16 +97,9 @@ def replicated_occupancy_batch(P, rho_sa, tag, scale=3000):
     Integer rounding replaces sampling noise; realized_rho is the empirical
     (s, a) measure the batch actually encodes.
     """
-    batch = []
-    counts = np.zeros((N_STATES, N_ACTIONS))
-    for s in range(N_STATES):
-        for a in range(N_ACTIONS):
-            for sn in range(N_STATES):
-                n = int(round(rho_sa[s, a] * P[s, a, sn] * scale))
-                batch.extend([_make_transition(s, a, sn, tag)] * n)
-                counts[s, a] += n
-    realized = counts / counts.sum()
-    return batch, realized
+    counts = np.round(rho_sa[:, :, None] * P * scale).astype(int)
+    sa_counts = counts.sum(axis=2)
+    return _onehot_batch(counts, tag), sa_counts / sa_counts.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +206,21 @@ class TextbookAdam:
                 raise FloatingPointError("non-finite parameters after update")
             block.grad[...] = 0.0
             block.version += 1
+
+
+# ---------------------------------------------------------------------------
+# Replay buffer, one row object at a time
+# ---------------------------------------------------------------------------
+
+class DequeReplayBuffer:
+    """Reference for `buffers.ReplayBuffer`: a bounded deque of (s, a, s_next) rows."""
+
+    def __init__(self, capacity):
+        self.rows = deque(maxlen=capacity)
+
+    def push(self, batch):
+        self.rows.extend(zip(batch.s, batch.a, batch.s_next))
+
+    def sample(self, n, rng):
+        """n rows, drawn as the ring draws them: one rng.integers over the rows, oldest first."""
+        return [self.rows[i] for i in rng.integers(0, len(self.rows), size=n)]

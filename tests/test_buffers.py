@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from odirl.buffers import DemoSet, ReplayBuffer, load_demos, save_demos
-from odirl.envs import SOURCE, TARGET, EnvSpec, Trajectory, Transition
+from odirl.envs import (SOURCE, TARGET, Batch, EnvSpec, PointMazeConfig, PointMazeEnv, Trajectory,
+                        Transition, rollouts)
+from odirl.policy import GaussianPolicy
+from oracles import DequeReplayBuffer
 
 
 def make_traj(n, tag=SOURCE, offset=0.0):
@@ -18,42 +23,107 @@ def make_traj(n, tag=SOURCE, offset=0.0):
         )
         for i in range(n)
     ]
-    return Trajectory(transitions=ts, log_probs=np.zeros(n))
+    return Trajectory(transitions=ts)
+
+
+def make_batch(n, tag=SOURCE, offset=0.0):
+    return Batch.of([make_traj(n, tag, offset)])
+
+
+def held_first_coords(buf, rng_seed=0, draws=2000):
+    """The distinct s[0] values a buffer holds, seen through its sampler."""
+    return set(buf.sample(draws, np.random.default_rng(rng_seed)).s[:, 0].tolist())
 
 
 def test_push_fifo_eviction():
     buf = ReplayBuffer(capacity=5, domain_tag=SOURCE)
-    buf.push(make_traj(10))
+    buf.push(make_batch(10))
     assert len(buf) == 5
-    held = buf.transitions()
-    assert held[0].s[0] == pytest.approx(0.1 + 5)
-    assert held[-1].s[0] == pytest.approx(0.1 + 9)
+    assert held_first_coords(buf) == {0.1 + i for i in range(5, 10)}
 
 
 def test_push_empty_trajectory_is_noop():
     buf = ReplayBuffer(capacity=5, domain_tag=SOURCE)
-    buf.push(Trajectory())
+    env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
+    buf.push(rollouts(GaussianPolicy(env.spec, hidden=(4,)), env, 3, 0))
     assert len(buf) == 0
 
 
 def test_push_wrong_tag_raises():
     buf = ReplayBuffer(capacity=5, domain_tag=TARGET)
     with pytest.raises(ValueError):
-        buf.push(make_traj(3, tag=SOURCE))
+        buf.push(make_batch(3, tag=SOURCE))
+
+
+def test_wrong_tag_push_raises_before_writing_a_row():
+    buf = ReplayBuffer(capacity=4, domain_tag=TARGET)
+    buf.push(make_batch(6, tag=TARGET))
+    before = buf.sample(50, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="domain contamination"):
+        buf.push(make_batch(3, tag=SOURCE, offset=100.0))
+    assert len(buf) == 4
+    after = buf.sample(50, np.random.default_rng(1))
+    for key in ("s", "a", "s_next"):
+        assert np.array_equal(getattr(before, key), getattr(after, key))
+
+
+@pytest.mark.parametrize("capacity", [1, 7, 64, 1000])
+def test_ring_samples_the_rows_a_deque_of_rows_samples(capacity):
+    """Episodes pushed far past capacity (some longer than the ring): each
+    sample draws the same indices into the same oldest-first rows."""
+    ring, ref = ReplayBuffer(capacity, SOURCE), DequeReplayBuffer(capacity)
+    lengths = np.random.default_rng(0).integers(1, 90, size=40)
+    for k, n in enumerate(lengths):
+        batch = make_batch(int(n), offset=1000.0 * k)
+        ring.push(batch)
+        ref.push(batch)
+        assert len(ring) == len(ref.rows)
+        rng_ring, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+        got, want = ring.sample(33, rng_ring), ref.sample(33, rng_ref)
+        assert got.domain_tag == SOURCE and len(got) == 33
+        for j, key in enumerate(("s", "a", "s_next")):
+            assert np.array_equal(getattr(got, key), np.array([row[j] for row in want]))
+        assert rng_ring.random() == rng_ref.random()      # the same draws were made
+    assert len(ring) == min(capacity, int(lengths.sum()))
+
+
+def test_ring_holds_at_most_100_bytes_per_point_maze_row():
+    """At full capacity, whatever the ring allocated (and kept) is counted."""
+    capacity = 10_000
+    env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
+    policy = GaussianPolicy(env.spec, hidden=(8,), seed=0, init_log_std=0.0)
+    batches = [rollouts(policy, env, 8, env.spec.horizon, np.random.default_rng(i)) for i in range(3)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        buf = ReplayBuffer(capacity, TARGET)
+        pushed = 0
+        while pushed < capacity:
+            batch = batches[pushed % 3]
+            buf.push(batch)
+            pushed += len(batch)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == capacity
+    assert held / capacity <= 100
 
 
 def test_sample_n_zero_gives_empty_batch():
     buf = ReplayBuffer(capacity=5, domain_tag=SOURCE)
-    buf.push(make_traj(3))
-    assert buf.sample(0, np.random.default_rng(0)) == []
+    buf.push(make_batch(3))
+    rng = np.random.default_rng(0)
+    batch = buf.sample(0, rng)
+    assert len(batch) == 0 and batch.s.shape == (0, 2) and batch.a.shape == (0, 2)
+    assert rng.random() == np.random.default_rng(0).random()    # no draw was made
 
 
 def test_sample_single_item_repeats():
     buf = ReplayBuffer(capacity=5, domain_tag=SOURCE)
-    buf.push(make_traj(1))
+    buf.push(make_batch(1))
     batch = buf.sample(4, np.random.default_rng(0))
     assert len(batch) == 4
-    assert all(b is batch[0] for b in batch)
+    assert np.all(batch.s == batch.s[0]) and np.all(batch.s_next == batch.s_next[0])
 
 
 def test_sample_empty_buffer_raises():
@@ -64,19 +134,18 @@ def test_sample_empty_buffer_raises():
 
 def test_sample_reproducible_given_seed():
     buf = ReplayBuffer(capacity=100, domain_tag=SOURCE)
-    buf.push(make_traj(50))
+    buf.push(make_batch(50))
     b1 = buf.sample(20, np.random.default_rng(33))
     b2 = buf.sample(20, np.random.default_rng(33))
-    assert all(x is y for x, y in zip(b1, b2))
+    assert np.array_equal(b1.s, b2.s) and np.array_equal(b1.s_next, b2.s_next)
 
 
 def test_sample_uniformity_chi_square():
     buf = ReplayBuffer(capacity=10, domain_tag=SOURCE)
-    buf.push(make_traj(10))
+    buf.push(make_batch(10))
     rng = np.random.default_rng(123)
     draws = buf.sample(100_000, rng)
-    ids = {id(t): i for i, t in enumerate(buf.transitions())}
-    counts = np.bincount([ids[id(t)] for t in draws], minlength=10)
+    counts = np.bincount(np.rint(draws.s[:, 0] - 0.1).astype(int), minlength=10)
     p = stats.chisquare(counts).pvalue
     assert p > 0.01
 
@@ -108,14 +177,10 @@ def test_demo_roundtrip_is_value_exact(tmp_path):
     loaded = load_demos(path)
     assert loaded.env_config_hash == "abc123"
     assert loaded.expert_seed == 9
-    assert len(loaded.trajectories) == 3
-    for t_in, t_out in zip(demos.transitions(), loaded.transitions()):
-        assert np.array_equal(t_in.s, t_out.s)
-        assert np.array_equal(t_in.a, t_out.a)
-        assert np.array_equal(t_in.s_next, t_out.s_next)
-        assert t_in.done == t_out.done
-        assert t_in.domain_tag == t_out.domain_tag
-        assert t_in.gt_reward == t_out.gt_reward
+    assert loaded.batch.domain_tag == demos.batch.domain_tag == SOURCE
+    for key in ("s", "a", "s_next", "done", "gt_reward", "ends"):
+        assert np.array_equal(getattr(demos.batch, key), getattr(loaded.batch, key)), key
+    assert int(loaded.batch.ends.sum()) == 3
 
 
 def test_load_demos_reports_row_number_on_bad_column_count(tmp_path):

@@ -11,7 +11,7 @@ from odirl.dd import (
     classifier_loss,
     dd_value,
 )
-from odirl.envs import SOURCE, TARGET, Transition, stack_transitions
+from odirl.envs import SOURCE, TARGET, Batch, Transition
 from odirl.nets import Adam
 from oracles import (
     GAUSS_MU_SRC,
@@ -27,8 +27,9 @@ LN2 = float(np.log(2.0))
 
 
 def fit_classifiers(pair, source_transitions, target_transitions, steps, config, rng):
-    """Train the pair over fixed transition lists; returns the last loss."""
+    """Train the pair over two fixed batches; returns the last loss."""
     opt = Adam(pair.blocks().values(), lr=config.lr)
+    source_transitions, target_transitions = Batch.of(source_transitions), Batch.of(target_transitions)
     n_src, n_tgt = len(source_transitions), len(target_transitions)
     full_batch = config.batch_size >= max(n_src, n_tgt)
     last = float("nan")
@@ -36,8 +37,8 @@ def fit_classifiers(pair, source_transitions, target_transitions, steps, config,
         if full_batch:
             src, tgt = source_transitions, target_transitions
         else:
-            src = [source_transitions[i] for i in rng.integers(0, n_src, config.batch_size)]
-            tgt = [target_transitions[i] for i in rng.integers(0, n_tgt, config.batch_size)]
+            src = source_transitions.rows(rng.integers(0, n_src, config.batch_size))
+            tgt = target_transitions.rows(rng.integers(0, n_tgt, config.batch_size))
         last, _, _ = classifier_loss(pair, src, tgt, noise_std=config.input_noise_std, rng=rng)
         opt.step()
     return last
@@ -46,8 +47,8 @@ def fit_classifiers(pair, source_transitions, target_transitions, steps, config,
 def classifier_accuracy(pair, source_batch, target_batch) -> float:
     """Fraction of correct (s,a,s') domain predictions over both batches."""
     def predict(batch):
-        s, a, sn, _ = stack_transitions(batch)
-        return pair.q_sas.forward(np.concatenate([s, a, sn], axis=1)).argmax(axis=1)
+        batch = Batch.of(batch)
+        return pair.q_sas.forward(np.concatenate([batch.s, batch.a, batch.s_next], axis=1)).argmax(axis=1)
     correct = int((predict(source_batch) == CLS_SOURCE).sum())
     correct += int((predict(target_batch) == CLS_TARGET).sum())
     return correct / (len(source_batch) + len(target_batch))
@@ -188,8 +189,8 @@ def test_retraining_with_swapped_domains_negates_dd_within_noise():
     src = gaussian_domain_transitions(4000, GAUSS_MU_SRC, SOURCE, rng)
     tgt = gaussian_domain_transitions(4000, GAUSS_MU_TGT, TARGET, rng)
     # swapped roles: target data relabeled source and vice versa
-    src_sw = [Transition(t.s, t.a, t.s_next, t.done, SOURCE, 0.0) for t in tgt]
-    tgt_sw = [Transition(t.s, t.a, t.s_next, t.done, TARGET, 0.0) for t in src]
+    src_sw = Batch(tgt.s, tgt.a, tgt.s_next, SOURCE)
+    tgt_sw = Batch(src.s, src.a, src.s_next, TARGET)
     cfg = DDConfig(dd_clip=None, input_noise_std=0.01, lr=1e-3, batch_size=256)
     pair = ClassifierPair(1, 1, hidden=(32, 32), seed=0)
     pair_sw = ClassifierPair(1, 1, hidden=(32, 32), seed=0)

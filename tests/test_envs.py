@@ -4,13 +4,17 @@ import pytest
 from odirl.envs import (
     SOURCE,
     TARGET,
+    Batch,
     LinkChainConfig,
     LinkChainEnv,
     PointMazeConfig,
     PointMazeEnv,
+    Trajectory,
+    Transition,
     make_linkchain_pair,
     make_pointmaze_pair,
     rollout,
+    rollouts,
     trajectory_header,
     write_trajectory_csv,
 )
@@ -186,11 +190,8 @@ def test_rollout_deterministic_policy_zero_noise_repeats_bit_identically():
     t1 = rollout(pol, PointMazeEnv(cfg, SOURCE, seed=9), horizon=30)
     t2 = rollout(pol, PointMazeEnv(cfg, SOURCE, seed=9), horizon=30)
     assert len(t1) == len(t2)
-    for a, b in zip(t1.transitions, t2.transitions):
-        assert np.array_equal(a.s, b.s)
-        assert np.array_equal(a.a, b.a)
-        assert np.array_equal(a.s_next, b.s_next)
-        assert a.done == b.done
+    for key in ("s", "a", "s_next", "done", "gt_reward", "ends"):
+        assert np.array_equal(getattr(t1, key), getattr(t2, key)), key
 
 
 def test_rollout_tags_transitions_and_stops_on_done():
@@ -203,9 +204,60 @@ def test_rollout_tags_transitions_and_stops_on_done():
         TARGET, seed=0,
     )
     traj = rollout(ScriptedPolicy((0.9, 0.8)), env2, horizon=80)
-    assert all(t.domain_tag == TARGET for t in traj.transitions)
-    assert traj.transitions[-1].done
+    assert traj.domain_tag == TARGET
+    assert traj.done[-1] and not traj.done[:-1].any()
+    assert np.flatnonzero(traj.ends).tolist() == [len(traj) - 1]
     assert len(traj) < 80
+
+
+def test_rollouts_lay_episodes_back_to_back_as_one_episode_at_a_time_would():
+    cfg = PointMazeConfig(noise_std=0.0, start_region=(0.6, 0.05, 0.9, 0.3), goal=(0.9, 0.8),
+                          goal_region=(0.75, 0.65, 1.0, 0.95))
+    env = PointMazeEnv(cfg, TARGET, seed=4)
+    policy = ScriptedPolicy(cfg.goal)
+    batch = rollouts(policy, env, 6, 12, np.random.default_rng(0))
+    starts = PointMazeEnv(cfg, TARGET, seed=4).reset(6)
+    stops = np.flatnonzero(batch.ends) + 1
+    assert batch.domain_tag == TARGET and stops[-1] == len(batch) and len(stops) == 6
+    assert len(set(np.diff(stops, prepend=0).tolist())) > 1       # episodes of different lengths
+    assert len(batch.log_prob) == len(batch)
+    for start, lo, hi in zip(starts, [0, *stops[:-1]], stops):
+        state, rows = start, []
+        for _ in range(12):                  # the same episode, one 1-D step at a time
+            action = policy.act_deterministic(state[None])[0]
+            nxt, done = env.step(state, action)
+            rows.append((state, action, nxt, done, env.ground_truth_reward(nxt)))
+            state = nxt
+            if done:
+                break
+        s, a, sn, d, r = (np.array(col) for col in zip(*rows))
+        assert np.array_equal(batch.s[lo:hi], s) and np.array_equal(batch.a[lo:hi], a)
+        assert np.array_equal(batch.s_next[lo:hi], sn) and np.array_equal(batch.done[lo:hi], d)
+        assert np.array_equal(batch.gt_reward[lo:hi], r)
+        assert batch.episode_returns()[len([x for x in stops if x <= lo])] == sum(r.tolist())
+
+
+def test_batch_of_packs_rows_or_episodes_of_one_domain():
+    def row(i, tag=SOURCE):
+        return Transition(np.array([i, 0.0]), np.array([0.1, i]), np.array([i + 1.0, 0.0]),
+                          i == 2, tag, -float(i))
+
+    batch = Batch.of([Trajectory([row(0), row(1)]), Trajectory([]), Trajectory([row(2)])])
+    assert batch.domain_tag == SOURCE and len(batch) == 3
+    assert batch.s[:, 0].tolist() == [0, 1, 2] and batch.a[:, 1].tolist() == [0, 1, 2]
+    assert batch.ends.tolist() == [False, True, True]
+    assert batch.done.tolist() == [False, False, True]
+    assert batch.episode_returns() == [-1.0, -2.0]
+    assert Batch.of([row(0), row(1)]).ends.tolist() == [False, True]
+    assert Batch.of(batch) is batch
+    with pytest.raises(ValueError, match="mixes domain tags"):
+        Batch.of([row(0), row(1, TARGET)])
+    with pytest.raises(ValueError, match="no rows"):
+        Batch.of([])
+    with pytest.raises(ValueError, match="mix domain tags"):
+        Batch.concat([batch, Batch.of([row(0, TARGET)])])
+    both = Batch.concat([batch, batch])
+    assert both.ends.tolist() == [False, True, True] * 2 and both.log_prob is None
 
 
 def test_trajectory_csv_header_and_rows(tmp_path):

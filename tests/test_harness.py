@@ -16,8 +16,8 @@ from odirl.buffers import load_demos
 from odirl.cli import discriminator_from_checkpoint
 from odirl.config import ExperimentConfig, load_config, save_config
 from odirl.dd import ClassifierPair, DDConfig, dd_for_transitions
-from odirl.envs import (SOURCE, TARGET, LinkChainConfig, LinkChainEnv, PointMazeConfig,
-                        PointMazeEnv, Transition, rollouts, stack_transitions)
+from odirl.envs import (SOURCE, TARGET, Batch, LinkChainConfig, LinkChainEnv, PointMazeConfig,
+                        PointMazeEnv, Transition, rollouts)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
 from odirl.irl import Discriminator, GailDiscriminator, disc_loss
 from odirl.nets import Adam, FlatParams, Mlp, load_blocks, minibatches, save_blocks
@@ -481,8 +481,8 @@ def test_checkpoint_load_names_the_file_and_array_it_rejects(tmp_path):
 def test_demo_file_roundtrip_through_harness(demo_file):
     demos, _ = demo_file
     loaded = load_demos(demos)
-    assert len(loaded.trajectories) == 3
-    assert all(t.domain_tag == SOURCE for t in loaded.transitions())
+    assert int(loaded.batch.ends.sum()) == 3
+    assert loaded.batch.domain_tag == SOURCE
 
 
 def test_cli_smoke(tmp_path, demo_file):
@@ -542,6 +542,12 @@ def test_cli_smoke(tmp_path, demo_file):
     # point-maze shapes, and a seed numpy cannot take
     ("pointmaze.goal", [0.9]), ("pointmaze.start_region", [0.14, 0.60, 0.06, 0.50]),
     ("pointmaze.start_region", [0.06, 0.50]), ("seed", -1),
+    # list elements of the wrong type, and an infinite alpha
+    ("pointmaze.goal", ["a", 1]), ("pointmaze.goal", [True, 0.5]),
+    ("pointmaze.start_region", ["x", 0.50, 0.14, 0.60]),
+    ("pointmaze.goal_region", [0.78, 0.43, 1.0, None]), ("linkchain.goal_angles", ["x", 1, 2]),
+    ("linkchain.goal_angles", [1.1, False, 0.9]), ("linkchain.target_disabled_mask", [0, 0, 1]),
+    ("linkchain.target_disabled_mask", [False, False, "yes"]), ("alpha", float("inf")),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
@@ -594,11 +600,12 @@ def _wave_envs():
 def test_collect_batch_stops_at_the_first_episode_reaching_batch_steps(batch_steps):
     for env in _wave_envs():
         policy = GaussianPolicy(env.spec, hidden=(8,), seed=0, init_log_std=1.0)
-        trajs = harness.collect_batch(policy, env, batch_steps, np.random.default_rng(0))
-        lengths = [len(t) for t in trajs]
-        assert sum(lengths[:-1]) < batch_steps <= sum(lengths)
-        assert all(t.transitions[-1].done or len(t) == env.spec.horizon for t in trajs)
-        assert all(len(t.log_probs) == len(t) for t in trajs)
+        batch = harness.collect_batch(policy, env, batch_steps, np.random.default_rng(0))
+        lengths = np.diff(np.flatnonzero(batch.ends), prepend=-1).tolist()
+        assert sum(lengths[:-1]) < batch_steps <= sum(lengths) == len(batch)
+        assert all(batch.done[batch.ends] | (np.array(lengths) == env.spec.horizon))
+        assert not (batch.done & ~batch.ends).any()     # done only on an episode's last row
+        assert len(batch.log_prob) == len(batch)
         if env.spec.horizon == 15:      # the link chain never terminates early
             assert lengths == [15] * -(-batch_steps // 15)
         elif batch_steps == 301:
@@ -610,9 +617,9 @@ def test_evaluate_and_final_artifacts_roll_exactly_n_episodes(tmp_path, monkeypa
     real_rollouts = harness.rollouts
 
     def recording_rollouts(policy, env, n_episodes, horizon, rng=None, deterministic=False):
-        trajs = real_rollouts(policy, env, n_episodes, horizon, rng, deterministic)
-        calls.append((env.domain_tag, n_episodes, len(trajs), deterministic))
-        return trajs
+        batch = real_rollouts(policy, env, n_episodes, horizon, rng, deterministic)
+        calls.append((env.domain_tag, n_episodes, int(batch.ends.sum()), deterministic))
+        return batch
 
     monkeypatch.setattr(harness, "rollouts", recording_rollouts)
     monkeypatch.setattr(policy_mod, "rollouts", recording_rollouts)
@@ -637,19 +644,17 @@ def test_rollouts_never_recompute_log_prob(monkeypatch):
     monkeypatch.setattr(GaussianPolicy, "log_prob", forbidden)
     for env in _wave_envs():
         policy = GaussianPolicy(env.spec, hidden=(8,), seed=0)
-        trajs = harness.collect_batch(policy, env, 50, np.random.default_rng(0))
-        assert sum(len(t) for t in trajs) >= 50
+        assert len(harness.collect_batch(policy, env, 50, np.random.default_rng(0))) >= 50
         evaluate(policy, env, 3)
 
 
 def test_rollout_log_probs_are_those_of_the_clipped_actions():
     maze, _ = _wave_envs()
     policy = GaussianPolicy(maze.spec, hidden=(8,), seed=0, init_log_std=1.0)
-    for traj in rollouts(policy, maze, 4, maze.spec.horizon, np.random.default_rng(3)):
-        states, actions, _, _ = stack_transitions(traj.transitions)
-        expected = policy.log_prob(states, actions)
-        assert np.allclose(traj.log_probs, expected, rtol=0, atol=1e-12)
-        assert np.all(np.abs(actions) <= maze.spec.action_high)
+    batch = rollouts(policy, maze, 4, maze.spec.horizon, np.random.default_rng(3))
+    expected = policy.log_prob(batch.s, batch.a)
+    assert np.allclose(batch.log_prob, expected, rtol=0, atol=1e-12)
+    assert np.all(np.abs(batch.a) <= maze.spec.action_high)
 
 
 def _phase_inputs(n, seed=0):
@@ -658,9 +663,10 @@ def _phase_inputs(n, seed=0):
     rng = np.random.default_rng(seed)
 
     def batch(tag):
-        return [Transition(s=rng.uniform(0, 1, 2), a=rng.uniform(-0.08, 0.08, 2),
-                           s_next=rng.uniform(0, 1, 2), done=False, domain_tag=tag, gt_reward=0.0)
-                for _ in range(n)]
+        return Batch.of([Transition(s=rng.uniform(0, 1, 2), a=rng.uniform(-0.08, 0.08, 2),
+                                    s_next=rng.uniform(0, 1, 2), done=False, domain_tag=tag,
+                                    gt_reward=0.0)
+                         for _ in range(n)])
 
     # std 1 keeps log pi, and so most logits, inside the logit clamp
     spec = PointMazeEnv(PointMazeConfig(), TARGET, seed=0).spec
@@ -727,10 +733,9 @@ def test_discriminator_phase_equals_per_minibatch_disc_loss_calls(epochs, n, min
     rng = np.random.default_rng(5)
     for _ in range(epochs):
         for idx in minibatches(n, minibatch_size, rng):
-            d_mb, p_mb = [demo[i] for i in idx], [pol[i] for i in idx]
-            disc_loss(ref, d_mb, p_mb, policy.log_prob(*stack_transitions(d_mb)[:2]),
-                      policy.log_prob(*stack_transitions(p_mb)[:2]),
-                      dd_for_transitions(pair, d_mb, dd_cfg, alpha))
+            d_mb, p_mb = demo.rows(idx), pol.rows(idx)
+            disc_loss(ref, d_mb, p_mb, policy.log_prob(d_mb.s, d_mb.a),
+                      policy.log_prob(p_mb.s, p_mb.a), dd_for_transitions(pair, d_mb, dd_cfg, alpha))
             ref_opt.step()
     assert not np.array_equal(ref.g_net.params, _disc_and_opt()[0].g_net.params)
     for name, net in disc.blocks().items():
@@ -750,6 +755,6 @@ def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
                                       capture_output=True, text=True).stdout.splitlines())
         out.rename(tmp_path / attempt)
     assert outputs[0] == outputs[1]
-    # 7 runs per task; all but expert_transfer train and save a final policy
-    for name, runs in (("progress.csv", 14), ("policy_final.bin", 12)):
+    # 8 runs per task; all but expert_transfer train and save a final policy
+    for name, runs in (("progress.csv", 16), ("policy_final.bin", 14)):
         assert sum(line.endswith("/" + name) for line in outputs[0]) == runs

@@ -201,8 +201,8 @@ def test_tabular_discriminator_matches_occupancy_oracle():
                          hidden=(64, 64), seed=1, train_shaping=False)
     opt = Adam([disc.g_net], lr=3e-3)
     log_pi_b = np.log(pi_b)
-    lp_demo = np.array([log_pi_b[t.s.argmax(), t.a.argmax()] for t in demo])
-    lp_pol = np.array([log_pi_b[t.s.argmax(), t.a.argmax()] for t in pol])
+    lp_demo = log_pi_b[demo.s.argmax(axis=1), demo.a.argmax(axis=1)]
+    lp_pol = log_pi_b[pol.s.argmax(axis=1), pol.a.argmax(axis=1)]
     for _ in range(2500):
         disc_loss(disc, demo, pol, lp_demo, lp_pol)
         opt.step()

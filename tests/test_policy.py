@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import odirl.policy as policy_mod
-from odirl.envs import EnvSpec, PointMazeConfig, PointMazeEnv, SOURCE, Trajectory, Transition, rollout
+from odirl.envs import Batch, EnvSpec, PointMazeConfig, PointMazeEnv, SOURCE, rollouts
 from odirl.policy import (
     GaussianPolicy,
     PolicyOptConfig,
@@ -26,15 +26,11 @@ def bandit_spec(action_dim=1, bound=2.0):
 
 def collect_bandit_batch(policy, n, rng):
     """One-step episodes from the fixed state [0]."""
-    trajs = []
-    state = np.zeros(1)
-    for _ in range(n):
-        a, _ = policy.sample_action(state, rng)
-        logp = policy.log_prob(state[None, :], a[None, :])[0]
-        t = Transition(s=state.copy(), a=a, s_next=state.copy(), done=True,
-                       domain_tag=SOURCE, gt_reward=0.0)
-        trajs.append(Trajectory(transitions=[t], log_probs=np.array([logp])))
-    return trajs
+    states = np.zeros((n, 1))
+    actions = np.array([policy.sample_action(s, rng)[0] for s in states])
+    return Batch(states, actions, states.copy(), SOURCE, done=np.ones(n, dtype=bool),
+                 gt_reward=np.zeros(n), ends=np.ones(n, dtype=bool),
+                 log_prob=policy.log_prob(states, actions))
 
 
 def test_sample_action_min_log_std_is_nearly_deterministic():
@@ -99,7 +95,7 @@ def test_huge_clip_one_epoch_matches_reinforce_sign():
     mean_before = policy.mean_net.forward(state)[0]
 
     # REINFORCE estimate on the same batch, normalized advantages like the update
-    acts = np.array([tr.transitions[0].a[0] for tr in batch])
+    acts = batch.a[:, 0]
     rewards = -((acts - 0.5) ** 2)
     adv = rewards - value.predict(np.zeros((256, 1)))
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -207,13 +203,11 @@ def test_update_makes_one_reward_call_two_value_forwards_and_one_gae_call(monkey
     value = ValueNet(spec, hidden=(8,), seed=1)
     opt = PolicyOptimizer(policy, value, PolicyOptConfig(epochs=2, minibatch_size=4))
     rng = np.random.default_rng(2)
-    trajs = []
-    for length in (3, 0, 1, 5):
-        ts = [Transition(s=rng.normal(size=2), a=rng.uniform(-1, 1, 1), s_next=rng.normal(size=2),
-                         done=i == length - 1, domain_tag=SOURCE, gt_reward=0.0)
-              for i in range(length)]
-        trajs.append(Trajectory(transitions=ts, log_probs=rng.normal(size=length)))
-    rows = [t for traj in trajs for t in traj.transitions]
+    ends = np.zeros(9, dtype=bool)
+    ends[[2, 3, 8]] = True                  # episodes of 3, 1 and 5 rows
+    batch = Batch(rng.normal(size=(9, 2)), rng.uniform(-1, 1, (9, 1)), rng.normal(size=(9, 2)),
+                  SOURCE, done=ends.copy(), gt_reward=np.zeros(9), ends=ends,
+                  log_prob=rng.normal(size=9))
 
     reward_calls, predict_calls, gae_calls = [], [], []
     predict, gae = ValueNet.predict, policy_mod.compute_gae
@@ -226,21 +220,23 @@ def test_update_makes_one_reward_call_two_value_forwards_and_one_gae_call(monkey
         reward_calls.append((s.copy(), a.copy(), sn.copy()))
         return -np.sum(s * s, axis=1)
 
-    stats = opt.update(trajs, reward_fn, np.random.default_rng(0))
+    stats = opt.update(batch, reward_fn, np.random.default_rng(0))
     assert len(reward_calls) == 1
     s, a, sn = reward_calls[0]
-    assert np.array_equal(s, np.array([t.s for t in rows]))
-    assert np.array_equal(a, np.array([t.a for t in rows]))
-    assert np.array_equal(sn, np.array([t.s_next for t in rows]))
-    assert predict_calls == [len(rows), len(rows)]
-    assert gae_calls == [len(rows)]
-    assert stats["n_samples"] == len(rows)
+    assert np.array_equal(s, batch.s)
+    assert np.array_equal(a, batch.a)
+    assert np.array_equal(sn, batch.s_next)
+    assert predict_calls == [len(batch), len(batch)]
+    assert gae_calls == [len(batch)]
+    assert stats["n_samples"] == len(batch)
 
 
 def test_update_without_transitions_raises_empty_batch():
     policy = GaussianPolicy(bandit_spec(), hidden=(8,), seed=0)
     opt = PolicyOptimizer(policy, ValueNet(bandit_spec(), hidden=(8,), seed=1), PolicyOptConfig())
-    for batch in ([], [Trajectory()], [Trajectory(), Trajectory()]):
+    env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
+    for n_episodes in (0, 1, 2):            # no episode, or episodes of no steps
+        batch = rollouts(GaussianPolicy(env.spec, hidden=(4,)), env, n_episodes, 0)
         with pytest.raises(ValueError, match="empty batch"):
             opt.update(batch, lambda s, a, sn: np.zeros(len(s)), np.random.default_rng(0))
 
