@@ -260,6 +260,11 @@ class PointMazeEnv:
         Entry and exit times of both wall bounds share one (2, N, 2) array,
         so each stage of the test is one numpy call for every row and axis.
         """
+        # No segment whose bounding box misses the closed wall box can enter
+        # it, nor end inside it: then every row keeps p1 as it is.
+        if not ((np.minimum(p0, p1) <= self._wall_hi) & (np.maximum(p0, p1) >= self._wall_lo)
+                ).all(axis=1).any():
+            return p1
         d = p1 - p0
         still = np.abs(d) < 1e-300
         any_still = still.any()
@@ -405,7 +410,8 @@ class LinkChainEnv:
         a = np.where(self.mask, 0.0, a)
         angles, vels = state[..., :n], state[..., n:]
         accel = self.config.torque_gain * a - self.config.damping * vels
-        new_vels = np.clip(vels + self.config.dt * accel, -self.config.vel_limit, self.config.vel_limit)
+        lim = self.config.vel_limit
+        new_vels = np.minimum(np.maximum(vels + self.config.dt * accel, -lim), lim)
         new_angles = angles + self.config.dt * new_vels
         done = False if state.ndim == 1 else np.zeros(len(state), dtype=bool)
         return np.concatenate([new_angles, new_vels], axis=-1), done
@@ -465,13 +471,14 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
     evaluation-only ground-truth reward of each state landed in. Stochastic
     rollouts record the log-probability of each action taken; deterministic
     ones record none. Within an episode, one row's s_next is the next row's s.
+    The ground-truth reward is one env.ground_truth_reward call over every
+    row's s_next, after the last step.
     """
     shape = (n_episodes, horizon)
     s = np.empty((*shape, env.spec.state_dim))
     a = np.empty((*shape, env.spec.action_dim))
     s_next = np.empty_like(s)
     done_at = np.empty(shape, dtype=bool)
-    gt = np.empty(shape)
     log_prob = None if deterministic else np.empty(shape)
     lengths = np.zeros(n_episodes, dtype=np.intp)
     live = np.arange(n_episodes)          # episode of each row of `states`
@@ -485,7 +492,6 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
             actions, log_prob[live, t] = policy.sample_action(states, rng)
         nxt, done = env.step(states, actions)
         s[live, t], a[live, t], s_next[live, t], done_at[live, t] = states, actions, nxt, done
-        gt[live, t] = env.ground_truth_reward(nxt)   # a wrapper's scalar spreads to all rows
         lengths[live] = t + 1
         if done.any():
             live, nxt = live[~done], nxt[~done]
@@ -493,7 +499,10 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
     steps = np.arange(horizon)
     valid = steps < lengths[:, None]
     ends = (steps == lengths[:, None] - 1)[valid]
-    return Batch(s[valid], a[valid], s_next[valid], env.domain_tag, done_at[valid], gt[valid],
+    s_next = s_next[valid]
+    gt = np.empty(len(s_next))
+    gt[:] = env.ground_truth_reward(s_next)      # a wrapper's scalar spreads to every row
+    return Batch(s[valid], a[valid], s_next, env.domain_tag, done_at[valid], gt,
                  ends, None if deterministic else log_prob[valid])
 
 

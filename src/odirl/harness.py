@@ -224,7 +224,9 @@ def train_expert(cfg: ExperimentConfig, out_dir=None) -> Path:
 
 def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None) -> DemoSet:
     """Roll the trained expert in the source domain and persist demonstrations."""
-    n_episodes = n_episodes or cfg.expert.n_demo_episodes
+    n_episodes = cfg.expert.n_demo_episodes if n_episodes is None else n_episodes
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     streams = _streams(cfg.seed)
     seeds, rngs = streams["seeds"], streams["rngs"]
     src, _, _, _ = build_envs(cfg, seeds)

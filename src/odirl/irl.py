@@ -216,6 +216,8 @@ def reward_heatmap(disc: Discriminator, grid_n: int = 50,
         raise ValueError("reward heatmap requires a state-only reward term")
     if disc.state_dim != 2:
         raise ValueError("reward heatmap is defined for 2-d state spaces")
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     centers = (np.arange(grid_n) + 0.5) / grid_n
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)

@@ -51,34 +51,31 @@ class Mlp:
         if any(int(n) < 1 for n in layer_sizes):
             raise ValueError("layer sizes must be positive")
         self.layer_sizes = [int(n) for n in layer_sizes]
-        n_layers = len(self.layer_sizes) - 1
         self.seed = int(seed)
         self.zero_init_output = bool(zero_init_output)
 
-        n_params = sum(
-            (self.layer_sizes[i] + 1) * self.layer_sizes[i + 1] for i in range(n_layers)
-        )
+        fans = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in fans)
         self.params = np.zeros(n_params, dtype=np.float64)
         self.grad = np.zeros_like(self.params)
         self.version = 0
 
-        # Per-layer views into the flat vectors.
-        self._w_views: list[np.ndarray] = []
-        self._b_views: list[np.ndarray] = []
-        self._gw_views: list[np.ndarray] = []
-        self._gb_views: list[np.ndarray] = []
+        # Per-layer views into the flat vectors: (W, b) and (W, gW, gb) of
+        # each layer, so the kernels loop over one tuple per layer.
+        layers, grad_layers = [], []
         offset = 0
-        for i in range(n_layers):
-            fan_in, fan_out = self.layer_sizes[i], self.layer_sizes[i + 1]
-            self._w_views.append(self.params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-            self._gw_views.append(self.grad[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        for fan_in, fan_out in fans:
+            w, gw = (v[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+                     for v in (self.params, self.grad))
             offset += fan_in * fan_out
-            self._b_views.append(self.params[offset : offset + fan_out])
-            self._gb_views.append(self.grad[offset : offset + fan_out])
+            b, gb = (v[offset : offset + fan_out] for v in (self.params, self.grad))
             offset += fan_out
+            layers.append((w, b))
+            grad_layers.append((w, gw, gb))
+        self._layers, self._grad_layers = tuple(layers), tuple(grad_layers)
 
         self._init_weights()
-        self._cache = None
+        self._cache = None            # (input copy, activations, version) of the last forward
 
     @property
     def in_dim(self) -> int:
@@ -89,21 +86,21 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def weights(self, layer: int) -> np.ndarray:
-        return self._w_views[layer]
+        return self._layers[layer][0]
 
     def biases(self, layer: int) -> np.ndarray:
-        return self._b_views[layer]
+        return self._layers[layer][1]
 
     def _init_weights(self) -> None:
         rng = np.random.default_rng(self.seed)
-        n_layers = len(self.layer_sizes) - 1
-        for i in range(n_layers):
-            bound = 1.0 / np.sqrt(self.layer_sizes[i])
-            self._w_views[i][...] = rng.uniform(-bound, bound, self._w_views[i].shape)
-            self._b_views[i][...] = rng.uniform(-bound, bound, self._b_views[i].shape)
+        for fan_in, (w, b) in zip(self.layer_sizes, self._layers):
+            bound = 1.0 / np.sqrt(fan_in)
+            w[...] = rng.uniform(-bound, bound, w.shape)
+            b[...] = rng.uniform(-bound, bound, b.shape)
         if self.zero_init_output:
-            self._w_views[-1][...] = 0.0
-            self._b_views[-1][...] = 0.0
+            w, b = self._layers[-1]
+            w[...] = 0.0
+            b[...] = 0.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the net on x of shape (in,) or (batch, in); caches for backward."""
@@ -112,20 +109,21 @@ class Mlp:
         x2 = x[None, :] if single else x
         if x2.ndim != 2 or x2.shape[1] != self.in_dim:
             raise ValueError(f"expected input dim {self.in_dim}, got shape {x.shape}")
-        if not np.all(np.isfinite(x2)):
+        if not np.isfinite(x2).all():
             raise ValueError("non-finite network input")
         acts = [x2]
         h = x2
-        last = len(self._w_views) - 1
-        for i, (w, b) in enumerate(zip(self._w_views, self._b_views)):
+        for w, b in self._layers[:-1]:
             h = h @ w
             h += b
-            if i < last:
-                np.tanh(h, out=h)
+            np.tanh(h, out=h)
             acts.append(h)
-        self._cache = {"input": x2.copy(), "acts": acts, "version": self.version}
-        out = acts[-1]
-        return out[0] if single else out
+        w, b = self._layers[-1]
+        h = h @ w
+        h += b
+        acts.append(h)
+        self._cache = (x2.copy(), acts, self.version)
+        return h[0] if single else h
 
     def backward(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Accumulate d(sum(upstream * output))/d(params) into grad.
@@ -138,19 +136,23 @@ class Mlp:
         single = x.ndim == 1
         x2 = x[None, :] if single else x
         u2 = upstream[None, :] if single else upstream
-        cache = self._cache
-        if cache is None or cache["version"] != self.version or not np.array_equal(cache["input"], x2):
+        if self._cache is None:
+            raise RuntimeError("stale forward cache: call forward on this input first")
+        cached, acts, version = self._cache
+        # The shape test and element compare of np.array_equal, without its call overhead.
+        if version != self.version or cached.shape != x2.shape or not (cached == x2).all():
             raise RuntimeError("stale forward cache: call forward on this input first")
         if u2.shape != (x2.shape[0], self.out_dim):
             raise ValueError(f"upstream shape {upstream.shape} does not match output")
-        acts = cache["acts"]
         dz = u2                                 # the identity output passes upstream through
-        for i in reversed(range(len(self._w_views))):
-            self._gw_views[i] += acts[i].T @ dz
-            self._gb_views[i] += dz.sum(axis=0)
-            delta = dz @ self._w_views[i].T
+        for i in reversed(range(len(self._grad_layers))):
+            w, gw, gb = self._grad_layers[i]
+            gw += acts[i].T @ dz
+            gb += dz.sum(axis=0)
+            delta = dz @ w.T
             if i > 0:                           # through the tanh that made acts[i]
-                dz = acts[i] * acts[i]
+                h = acts[i]
+                dz = h * h
                 np.subtract(1.0, dz, out=dz)
                 dz *= delta
         return delta[0] if single else delta

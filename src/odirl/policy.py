@@ -77,7 +77,8 @@ class GaussianPolicy:
         self.log_std = FlatParams(init)
 
     def clipped_log_std(self) -> np.ndarray:
-        return np.clip(self.log_std.params, LOG_STD_MIN, LOG_STD_MAX)
+        # np.minimum(np.maximum(...)) is np.clip bit for bit, nan included, at less cost per call.
+        return np.minimum(np.maximum(self.log_std.params, LOG_STD_MIN), LOG_STD_MAX)
 
     def sample_action(self, states: np.ndarray,
                       rng: np.random.Generator) -> tuple[np.ndarray, float | np.ndarray]:
@@ -87,27 +88,31 @@ class GaussianPolicy:
         forward pass: a float for one state, an (N,) array for a batch.
         """
         mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
-        std = np.exp(self.clipped_log_std())
-        action = np.clip(mean + std * rng.standard_normal(mean.shape),
-                         self.spec.action_low, self.spec.action_high)
-        logp = self._log_density(mean, action)
+        log_std = self.clipped_log_std()
+        std = np.exp(log_std)
+        action = np.minimum(np.maximum(mean + std * rng.standard_normal(mean.shape),
+                                       self.spec.action_low), self.spec.action_high)
+        logp = self._log_density(mean, action, log_std, std)
         return action, (float(logp) if mean.ndim == 1 else logp)
 
     def act_deterministic(self, states: np.ndarray) -> np.ndarray:
         """The clipped mean action of a (state_dim,) state or each row of (N, state_dim) states."""
         mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
-        return np.clip(mean, self.spec.action_low, self.spec.action_high)
+        return np.minimum(np.maximum(mean, self.spec.action_low), self.spec.action_high)
 
     def log_prob(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Gaussian log-density of the given actions, shape (batch,)."""
         mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
-        return self._log_density(mean, np.asarray(actions, dtype=np.float64))
-
-    def _log_density(self, mean: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Gaussian log-density of actions around the given means, over the last axis."""
         log_std = self.clipped_log_std()
-        z = (actions - mean) / np.exp(log_std)
-        return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_std) - 0.5 * self.spec.action_dim * _LOG_2PI
+        return self._log_density(mean, np.asarray(actions, dtype=np.float64), log_std,
+                                 np.exp(log_std))
+
+    def _log_density(self, mean: np.ndarray, actions: np.ndarray, log_std: np.ndarray,
+                     std: np.ndarray) -> np.ndarray:
+        """Gaussian log-density of actions around the given means, over the last axis,
+        given the clipped log-std and its exp."""
+        z = (actions - mean) / std
+        return -0.5 * (z * z).sum(axis=-1) - log_std.sum() - 0.5 * self.spec.action_dim * _LOG_2PI
 
     def entropy(self) -> float:
         return float(np.sum(self.clipped_log_std()) + 0.5 * self.spec.action_dim * (1.0 + _LOG_2PI))
@@ -169,11 +174,15 @@ class PolicyOptimizer:
         """One MaxEnt clipped-ratio update on a rollout batch of whole episodes.
 
         reward_fn maps batched (s, a, s_next) to per-transition rewards;
-        non-finite rewards raise. Returns summary statistics.
+        non-finite rewards raise. The batch must carry the log_prob of a
+        stochastic rollout. Returns summary statistics.
         """
         cfg = self.config
         if len(batch) == 0:
             raise ValueError("empty batch")
+        if batch.log_prob is None:
+            raise ValueError("batch has no log_prob: the update needs a stochastic rollout's "
+                             "action log-probabilities")
         S, A, S_next, done, ends = batch.s, batch.a, batch.s_next, batch.done, batch.ends
         old_logp = batch.log_prob
 
@@ -223,7 +232,7 @@ class PolicyOptimizer:
         diff = A - mean
         z2 = diff * diff / var
         logp = -0.5 * z2.sum(axis=1) - log_std.sum() - 0.5 * A.shape[1] * _LOG_2PI
-        ratio = np.exp(np.clip(logp - old_logp, -30.0, 30.0))
+        ratio = np.exp(np.minimum(np.maximum(logp - old_logp, -30.0), 30.0))
         coeff = clipped_grad_coeff(ratio, adv, cfg.clip_ratio)
         # loss = -mean(surrogate) - lambda * H
         c = -coeff / M
@@ -232,9 +241,9 @@ class PolicyOptimizer:
         self.policy.log_std.grad += (c[:, None] * (z2 - 1.0)).sum(axis=0)
         self.policy.log_std.grad += -cfg.entropy_coef
         self.policy_opt.step()
-        np.clip(self.policy.log_std.params, LOG_STD_MIN, LOG_STD_MAX,
-                out=self.policy.log_std.params)
-        return float(np.mean(old_logp - logp))
+        params = self.policy.log_std.params
+        np.minimum(np.maximum(params, LOG_STD_MIN, out=params), LOG_STD_MAX, out=params)
+        return float((old_logp - logp).mean())
 
     def _value_step(self, S, ret) -> None:
         M = S.shape[0]

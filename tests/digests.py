@@ -1,6 +1,6 @@
 """Byte-identity digests of every run directory of every method.
 
-Usage: python tests/digests.py OUT_DIR
+Usage: python tests/digests.py OUT_DIR [--against FILE]
 
 On both tasks, with a small config (6 steps, r = 2, batches of 40,
 checkpoints every 3 steps), runs train_expert, collect_demos, odirl at
@@ -11,10 +11,20 @@ prints one "sha256  path" line per file under OUT_DIR, paths relative to it,
 in sorted order. Each config.yaml records absolute paths, so compare two
 outputs written to the same OUT_DIR (move the first one away in between).
 OUT_DIR must be absent or empty.
+
+With --against FILE (an earlier output of this script), also compares the
+digests with FILE's: exits 0 when every line matches, else prints the first
+path, in sorted order, whose digest differs or that only one side has to
+stderr and exits 1. So a byte-identity check between two commits is
+
+    python tests/digests.py OUT_DIR > before.txt     # on the first commit
+    rm -r OUT_DIR
+    python tests/digests.py OUT_DIR --against before.txt   # on the second
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
@@ -81,16 +91,37 @@ def digests(out: Path) -> list[str]:
             for path in sorted(p for p in out.rglob("*") if p.is_file())]
 
 
+def first_difference(got: list[str], want: list[str]) -> str | None:
+    """The first path, in sorted order, whose digest differs between two
+    digest lists or that only one of them has; None when they match."""
+    got_by_path, want_by_path = ({path: sha for sha, path in (line.split("  ", 1) for line in lines)}
+                                 for lines in (got, want))
+    for path in sorted(got_by_path.keys() | want_by_path.keys()):
+        if got_by_path.get(path) != want_by_path.get(path):
+            return path
+    return None
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--against", type=Path, help="an earlier output to compare with")
+    args = parser.parse_args(argv)
+    out = args.out_dir.resolve()
     if out.exists() and any(out.iterdir()):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
+    want = args.against.read_text().splitlines() if args.against else None
     run_all(out)
-    print("\n".join(digests(out)))
+    got = digests(out)
+    print("\n".join(got))
+    if want is None:
+        return 0
+    path = first_difference(got, want)
+    if path is not None:
+        print(f"differs from {args.against}: first at {path}", file=sys.stderr)
+        return 1
+    print(f"identical to {args.against}: {len(got)} files", file=sys.stderr)
     return 0
 
 

@@ -147,17 +147,51 @@ def pointmaze_step(config, wall, state, action):
         t_hit = max(0.0, t_hit - _WALL_EPS / max(np.linalg.norm(proposed - state), 1e-12))
         proposed = state + t_hit * (proposed - state)
     if point_in_box(proposed, wall):
-        gaps = [
-            (proposed[0] - wall[0], 0, wall[0] - _WALL_EPS),
-            (wall[2] - proposed[0], 0, wall[2] + _WALL_EPS),
-            (proposed[1] - wall[1], 1, wall[1] - _WALL_EPS),
-            (wall[3] - proposed[1], 1, wall[3] + _WALL_EPS),
-        ]
-        _, axis, value = min(gaps, key=lambda g: g[0])
-        proposed = proposed.copy()
-        proposed[axis] = value
+        proposed = _project_out(proposed, wall)
     done = bool(np.linalg.norm(proposed - np.asarray(config.goal)) <= config.goal_radius)
     return proposed, done
+
+
+def _project_out(p, wall):
+    """p pushed out of the wall box through its nearest face, _WALL_EPS beyond it."""
+    gaps = [
+        (p[0] - wall[0], 0, wall[0] - _WALL_EPS),
+        (wall[2] - p[0], 0, wall[2] + _WALL_EPS),
+        (p[1] - wall[1], 1, wall[1] - _WALL_EPS),
+        (wall[3] - p[1], 1, wall[3] + _WALL_EPS),
+    ]
+    _, axis, value = min(gaps, key=lambda g: g[0])
+    out = p.copy()
+    out[axis] = value
+    return out
+
+
+def stop_at_wall_every_row(wall, p0, p1):
+    """Reference for `PointMazeEnv._stop_at_wall`: its slab test run on every
+    row of (N, 2) segments p0 -> p1, with no early exit for segments far
+    from the wall, in the same numpy operations (so bit for bit the same end
+    points). `wall` is the (xlo, ylo, xhi, yhi) box.
+    """
+    wall_lo, wall_hi = np.array(wall[:2]), np.array(wall[2:])
+    d = p1 - p0
+    still = np.abs(d) < 1e-300
+    any_still = still.any()
+    t = (np.array([wall_lo, wall_hi])[:, None] - p0) / (np.where(still, 1.0, d) if any_still else d)
+    t.sort(axis=0)
+    if any_still:
+        inside_slab = (t[0] <= 0.0) & (t[1] >= 0.0)
+        t[0][still] = np.where(inside_slab, -np.inf, np.inf)[still]
+        t[1][still] = np.inf
+    t_in = np.maximum.reduce(t[0], axis=1, initial=0.0)
+    hit = t_in <= np.minimum.reduce(t[1], axis=1, initial=1.0)
+    out = p1
+    if hit.any():
+        t = np.where(hit, t_in - _WALL_EPS / np.maximum(np.hypot(d[:, 0], d[:, 1]), 1e-12), 0.0)
+        out = np.where(hit[:, None], p0 + np.maximum(t, 0.0)[:, None] * d, p1)
+    inside = (out > wall_lo) & (out < wall_hi)
+    for i in np.flatnonzero(inside[:, 0] & inside[:, 1]):
+        out[i] = _project_out(out[i], wall)
+    return out
 
 
 # ---------------------------------------------------------------------------

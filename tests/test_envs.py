@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odirl.envs import (
+    _WALL_EPS,
     SOURCE,
     TARGET,
     Batch,
@@ -18,7 +21,7 @@ from odirl.envs import (
     trajectory_header,
     write_trajectory_csv,
 )
-from oracles import pointmaze_step
+from oracles import pointmaze_step, stop_at_wall_every_row
 
 
 def default_pair(seed=7):
@@ -348,3 +351,108 @@ def test_batched_reset_draws_what_one_dimensional_resets_draw():
                  lambda seed: LinkChainEnv(LinkChainConfig(), SOURCE, seed)):
         assert np.array_equal(make(4).reset(1)[0], make(4).reset())
         assert make(4).reset(3).shape == (3, make(4).spec.state_dim)
+
+
+# A maze whose wall edges and action bound are binary fractions: segments built
+# on a 1/1024 grid then start and end exactly on a wall edge.
+_DYADIC_MAZE = PointMazeConfig(noise_std=0.0, wall_x=0.5, wall_half_width=0.03125,
+                               action_scale=0.0625)
+
+
+def _coordinate(edges):
+    """Anywhere in the arena, on the 1/1024 grid, on a wall edge, or within a few _WALL_EPS of one."""
+    return st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(0, 1024).map(lambda k: k / 1024),
+        st.sampled_from(edges),
+        st.tuples(st.sampled_from(edges), st.floats(-3 * _WALL_EPS, 3 * _WALL_EPS)).map(sum),
+    )
+
+
+def _action_coordinate(scale):
+    """Any in-bound move, none (a still coordinate), or a 1/1024-grid move."""
+    return st.one_of(st.floats(-scale, scale), st.just(0.0),
+                     st.integers(-64, 64).map(lambda k: k / 1024))
+
+
+@st.composite
+def _segments(draw, wall, scale):
+    """(states, actions) of 1 to 8 rows. Each row starts at a drawn point, or
+    aims at one (it then ends on, or within a few _WALL_EPS of, a wall edge
+    when that point is one), so a batch mixes rows near and far from the wall."""
+    xs, ys = (wall[0], wall[2], 0.0, 1.0), (wall[1], wall[3], 0.0)
+    states, actions = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        point = np.array([draw(_coordinate(xs)), draw(_coordinate(ys))])
+        action = np.array([draw(_action_coordinate(scale)), draw(_action_coordinate(scale))])
+        if draw(st.booleans()):
+            point = np.minimum(np.maximum(point - action, 0.0), 1.0)
+        states.append(point)
+        actions.append(action)
+    return np.array(states), np.array(actions)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pointmaze_step_equals_the_every_row_slab_test_bit_for_bit(data):
+    cfg = data.draw(st.sampled_from([PointMazeConfig(noise_std=0.0), _DYADIC_MAZE]))
+    tag = data.draw(st.sampled_from([SOURCE, TARGET]))
+    env, wall = PointMazeEnv(cfg, tag, seed=0), cfg.wall_box(tag)
+    states, actions = data.draw(_segments(wall, cfg.action_scale))
+    move = np.minimum(np.maximum(actions, env.spec.action_low), env.spec.action_high)
+    ends = np.minimum(np.maximum(states + move, 0.0), 1.0)
+    ref = stop_at_wall_every_row(wall, states, ends)
+    nxt, done = env.step(states, actions)
+    assert nxt.tobytes() == ref.tobytes()
+    assert np.array_equal(done, np.hypot(*(ref - cfg.goal).T) <= cfg.goal_radius)
+    for i in range(len(states)):
+        assert env.step(states[i], actions[i])[0].tobytes() == ref[i].tobytes()
+
+
+def test_pointmaze_wall_clip_returns_far_segments_at_once_and_clips_mixed_batches():
+    cfg = PointMazeConfig(noise_std=0.0)
+    env, wall = PointMazeEnv(cfg, TARGET, seed=0), cfg.wall_box(TARGET)
+    far0, far1 = np.array([[0.1, 0.5], [0.9, 0.1]]), np.array([[0.15, 0.55], [0.85, 0.15]])
+    assert env._stop_at_wall(far0, far1) is far1
+    # a segment ending exactly on the wall's left face, and its bounding box's corner
+    near0, near1 = np.array([[wall[0] - 0.05, 0.8], [wall[0] - 0.05, wall[1] - 0.05]]), \
+        np.array([[wall[0], 0.8], [wall[0], wall[1]]])
+    p0, p1 = np.concatenate([far0, near0]), np.concatenate([far1, near1])
+    out = env._stop_at_wall(p0, p1.copy())
+    assert out.tobytes() == stop_at_wall_every_row(wall, p0, p1.copy()).tobytes()
+    assert np.array_equal(out[:2], far1) and np.all(out[2:, 0] < wall[0])
+
+
+def _gt_rollout_envs():
+    return (PointMazeEnv(PointMazeConfig(), TARGET, seed=1),
+            LinkChainEnv(LinkChainConfig(), TARGET, seed=1),
+            LinkChainEnv(LinkChainConfig(gt_variant="forward_velocity"), SOURCE, seed=1))
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_rollout_gt_reward_is_the_env_reward_of_every_landed_state(deterministic):
+    from odirl.policy import GaussianPolicy
+
+    for env in _gt_rollout_envs():
+        policy = GaussianPolicy(env.spec, hidden=(8,), seed=2, init_log_std=0.0)
+        policy.mean_net.params[...] = np.random.default_rng(3).normal(0.0, 0.5,
+                                                                      policy.mean_net.params.shape)
+        batch = rollouts(policy, env, 5, env.spec.horizon, np.random.default_rng(4), deterministic)
+        assert np.array_equal(batch.gt_reward, env.ground_truth_reward(batch.s_next))
+        assert np.array_equal(batch.gt_reward, [env.ground_truth_reward(s) for s in batch.s_next])
+
+
+def test_rollout_spreads_a_scalar_gt_reward_to_every_row():
+    class ScalarGt:
+        def __init__(self, env):
+            self._env = env
+
+        def __getattr__(self, name):
+            return getattr(self._env, name)
+
+        def ground_truth_reward(self, state):
+            return -2.5
+
+    env = ScalarGt(PointMazeEnv(PointMazeConfig(), SOURCE, seed=0))
+    batch = rollouts(ScriptedPolicy((0.9, 0.55)), env, 3, 10, deterministic=True)
+    assert len(batch) > 3 and np.array_equal(batch.gt_reward, np.full(len(batch), -2.5))

@@ -508,6 +508,25 @@ def test_cli_smoke(tmp_path, demo_file):
     assert rc == 0
 
 
+@pytest.mark.parametrize("n_episodes", [0, -1, -4])
+def test_collect_demos_rejects_a_non_positive_episode_count(tmp_path, demo_file, n_episodes):
+    _, expert = demo_file
+    with pytest.raises(ValueError, match="n_episodes"):
+        collect_demos(tiny_cfg(tmp_path, "demos"), expert, tmp_path / "demos.csv",
+                      n_episodes=n_episodes)
+    assert not (tmp_path / "demos.csv").exists()
+
+
+@pytest.mark.parametrize("grid_n", [0, -3])
+def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
+    from odirl.irl import reward_heatmap
+
+    disc = Discriminator(2, 2, gamma=0.99, hidden=(8,), seed=0)
+    with pytest.raises(ValueError, match="grid_n"):
+        reward_heatmap(disc, grid_n=grid_n, path=tmp_path / "hm.csv")
+    assert not (tmp_path / "hm.csv").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("policy.epochs", 0), ("policy.minibatch_size", 0), ("policy.clip_ratio", 0.0),
     ("expert.steps", 0), ("expert.batch_steps", 0), ("expert.n_demo_episodes", 0),
@@ -758,3 +777,26 @@ def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
     # 8 runs per task; all but expert_transfer train and save a final policy
     for name, runs in (("progress.csv", 16), ("policy_final.bin", 14)):
         assert sum(line.endswith("/" + name) for line in outputs[0]) == runs
+
+
+def test_digests_against_exits_1_naming_the_first_differing_path(tmp_path):
+    """tests/digests.py --against FILE: exit 1 and the first differing path
+    (sorted) on stderr when FILE differs, exit 0 when it matches."""
+    script, out = Path(__file__).parent / "digests.py", tmp_path / "out"
+    first = subprocess.run([sys.executable, str(script), str(out)], check=True,
+                           capture_output=True, text=True).stdout.splitlines()
+    out.rename(tmp_path / "first")
+    # change one digest and drop one line; the earlier path in sorted order is named
+    tampered = list(first)
+    tampered[5] = "0" * 64 + "  " + first[5].split("  ", 1)[1]
+    del tampered[9]
+    (tmp_path / "tampered.txt").write_text("\n".join(tampered) + "\n")
+    (tmp_path / "first.txt").write_text("\n".join(first) + "\n")
+    for against, code, message in (("tampered.txt", 1, first[5].split("  ", 1)[1]),
+                                   ("first.txt", 0, f"{len(first)} files")):
+        run = subprocess.run([sys.executable, str(script), str(out), "--against",
+                              str(tmp_path / against)], capture_output=True, text=True)
+        assert run.returncode == code, run.stderr
+        assert message in run.stderr
+        assert run.stdout.splitlines() == first
+        out.rename(tmp_path / against.replace(".txt", "_out"))

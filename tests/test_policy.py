@@ -241,6 +241,27 @@ def test_update_without_transitions_raises_empty_batch():
             opt.update(batch, lambda s, a, sn: np.zeros(len(s)), np.random.default_rng(0))
 
 
+def test_update_without_log_prob_raises_before_any_reward_or_value_call(monkeypatch):
+    env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
+    policy = GaussianPolicy(env.spec, hidden=(8,), seed=0)
+    value = ValueNet(env.spec, hidden=(8,), seed=1)
+    opt = PolicyOptimizer(policy, value, PolicyOptConfig(epochs=1))
+    before = policy.mean_net.params.copy(), value.net.params.copy()
+
+    def forbidden(*args):
+        raise AssertionError("called before the log_prob check")
+
+    monkeypatch.setattr(ValueNet, "predict", forbidden)
+    deterministic = rollouts(policy, env, 2, 5, deterministic=True)
+    sampled = rollouts(policy, env, 2, 5, np.random.default_rng(0)).rows(np.arange(4))
+    for batch in (deterministic, sampled):      # a mean-action rollout, buffer-style rows
+        assert len(batch) > 0 and batch.log_prob is None
+        with pytest.raises(ValueError, match="log_prob"):
+            opt.update(batch, forbidden, np.random.default_rng(0))
+    assert np.array_equal(policy.mean_net.params, before[0])
+    assert np.array_equal(value.net.params, before[1])
+
+
 def test_evaluate_policy_that_never_moves_has_zero_success():
     env = PointMazeEnv(PointMazeConfig(noise_std=0.0), SOURCE, seed=0)
     policy = GaussianPolicy(env.spec, hidden=(8,), seed=0, init_log_std=-5.0)
