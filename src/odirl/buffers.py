@@ -100,8 +100,10 @@ class DemoSet:
     def __len__(self):
         return len(self.batch)
 
-    def sample(self, n: int, rng: np.random.Generator) -> Batch:
-        return self.batch.rows(rng.integers(0, len(self.batch), size=n))
+    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, Batch]:
+        """n rows uniform with replacement: their indices into `batch`, and the rows."""
+        idx = rng.integers(0, len(self.batch), size=n)
+        return idx, self.batch.rows(idx)
 
 
 def save_demos(demos: DemoSet, path) -> None:

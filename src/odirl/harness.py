@@ -271,15 +271,14 @@ def _airl_reward_fn(disc, policy):
     return reward_fn
 
 
-def _airl_loss_fn(disc, policy, pair=None, dd_cfg=None, alpha=0.0):
-    """The phase loss of `_train_discriminator` for disc_loss; with a
-    classifier pair the demo logits carry DD. log pi of both batches and the
-    demo rows' DD are computed once per phase (the policy and the pair are
-    frozen through it), and each minibatch slices them."""
-    def phase_loss(demo_batch, pol_batch):
+def _airl_loss_fn(disc, policy):
+    """The phase loss of `_train_discriminator` for disc_loss; the demo
+    logits carry the given demo rows' DD, if any. log pi of both batches is
+    computed once per phase (the policy is frozen through it), and each
+    minibatch slices it and the DD."""
+    def phase_loss(demo_batch, pol_batch, demo_dd):
         demo_logp = policy.log_prob(demo_batch.s, demo_batch.a)
         pol_logp = policy.log_prob(pol_batch.s, pol_batch.a)
-        demo_dd = None if pair is None else dd_for_transitions(pair, demo_batch, dd_cfg, alpha)
 
         def minibatch_loss(idx):
             return disc_loss(disc, demo_batch.rows(idx), pol_batch.rows(idx),
@@ -289,8 +288,9 @@ def _airl_loss_fn(disc, policy, pair=None, dd_cfg=None, alpha=0.0):
 
 
 def _gail_loss_fn(gail):
-    """The phase loss of `_train_discriminator` for gail_disc_loss."""
-    def phase_loss(demo_batch, pol_batch):
+    """The phase loss of `_train_discriminator` for gail_disc_loss (no DD term:
+    its demo_dd is always None)."""
+    def phase_loss(demo_batch, pol_batch, demo_dd):
         def minibatch_loss(idx):
             return gail_disc_loss(gail, demo_batch.rows(idx), pol_batch.rows(idx))
         return minibatch_loss
@@ -298,14 +298,15 @@ def _gail_loss_fn(gail):
 
 
 def _train_discriminator(phase_loss, disc_opt, demo_batch, pol_batch, epochs: int,
-                         minibatch_size: int, rng) -> tuple[float, float, float]:
+                         minibatch_size: int, rng, demo_dd=None) -> tuple[float, float, float]:
     """Shuffled minibatch epochs over equal-size demo and policy batches.
 
-    phase_loss(demo_batch, pol_batch), called once, returns the loss (which
-    accumulates gradients) of the minibatch at given row indices. Returns the
-    mean loss, demo accuracy and policy accuracy over all minibatches.
+    phase_loss(demo_batch, pol_batch, demo_dd), called once, returns the
+    loss (which accumulates gradients) of the minibatch at given row
+    indices; demo_dd is the DD of each demo row, or None. Returns the mean
+    loss, demo accuracy and policy accuracy over all minibatches.
     """
-    minibatch_loss = phase_loss(demo_batch, pol_batch)
+    minibatch_loss = phase_loss(demo_batch, pol_batch, demo_dd)
     d_losses, demo_accs, pol_accs = [], [], []
     for _ in range(epochs):
         for idx in minibatches(len(pol_batch), minibatch_size, rng):
@@ -353,7 +354,7 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
                               hidden=tuple(cfg.dd.hidden), seed=seeds["classifier_init"])
         cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
         reward_fn = _airl_reward_fn(disc, policy)
-        loss_fn = _airl_loss_fn(disc, policy, pair, cfg.dd, alpha_eff)
+        loss_fn = _airl_loss_fn(disc, policy)
         nets = {"disc": disc, "classifiers": pair}
     else:
         disc = None
@@ -380,7 +381,7 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
             source_episodes += 1
 
         cls_total = l_sas = l_sa = None
-        mean_dd = std_dd = None
+        dd_demo_all = mean_dd = std_dd = None
         if use_dd_pipeline:
             if len(b_src) > 0:
                 for _ in range(cfg.dd.steps_per_iter):
@@ -393,12 +394,15 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
             mean_dd, std_dd = float(dd_demo_all.mean()), float(dd_demo_all.std())
 
         # Discriminator phase: a buffer-sampled policy batch of the
-        # iteration's size and a demo batch of equal size.
+        # iteration's size and a demo batch of equal size, whose DD is read
+        # from this iteration's DD of every demo row (the pair is not
+        # trained again before the phase).
         pol_batch = b_tgt.sample(len(batch), rngs["disc"])
-        demo_batch = demos.sample(len(batch), rngs["disc"])
+        demo_idx, demo_batch = demos.sample(len(batch), rngs["disc"])
         d_loss, demo_acc, pol_acc = _train_discriminator(
             loss_fn, disc_opt, demo_batch, pol_batch, cfg.disc.epochs,
-            cfg.disc.minibatch_size, rngs["disc"])
+            cfg.disc.minibatch_size, rngs["disc"],
+            None if dd_demo_all is None else dd_demo_all[demo_idx])
 
         pstats = popt.update(batch, reward_fn, rngs["policy_update"])
 
@@ -466,7 +470,7 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
             episode = rollout(policy, src, src.spec.horizon, rngs["actions"])
             source_steps += len(episode)
             source_episodes += 1
-            demo_batch = demos.sample(len(episode), rngs["disc"])
+            _, demo_batch = demos.sample(len(episode), rngs["disc"])
             d_loss, _, _ = _train_discriminator(
                 loss_fn, disc_opt, demo_batch, episode, cfg.disc.epochs * cfg.r,
                 cfg.disc.minibatch_size, rngs["disc"])

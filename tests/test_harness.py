@@ -719,10 +719,12 @@ def test_discriminator_phase_computes_log_pi_and_dd_once(monkeypatch, epochs, n,
     demo, pol, policy, pair = _phase_inputs(n)
     n_minibatches = epochs * -(-n // minibatch_size)
 
+    # The loop computes DD of every demo row once per iteration; the phase only slices it.
+    demo_dd = dd_for_transitions(pair, demo, DDConfig(), 1.0)
     disc, opt = _disc_and_opt()
-    harness._train_discriminator(harness._airl_loss_fn(disc, policy, pair, DDConfig(), 1.0), opt,
-                                 demo, pol, epochs, minibatch_size, np.random.default_rng(0))
-    assert calls == {"log_prob": 2, "dd": 1, "disc_loss": n_minibatches, "gail_disc_loss": 0}
+    harness._train_discriminator(harness._airl_loss_fn(disc, policy), opt, demo, pol, epochs,
+                                 minibatch_size, np.random.default_rng(0), demo_dd)
+    assert calls == {"log_prob": 2, "dd": 0, "disc_loss": n_minibatches, "gail_disc_loss": 0}
 
     calls.update(dict.fromkeys(calls, 0))
     gail = GailDiscriminator(2, 2, hidden=(16,), seed=4)
@@ -745,8 +747,9 @@ def test_discriminator_phase_equals_per_minibatch_disc_loss_calls(epochs, n, min
     demo, pol, policy, pair = _phase_inputs(n, seed=epochs)
     dd_cfg, alpha = DDConfig(), 0.7
     disc, opt = _disc_and_opt()
-    harness._train_discriminator(harness._airl_loss_fn(disc, policy, pair, dd_cfg, alpha), opt,
-                                 demo, pol, epochs, minibatch_size, np.random.default_rng(5))
+    harness._train_discriminator(harness._airl_loss_fn(disc, policy), opt, demo, pol, epochs,
+                                 minibatch_size, np.random.default_rng(5),
+                                 dd_for_transitions(pair, demo, dd_cfg, alpha))
 
     ref, ref_opt = _disc_and_opt()
     rng = np.random.default_rng(5)
@@ -762,6 +765,39 @@ def test_discriminator_phase_equals_per_minibatch_disc_loss_calls(epochs, n, min
             assert np.array_equal(net.params, ref.blocks()[name].params), name
         else:
             assert np.allclose(net.params, ref.blocks()[name].params, rtol=0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+def test_discriminator_phase_reads_demo_dd_from_the_iteration_dd_of_every_demo_row(
+        tmp_path, demo_file, monkeypatch, alpha):
+    """Each odirl/airl iteration computes DD once, over every demo row, and its
+    discriminator phase gets that DD at the indices of its sampled demo rows."""
+    dd_calls, phases = [], []
+    dd_for_transitions_, train = harness.dd_for_transitions, harness._train_discriminator
+
+    def dd_spy(pair, batch, config, alpha_):
+        dd_calls.append(dd_for_transitions_(pair, batch, config, alpha_))
+        return dd_calls[-1]
+
+    def train_spy(phase_loss, disc_opt, demo_batch, pol_batch, *args):
+        phases.append((demo_batch, args[-1]))
+        return train(phase_loss, disc_opt, demo_batch, pol_batch, *args)
+
+    monkeypatch.setattr(harness, "dd_for_transitions", dd_spy)
+    monkeypatch.setattr(harness, "_train_discriminator", train_spy)
+    demos_path, _ = demo_file
+    demos = load_demos(demos_path).batch
+    cfg = tiny_cfg(tmp_path, "dd", steps=3, r=1, method="odirl" if alpha else "airl")
+    cfg.alpha, cfg.demos_path = alpha, demos_path
+    run_experiment(cfg)
+    assert len(dd_calls) == len(phases) == 3
+    for dd_all, (demo_batch, demo_dd) in zip(dd_calls, phases):
+        assert len(dd_all) == len(demos) and len(demo_dd) == len(demo_batch)
+        # each sampled row's DD is that of an identical demo row
+        for row, value in zip(np.concatenate([demo_batch.s, demo_batch.a, demo_batch.s_next], 1),
+                              demo_dd):
+            match = (np.concatenate([demos.s, demos.a, demos.s_next], 1) == row).all(axis=1)
+            assert match.any() and value in dd_all[match]
 
 
 def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
