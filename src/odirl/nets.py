@@ -75,7 +75,8 @@ class Mlp:
         self._layers, self._grad_layers = tuple(layers), tuple(grad_layers)
 
         self._init_weights()
-        self._cache = None            # (input copy, activations, version) of the last forward
+        # (input copy, activations, version) of the last forward; version -1: none yet
+        self._cache = (None, None, -1)
 
     @property
     def in_dim(self) -> int:
@@ -136,8 +137,6 @@ class Mlp:
         single = x.ndim == 1
         x2 = x[None, :] if single else x
         u2 = upstream[None, :] if single else upstream
-        if self._cache is None:
-            raise RuntimeError("stale forward cache: call forward on this input first")
         cached, acts, version = self._cache
         # The shape test and element compare of np.array_equal, without its call overhead.
         if version != self.version or cached.shape != x2.shape or not (cached == x2).all():

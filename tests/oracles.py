@@ -2,8 +2,9 @@
 
 Everything here is computed without touching the code paths under test:
 closed-form Gaussian log-density ratios, enumerated occupancy measures,
-synthetic transition generators, a one-state-at-a-time point-maze step, and
-a replay buffer kept as a deque of rows.
+synthetic transition generators, a one-state-at-a-time point-maze step, the
+point-maze wall clip run on every row, textbook Adam, and a replay buffer
+kept as a deque of rows.
 """
 
 from collections import deque

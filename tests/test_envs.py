@@ -21,6 +21,7 @@ from odirl.envs import (
     trajectory_header,
     write_trajectory_csv,
 )
+from odirl.policy import GaussianPolicy
 from oracles import pointmaze_step, stop_at_wall_every_row
 
 
@@ -409,20 +410,6 @@ def test_pointmaze_step_equals_the_every_row_slab_test_bit_for_bit(data):
         assert env.step(states[i], actions[i])[0].tobytes() == ref[i].tobytes()
 
 
-def test_pointmaze_wall_clip_returns_far_segments_at_once_and_clips_mixed_batches():
-    cfg = PointMazeConfig(noise_std=0.0)
-    env, wall = PointMazeEnv(cfg, TARGET, seed=0), cfg.wall_box(TARGET)
-    far0, far1 = np.array([[0.1, 0.5], [0.9, 0.1]]), np.array([[0.15, 0.55], [0.85, 0.15]])
-    assert env._stop_at_wall(far0, far1) is far1
-    # a segment ending exactly on the wall's left face, and its bounding box's corner
-    near0, near1 = np.array([[wall[0] - 0.05, 0.8], [wall[0] - 0.05, wall[1] - 0.05]]), \
-        np.array([[wall[0], 0.8], [wall[0], wall[1]]])
-    p0, p1 = np.concatenate([far0, near0]), np.concatenate([far1, near1])
-    out = env._stop_at_wall(p0, p1.copy())
-    assert out.tobytes() == stop_at_wall_every_row(wall, p0, p1.copy()).tobytes()
-    assert np.array_equal(out[:2], far1) and np.all(out[2:, 0] < wall[0])
-
-
 def _gt_rollout_envs():
     return (PointMazeEnv(PointMazeConfig(), TARGET, seed=1),
             LinkChainEnv(LinkChainConfig(), TARGET, seed=1),
@@ -431,8 +418,6 @@ def _gt_rollout_envs():
 
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_rollout_gt_reward_is_the_env_reward_of_every_landed_state(deterministic):
-    from odirl.policy import GaussianPolicy
-
     for env in _gt_rollout_envs():
         policy = GaussianPolicy(env.spec, hidden=(8,), seed=2, init_log_std=0.0)
         policy.mean_net.params[...] = np.random.default_rng(3).normal(0.0, 0.5,
@@ -441,18 +426,3 @@ def test_rollout_gt_reward_is_the_env_reward_of_every_landed_state(deterministic
         assert np.array_equal(batch.gt_reward, env.ground_truth_reward(batch.s_next))
         assert np.array_equal(batch.gt_reward, [env.ground_truth_reward(s) for s in batch.s_next])
 
-
-def test_rollout_spreads_a_scalar_gt_reward_to_every_row():
-    class ScalarGt:
-        def __init__(self, env):
-            self._env = env
-
-        def __getattr__(self, name):
-            return getattr(self._env, name)
-
-        def ground_truth_reward(self, state):
-            return -2.5
-
-    env = ScalarGt(PointMazeEnv(PointMazeConfig(), SOURCE, seed=0))
-    batch = rollouts(ScriptedPolicy((0.9, 0.55)), env, 3, 10, deterministic=True)
-    assert len(batch) > 3 and np.array_equal(batch.gt_reward, np.full(len(batch), -2.5))
