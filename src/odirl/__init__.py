@@ -1,7 +1,7 @@
 """Off-dynamics inverse reinforcement learning toolkit."""
 
 from .buffers import DemoSet, ReplayBuffer, load_demos, save_demos
-from .dd import ClassifierPair, DDConfig, classifier_loss, dd_value
+from .dd import ClassifierPair, DDConfig, classifier_loss, dd_for_transitions
 from .envs import (
     SOURCE,
     TARGET,

@@ -111,31 +111,16 @@ def classifier_loss(
     return losses[0] + losses[1], losses[0], losses[1]
 
 
-def dd_value(
-    pair: ClassifierPair,
-    s: np.ndarray,
-    a: np.ndarray,
-    s_next: np.ndarray,
-    config: DDConfig,
-    alpha: float,
-) -> np.ndarray:
-    """alpha * clamp(log-odds_sas - log-odds_sa) for a batch of transitions.
+def dd_for_transitions(pair: ClassifierPair, batch: Batch, config: DDConfig,
+                       alpha: float) -> np.ndarray:
+    """alpha * clamp(log-odds_sas - log-odds_sa) for each row of a batch.
 
     The log-probability differences reduce to raw logit differences, so no
     exponentials are involved and the value is numerically safe everywhere.
     """
-    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    s_next = np.atleast_2d(np.asarray(s_next, dtype=np.float64))
-    z_sas = pair.q_sas.forward(np.concatenate([s, a, s_next], axis=1))
-    z_sa = pair.q_sa.forward(np.concatenate([s, a], axis=1))
+    z_sas = pair.q_sas.forward(np.concatenate([batch.s, batch.a, batch.s_next], axis=1))
+    z_sa = pair.q_sa.forward(np.concatenate([batch.s, batch.a], axis=1))
     raw = (z_sas[:, CLS_TARGET] - z_sas[:, CLS_SOURCE]) - (z_sa[:, CLS_TARGET] - z_sa[:, CLS_SOURCE])
     if config.dd_clip is not None:
         raw = np.clip(raw, -config.dd_clip, config.dd_clip)
     return alpha * raw
-
-
-def dd_for_transitions(pair: ClassifierPair, batch: Batch, config: DDConfig,
-                       alpha: float) -> np.ndarray:
-    """dd_value over the rows of a batch."""
-    return dd_value(pair, batch.s, batch.a, batch.s_next, config, alpha)

@@ -119,12 +119,6 @@ def collect_batch(policy, env, batch_steps: int, rng) -> Batch:
     return Batch.concat(waves)
 
 
-def _gt_reward_fn(env):
-    def reward_fn(s, a, sn):
-        return env.ground_truth_reward(sn)
-    return reward_fn
-
-
 def _policy(cfg, spec, seed: int) -> GaussianPolicy:
     return GaussianPolicy(spec, hidden=tuple(cfg.policy.hidden), seed=seed,
                           init_log_std=cfg.policy.init_log_std)
@@ -153,8 +147,7 @@ def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float,
     src_batch = rollouts(policy, src_eval, n, src_eval.spec.horizon, deterministic=True)
     write_trajectory_csv(out / "final_eval_target.csv", tgt_batch)
     write_trajectory_csv(out / "final_eval_source.csv", src_batch)
-    ret, succ = evaluate(policy, tgt_eval, cfg.eval_episodes)
-    return ret, succ
+    return evaluate(policy, tgt_eval, cfg.eval_episodes)
 
 
 def _checkpoint_policy(cfg, out: Path, t: int, policy) -> None:
@@ -201,7 +194,7 @@ def train_expert(cfg: ExperimentConfig, out_dir=None) -> Path:
     src, _, src_eval, _ = build_envs(cfg, seeds)
     policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
                              replace(cfg.policy, entropy_coef=cfg.expert.entropy_coef))
-    reward_fn = _gt_reward_fn(src)
+    reward_fn = lambda s, a, sn: src.ground_truth_reward(sn)  # noqa: E731
 
     path = out / "expert_policy.bin"
     best_score = -np.inf
@@ -271,45 +264,31 @@ def _airl_reward_fn(disc, policy):
     return reward_fn
 
 
-def _airl_loss_fn(disc, policy):
-    """The phase loss of `_train_discriminator` for disc_loss; the demo
-    logits carry the given demo rows' DD, if any. log pi of both batches is
-    computed once per phase (the policy is frozen through it), and each
-    minibatch slices it and the DD."""
-    def phase_loss(demo_batch, pol_batch, demo_dd):
-        demo_logp = policy.log_prob(demo_batch.s, demo_batch.a)
-        pol_logp = policy.log_prob(pol_batch.s, pol_batch.a)
+def _airl_minibatch_loss(disc, policy, demo_batch, pol_batch, demo_dd=None):
+    """The minibatch loss of `_train_discriminator` for disc_loss over one
+    phase's batches; the demo logits carry the demo rows' DD, if given. log pi
+    of both batches is computed here, once per phase (the policy is frozen
+    through it), and each minibatch slices it and the DD."""
+    demo_logp = policy.log_prob(demo_batch.s, demo_batch.a)
+    pol_logp = policy.log_prob(pol_batch.s, pol_batch.a)
 
-        def minibatch_loss(idx):
-            return disc_loss(disc, demo_batch.rows(idx), pol_batch.rows(idx),
-                             demo_logp[idx], pol_logp[idx], None if demo_dd is None else demo_dd[idx])
-        return minibatch_loss
-    return phase_loss
+    def minibatch_loss(idx):
+        return disc_loss(disc, demo_batch.rows(idx), pol_batch.rows(idx),
+                         demo_logp[idx], pol_logp[idx], None if demo_dd is None else demo_dd[idx])
+    return minibatch_loss
 
 
-def _gail_loss_fn(gail):
-    """The phase loss of `_train_discriminator` for gail_disc_loss (no DD term:
-    its demo_dd is always None)."""
-    def phase_loss(demo_batch, pol_batch, demo_dd):
-        def minibatch_loss(idx):
-            return gail_disc_loss(gail, demo_batch.rows(idx), pol_batch.rows(idx))
-        return minibatch_loss
-    return phase_loss
+def _train_discriminator(minibatch_loss, disc_opt, n: int, epochs: int, minibatch_size: int,
+                         rng) -> tuple[float, float, float]:
+    """Shuffled minibatch epochs over equal-size demo and policy batches of n rows.
 
-
-def _train_discriminator(phase_loss, disc_opt, demo_batch, pol_batch, epochs: int,
-                         minibatch_size: int, rng, demo_dd=None) -> tuple[float, float, float]:
-    """Shuffled minibatch epochs over equal-size demo and policy batches.
-
-    phase_loss(demo_batch, pol_batch, demo_dd), called once, returns the
-    loss (which accumulates gradients) of the minibatch at given row
-    indices; demo_dd is the DD of each demo row, or None. Returns the mean
-    loss, demo accuracy and policy accuracy over all minibatches.
+    minibatch_loss(idx) returns the loss (which accumulates gradients) and
+    stats of the minibatch at the given row indices. Returns the mean loss,
+    demo accuracy and policy accuracy over all minibatches.
     """
-    minibatch_loss = phase_loss(demo_batch, pol_batch, demo_dd)
     d_losses, demo_accs, pol_accs = [], [], []
     for _ in range(epochs):
-        for idx in minibatches(len(pol_batch), minibatch_size, rng):
+        for idx in minibatches(n, minibatch_size, rng):
             _, stats = minibatch_loss(idx)
             disc_opt.step()
             d_losses.append(stats["loss"])
@@ -354,7 +333,6 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
                               hidden=tuple(cfg.dd.hidden), seed=seeds["classifier_init"])
         cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
         reward_fn = _airl_reward_fn(disc, policy)
-        loss_fn = _airl_loss_fn(disc, policy)
         nets = {"disc": disc, "classifiers": pair}
     else:
         disc = None
@@ -362,7 +340,6 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
                                  hidden=tuple(cfg.disc.hidden), seed=seeds["disc_init"])
         disc_opt = Adam(gail.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
         reward_fn = lambda s, a, sn: gail_policy_reward(gail, s, a)  # noqa: E731
-        loss_fn = _gail_loss_fn(gail)
         nets = {"gail": gail}
 
     b_src = ReplayBuffer(cfg.buffers.source_capacity, src.domain_tag)
@@ -399,10 +376,13 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
         # trained again before the phase).
         pol_batch = b_tgt.sample(len(batch), rngs["disc"])
         demo_idx, demo_batch = demos.sample(len(batch), rngs["disc"])
+        minibatch_loss = (
+            _airl_minibatch_loss(disc, policy, demo_batch, pol_batch, dd_demo_all[demo_idx])
+            if use_dd_pipeline else
+            lambda idx: gail_disc_loss(gail, demo_batch.rows(idx), pol_batch.rows(idx)))
         d_loss, demo_acc, pol_acc = _train_discriminator(
-            loss_fn, disc_opt, demo_batch, pol_batch, cfg.disc.epochs,
-            cfg.disc.minibatch_size, rngs["disc"],
-            None if dd_demo_all is None else dd_demo_all[demo_idx])
+            minibatch_loss, disc_opt, len(pol_batch), cfg.disc.epochs, cfg.disc.minibatch_size,
+            rngs["disc"])
 
         pstats = popt.update(batch, reward_fn, rngs["policy_update"])
 
@@ -460,7 +440,6 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
                              replace(cfg.policy, epochs=cfg.policy.epochs * cfg.r))
     disc, disc_opt = _airl_discriminator(cfg, src.spec, seeds["disc_init"])
     src_reward_fn = _airl_reward_fn(disc, policy)
-    loss_fn = _airl_loss_fn(disc, policy)
 
     n_src_iters = cfg.steps // cfg.r
     source_steps = source_episodes = 0
@@ -472,8 +451,8 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
             source_episodes += 1
             _, demo_batch = demos.sample(len(episode), rngs["disc"])
             d_loss, _, _ = _train_discriminator(
-                loss_fn, disc_opt, demo_batch, episode, cfg.disc.epochs * cfg.r,
-                cfg.disc.minibatch_size, rngs["disc"])
+                _airl_minibatch_loss(disc, policy, demo_batch, episode), disc_opt, len(episode),
+                cfg.disc.epochs * cfg.r, cfg.disc.minibatch_size, rngs["disc"])
             popt.update(episode, src_reward_fn, rngs["policy_update"])
             phase_writer.write(iteration=t, source_steps=source_steps, disc_loss=d_loss)
 

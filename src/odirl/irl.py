@@ -68,19 +68,14 @@ class Discriminator:
     def _g_input(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         return s if self.state_only_g else np.concatenate([s, a], axis=1)
 
-    def g_value(self, s: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        if self.state_only_g:
-            return self.g_net.forward(s)[:, 0]
-        return self.g_net.forward(np.concatenate([s, np.atleast_2d(a)], axis=1))[:, 0]
+    def g_value(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """g of each row of (N, state_dim) states and (N, action_dim) actions."""
+        return self.g_net.forward(self._g_input(s, a))[:, 0]
 
     def f_value(self, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> np.ndarray:
-        """f(s,a,s') = g(.) + gamma*h(s') - h(s), batched; g alone without shaping."""
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        f = self.g_net.forward(self._g_input(s, a))[:, 0]
+        """f(s,a,s') = g(.) + gamma*h(s') - h(s) of each row; g alone without shaping."""
+        f = self.g_value(s, a)
         if self.train_shaping:
-            s_next = np.atleast_2d(np.asarray(s_next, dtype=np.float64))
             f = f + self.gamma * self.h_net.forward(s_next)[:, 0] - self.h_net.forward(s)[:, 0]
         return f
 
@@ -182,8 +177,8 @@ class GailDiscriminator:
         return {"d": self.d_net}
 
     def logits(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        x = np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
-        return self.d_net.forward(x)[:, 0]
+        """D's logit of each row of (N, state_dim) states and (N, action_dim) actions."""
+        return self.d_net.forward(np.concatenate([s, a], axis=1))[:, 0]
 
 
 def gail_disc_loss(gail: GailDiscriminator, demo_batch, policy_batch) -> tuple[float, dict]:

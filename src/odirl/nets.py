@@ -86,12 +86,6 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def weights(self, layer: int) -> np.ndarray:
-        return self._layers[layer][0]
-
-    def biases(self, layer: int) -> np.ndarray:
-        return self._layers[layer][1]
-
     def _init_weights(self) -> None:
         rng = np.random.default_rng(self.seed)
         for fan_in, (w, b) in zip(self.layer_sizes, self._layers):
@@ -156,9 +150,6 @@ class Mlp:
                 dz *= delta
         return delta[0] if single else delta
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def meta(self) -> dict:
         return {
             "layer_sizes": self.layer_sizes,
@@ -185,19 +176,17 @@ class Adam:
     a non-finite element (raise) from an overflow (a numpy warning only).
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8     # the textbook constants
+
     def __init__(
         self,
         blocks: Sequence,
         lr: float = 3e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         clip_norm: float | None = None,
         weight_decay: float = 0.0,
     ):
         self.blocks = list(blocks)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.clip_norm = clip_norm
         self.weight_decay = float(weight_decay)
         self.t = 0

@@ -81,23 +81,19 @@ class GaussianPolicy:
         return np.minimum(np.maximum(self.log_std.params, LOG_STD_MIN), LOG_STD_MAX)
 
     def sample_action(self, states: np.ndarray,
-                      rng: np.random.Generator) -> tuple[np.ndarray, float | np.ndarray]:
-        """Draw actions for a (state_dim,) state or (N, state_dim) states.
-
-        Returns the clipped actions and their log-density from the same
-        forward pass: a float for one state, an (N,) array for a batch.
-        """
-        mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw an action for each row of (N, state_dim) states: the clipped
+        (N, action_dim) actions and their (N,) log-density, from one forward pass."""
+        mean = self.mean_net.forward(states)
         log_std = self.clipped_log_std()
         std = np.exp(log_std)
         action = np.minimum(np.maximum(mean + std * rng.standard_normal(mean.shape),
                                        self.spec.action_low), self.spec.action_high)
-        logp = self._log_density(mean, action, log_std, std)
-        return action, (float(logp) if mean.ndim == 1 else logp)
+        return action, self._log_density(mean, action, log_std, std)
 
     def act_deterministic(self, states: np.ndarray) -> np.ndarray:
-        """The clipped mean action of a (state_dim,) state or each row of (N, state_dim) states."""
-        mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
+        """The clipped mean action of each row of (N, state_dim) states."""
+        mean = self.mean_net.forward(states)
         return np.minimum(np.maximum(mean, self.spec.action_low), self.spec.action_high)
 
     def log_prob(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Everything here is computed without touching the code paths under test:
 closed-form Gaussian log-density ratios, enumerated occupancy measures,
 synthetic transition generators, a one-state-at-a-time point-maze step, the
-point-maze wall clip run on every row, textbook Adam, and a replay buffer
-kept as a deque of rows.
+point-maze wall clip run on every row, per-layer views of an Mlp's flat
+parameters, textbook Adam, and a replay buffer kept as a deque of rows.
 """
 
 from collections import deque
@@ -193,6 +193,27 @@ def stop_at_wall_every_row(wall, p0, p1):
     for i in np.flatnonzero(inside[:, 0] & inside[:, 1]):
         out[i] = _project_out(out[i], wall)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Mlp layer views
+# ---------------------------------------------------------------------------
+
+def mlp_layers(net):
+    """(W, b) views into `net.params` of each layer, sliced by `net.layer_sizes`.
+
+    The flat layout is each layer's (fan_in, fan_out) weight matrix, row-major,
+    then its fan_out biases, layer after layer. Writing to a view writes the
+    network's parameters.
+    """
+    layers, offset = [], 0
+    for fan_in, fan_out in zip(net.layer_sizes[:-1], net.layer_sizes[1:]):
+        w = net.params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        layers.append((w, net.params[offset : offset + fan_out]))
+        offset += fan_out
+    assert offset == net.params.size
+    return layers
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from odirl.dd import (
     ClassifierPair,
     DDConfig,
     classifier_loss,
-    dd_value,
+    dd_for_transitions,
 )
 from odirl.envs import SOURCE, TARGET, Batch, Transition
 from odirl.nets import Adam
@@ -19,11 +19,17 @@ from oracles import (
     gaussian_domain_transitions,
     gaussian_eval_grid,
     gaussian_true_dd,
+    mlp_layers,
     replicated_uniform_sa_batch,
     toy_mdp_transition_matrix,
 )
 
 LN2 = float(np.log(2.0))
+
+
+def dd_of_rows(pair, s, a, s_next, config, alpha):
+    """DD of the rows (s[i], a[i], s_next[i])."""
+    return dd_for_transitions(pair, Batch(s, a, s_next, SOURCE), config, alpha)
 
 
 def fit_classifiers(pair, source_transitions, target_transitions, steps, config, rng):
@@ -129,16 +135,16 @@ def test_identical_domains_stay_at_chance():
 def test_dd_zero_when_logits_identical():
     pair = ClassifierPair(1, 1, hidden=(16,), seed=0)  # zero output init
     cfg = DDConfig(dd_clip=None)
-    dd = dd_value(pair, np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((5, 1)), cfg, 1.0)
+    dd = dd_of_rows(pair, np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((5, 1)), cfg, 1.0)
     assert np.all(dd == 0.0)
 
 
 def test_dd_matches_direct_substitution_example():
     # q_sas says p(target)=0.8, q_sa says 0.5 -> DD = ln 4
     pair = ClassifierPair(1, 1, hidden=(16,), seed=0)
-    pair.q_sas.biases(len(pair.q_sas.layer_sizes) - 2)[...] = np.array([0.0, np.log(4.0)])
+    mlp_layers(pair.q_sas)[-1][1][...] = np.array([0.0, np.log(4.0)])
     cfg = DDConfig(dd_clip=None)
-    dd = dd_value(pair, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), cfg, 1.0)
+    dd = dd_of_rows(pair, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), cfg, 1.0)
     assert dd[0] == pytest.approx(np.log(4.0), abs=1e-12)
 
 
@@ -146,23 +152,23 @@ def test_dd_alpha_linearity_is_exact():
     rng = np.random.default_rng(5)
     pair = ClassifierPair(1, 1, hidden=(16,), seed=1)
     # random nontrivial logits
-    pair.q_sas.weights(len(pair.q_sas.layer_sizes) - 2)[...] = rng.normal(size=(16, 2))
-    pair.q_sa.weights(len(pair.q_sa.layer_sizes) - 2)[...] = rng.normal(size=(16, 2))
+    mlp_layers(pair.q_sas)[-1][0][...] = rng.normal(size=(16, 2))
+    mlp_layers(pair.q_sa)[-1][0][...] = rng.normal(size=(16, 2))
     s, a, sn = rng.normal(size=(9, 1)), rng.normal(size=(9, 1)), rng.normal(size=(9, 1))
-    base = dd_value(pair, s, a, sn, DDConfig(dd_clip=None), 1.0)
+    base = dd_of_rows(pair, s, a, sn, DDConfig(dd_clip=None), 1.0)
     for c in (0.0, 0.5, 2.0, 7.0):
-        scaled = dd_value(pair, s, a, sn, DDConfig(dd_clip=None), c)
+        scaled = dd_of_rows(pair, s, a, sn, DDConfig(dd_clip=None), c)
         assert np.array_equal(scaled, c * base)
     # with the clamp, alpha still scales outside the clamp
-    clipped = dd_value(pair, s, a, sn, DDConfig(dd_clip=0.5), 3.0)
+    clipped = dd_of_rows(pair, s, a, sn, DDConfig(dd_clip=0.5), 3.0)
     assert np.array_equal(clipped, 3.0 * np.clip(base, -0.5, 0.5))
 
 
 def test_dd_clip_bounds_output():
     rng = np.random.default_rng(6)
     pair = ClassifierPair(1, 1, hidden=(16,), seed=1)
-    pair.q_sas.biases(len(pair.q_sas.layer_sizes) - 2)[...] = np.array([0.0, 40.0])
-    dd = dd_value(pair, np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)),
+    mlp_layers(pair.q_sas)[-1][1][...] = np.array([0.0, 40.0])
+    dd = dd_of_rows(pair, np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)),
                   DDConfig(dd_clip=5.0), 1.0)
     assert np.all(dd == 5.0)
 
@@ -170,17 +176,17 @@ def test_dd_clip_bounds_output():
 def test_swapped_label_query_is_exact_negation():
     rng = np.random.default_rng(7)
     pair = ClassifierPair(1, 1, hidden=(16,), seed=2)
-    pair.q_sas.weights(len(pair.q_sas.layer_sizes) - 2)[...] = rng.normal(size=(16, 2))
-    pair.q_sa.weights(len(pair.q_sa.layer_sizes) - 2)[...] = rng.normal(size=(16, 2))
+    mlp_layers(pair.q_sas)[-1][0][...] = rng.normal(size=(16, 2))
+    mlp_layers(pair.q_sa)[-1][0][...] = rng.normal(size=(16, 2))
     s, a, sn = rng.normal(size=(6, 1)), rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
     cfg = DDConfig(dd_clip=None)
-    base = dd_value(pair, s, a, sn, cfg, 1.0)
+    base = dd_of_rows(pair, s, a, sn, cfg, 1.0)
 
     def swapped(net):  # the classifier with its source and target logit columns exchanged
         return SimpleNamespace(forward=lambda x: net.forward(x)[:, ::-1])
 
     swapped_pair = SimpleNamespace(q_sas=swapped(pair.q_sas), q_sa=swapped(pair.q_sa))
-    swapped = dd_value(swapped_pair, s, a, sn, cfg, 1.0)
+    swapped = dd_of_rows(swapped_pair, s, a, sn, cfg, 1.0)
     assert np.array_equal(swapped, -base)
 
 
@@ -197,8 +203,8 @@ def test_retraining_with_swapped_domains_negates_dd_within_noise():
     fit_classifiers(pair, src, tgt, steps=1500, config=cfg, rng=np.random.default_rng(9))
     fit_classifiers(pair_sw, src_sw, tgt_sw, steps=1500, config=cfg, rng=np.random.default_rng(9))
     S, A, SN = gaussian_eval_grid(8)
-    d1 = dd_value(pair, S[:, None], A[:, None], SN[:, None], cfg, 1.0)
-    d2 = dd_value(pair_sw, S[:, None], A[:, None], SN[:, None], cfg, 1.0)
+    d1 = dd_of_rows(pair, S[:, None], A[:, None], SN[:, None], cfg, 1.0)
+    d2 = dd_of_rows(pair_sw, S[:, None], A[:, None], SN[:, None], cfg, 1.0)
     assert np.mean(np.abs(d1 + d2)) < 0.15
 
 
@@ -211,7 +217,7 @@ def test_gaussian_log_ratio_recovery():
     cfg = DDConfig(dd_clip=None, input_noise_std=0.01, lr=1e-3, batch_size=256)
     fit_classifiers(pair, src, tgt, steps=2500, config=cfg, rng=np.random.default_rng(11))
     S, A, SN = gaussian_eval_grid(20)
-    est = dd_value(pair, S[:, None], A[:, None], SN[:, None], cfg, 1.0)
+    est = dd_of_rows(pair, S[:, None], A[:, None], SN[:, None], cfg, 1.0)
     true = gaussian_true_dd(S, A, SN)
     mae = float(np.mean(np.abs(est - true)))
     assert mae <= 0.1
@@ -233,6 +239,6 @@ def test_tabular_bayes_consistency():
                 p_t, p_s = P_tgt[s, a, sn], P_src[s, a, sn]
                 if min(p_t, p_s) < 0.05:
                     continue
-                est = dd_value(pair, onehot(s, 3)[None, :], onehot(a, 2)[None, :],
+                est = dd_of_rows(pair, onehot(s, 3)[None, :], onehot(a, 2)[None, :],
                                onehot(sn, 3)[None, :], cfg, 1.0)[0]
                 assert est == pytest.approx(np.log(p_t) - np.log(p_s), abs=0.05)

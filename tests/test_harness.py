@@ -247,12 +247,25 @@ def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, mo
     assert np.array_equal(clean["log_std"], poisoned["log_std"])
 
 
-def test_gail_runs_without_source_interactions(tmp_path, demo_file):
+def test_gail_runs_without_source_interactions(tmp_path, demo_file, monkeypatch):
+    calls = {"log_prob": 0, "dd_for_transitions": 0, "disc_loss": 0, "gail_disc_loss": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GaussianPolicy, "log_prob", counted("log_prob", GaussianPolicy.log_prob))
+    for name in ("dd_for_transitions", "disc_loss", "gail_disc_loss"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
     demos, _ = demo_file
     cfg = tiny_cfg(tmp_path, "gail", steps=2, r=2)
     cfg.method = "gail"
     cfg.demos_path = demos
     out = run_experiment(cfg)
+    # no log pi, DD or AIRL loss; the GAN loss once per minibatch (40 rows in minibatches of 32)
+    assert calls == {"log_prob": 0, "dd_for_transitions": 0, "disc_loss": 0, "gail_disc_loss": 4}
     rows = read_progress(out)
     assert all(int(r["source_steps"]) == 0 for r in rows)
     assert all(r["classifier_loss"] == "" for r in rows)
@@ -722,15 +735,9 @@ def test_discriminator_phase_computes_log_pi_and_dd_once(monkeypatch, epochs, n,
     # The loop computes DD of every demo row once per iteration; the phase only slices it.
     demo_dd = dd_for_transitions(pair, demo, DDConfig(), 1.0)
     disc, opt = _disc_and_opt()
-    harness._train_discriminator(harness._airl_loss_fn(disc, policy), opt, demo, pol, epochs,
-                                 minibatch_size, np.random.default_rng(0), demo_dd)
+    harness._train_discriminator(harness._airl_minibatch_loss(disc, policy, demo, pol, demo_dd),
+                                 opt, n, epochs, minibatch_size, np.random.default_rng(0))
     assert calls == {"log_prob": 2, "dd": 0, "disc_loss": n_minibatches, "gail_disc_loss": 0}
-
-    calls.update(dict.fromkeys(calls, 0))
-    gail = GailDiscriminator(2, 2, hidden=(16,), seed=4)
-    harness._train_discriminator(harness._gail_loss_fn(gail), Adam(gail.blocks().values()),
-                                 demo, pol, epochs, minibatch_size, np.random.default_rng(0))
-    assert calls == {"log_prob": 0, "dd": 0, "disc_loss": 0, "gail_disc_loss": n_minibatches}
 
 
 @pytest.mark.parametrize("epochs", [1, 3])
@@ -747,9 +754,10 @@ def test_discriminator_phase_equals_per_minibatch_disc_loss_calls(epochs, n, min
     demo, pol, policy, pair = _phase_inputs(n, seed=epochs)
     dd_cfg, alpha = DDConfig(), 0.7
     disc, opt = _disc_and_opt()
-    harness._train_discriminator(harness._airl_loss_fn(disc, policy), opt, demo, pol, epochs,
-                                 minibatch_size, np.random.default_rng(5),
-                                 dd_for_transitions(pair, demo, dd_cfg, alpha))
+    minibatch_loss = harness._airl_minibatch_loss(disc, policy, demo, pol,
+                                                  dd_for_transitions(pair, demo, dd_cfg, alpha))
+    harness._train_discriminator(minibatch_loss, opt, n, epochs, minibatch_size,
+                                 np.random.default_rng(5))
 
     ref, ref_opt = _disc_and_opt()
     rng = np.random.default_rng(5)
@@ -773,18 +781,18 @@ def test_discriminator_phase_reads_demo_dd_from_the_iteration_dd_of_every_demo_r
     """Each odirl/airl iteration computes DD once, over every demo row, and its
     discriminator phase gets that DD at the indices of its sampled demo rows."""
     dd_calls, phases = [], []
-    dd_for_transitions_, train = harness.dd_for_transitions, harness._train_discriminator
+    dd_for_transitions_, phase_loss = harness.dd_for_transitions, harness._airl_minibatch_loss
 
     def dd_spy(pair, batch, config, alpha_):
         dd_calls.append(dd_for_transitions_(pair, batch, config, alpha_))
         return dd_calls[-1]
 
-    def train_spy(phase_loss, disc_opt, demo_batch, pol_batch, *args):
-        phases.append((demo_batch, args[-1]))
-        return train(phase_loss, disc_opt, demo_batch, pol_batch, *args)
+    def phase_loss_spy(disc, policy, demo_batch, pol_batch, demo_dd=None):
+        phases.append((demo_batch, demo_dd))
+        return phase_loss(disc, policy, demo_batch, pol_batch, demo_dd)
 
     monkeypatch.setattr(harness, "dd_for_transitions", dd_spy)
-    monkeypatch.setattr(harness, "_train_discriminator", train_spy)
+    monkeypatch.setattr(harness, "_airl_minibatch_loss", phase_loss_spy)
     demos_path, _ = demo_file
     demos = load_demos(demos_path).batch
     cfg = tiny_cfg(tmp_path, "dd", steps=3, r=1, method="odirl" if alpha else "airl")

@@ -16,6 +16,7 @@ from odirl.nets import Adam
 from oracles import (
     N_ACTIONS,
     N_STATES,
+    mlp_layers,
     occupancy_measure,
     onehot,
     random_tabular_policy,
@@ -36,9 +37,9 @@ def rand_disc(seed=0, gamma=0.9, **kw):
 
 
 def randomize_output(net, rng):
-    last = len(net.layer_sizes) - 2
-    net.weights(last)[...] = rng.normal(size=net.weights(last).shape)
-    net.biases(last)[...] = rng.normal(size=net.biases(last).shape)
+    w, b = mlp_layers(net)[-1]
+    w[...] = rng.normal(size=w.shape)
+    b[...] = rng.normal(size=b.shape)
 
 
 def test_f_equals_g_when_h_is_zero():
@@ -47,7 +48,7 @@ def test_f_equals_g_when_h_is_zero():
     randomize_output(disc.g_net, rng)
     s, a, sn = rng.normal(size=(7, 2)), rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
     f = disc.f_value(s, a, sn)
-    g = disc.g_value(s)
+    g = disc.g_value(s, a)
     assert np.array_equal(f, g)
 
 
@@ -62,7 +63,7 @@ def test_without_shaping_h_is_never_run():
 
     disc.h_net.forward = fail
     s, a, sn = rng.normal(size=(7, 2)), rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
-    assert np.array_equal(disc.f_value(s, a, sn), disc.g_value(s))
+    assert np.array_equal(disc.f_value(s, a, sn), disc.g_value(s, a))
     demo, pol = _toy_batch(4, SOURCE, rng), _toy_batch(4, TARGET, rng)
     disc_loss(disc, demo, pol, np.zeros(4), np.zeros(4))
     assert np.all(disc.h_net.grad == 0.0)
@@ -181,8 +182,6 @@ def test_disc_loss_indistinguishable_data_converges_to_2ln2():
     held_pol = _toy_batch(512, TARGET, rng)
     lp = np.full(512, -1.0)
     loss, stats = disc_loss(disc, held_demo, held_pol, lp, lp)
-    disc.g_net.zero_grad()
-    disc.h_net.zero_grad()
     assert loss >= 2 * LN2 - 0.05
 
 
@@ -222,7 +221,6 @@ def test_gail_loss_balanced_indistinguishable_is_2ln2_when_converged():
     demo = _toy_batch(256, SOURCE, rng)
     pol = _toy_batch(256, TARGET, rng)
     loss, _ = gail_disc_loss(gail, demo, pol)  # zero-init: D = 0.5 exactly
-    gail.d_net.zero_grad()
     assert loss == pytest.approx(2 * LN2, abs=1e-12)
 
 
@@ -239,8 +237,7 @@ def test_gail_loss_rejects_mistagged_batches():
 
 def test_gail_reward_capped_by_logit_clamp():
     gail = GailDiscriminator(2, 2, hidden=(16,), seed=0)
-    last = len(gail.d_net.layer_sizes) - 2
-    gail.d_net.biases(last)[...] = 50.0  # D -> 1
+    mlp_layers(gail.d_net)[-1][1][...] = 50.0  # D -> 1
     r = gail_policy_reward(gail, np.zeros((1, 2)), np.zeros((1, 2)))[0]
     assert r <= np.log1p(np.exp(10.0)) + 1e-12
     assert r == pytest.approx(10.0, abs=1e-3)
@@ -292,7 +289,6 @@ def test_shaping_constant_shift_leaves_logits_unchanged_at_gamma_one():
     s, a, sn = rng.normal(size=(40, 2)), rng.normal(size=(40, 2)), rng.normal(size=(40, 2))
     log_pi = rng.normal(size=40)
     before = disc_logit(disc.f_value(s, a, sn), log_pi)
-    last = len(disc.h_net.layer_sizes) - 2
-    disc.h_net.biases(last)[...] += 7.3
+    mlp_layers(disc.h_net)[-1][1][...] += 7.3
     after = disc_logit(disc.f_value(s, a, sn), log_pi)
     assert np.max(np.abs(after - before)) <= 1e-9

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import TextbookAdam
+from oracles import TextbookAdam, mlp_layers
 
 from odirl.nets import Adam, FlatParams, Mlp, load_params, minibatches, save_blocks
 
@@ -23,11 +23,11 @@ def finite_difference_check(
     for _ in range(n_draws):
         x = rng.normal(size=net.in_dim)
         upstream = rng.normal(size=net.out_dim)
-        net.zero_grad()
+        net.grad[...] = 0.0
         net.forward(x)
         net.backward(x, upstream)
         analytic = net.grad.copy()
-        net.zero_grad()
+        net.grad[...] = 0.0
         for j in range(net.params.size):
             orig = net.params[j]
             net.params[j] = orig + eps
@@ -58,8 +58,9 @@ def test_zero_init_output_layer_gives_zero_output():
 
 def test_identity_single_layer_passes_input_through():
     net = Mlp([2, 2], seed=0)
-    net.weights(0)[...] = np.eye(2)
-    net.biases(0)[...] = 0.0
+    (w, b), = mlp_layers(net)
+    w[...] = np.eye(2)
+    b[...] = 0.0
     x = np.array([0.3, -1.7])
     assert np.allclose(net.forward(x), x)
 
@@ -121,7 +122,7 @@ def test_backward_accumulation_is_linear():
     net.forward(x)
     net.backward(x, g1 + g2)
     combined = net.grad.copy()
-    net.zero_grad()
+    net.grad[...] = 0.0
     net.forward(x)
     net.backward(x, g1)
     net.forward(x)
@@ -259,15 +260,16 @@ def test_forward_and_backward_match_the_textbook_kernels():
     net = Mlp([4, 16, 8, 3], seed=2)
     rng = np.random.default_rng(3)
     x, up = rng.normal(size=(37, 4)), rng.normal(size=(37, 3))
-    acts, n_layers = [x], len(net.layer_sizes) - 1      # tanh hidden layers, identity output
-    for i in range(n_layers):
-        z = acts[-1] @ net.weights(i) + net.biases(i)
+    layers = mlp_layers(net)
+    acts, n_layers = [x], len(layers)                   # tanh hidden layers, identity output
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
         acts.append(np.tanh(z) if i < n_layers - 1 else z)
     delta, grads = up, []
     for i in reversed(range(n_layers)):
         dz = delta * (1.0 - acts[i + 1] * acts[i + 1]) if i < n_layers - 1 else delta
         grads = [(acts[i].T @ dz).ravel(), dz.sum(axis=0)] + grads
-        delta = dz @ net.weights(i).T
+        delta = dz @ layers[i][0].T
     assert np.array_equal(net.forward(x), acts[-1])
     assert np.array_equal(net.backward(x, up), delta)
     assert np.array_equal(net.grad, np.concatenate(grads))

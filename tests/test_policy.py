@@ -27,7 +27,7 @@ def bandit_spec(action_dim=1, bound=2.0):
 def collect_bandit_batch(policy, n, rng):
     """One-step episodes from the fixed state [0]."""
     states = np.zeros((n, 1))
-    actions = np.array([policy.sample_action(s, rng)[0] for s in states])
+    actions, _ = policy.sample_action(states, rng)
     return Batch(states, actions, states.copy(), SOURCE, done=np.ones(n, dtype=bool),
                  gt_reward=np.zeros(n), ends=np.ones(n, dtype=bool),
                  log_prob=policy.log_prob(states, actions))
@@ -36,27 +36,26 @@ def collect_bandit_batch(policy, n, rng):
 def test_sample_action_min_log_std_is_nearly_deterministic():
     policy = GaussianPolicy(bandit_spec(2), hidden=(8,), seed=0, init_log_std=-5.0)
     rng = np.random.default_rng(0)
-    state = np.zeros(1)
-    mean = policy.mean_net.forward(state)
-    for _ in range(20):
-        a, _ = policy.sample_action(state, rng)
-        assert np.all(np.abs(a - mean) < 5 * np.exp(-5.0))
+    states = np.zeros((20, 1))
+    mean = policy.mean_net.forward(states)
+    a, _ = policy.sample_action(states, rng)
+    assert np.all(np.abs(a - mean) < 5 * np.exp(-5.0))
 
 
 def test_sample_action_logp_matches_log_prob_when_in_bounds():
     policy = GaussianPolicy(bandit_spec(2, bound=50.0), hidden=(8,), seed=1, init_log_std=-1.0)
     rng = np.random.default_rng(3)
-    state = np.zeros(1)
-    for _ in range(20):
-        a, logp = policy.sample_action(state, rng)
-        assert logp == pytest.approx(policy.log_prob(state[None, :], a[None, :])[0], abs=1e-12)
+    states = np.zeros((20, 1))
+    a, logp = policy.sample_action(states, rng)
+    assert logp.shape == (20,)
+    assert np.allclose(logp, policy.log_prob(states, a), rtol=0, atol=1e-12)
 
 
 def test_sample_action_repeatable_given_rng_state():
     policy = GaussianPolicy(bandit_spec(2), hidden=(8,), seed=0)
-    a1, l1 = policy.sample_action(np.zeros(1), np.random.default_rng(77))
-    a2, l2 = policy.sample_action(np.zeros(1), np.random.default_rng(77))
-    assert np.array_equal(a1, a2) and l1 == l2
+    a1, l1 = policy.sample_action(np.zeros((3, 1)), np.random.default_rng(77))
+    a2, l2 = policy.sample_action(np.zeros((3, 1)), np.random.default_rng(77))
+    assert np.array_equal(a1, a2) and np.array_equal(l1, l2)
 
 
 def quadratic_bandit_reward(target=0.5):
