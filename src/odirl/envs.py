@@ -141,7 +141,6 @@ class PointMazeConfig:
     wall_x: float = 0.5
     wall_half_width: float = 0.02
     start_region: tuple[float, ...] = (0.06, 0.50, 0.14, 0.60)   # xlo, ylo, xhi, yhi
-    goal_region: tuple[float, ...] = (0.78, 0.43, 1.0, 0.67)
     goal: tuple[float, ...] = (0.9, 0.55)
     goal_radius: float = 0.1
     noise_std: float = 0.01
@@ -162,12 +161,16 @@ class PointMazeConfig:
         if len(self.goal) != 2:
             raise ValueError("pointmaze.goal must be an (x, y) pair")
         wall = self.wall_box(TARGET)   # contains the source wall
-        for name in ("start_region", "goal_region"):
-            box = getattr(self, name)
-            if len(box) != 4 or not (box[0] <= box[2] and box[1] <= box[3]):
-                raise ValueError(f"pointmaze.{name} must be (xlo, ylo, xhi, yhi) with lo <= hi")
-            if _boxes_overlap(box, wall):
-                raise ValueError(f"pointmaze.{name} overlaps the target wall")
+        # A goal outside the arena or inside the target wall is never reached.
+        gx, gy = self.goal
+        if not (0.0 <= gx <= 1.0 and 0.0 <= gy <= 1.0) or _boxes_overlap((gx, gy, gx, gy), wall):
+            raise ValueError("pointmaze.goal must lie in the arena, outside the target wall")
+        box = self.start_region
+        if len(box) != 4 or not (0 <= box[0] <= box[2] <= 1 and 0 <= box[1] <= box[3] <= 1):
+            raise ValueError("pointmaze.start_region must be (xlo, ylo, xhi, yhi) in the arena "
+                             "with lo <= hi")
+        if _boxes_overlap(box, wall):
+            raise ValueError("pointmaze.start_region overlaps the target wall")
         if self.horizon < 1:
             raise ValueError("pointmaze.horizon must be >= 1")
 

@@ -150,8 +150,8 @@ def test_pointmaze_pair_differs_at_extended_wall():
 
 
 def test_ground_truth_reward_examples():
-    env = PointMazeEnv(PointMazeConfig(goal=(0.0, 1.0), goal_region=(0.0, 0.9, 0.2, 1.0),
-                                       start_region=(0.0, 0.0, 0.1, 0.1)), SOURCE, seed=0)
+    env = PointMazeEnv(PointMazeConfig(goal=(0.0, 1.0), start_region=(0.0, 0.0, 0.1, 0.1)),
+                       SOURCE, seed=0)
     assert env.ground_truth_reward(np.array([0.0, 1.0])) == 0.0
     assert env.ground_truth_reward(np.array([0.0, 0.0])) == pytest.approx(-1.0)
     # monotonic in distance
@@ -203,8 +203,7 @@ def test_rollout_tags_transitions_and_stops_on_done():
     env = PointMazeEnv(cfg, TARGET, seed=0)
     # scripted run straight at the goal in a wall-free corridor (start y below wall)
     env2 = PointMazeEnv(
-        PointMazeConfig(noise_std=0.0, start_region=(0.8, 0.1, 0.9, 0.2), goal=(0.9, 0.8),
-                        goal_region=(0.75, 0.65, 1.0, 0.95)),
+        PointMazeConfig(noise_std=0.0, start_region=(0.8, 0.1, 0.9, 0.2), goal=(0.9, 0.8)),
         TARGET, seed=0,
     )
     traj = rollout(ScriptedPolicy((0.9, 0.8)), env2, horizon=80)
@@ -215,8 +214,7 @@ def test_rollout_tags_transitions_and_stops_on_done():
 
 
 def test_rollouts_lay_episodes_back_to_back_as_one_episode_at_a_time_would():
-    cfg = PointMazeConfig(noise_std=0.0, start_region=(0.6, 0.05, 0.9, 0.3), goal=(0.9, 0.8),
-                          goal_region=(0.75, 0.65, 1.0, 0.95))
+    cfg = PointMazeConfig(noise_std=0.0, start_region=(0.6, 0.05, 0.9, 0.3), goal=(0.9, 0.8))
     env = PointMazeEnv(cfg, TARGET, seed=4)
     policy = ScriptedPolicy(cfg.goal)
     batch = rollouts(policy, env, 6, 12, np.random.default_rng(0))

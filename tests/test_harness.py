@@ -577,9 +577,17 @@ def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
     # list elements of the wrong type, and an infinite alpha
     ("pointmaze.goal", ["a", 1]), ("pointmaze.goal", [True, 0.5]),
     ("pointmaze.start_region", ["x", 0.50, 0.14, 0.60]),
+    # goal_region is no longer a key: a config that sets it is rejected as unknown
     ("pointmaze.goal_region", [0.78, 0.43, 1.0, None]), ("linkchain.goal_angles", ["x", 1, 2]),
     ("linkchain.goal_angles", [1.1, False, 0.9]), ("linkchain.target_disabled_mask", [0, 0, 1]),
     ("linkchain.target_disabled_mask", [False, False, "yes"]), ("alpha", float("inf")),
+    # a goal the agent can never reach: inside the target wall, or outside the arena
+    ("pointmaze.goal", [0.5, 0.9]), ("pointmaze.goal", [1.5, 0.5]), ("pointmaze.goal", [0.9, -0.1]),
+    ("pointmaze.goal", [float("nan"), 0.5]),
+    # a start region reaching outside the arena
+    ("pointmaze.start_region", [-0.1, 0.5, 0.14, 0.6]),
+    ("pointmaze.start_region", [0.06, 0.5, 0.14, 1.2]),
+    ("pointmaze.start_region", [0.9, 0.2, 1.1, 0.3]),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
@@ -606,6 +614,9 @@ def test_config_converts_yaml_exponent_strings_and_takes_ints_and_null_for_float
                  id="mask-too-short"),
     pytest.param("linkchain", {"target_disabled_mask": [False, False, False]},
                  "linkchain.target_disabled_mask", id="no-dead-actuator"),
+    # the target wall (y from 0.25) covers the goal; the source wall (y from 0.5) does not
+    pytest.param("pointmaze", {"goal": [0.5, 0.35]}, "pointmaze.goal .* outside the target wall",
+                 id="goal-in-target-wall-only"),
 ])
 def test_config_rejects_a_bad_source_target_pair_at_load(section, values, key):
     with pytest.raises(ValueError, match=key):
@@ -614,8 +625,10 @@ def test_config_rejects_a_bad_source_target_pair_at_load(section, values, key):
 
 def test_default_env_config_hash_is_pinned():
     # Demo files record this hash; a changed default hash would make every
-    # demo file recorded before the change load with a mismatch warning.
-    assert load_config(overrides={"task": "pointmaze"}).env_config_hash() == "ac2edbd1fbf5"
+    # demo file recorded before the change load with a mismatch warning. The
+    # point-maze hash changed once, when the unread goal_region key went
+    # (it was ac2edbd1fbf5).
+    assert load_config(overrides={"task": "pointmaze"}).env_config_hash() == "da9341d5796b"
     assert load_config(overrides={"task": "linkchain"}).env_config_hash() == "3d30ed26db03"
 
 
