@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 from dataclasses import InitVar, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -146,6 +147,9 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
             meta = json.loads(meta_line.lstrip("#").strip())
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line 1: bad metadata header: {exc}") from exc
+        for key in ("state_dim", "action_dim"):
+            if key not in meta:
+                raise ValueError(f"{path}: line 1: metadata header has no {key!r}")
         sd, ad = int(meta["state_dim"]), int(meta["action_dim"])
         if expected_spec is not None:
             if sd != expected_spec.state_dim or ad != expected_spec.action_dim:
@@ -159,10 +163,14 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
                 path, meta.get("env_config_hash"), expected_config_hash,
             )
         reader = csv.reader(fh)
-        header = next(reader, None)
-        n_cols = 1 + sd + ad + sd + 3
-        if header is None or len(header) != n_cols:
-            raise ValueError(f"{path}: line 2: bad header, expected {n_cols} columns")
+        header = next(reader, [])
+        expected = ["episode", *trajectory_header(sd, ad), "gt_reward"]
+        if header != expected:                 # name the first differing column; None: absent
+            col, got, want = next((i, h, e) for i, (h, e)
+                                  in enumerate(zip_longest(header, expected)) if h != e)
+            raise ValueError(f"{path}: line 2: bad header: column {col + 1} is {got!r}, "
+                             f"expected {want!r}")
+        n_cols = len(expected)
         episodes, values, dones, tags, rewards = [], [], [], set(), []
         n_vals = 2 * sd + ad
         for line_no, row in enumerate(reader, start=3):

@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -211,3 +213,39 @@ def test_load_demos_hash_mismatch_warns_but_loads(tmp_path, caplog):
         loaded = load_demos(path, expected_config_hash="new")
     assert len(loaded) == 3
     assert any("config hash" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("key", ["state_dim", "action_dim"])
+def test_load_demos_names_a_dimension_missing_from_the_metadata(tmp_path, key):
+    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
+    path = tmp_path / "demos.csv"
+    save_demos(demos, path)
+    meta_line, rest = path.read_text().split("\n", 1)
+    meta = json.loads(meta_line[1:])
+    del meta[key]
+    path.write_text("# " + json.dumps(meta) + "\n" + rest)
+    with pytest.raises(ValueError, match=f"demos.csv: line 1: .*'{key}'"):
+        load_demos(path)
+
+
+@pytest.mark.parametrize("header,message", [
+    # a column renamed, the s/a order swapped, the reward column dropped, a column added
+    ("episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag,reward",
+     "column 10 is 'reward', expected 'gt_reward'"),
+    ("episode,a_0,a_1,s_0,s_1,s_next_0,s_next_1,done,domain_tag,gt_reward",
+     "column 2 is 'a_0', expected 's_0'"),
+    ("episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag",
+     "column 10 is None, expected 'gt_reward'"),
+    ("episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag,gt_reward,extra",
+     "column 11 is 'extra', expected None"),
+])
+def test_load_demos_names_the_first_header_column_that_differs(tmp_path, header, message):
+    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
+    path = tmp_path / "demos.csv"
+    save_demos(demos, path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag,gt_reward"
+    lines[1] = header
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: bad header: {re.escape(message)}"):
+        load_demos(path)
