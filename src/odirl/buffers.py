@@ -148,9 +148,9 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line 1: bad metadata header: {exc}") from exc
         for key in ("state_dim", "action_dim"):
-            if key not in meta:
-                raise ValueError(f"{path}: line 1: metadata header has no {key!r}")
-        sd, ad = int(meta["state_dim"]), int(meta["action_dim"])
+            if not isinstance(meta, dict) or not isinstance(meta.get(key), int):
+                raise ValueError(f"{path}: line 1: metadata header has no integer {key!r}")
+        sd, ad = meta["state_dim"], meta["action_dim"]
         if expected_spec is not None:
             if sd != expected_spec.state_dim or ad != expected_spec.action_dim:
                 raise ValueError(

@@ -1,4 +1,3 @@
-import json
 import re
 import tracemalloc
 
@@ -215,15 +214,15 @@ def test_load_demos_hash_mismatch_warns_but_loads(tmp_path, caplog):
     assert any("config hash" in rec.message for rec in caplog.records)
 
 
-@pytest.mark.parametrize("key", ["state_dim", "action_dim"])
-def test_load_demos_names_a_dimension_missing_from_the_metadata(tmp_path, key):
+@pytest.mark.parametrize("meta,key", [
+    ('{"action_dim": 2}', "state_dim"), ('{"state_dim": 2}', "action_dim"),
+    ('{"state_dim": "two", "action_dim": 2}', "state_dim"), ("5", "state_dim"),
+])
+def test_load_demos_names_a_dimension_the_metadata_lacks(tmp_path, meta, key):
     demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
     path = tmp_path / "demos.csv"
     save_demos(demos, path)
-    meta_line, rest = path.read_text().split("\n", 1)
-    meta = json.loads(meta_line[1:])
-    del meta[key]
-    path.write_text("# " + json.dumps(meta) + "\n" + rest)
+    path.write_text("# " + meta + "\n" + path.read_text().split("\n", 1)[1])
     with pytest.raises(ValueError, match=f"demos.csv: line 1: .*'{key}'"):
         load_demos(path)
 
