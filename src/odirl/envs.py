@@ -161,7 +161,7 @@ class PointMazeConfig:
         if len(self.goal) != 2:
             raise ValueError("pointmaze.goal must be an (x, y) pair")
         wall = self.wall_box(TARGET)   # contains the source wall
-        # A goal outside the arena or inside the target wall is never reached.
+        # The agent never stands outside the arena or inside the target wall.
         gx, gy = self.goal
         if not (0.0 <= gx <= 1.0 and 0.0 <= gy <= 1.0) or _boxes_overlap((gx, gy, gx, gy), wall):
             raise ValueError("pointmaze.goal must lie in the arena, outside the target wall")

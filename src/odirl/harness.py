@@ -147,7 +147,8 @@ def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float,
     src_batch = rollouts(policy, src_eval, n, src_eval.spec.horizon, deterministic=True)
     write_trajectory_csv(out / "final_eval_target.csv", tgt_batch)
     write_trajectory_csv(out / "final_eval_source.csv", src_batch)
-    return evaluate(policy, tgt_eval, cfg.eval_episodes)
+    ret, succ = evaluate(policy, tgt_eval, cfg.eval_episodes)
+    return ret, succ
 
 
 def _checkpoint_policy(cfg, out: Path, t: int, policy) -> None:

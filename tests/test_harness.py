@@ -625,9 +625,7 @@ def test_config_rejects_a_bad_source_target_pair_at_load(section, values, key):
 
 def test_default_env_config_hash_is_pinned():
     # Demo files record this hash; a changed default hash would make every
-    # demo file recorded before the change load with a mismatch warning. The
-    # point-maze hash changed once, when the unread goal_region key went
-    # (it was ac2edbd1fbf5).
+    # demo file recorded before the change load with a mismatch warning.
     assert load_config(overrides={"task": "pointmaze"}).env_config_hash() == "da9341d5796b"
     assert load_config(overrides={"task": "linkchain"}).env_config_hash() == "3d30ed26db03"
 
