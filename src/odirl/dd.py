@@ -47,8 +47,6 @@ class ClassifierPair:
     """The (s,a,s') and (s,a) domain classifiers, each with two output logits."""
 
     def __init__(self, state_dim: int, action_dim: int, hidden=(64, 64), seed: int = 0):
-        self.state_dim = state_dim
-        self.action_dim = action_dim
         sas_dim = 2 * state_dim + action_dim
         sa_dim = state_dim + action_dim
         # Zero output init: an untrained pair reports DD identically zero.

@@ -206,8 +206,8 @@ class PointMazeEnv:
     additive Gaussian noise. Motion is truncated where the displacement
     segment first meets the wall rectangle or the arena boundary.
 
-    reset, step, ground_truth_reward and is_success take one (2,) state or a
-    leading batch axis of states, like ``Mlp.forward``.
+    reset, step and ground_truth_reward take one (2,) state or a leading batch
+    axis of states, like ``Mlp.forward``; is_success takes (N, 2) states.
     """
 
     def __init__(self, config: PointMazeConfig, domain_tag: str, seed: int):
@@ -310,8 +310,9 @@ class PointMazeEnv:
             raise ValueError("non-finite state")
         return _per_row(-_norm(state - self.spec.goal))
 
-    def is_success(self, state: np.ndarray):
-        return _per_row(_norm(np.asarray(state) - self.spec.goal) <= self.config.goal_radius)
+    def is_success(self, states: np.ndarray) -> np.ndarray:
+        """Whether each row of (N, 2) states lies within goal_radius of the goal."""
+        return _norm(np.asarray(states) - self.spec.goal) <= self.config.goal_radius
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +432,10 @@ class LinkChainEnv:
             return _per_row(-np.sum(np.sin(cum) * cum_vel, axis=-1) / n)  # d/dt of tip x
         return _per_row(-_norm(_chain_tip(angles) - self.goal_tip))
 
-    def is_success(self, state: np.ndarray):
-        n = self.config.num_joints
-        tip = _chain_tip(np.asarray(state, dtype=np.float64)[..., :n])
-        return _per_row(_norm(tip - self.goal_tip) <= self.config.success_radius)
+    def is_success(self, states: np.ndarray) -> np.ndarray:
+        """Whether each row of (N, 2 * num_joints) states has its tip within success_radius."""
+        tip = _chain_tip(np.asarray(states, dtype=np.float64)[..., :self.config.num_joints])
+        return _norm(tip - self.goal_tip) <= self.config.success_radius
 
 
 def make_pointmaze_pair(
@@ -509,10 +510,9 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
                  ends, None if deterministic else log_prob[valid])
 
 
-def rollout(policy, env, horizon: int, rng: np.random.Generator | None = None,
-            deterministic: bool = False) -> Batch:
-    """One episode: `rollouts` with a single row."""
-    return rollouts(policy, env, 1, horizon, rng, deterministic)
+def rollout(policy, env, horizon: int, rng: np.random.Generator | None = None) -> Batch:
+    """One stochastic episode: `rollouts` with a single row."""
+    return rollouts(policy, env, 1, horizon, rng)
 
 
 def trajectory_header(state_dim: int, action_dim: int) -> list[str]:

@@ -186,9 +186,9 @@ def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict,
 # Expert training and demo collection
 # ---------------------------------------------------------------------------
 
-def train_expert(cfg: ExperimentConfig, out_dir=None) -> Path:
-    """Train the source-domain expert against ground-truth reward."""
-    out = Path(out_dir or cfg.out_dir)
+def train_expert(cfg: ExperimentConfig) -> Path:
+    """Train the source-domain expert against ground-truth reward, into cfg.out_dir."""
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     streams = _streams(cfg.seed)
     seeds, rngs = streams["seeds"], streams["rngs"]

@@ -37,8 +37,6 @@ class Discriminator:
 
     g takes the state alone (heatmap-able, transferable reading) or the
     state-action pair, selected at construction. h is always state -> scalar.
-    With train_shaping=False h is never run or given a gradient, so f = g
-    exactly, which tabular oracle checks rely on.
     """
 
     def __init__(
@@ -49,15 +47,12 @@ class Discriminator:
         state_only_g: bool = True,
         hidden=(64, 64),
         seed: int = 0,
-        train_shaping: bool = True,
     ):
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
         self.state_dim = state_dim
-        self.action_dim = action_dim
         self.gamma = float(gamma)
         self.state_only_g = bool(state_only_g)
-        self.train_shaping = bool(train_shaping)
         g_in = state_dim if state_only_g else state_dim + action_dim
         self.g_net = Mlp([g_in, *hidden, 1], seed=seed, zero_init_output=True)
         self.h_net = Mlp([state_dim, *hidden, 1], seed=seed + 1, zero_init_output=True)
@@ -73,11 +68,9 @@ class Discriminator:
         return self.g_net.forward(self._g_input(s, a))[:, 0]
 
     def f_value(self, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> np.ndarray:
-        """f(s,a,s') = g(.) + gamma*h(s') - h(s) of each row; g alone without shaping."""
-        f = self.g_value(s, a)
-        if self.train_shaping:
-            f = f + self.gamma * self.h_net.forward(s_next)[:, 0] - self.h_net.forward(s)[:, 0]
-        return f
+        """f(s,a,s') = g(.) + gamma*h(s') - h(s) of each row."""
+        return (self.g_value(s, a) + self.gamma * self.h_net.forward(s_next)[:, 0]
+                - self.h_net.forward(s)[:, 0])
 
 
 def policy_reward(disc: Discriminator, s, a, s_next, log_pi) -> np.ndarray:
@@ -117,8 +110,6 @@ def _clamped_logistic(raw: np.ndarray, n_demo: int) -> tuple[np.ndarray, dict]:
     dlogit *= active
     stats = {
         "loss": loss_demo + loss_pol,
-        "loss_demo": loss_demo,
-        "loss_policy": loss_pol,
         "demo_acc": float(np.mean(logit[:n_demo] > 0.0)),
         "policy_acc": float(np.mean(logit[n_demo:] < 0.0)),
     }
@@ -147,19 +138,15 @@ def disc_loss(
     demo_log_pi = np.asarray(demo_log_pi, dtype=np.float64)
     policy_log_pi = np.asarray(policy_log_pi, dtype=np.float64)
 
-    x_g = disc._g_input(s, a)
-    raw = disc.g_net.forward(x_g)[:, 0].copy()
-    if disc.train_shaping:
-        x_h = np.concatenate([sn, s])
-        h_out = disc.h_net.forward(x_h)[:, 0]
-        raw = raw + disc.gamma * h_out[: len(s)] - h_out[len(s):]
-
+    x_g, x_h = disc._g_input(s, a), np.concatenate([sn, s])
+    g_out = disc.g_net.forward(x_g)[:, 0]
+    h_out = disc.h_net.forward(x_h)[:, 0]
+    raw = g_out + disc.gamma * h_out[: len(s)] - h_out[len(s):]
     raw[:n_demo] += demo_dd - demo_log_pi
     raw[n_demo:] -= policy_log_pi
     dlogit, stats = _clamped_logistic(raw, n_demo)
     disc.g_net.backward(x_g, dlogit[:, None])
-    if disc.train_shaping:
-        disc.h_net.backward(x_h, np.concatenate([disc.gamma * dlogit, -dlogit])[:, None])
+    disc.h_net.backward(x_h, np.concatenate([disc.gamma * dlogit, -dlogit])[:, None])
     return stats["loss"], stats
 
 
@@ -221,11 +208,7 @@ def reward_heatmap(disc: Discriminator, grid_n: int = 50,
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "value"])
-            for i in range(grid_n):
-                for j in range(grid_n):
-                    writer.writerow([
-                        format(centers[i], ".17g"),
-                        format(centers[j], ".17g"),
-                        format(values[i, j], ".17g"),
-                    ])
+            writer.writerows([format(centers[i], ".17g"), format(centers[j], ".17g"),
+                              format(values[i, j], ".17g")]
+                             for i in range(grid_n) for j in range(grid_n))
     return centers, centers, values

@@ -98,7 +98,8 @@ class Mlp:
             b[...] = 0.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the net on x of shape (in,) or (batch, in); caches for backward."""
+        """Run the net on x of shape (in,) or (batch, in); caches the input as
+        (batch, in) rows, one row for an (in,) x, for backward."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         x2 = x[None, :] if single else x
@@ -121,23 +122,21 @@ class Mlp:
         return h[0] if single else h
 
     def backward(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        """Accumulate d(sum(upstream * output))/d(params) into grad.
+        """Accumulate d(sum(upstream * output))/d(params) into grad, for (batch, in)
+        rows x and (batch, out) upstream.
 
-        Requires a forward pass cached for exactly this input since the last
-        parameter update; returns the gradient with respect to the input.
+        Requires a forward pass cached for exactly these rows since the last
+        parameter update; returns the (batch, in) gradient with respect to x.
         """
         x = np.asarray(x, dtype=np.float64)
         upstream = np.asarray(upstream, dtype=np.float64)
-        single = x.ndim == 1
-        x2 = x[None, :] if single else x
-        u2 = upstream[None, :] if single else upstream
         cached, acts, version = self._cache
         # The shape test and element compare of np.array_equal, without its call overhead.
-        if version != self.version or cached.shape != x2.shape or not (cached == x2).all():
-            raise RuntimeError("stale forward cache: call forward on this input first")
-        if u2.shape != (x2.shape[0], self.out_dim):
+        if version != self.version or cached.shape != x.shape or not (cached == x).all():
+            raise RuntimeError("stale forward cache: call forward on these (batch, in) rows first")
+        if upstream.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"upstream shape {upstream.shape} does not match output")
-        dz = u2                                 # the identity output passes upstream through
+        dz = upstream                           # the identity output passes upstream through
         for i in reversed(range(len(self._grad_layers))):
             w, gw, gb = self._grad_layers[i]
             gw += acts[i].T @ dz
@@ -148,7 +147,7 @@ class Mlp:
                 dz = h * h
                 np.subtract(1.0, dz, out=dz)
                 dz *= delta
-        return delta[0] if single else delta
+        return delta
 
     def meta(self) -> dict:
         return {

@@ -250,9 +250,12 @@ class PolicyOptimizer:
 
 
 def evaluate(policy: GaussianPolicy, env, n_episodes: int) -> tuple[float, float]:
-    """Mean ground-truth return and success rate of one lockstep wave of mean-action episodes."""
+    """Mean ground-truth return and success rate of one lockstep wave of mean-action episodes.
+
+    An episode succeeds when env.is_success holds at its last state.
+    """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     batch = rollouts(policy, env, n_episodes, env.spec.horizon, deterministic=True)
-    success = batch.done[batch.ends] | env.is_success(batch.s_next[batch.ends])
+    success = env.is_success(batch.s_next[batch.ends])
     return float(np.mean(batch.episode_returns())), int(success.sum()) / n_episodes

@@ -332,7 +332,7 @@ def test_linkchain_batched_step_equals_row_by_row():
         assert np.array_equal(nxt, rows)
         rewards = env.ground_truth_reward(nxt)
         assert np.array_equal(rewards, [env.ground_truth_reward(s) for s in nxt])
-        assert np.array_equal(env.is_success(nxt), [env.is_success(s) for s in nxt])
+        assert np.array_equal(env.is_success(nxt), [env.is_success(s[None])[0] for s in nxt])
 
 
 def test_pointmaze_batched_reward_and_success_equal_row_by_row():
@@ -342,7 +342,7 @@ def test_pointmaze_batched_reward_and_success_equal_row_by_row():
                           [env.ground_truth_reward(s) for s in states])
     success = env.is_success(states)
     assert success.any() and not success.all()
-    assert np.array_equal(success, [env.is_success(s) for s in states])
+    assert np.array_equal(success, [env.is_success(s[None])[0] for s in states])
 
 
 def test_batched_reset_draws_what_one_dimensional_resets_draw():

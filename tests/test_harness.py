@@ -55,7 +55,7 @@ def demo_file(tmp_path_factory):
     """A tiny demo file shared by the loop-contract tests."""
     tmp = tmp_path_factory.mktemp("demos")
     cfg = tiny_cfg(tmp, "expert")
-    expert = train_expert(cfg, out_dir=tmp / "expert")
+    expert = train_expert(cfg)
     path = tmp / "demos.csv"
     collect_demos(cfg, expert, path)
     return str(path), str(expert)
@@ -289,7 +289,7 @@ def test_airl_source_transfer_budget_parity_on_linkchain(tmp_path, demo_file):
     # Link chains terminate on horizon only, so step counts match exactly.
     cfg0 = tiny_cfg(tmp_path, "lc_expert", steps=4, r=2)
     cfg0.task = "linkchain"
-    expert = train_expert(cfg0, out_dir=tmp_path / "lc_expert")
+    expert = train_expert(cfg0)
     demo_path = tmp_path / "lc_demos.csv"
     collect_demos(cfg0, expert, demo_path)
 

@@ -21,8 +21,8 @@ def finite_difference_check(
     """
     worst = 0.0
     for _ in range(n_draws):
-        x = rng.normal(size=net.in_dim)
-        upstream = rng.normal(size=net.out_dim)
+        x = rng.normal(size=(1, net.in_dim))
+        upstream = rng.normal(size=(1, net.out_dim))
         net.grad[...] = 0.0
         net.forward(x)
         net.backward(x, upstream)
@@ -31,9 +31,9 @@ def finite_difference_check(
         for j in range(net.params.size):
             orig = net.params[j]
             net.params[j] = orig + eps
-            up = float(net.forward(x) @ upstream)
+            up = float((net.forward(x) * upstream).sum())
             net.params[j] = orig - eps
-            down = float(net.forward(x) @ upstream)
+            down = float((net.forward(x) * upstream).sum())
             net.params[j] = orig
             fd = (up - down) / (2.0 * eps)
             diff = abs(analytic[j] - fd)
@@ -148,17 +148,17 @@ def test_backward_requires_fresh_forward_cache():
 def test_backward_input_gradient_matches_finite_differences():
     net = Mlp([4, 8, 3], seed=1)
     rng = np.random.default_rng(9)
-    x = rng.normal(size=4)
-    up = rng.normal(size=3)
+    x = rng.normal(size=(1, 4))
+    up = rng.normal(size=(1, 3))
     net.forward(x)
     gx = net.backward(x, up)
     eps = 1e-6
     for j in range(4):
         xp, xm = x.copy(), x.copy()
-        xp[j] += eps
-        xm[j] -= eps
-        fd = (net.forward(xp) @ up - net.forward(xm) @ up) / (2 * eps)
-        assert abs(fd - gx[j]) < 1e-6
+        xp[0, j] += eps
+        xm[0, j] -= eps
+        fd = ((net.forward(xp) - net.forward(xm)) * up).sum() / (2 * eps)
+        assert abs(fd - gx[0, j]) < 1e-6
 
 
 def test_adam_zero_grad_keeps_params():

@@ -10,7 +10,10 @@ src/odirl whose name no module of src/odirl other than __init__.py reads,
 nor any file of benchmarks/. A read is a loaded name or an attribute, and
 in benchmarks/ also a string constant, such as the attribute names that
 benchmarks/tracing.py patches. Tests do not count: a definition only tests
-read belongs in tests/.
+read belongs in tests/. The third flags every defaulted parameter of such a
+function, method or constructor that no call in src/odirl or benchmarks/
+passes, by keyword, by position or through a *args/**kwargs call; calls are
+matched by bare name, and a constructor's calls are those of its class.
 """
 
 import ast
@@ -99,3 +102,72 @@ def test_every_function_class_and_method_in_src_is_read_by_name():
     readers = set().union(*(read_names(p.read_text()) for p in MODULES),
                           *(read_names(p.read_text(), strings=True) for p in BENCHMARKS))
     assert unread_definitions({p.name: p.read_text() for p in MODULES}, readers) == []
+
+
+def _defaulted_params(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, position among the arguments a call passes) of each defaulted
+    parameter; None for keyword-only ones. A method's position leaves out self."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if method else 0
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(call name, parameter, position) of each defaulted parameter of the
+    module-level functions and the methods of a source; a constructor's
+    call name is its class."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            out += [(node.name, *p) for p in _defaulted_params(node, method=False)]
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    name = node.name if m.name == "__init__" else m.name
+                    out += [(name, *p) for p in _defaulted_params(m, method=True)]
+    return out
+
+
+def passed_parameters(sources) -> tuple[set, dict, set]:
+    """From every call in the sources, by bare callee name: the (name, keyword)
+    pairs passed, the most positional arguments passed, and the names called
+    with *args or **kwargs."""
+    keywords, positions, starred = set(), {}, set()
+    for source in sources:
+        for call in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                starred.add(name)
+            keywords |= {(name, k.arg) for k in call.keywords}
+            positions[name] = max(positions.get(name, 0), len(call.args))
+    return keywords, positions, starred
+
+
+def unpassed_defaults(sources: dict[str, str], callers) -> list[str]:
+    """module:name(parameter) of each defaulted parameter in sources that no
+    call in callers passes."""
+    keywords, positions, starred = passed_parameters(callers)
+    return [f"{module}:{name}({param})" for module, source in sources.items()
+            for name, param, pos in defaulted_parameters(source)
+            if name not in starred and (name, param) not in keywords
+            and (pos is None or positions.get(name, 0) <= pos)]
+
+
+def test_the_check_flags_defaulted_parameters_no_call_passes():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+              "def g(x=0):\n    pass\n\n"
+              "class K:\n    def __init__(self, p, q=1, r=2):\n        pass\n"
+              "    def m(self, u=0, v=1):\n        pass\n")
+    callers = [source, "f(0, 1, d=2)\nK(1, 2)\nk.m(r=3, v=0)\nargs = ()\ng(*args)\n"]
+    assert unpassed_defaults({"mod": source}, callers) == [
+        "mod:f(c)", "mod:f(e)", "mod:K(r)", "mod:m(u)"]
+
+
+def test_every_defaulted_parameter_in_src_is_passed_by_some_caller():
+    callers = [p.read_text() for p in [*SRC.glob("*.py"), *BENCHMARKS]]
+    assert unpassed_defaults({p.name: p.read_text() for p in MODULES}, callers) == []
