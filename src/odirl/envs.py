@@ -311,7 +311,6 @@ class PointMazeEnv:
         return _per_row(-_norm(state - self.spec.goal))
 
     def is_success(self, states: np.ndarray) -> np.ndarray:
-        """Whether each row of (N, 2) states lies within goal_radius of the goal."""
         return _norm(np.asarray(states) - self.spec.goal) <= self.config.goal_radius
 
 

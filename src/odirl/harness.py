@@ -140,15 +140,12 @@ def _start_run(cfg: ExperimentConfig):
     return out, streams["seeds"], streams["rngs"], build_envs(cfg, streams["seeds"])
 
 
-def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> tuple[float, float]:
+def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> None:
     """Dump final-policy evaluation trajectories in both domains."""
-    n = cfg.final_eval_trajectories
-    tgt_batch = rollouts(policy, tgt_eval, n, tgt_eval.spec.horizon, deterministic=True)
-    src_batch = rollouts(policy, src_eval, n, src_eval.spec.horizon, deterministic=True)
-    write_trajectory_csv(out / "final_eval_target.csv", tgt_batch)
-    write_trajectory_csv(out / "final_eval_source.csv", src_batch)
-    ret, succ = evaluate(policy, tgt_eval, cfg.eval_episodes)
-    return ret, succ
+    for name, env in (("target", tgt_eval), ("source", src_eval)):
+        batch = rollouts(policy, env, cfg.final_eval_trajectories, env.spec.horizon,
+                         deterministic=True)
+        write_trajectory_csv(out / f"final_eval_{name}.csv", batch)
 
 
 def _checkpoint_policy(cfg, out: Path, t: int, policy) -> None:
@@ -159,11 +156,12 @@ def _checkpoint_policy(cfg, out: Path, t: int, policy) -> None:
         save_blocks(ckpt / f"policy_{t:06d}.bin", policy.blocks())
 
 
-def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict,
+def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, final: tuple,
                 disc=None, alpha=None, **counts) -> Path:
     """Final checkpoints, the reward heatmap, final-policy artifacts and summary.json.
 
-    checkpoints maps a file stem to the trainable whose blocks are saved there.
+    checkpoints maps a file stem to the trainable whose blocks are saved there;
+    final is the (return, success rate) of the last progress row, which evaluated the final policy.
     """
     if checkpoints:
         ckpt = out / "checkpoints"
@@ -174,10 +172,10 @@ def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict,
             save_blocks(ckpt / f"{name}_final.bin", net.blocks(), **meta)
     if disc is not None and cfg.task == "pointmaze" and cfg.disc.state_only_g:
         reward_heatmap(disc, cfg.heatmap_grid, path=out / "heatmap.csv")
-    final_return, final_success = _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
+    _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
     with open(out / "summary.json", "w") as fh:
         json.dump(dict(method=cfg.method, task=cfg.task, seed=cfg.seed, alpha=alpha,
-                       final_gt_return=final_return, final_success_rate=final_success,
+                       final_gt_return=final[0], final_success_rate=final[1],
                        **counts), fh, indent=2, sort_keys=True)
     return out
 
@@ -404,7 +402,8 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
 
     writer.close()
     return _finish_run(cfg, out, policy, src_eval, tgt_eval,
-                       {"policy": policy, "value": value, **nets}, disc=disc, alpha=alpha_eff,
+                       {"policy": policy, "value": value, **nets}, (gt_return, success),
+                       disc=disc, alpha=alpha_eff,
                        target_steps=target_steps, source_steps=source_steps,
                        source_episodes=source_episodes)
 
@@ -425,7 +424,7 @@ def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     writer.write(iteration=0, target_steps=0, source_steps=0,
                  policy_entropy=policy.entropy(), gt_return=gt_return, success_rate=success)
     writer.close()
-    return _finish_run(cfg, out, policy, src_eval, tgt_eval, {},
+    return _finish_run(cfg, out, policy, src_eval, tgt_eval, {}, (gt_return, success),
                        target_steps=0, source_steps=0, source_episodes=0)
 
 
@@ -480,7 +479,7 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
         _checkpoint_policy(cfg, out, t, policy2)
     writer.close()
     return _finish_run(cfg, out, policy2, src_eval, tgt_eval,
-                       {"policy": policy2, "disc": disc}, disc=disc,
+                       {"policy": policy2, "disc": disc}, (gt_return, success), disc=disc,
                        target_steps=target_steps, source_steps=source_steps,
                        source_episodes=source_episodes)
 

@@ -250,10 +250,8 @@ class PolicyOptimizer:
 
 
 def evaluate(policy: GaussianPolicy, env, n_episodes: int) -> tuple[float, float]:
-    """Mean ground-truth return and success rate of one lockstep wave of mean-action episodes.
-
-    An episode succeeds when env.is_success holds at its last state.
-    """
+    """Mean ground-truth return and success rate (env.is_success of each episode's last
+    state) of one lockstep wave of mean-action episodes."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     batch = rollouts(policy, env, n_episodes, env.spec.horizon, deterministic=True)

@@ -671,13 +671,13 @@ def test_evaluate_and_final_artifacts_roll_exactly_n_episodes(tmp_path, monkeypa
     evaluate(policy, maze, 7)
     assert calls == [(TARGET, 7, 7, True)]
 
+    # The final phase only dumps trajectories: the loop's last row already evaluated the policy.
     calls.clear()
     cfg = tiny_cfg(tmp_path, "final")
     cfg.final_eval_trajectories = 3
-    cfg.eval_episodes = 4
     _, _, _, (_, _, src_eval, tgt_eval) = harness._start_run(cfg)
     harness._final_artifacts(cfg, tmp_path, policy, src_eval, tgt_eval)
-    assert calls == [(TARGET, 3, 3, True), (SOURCE, 3, 3, True), (TARGET, 4, 4, True)]
+    assert calls == [(TARGET, 3, 3, True), (SOURCE, 3, 3, True)]
 
 
 def test_rollouts_never_recompute_log_prob(monkeypatch):
@@ -832,6 +832,20 @@ def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
     # 8 runs per task; all but expert_transfer train and save a final policy
     for name, runs in (("progress.csv", 16), ("policy_final.bin", 14)):
         assert sum(line.endswith("/" + name) for line in outputs[0]) == runs
+
+
+def test_every_method_reports_its_last_progress_row_as_its_final_scores(tmp_path):
+    """summary.json of every run directory tests/digests.py writes (every
+    method, both tasks) holds the gt_return and success_rate of the last
+    progress.csv row, in the row's .10g format."""
+    subprocess.run([sys.executable, str(Path(__file__).parent / "digests.py"), str(tmp_path)],
+                   check=True, capture_output=True)
+    summaries = sorted(tmp_path.glob("*/*/summary.json"))
+    assert len(summaries) == 16
+    for path in summaries:
+        summary, last = json.loads(path.read_text()), read_progress(path.parent)[-1]
+        assert format(summary["final_gt_return"], ".10g") == last["gt_return"], path
+        assert format(summary["final_success_rate"], ".10g") == last["success_rate"], path
 
 
 def test_digests_against_exits_1_naming_the_first_differing_path(tmp_path):
