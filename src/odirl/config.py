@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -143,7 +144,7 @@ def _as_plain(obj):
 
 
 def _checked(hint, val, name: str):
-    """val as a value of the field type hint; a ValueError naming the key otherwise."""
+    """val as a value of the field type hint, floats finite; else a ValueError naming the key."""
     if typing.get_origin(hint) is tuple:            # tuple[float, ...]: check every element
         if not isinstance(val, (list, tuple)):
             raise ValueError(f"{name} must be a list, not {val!r}")
@@ -160,6 +161,8 @@ def _checked(hint, val, name: str):
     accepted = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in types)
     if not isinstance(val, accepted) or (isinstance(val, bool) and bool not in types):
         raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):     # null, not inf, switches a clip off
+        raise ValueError(f"{name} must be finite, not {val!r}")
     return val
 
 

@@ -489,18 +489,22 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def run_ablation(cfg: ExperimentConfig, alphas) -> list[Path]:
-    """One full run per alpha with shared demos and seed."""
+    """One full run per alpha with shared demos and seed, each in out_dir/alpha_{alpha:g}."""
     if cfg.method != "odirl":
         raise ValueError("ablation sweeps are defined for the odirl method")
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alpha list must be nonempty")
-    base_out = Path(cfg.out_dir)
+    names = [f"alpha_{alpha:g}" for alpha in alphas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"alphas {alphas[names.index(name)]!r} and {alphas[i]!r} would "
+                             f"share the run directory {name}")
     dirs = []
-    for alpha in alphas:
+    for alpha, name in zip(alphas, names):
         sub = copy.deepcopy(cfg)
         sub.alpha = float(alpha)
-        sub.out_dir = str(base_out / f"alpha_{alpha:g}")
+        sub.out_dir = str(Path(cfg.out_dir) / name)
         dirs.append(run_experiment(sub))
     return dirs
 

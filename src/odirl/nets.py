@@ -98,8 +98,7 @@ class Mlp:
             b[...] = 0.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the net on x of shape (in,) or (batch, in); caches the input as
-        (batch, in) rows, one row for an (in,) x, for backward."""
+        """Run the net on x of shape (in,) or (batch, in); caches x as rows for backward."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         x2 = x[None, :] if single else x
@@ -122,11 +121,10 @@ class Mlp:
         return h[0] if single else h
 
     def backward(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        """Accumulate d(sum(upstream * output))/d(params) into grad, for (batch, in)
-        rows x and (batch, out) upstream.
+        """Accumulate d(sum(upstream * output))/d(params) into grad, for (batch, in) rows x.
 
         Requires a forward pass cached for exactly these rows since the last
-        parameter update; returns the (batch, in) gradient with respect to x.
+        parameter update; returns the gradient with respect to x.
         """
         x = np.asarray(x, dtype=np.float64)
         upstream = np.asarray(upstream, dtype=np.float64)

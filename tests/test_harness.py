@@ -12,7 +12,7 @@ import yaml
 
 import odirl.harness as harness
 import odirl.policy as policy_mod
-from odirl.buffers import load_demos
+from odirl.buffers import load_demos, save_demos
 from odirl.cli import discriminator_from_checkpoint
 from odirl.config import ExperimentConfig, load_config, save_config
 from odirl.dd import ClassifierPair, DDConfig, dd_for_transitions
@@ -212,7 +212,8 @@ def test_full_run_determinism(tmp_path, demo_file):
 
 
 def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, monkeypatch):
-    # Evaluation firewall: NaN ground truth must leave training untouched.
+    # Evaluation firewall: NaN ground truth, in the training envs and in the
+    # demo file, must leave training untouched.
     from odirl.nets import load_params
 
     demos, _ = demo_file
@@ -236,9 +237,15 @@ def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, mo
         src, tgt, src_eval, tgt_eval = real_build(cfg_, seeds)
         return PoisonedGt(src), PoisonedGt(tgt), src_eval, tgt_eval
 
+    # The demos' gt_reward column is poisoned too.
+    demo_set = load_demos(demos)
+    demo_set.batch.gt_reward = np.full(len(demo_set), np.nan)
+    save_demos(demo_set, tmp_path / "nan_gt_demos.csv")
+    assert (tmp_path / "nan_gt_demos.csv").read_text().count(",nan\n") == len(demo_set)
+
     monkeypatch.setattr(harness, "build_envs", poisoned_build)
     cfg2 = tiny_cfg(tmp_path, "poisoned", steps=2, r=2)
-    cfg2.demos_path = demos
+    cfg2.demos_path = str(tmp_path / "nan_gt_demos.csv")
     out_poisoned = run_experiment(cfg2)
 
     clean, _ = load_params(Path(out_clean) / "checkpoints" / "policy_final.bin")
@@ -344,6 +351,17 @@ def test_ablation_produces_one_dir_per_alpha(tmp_path, demo_file):
     cfg_bad.method = "gail"
     with pytest.raises(ValueError):
         run_ablation(cfg_bad, [1.0])
+
+
+@pytest.mark.parametrize("alphas,named", [([0.5, 1.0, 0.5], "0.5 and 0.5"),
+                                          ([0.1, 0.1000001], "0.1 and 0.1000001")])
+def test_ablation_rejects_alphas_sharing_a_run_directory_before_any_run(tmp_path, monkeypatch,
+                                                                       alphas, named):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    with pytest.raises(ValueError, match=f"alphas {named} .*alpha_{alphas[0]:g}"):
+        run_ablation(tiny_cfg(tmp_path, "ablate"), alphas)
+    assert runs == []
 
 
 def test_ablation_alpha_zero_matches_airl_artifacts(tmp_path, demo_file):
@@ -588,6 +606,13 @@ def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
     ("pointmaze.start_region", [-0.1, 0.5, 0.14, 0.6]),
     ("pointmaze.start_region", [0.06, 0.5, 0.14, 1.2]),
     ("pointmaze.start_region", [0.9, 0.2, 1.1, 0.3]),
+    # non-finite floats, which no range check caught: a first-reset overflow, every
+    # episode a success, a jump onto the wall's face, a failure inside Adam
+    ("linkchain.init_angle_range", float("inf")), ("pointmaze.goal_radius", float("inf")),
+    ("linkchain.success_radius", float("inf")), ("pointmaze.noise_std", float("inf")),
+    ("policy.lr", float("inf")), ("dd.weight_decay", float("inf")), ("policy.value_lr", "inf"),
+    ("linkchain.goal_angles", [1.1, float("nan"), 0.9]),
+    ("linkchain.goal_angles", [1.1, -0.6, float("-inf")]),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
