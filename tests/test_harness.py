@@ -237,7 +237,6 @@ def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, mo
         src, tgt, src_eval, tgt_eval = real_build(cfg_, seeds)
         return PoisonedGt(src), PoisonedGt(tgt), src_eval, tgt_eval
 
-    # The demos' gt_reward column is poisoned too.
     demo_set = load_demos(demos)
     demo_set.batch.gt_reward = np.full(len(demo_set), np.nan)
     save_demos(demo_set, tmp_path / "nan_gt_demos.csv")
