@@ -136,8 +136,10 @@ def save_demos(demos: DemoSet, path) -> None:
 def load_demos(path, expected_spec=None, expected_config_hash: str | None = None) -> DemoSet:
     """Load a demo CSV written by save_demos.
 
-    Malformed rows raise with their 1-based file line number. A config-hash
-    mismatch logs a warning but the load proceeds.
+    Malformed rows, a non-finite s, a or s_next value and a done other than
+    0 or 1 raise with their 1-based file line number, and a file without
+    source-tagged rows names the file. A config-hash mismatch logs a warning
+    but the load proceeds.
     """
     with open(path, "r", newline="") as fh:
         meta_line = fh.readline()
@@ -181,25 +183,35 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
             try:
                 episodes.append(int(row[0]))
                 values.append([float(v) for v in row[1 : 1 + n_vals]])
-                dones.append(bool(int(row[1 + n_vals])))
+                dones.append(int(row[1 + n_vals]))
                 rewards.append(float(row[3 + n_vals]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: unparseable value: {exc}") from exc
             tags.add(row[2 + n_vals])
     if len(tags) > 1:
         raise ValueError(f"{path}: rows mix domain tags {sorted(tags)}")
+    values = np.asarray(values, dtype=np.float64).reshape(-1, n_vals)
+    dones = np.asarray(dones)
+    # gt_reward stays unchecked: learning never reads it.
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"{path}: line {row + 3}: {expected[1 + col]} must be finite, "
+                         f"not {float(values[row, col])!r}")
+    bad = np.flatnonzero((dones != 0) & (dones != 1))
+    if len(bad):
+        raise ValueError(f"{path}: line {bad[0] + 3}: done must be 0 or 1, not {dones[bad[0]]}")
     # Rows grouped by episode index, in file order within an episode.
     order = np.argsort(episodes, kind="stable")
     ep = np.asarray(episodes, dtype=np.int64)[order]
-    values = np.asarray(values, dtype=np.float64).reshape(-1, n_vals)[order]
-    s, a, s_next = (np.ascontiguousarray(x) for x in np.split(values, [sd, sd + ad], axis=1))
+    s, a, s_next = (np.ascontiguousarray(x) for x in np.split(values[order], [sd, sd + ad], axis=1))
     batch = Batch(s, a, s_next, tags.pop() if tags else SOURCE,
-                  done=np.asarray(dones, dtype=bool)[order],
+                  done=dones[order].astype(bool),
                   gt_reward=np.asarray(rewards, dtype=np.float64)[order],
                   ends=np.append(ep[1:] != ep[:-1], True)[: len(ep)])
-    return DemoSet(
-        batch,
-        env_config_hash=meta.get("env_config_hash", ""),
-        expert_seed=int(meta.get("expert_seed", 0)),
-        horizon=int(meta.get("horizon", 0)),
-    )
+    try:
+        return DemoSet(batch, env_config_hash=meta.get("env_config_hash", ""),
+                       expert_seed=int(meta.get("expert_seed", 0)),
+                       horizon=int(meta.get("horizon", 0)))
+    except ValueError as exc:                  # no rows, or only target-tagged ones
+        raise ValueError(f"{path}: {exc}") from exc

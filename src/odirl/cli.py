@@ -34,6 +34,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=None)
 
 
+def _alphas(text: str) -> list[float]:
+    """The --alphas list; an entry that is not a number is a usage error."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
 def _config_from_args(args, **extra):
     overrides = {
         "seed": args.seed,
@@ -82,7 +90,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("ablate", help="alpha ablation sweep")
     _add_common(p)
-    p.add_argument("--alphas", type=str, default="0,0.1,0.5,1,2",
+    p.add_argument("--alphas", type=_alphas, default="0,0.1,0.5,1,2",
                    help="comma-separated alpha values")
     p.add_argument("--demos", type=str, default=None)
 
@@ -125,8 +133,7 @@ def main(argv=None) -> int:
 
     if args.command == "ablate":
         cfg = _config_from_args(args, method="odirl", demos_path=args.demos)
-        alphas = [float(v) for v in args.alphas.split(",") if v.strip() != ""]
-        dirs = harness.run_ablation(cfg, alphas)
+        dirs = harness.run_ablation(cfg, args.alphas)
         for d in dirs:
             print(d)
         return 0

@@ -8,6 +8,7 @@ alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -28,32 +29,18 @@ TASKS = ("pointmaze", "linkchain")
 
 @dataclass
 class DiscConfig:
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     state_only_g: bool = True
     lr: float = 3e-4
     weight_decay: float = 1e-2
     minibatch_size: int = 128
     epochs: int = 1
 
-    def validate(self) -> None:
-        for key in ("minibatch_size", "epochs"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"disc.{key} must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("disc.lr must be > 0")
-        if not self.weight_decay >= 0:
-            raise ValueError("disc.weight_decay must be >= 0")
-
 
 @dataclass
 class BufferConfig:
     target_capacity: int = 1_000_000
     source_capacity: int = 100_000
-
-    def validate(self) -> None:
-        for key in ("target_capacity", "source_capacity"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"buffers.{key} must be >= 1")
 
 
 @dataclass
@@ -63,13 +50,6 @@ class ExpertConfig:
     entropy_coef: float = 0.003
     n_demo_episodes: int = 40
     demo_success_only: bool = True
-
-    def validate(self) -> None:
-        for key in ("steps", "batch_steps", "n_demo_episodes"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"expert.{key} must be >= 1")
-        if not self.entropy_coef >= 0:               # also rejects nan
-            raise ValueError("expert.entropy_coef must be >= 0")
 
 
 @dataclass
@@ -98,28 +78,13 @@ class ExperimentConfig:
     expert: ExpertConfig = field(default_factory=ExpertConfig)
 
     def validate(self) -> None:
+        """Check each field of every section (`_check_fields`), then the rules that span fields."""
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        for key in ("r", "steps", "batch_steps", "eval_every", "eval_episodes",
-                    "final_eval_trajectories", "heatmap_grid"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
-        for key in ("seed", "checkpoint_every"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0")
-        if not 0 <= self.alpha < float("inf"):       # also rejects nan
-            raise ValueError("alpha must be finite and >= 0")
-        for key in ("policy", "disc", "dd"):
-            if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1
-                       for w in getattr(self, key).hidden):
-                raise ValueError(f"{key}.hidden widths must be integers >= 1")
+        _check_fields(self, "")
         self.policy.validate()
-        self.dd.validate()
-        self.disc.validate()
-        self.expert.validate()
-        self.buffers.validate()
         self.pointmaze.validate()
         self.linkchain.validate()
 
@@ -143,31 +108,68 @@ def _as_plain(obj):
     return obj
 
 
-def _checked(hint, val, name: str):
-    """val as a value of the field type hint, floats finite; else a ValueError naming the key."""
+# The lower bound of every bounded numeric field, by field name: a name has the
+# same bound in every section, a tuple field's bound holds for each element,
+# and null passes (it switches off a field whose default may be null).
+_LOWER_BOUNDS = {
+    **dict.fromkeys(("r", "steps", "batch_steps", "eval_every", "eval_episodes",
+                     "final_eval_trajectories", "heatmap_grid", "hidden", "epochs",
+                     "minibatch_size", "batch_size", "steps_per_iter", "target_capacity",
+                     "source_capacity", "n_demo_episodes", "horizon", "num_joints"), ">= 1"),
+    **dict.fromkeys(("clip_ratio", "lr", "value_lr", "grad_clip", "target_kl", "dd_clip",
+                     "wall_half_width", "action_scale", "goal_radius", "torque_limit", "dt",
+                     "torque_gain", "vel_limit", "success_radius"), "> 0"),
+    **dict.fromkeys(("seed", "checkpoint_every", "alpha", "entropy_coef", "input_noise_std",
+                     "weight_decay", "noise_std", "damping", "init_angle_range",
+                     "init_vel_range"), ">= 0"),
+}
+_BOUND_HOLDS = {">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
+
+
+_hints = functools.cache(typing.get_type_hints)     # section class -> {field: resolved hint}
+
+
+def _checked(hint, val, name: str, bound: str | None = None):
+    """val as a value of the field type hint, floats finite, and at or above the
+    lower bound `bound` of `_LOWER_BOUNDS` if given; else a ValueError naming the key."""
     if typing.get_origin(hint) is tuple:            # tuple[float, ...]: check every element
         if not isinstance(val, (list, tuple)):
             raise ValueError(f"{name} must be a list, not {val!r}")
         item = typing.get_args(hint)[0]
-        return tuple(_checked(item, v, f"{name}[{i}]") for i, v in enumerate(val))
+        return tuple(_checked(item, v, f"{name}[{i}]", bound) for i, v in enumerate(val))
     types = typing.get_args(hint) or (hint,)        # float | None -> (float, NoneType)
     if float in types and isinstance(val, str):     # PyYAML reads 1e-3 as a string
         try:
             val = float(val)
         except ValueError:
             pass
-    if tuple in types and isinstance(val, list):
-        val = tuple(tuple(v) if isinstance(v, list) else v for v in val)
     accepted = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in types)
     if not isinstance(val, accepted) or (isinstance(val, bool) and bool not in types):
         raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {val!r}")
     if isinstance(val, float) and not math.isfinite(val):     # null, not inf, switches a clip off
         raise ValueError(f"{name} must be finite, not {val!r}")
+    if bound and val is not None and not _BOUND_HOLDS[bound](val):
+        raise ValueError(f"{name} must be {bound}{' or null' if type(None) in types else ''}")
     return val
 
 
+def _check_fields(section, path: str) -> None:
+    """Pass every field of section and of its subsections through `_checked` with
+    its lower bound, storing each value back as `_checked` returns it."""
+    hints = _hints(type(section))
+    unknown = sorted(vars(section).keys() - hints.keys())
+    if unknown:                                     # an attribute set in code by mistake
+        raise ValueError(f"unknown config key {path}{unknown[0]}")
+    for key, hint in hints.items():
+        val = _checked(hint, getattr(section, key), path + key, _LOWER_BOUNDS.get(key))
+        if dataclasses.is_dataclass(val):
+            _check_fields(val, f"{path}{key}.")
+        else:
+            setattr(section, key, val)
+
+
 def _overlay(section, values: dict, path: str):
-    hints = typing.get_type_hints(type(section))
+    hints = _hints(type(section))
     for key, val in values.items():
         if key not in hints:
             raise ValueError(f"unknown config key {path}.{key}")

@@ -22,25 +22,13 @@ CLS_SOURCE, CLS_TARGET = 0, 1
 
 @dataclass
 class DDConfig:
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     dd_clip: float | None = 5.0
     input_noise_std: float = 0.03
     lr: float = 3e-4
     weight_decay: float = 3e-3
     batch_size: int = 64              # per domain; batches are class-balanced
     steps_per_iter: int = 2
-
-    def validate(self) -> None:
-        if self.dd_clip is not None and not self.dd_clip > 0:
-            raise ValueError("dd.dd_clip must be > 0 or null")
-        for key in ("input_noise_std", "weight_decay"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"dd.{key} must be >= 0")
-        for key in ("batch_size", "steps_per_iter"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"dd.{key} must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("dd.lr must be > 0")
 
 
 class ClassifierPair:

@@ -148,13 +148,9 @@ class PointMazeConfig:
     horizon: int = 80
 
     def validate(self) -> None:
+        """The geometry rules that span fields; `ExperimentConfig.validate` checks each field."""
         if not 0.0 < self.source_wall_length < self.target_wall_length <= 1.0:
             raise ValueError("pointmaze: need 0 < source_wall_length < target_wall_length <= 1")
-        for name in ("wall_half_width", "action_scale", "goal_radius"):
-            if not getattr(self, name) > 0:          # also rejects nan
-                raise ValueError(f"pointmaze.{name} must be > 0")
-        if not self.noise_std >= 0:
-            raise ValueError("pointmaze.noise_std must be >= 0")
         xlo, xhi = self.wall_x - self.wall_half_width, self.wall_x + self.wall_half_width
         if not (0.0 < xlo and xhi < 1.0):
             raise ValueError("pointmaze.wall_x +- wall_half_width must lie strictly inside the arena")
@@ -171,8 +167,6 @@ class PointMazeConfig:
                              "with lo <= hi")
         if _boxes_overlap(box, wall):
             raise ValueError("pointmaze.start_region overlaps the target wall")
-        if self.horizon < 1:
-            raise ValueError("pointmaze.horizon must be >= 1")
 
     def wall_box(self, domain_tag: str) -> tuple:
         """(xlo, ylo, xhi, yhi) of the domain's wall rectangle; hangs from the top edge."""
@@ -338,8 +332,7 @@ class LinkChainConfig:
     horizon: int = 60
 
     def validate(self) -> None:
-        if self.num_joints < 1:
-            raise ValueError("linkchain.num_joints must be >= 1")
+        """The rules that span fields; `ExperimentConfig.validate` checks each field."""
         for name in ("target_disabled_mask", "goal_angles"):
             if len(getattr(self, name)) != self.num_joints:
                 raise ValueError(f"linkchain.{name} length must equal num_joints")
@@ -347,14 +340,6 @@ class LinkChainConfig:
             raise ValueError("linkchain.target_disabled_mask needs at least one disabled actuator")
         if self.gt_variant not in ("distance", "forward_velocity"):
             raise ValueError("linkchain.gt_variant must be 'distance' or 'forward_velocity'")
-        for name in ("torque_limit", "dt", "torque_gain", "vel_limit", "success_radius"):
-            if not getattr(self, name) > 0:          # also rejects nan
-                raise ValueError(f"linkchain.{name} must be > 0")
-        for name in ("damping", "init_angle_range", "init_vel_range"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"linkchain.{name} must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("linkchain.horizon must be >= 1")
 
     def base_config(self) -> "LinkChainConfig":
         """This config; kept only because benchmarks/workloads.py calls it."""

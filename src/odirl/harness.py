@@ -120,14 +120,14 @@ def collect_batch(policy, env, batch_steps: int, rng) -> Batch:
 
 
 def _policy(cfg, spec, seed: int) -> GaussianPolicy:
-    return GaussianPolicy(spec, hidden=tuple(cfg.policy.hidden), seed=seed,
+    return GaussianPolicy(spec, hidden=cfg.policy.hidden, seed=seed,
                           init_log_std=cfg.policy.init_log_std)
 
 
 def _agent(cfg, spec, policy_seed: int, value_seed: int, opt_cfg: PolicyOptConfig):
     """A fresh (policy, value, optimizer) triple."""
     policy = _policy(cfg, spec, policy_seed)
-    value = ValueNet(spec, hidden=tuple(cfg.policy.hidden), seed=value_seed)
+    value = ValueNet(spec, hidden=cfg.policy.hidden, seed=value_seed)
     return policy, value, PolicyOptimizer(policy, value, opt_cfg)
 
 
@@ -186,6 +186,7 @@ def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, f
 
 def train_expert(cfg: ExperimentConfig) -> Path:
     """Train the source-domain expert against ground-truth reward, into cfg.out_dir."""
+    cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     streams = _streams(cfg.seed)
@@ -216,6 +217,7 @@ def train_expert(cfg: ExperimentConfig) -> Path:
 
 def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None) -> DemoSet:
     """Roll the trained expert in the source domain and persist demonstrations."""
+    cfg.validate()
     n_episodes = cfg.expert.n_demo_episodes if n_episodes is None else n_episodes
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -252,7 +254,7 @@ def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None)
 def _airl_discriminator(cfg, spec, seed: int):
     """The AIRL discriminator (reward g + shaping h) and its optimizer."""
     disc = Discriminator(spec.state_dim, spec.action_dim, gamma=cfg.policy.gamma,
-                         state_only_g=cfg.disc.state_only_g, hidden=tuple(cfg.disc.hidden),
+                         state_only_g=cfg.disc.state_only_g, hidden=cfg.disc.hidden,
                          seed=seed)
     return disc, Adam(disc.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
 
@@ -329,14 +331,14 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
     if use_dd_pipeline:
         disc, disc_opt = _airl_discriminator(cfg, tgt.spec, seeds["disc_init"])
         pair = ClassifierPair(tgt.spec.state_dim, tgt.spec.action_dim,
-                              hidden=tuple(cfg.dd.hidden), seed=seeds["classifier_init"])
+                              hidden=cfg.dd.hidden, seed=seeds["classifier_init"])
         cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
         reward_fn = _airl_reward_fn(disc, policy)
         nets = {"disc": disc, "classifiers": pair}
     else:
         disc = None
         gail = GailDiscriminator(tgt.spec.state_dim, tgt.spec.action_dim,
-                                 hidden=tuple(cfg.disc.hidden), seed=seeds["disc_init"])
+                                 hidden=cfg.disc.hidden, seed=seeds["disc_init"])
         disc_opt = Adam(gail.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
         reward_fn = lambda s, a, sn: gail_policy_reward(gail, s, a)  # noqa: E731
         nets = {"gail": gail}
@@ -500,13 +502,14 @@ def run_ablation(cfg: ExperimentConfig, alphas) -> list[Path]:
         if name in names[:i]:
             raise ValueError(f"alphas {alphas[names.index(name)]!r} and {alphas[i]!r} would "
                              f"share the run directory {name}")
-    dirs = []
+    subs = []
     for alpha, name in zip(alphas, names):
         sub = copy.deepcopy(cfg)
         sub.alpha = float(alpha)
         sub.out_dir = str(Path(cfg.out_dir) / name)
-        dirs.append(run_experiment(sub))
-    return dirs
+        sub.validate()                  # every alpha before the first run
+        subs.append(sub)
+    return [run_experiment(sub) for sub in subs]
 
 
 def aggregate(run_dirs, out_path) -> Path:

@@ -21,7 +21,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class PolicyOptConfig:
-    hidden: tuple = (64, 64)         # policy and value network widths
+    hidden: tuple[int, ...] = (64, 64)   # policy and value network widths
     init_log_std: float | None = None
     entropy_coef: float = 0.01       # lambda, scales the entropy bonus
     gamma: float = 0.99
@@ -38,23 +38,11 @@ class PolicyOptConfig:
     target_kl: float | None = 0.02   # stop policy epochs once exceeded
 
     def validate(self) -> None:
-        if not self.entropy_coef >= 0:               # also rejects nan
-            raise ValueError("policy.entropy_coef must be >= 0")
-        if self.init_log_std is not None and not np.isfinite(self.init_log_std):
-            raise ValueError("policy.init_log_std must be finite or null")
+        """The ranges a lower bound cannot state; `ExperimentConfig.validate` checks the rest."""
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("policy.gamma must be in [0, 1)")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("policy.gae_lambda must be in [0, 1]")
-        for key in ("epochs", "minibatch_size"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"policy.{key} must be >= 1")
-        for key in ("clip_ratio", "lr", "value_lr"):
-            if not getattr(self, key) > 0:          # also rejects nan
-                raise ValueError(f"policy.{key} must be > 0")
-        for key in ("grad_clip", "target_kl"):
-            if getattr(self, key) is not None and not getattr(self, key) > 0:
-                raise ValueError(f"policy.{key} must be > 0 or null")
 
 
 class GaussianPolicy:

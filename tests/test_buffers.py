@@ -195,6 +195,40 @@ def test_load_demos_reports_row_number_on_bad_column_count(tmp_path):
         load_demos(path)
 
 
+@pytest.mark.parametrize("column,value,message", [
+    ("s_0", "nan", "s_0 must be finite, not nan"), ("a_1", "inf", "a_1 must be finite, not inf"),
+    ("s_next_1", "-inf", "s_next_1 must be finite, not -inf"),
+    ("done", "2", "done must be 0 or 1, not 2"), ("done", "-1", "done must be 0 or 1, not -1"),
+])
+def test_load_demos_names_the_line_of_a_non_finite_value_or_a_bad_done(tmp_path, column, value,
+                                                                       message):
+    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
+    path = tmp_path / "demos.csv"
+    save_demos(demos, path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[1].split(",").index(column)] = value   # the second data row (file line 4)
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"demos.csv: line 4: {message}$"):
+        load_demos(path)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("header only", "demo set must be nonempty"),
+    ("target rows", "demo transitions must be source-tagged"),
+])
+def test_load_demos_names_the_file_without_source_rows(tmp_path, rows, message):
+    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
+    path = tmp_path / "demos.csv"
+    save_demos(demos, path)
+    lines = path.read_text().splitlines()
+    lines = lines[:2] if rows == "header only" else [x.replace(",source,", ",target,") for x in lines]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"demos.csv: {message}"):
+        load_demos(path)
+
+
 def test_load_demos_dim_mismatch_raises(tmp_path):
     demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
     path = tmp_path / "demos.csv"

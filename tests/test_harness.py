@@ -363,6 +363,14 @@ def test_ablation_rejects_alphas_sharing_a_run_directory_before_any_run(tmp_path
     assert runs == []
 
 
+def test_ablation_rejects_a_bad_alpha_before_any_run(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        run_ablation(tiny_cfg(tmp_path, "ablate"), [0.0, -1.0])
+    assert runs == []
+
+
 def test_ablation_alpha_zero_matches_airl_artifacts(tmp_path, demo_file):
     demos, _ = demo_file
     cfg = tiny_cfg(tmp_path, "ablate0", steps=2, r=2)
@@ -612,11 +620,40 @@ def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
     ("policy.lr", float("inf")), ("dd.weight_decay", float("inf")), ("policy.value_lr", "inf"),
     ("linkchain.goal_angles", [1.1, float("nan"), 0.9]),
     ("linkchain.goal_angles", [1.1, -0.6, float("-inf")]),
+    # an int key given a float (new rows go last: list-valued ids are numbered by position)
+    ("r", 2.5),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
     with pytest.raises(ValueError, match=key):
         load_config(overrides={section: {name: value}} if section else {name: value})
+    # The same value set on a config built in code, as tests and sweeps build them.
+    cfg = ExperimentConfig()
+    setattr(getattr(cfg, section) if section else cfg, name, value)
+    with pytest.raises(ValueError, match=key):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "train_expert", "collect_demos"])
+def test_every_entry_point_rejects_a_bad_config_built_in_code_before_writing(tmp_path, entry):
+    cfg = tiny_cfg(tmp_path, "run")
+    cfg.policy.lr = float("inf")
+    calls = {"run_experiment": lambda: run_experiment(cfg),
+             "train_expert": lambda: train_expert(cfg),
+             "collect_demos": lambda: collect_demos(cfg, tmp_path / "expert.bin",
+                                                    tmp_path / "demos" / "demos.csv")}
+    with pytest.raises(ValueError, match="policy.lr"):
+        calls[entry]()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_ablate_rejects_an_alpha_that_is_not_a_number(capsys):
+    from odirl.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--alphas", "0,x"])
+    assert exc.value.code == 2
+    assert "argument --alphas: '0,x'" in capsys.readouterr().err
 
 
 def test_config_converts_yaml_exponent_strings_and_takes_ints_and_null_for_floats(tmp_path):
