@@ -8,7 +8,6 @@ header line.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import InitVar, dataclass
@@ -125,23 +124,22 @@ def save_demos(demos: DemoSet, path) -> None:
         "n_trajectories": int(batch.ends.sum()),
     }
     episode = np.cumsum(batch.ends) - batch.ends       # episode index of each row
+    header = ["episode", *trajectory_header(sd, ad), "gt_reward"]
     with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["episode", *trajectory_header(sd, ad), "gt_reward"])
-        writer.writerows([ep, *row, format(gt, ".17g")] for ep, row, gt in
-                         zip(episode.tolist(), trajectory_rows(batch), batch.gt_reward.tolist()))
+        fh.write("# " + json.dumps(meta) + "\n" + ",".join(header) + "\r\n")
+        fh.writelines(f"{ep},{line},{gt:.17g}\r\n" for ep, line, gt in
+                      zip(episode.tolist(), trajectory_rows(batch), batch.gt_reward.tolist()))
 
 
 def load_demos(path, expected_spec=None, expected_config_hash: str | None = None) -> DemoSet:
-    """Load a demo CSV written by save_demos.
+    """Load a demo CSV written by save_demos (LF or CRLF line ends, no quoted cells).
 
     Malformed rows, a non-finite s, a or s_next value and a done other than
     0 or 1 raise with their 1-based file line number, and a file without
     source-tagged rows names the file. A config-hash mismatch logs a warning
     but the load proceeds.
     """
-    with open(path, "r", newline="") as fh:
+    with open(path, "r") as fh:                # universal newlines: CRLF reads as LF
         meta_line = fh.readline()
         if not meta_line.startswith("#"):
             raise ValueError(f"{path}: line 1: missing JSON metadata header")
@@ -164,8 +162,7 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
                 "demo file %s was recorded under env config hash %s, expected %s; loading anyway",
                 path, meta.get("env_config_hash"), expected_config_hash,
             )
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = _cells(fh.readline())
         expected = ["episode", *trajectory_header(sd, ad), "gt_reward"]
         if header != expected:                 # name the first differing column; None: absent
             col, got, want = next((i, h, e) for i, (h, e)
@@ -173,25 +170,29 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
             raise ValueError(f"{path}: line 2: bad header: column {col + 1} is {got!r}, "
                              f"expected {want!r}")
         n_cols = len(expected)
-        episodes, values, dones, tags, rewards = [], [], [], set(), []
-        n_vals = 2 * sd + ad
-        for line_no, row in enumerate(reader, start=3):
+        rows = []
+        for line_no, line in enumerate(fh, start=3):
+            if '"' in line:
+                raise ValueError(f"{path}: line {line_no}: quoted cell (demo files hold none)")
+            row = _cells(line)
             if len(row) != n_cols:
                 raise ValueError(
                     f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
                 )
-            try:
-                episodes.append(int(row[0]))
-                values.append([float(v) for v in row[1 : 1 + n_vals]])
-                dones.append(int(row[1 + n_vals]))
-                rewards.append(float(row[3 + n_vals]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: unparseable value: {exc}") from exc
-            tags.add(row[2 + n_vals])
+            rows.append(row)
+    n_vals = 2 * sd + ad
+    columns = list(zip(*rows)) or [()] * n_cols
+    try:                                       # numpy parses each cell with int() / float()
+        episodes = np.array(columns[0], dtype=np.int64)
+        values = np.array(columns[1 : 1 + n_vals], dtype=np.float64).T
+        dones = np.array(columns[1 + n_vals], dtype=np.int64)
+        rewards = np.array(columns[3 + n_vals], dtype=np.float64)
+    except ValueError:
+        _raise_unparseable(path, rows, n_vals)
+        raise
+    tags = set(columns[2 + n_vals])
     if len(tags) > 1:
         raise ValueError(f"{path}: rows mix domain tags {sorted(tags)}")
-    values = np.asarray(values, dtype=np.float64).reshape(-1, n_vals)
-    dones = np.asarray(dones)
     # gt_reward stays unchecked: learning never reads it.
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
@@ -203,11 +204,10 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
         raise ValueError(f"{path}: line {bad[0] + 3}: done must be 0 or 1, not {dones[bad[0]]}")
     # Rows grouped by episode index, in file order within an episode.
     order = np.argsort(episodes, kind="stable")
-    ep = np.asarray(episodes, dtype=np.int64)[order]
+    ep = episodes[order]
     s, a, s_next = (np.ascontiguousarray(x) for x in np.split(values[order], [sd, sd + ad], axis=1))
     batch = Batch(s, a, s_next, tags.pop() if tags else SOURCE,
-                  done=dones[order].astype(bool),
-                  gt_reward=np.asarray(rewards, dtype=np.float64)[order],
+                  done=dones[order].astype(bool), gt_reward=rewards[order],
                   ends=np.append(ep[1:] != ep[:-1], True)[: len(ep)])
     try:
         return DemoSet(batch, env_config_hash=meta.get("env_config_hash", ""),
@@ -215,3 +215,22 @@ def load_demos(path, expected_spec=None, expected_config_hash: str | None = None
                        horizon=int(meta.get("horizon", 0)))
     except ValueError as exc:                  # no rows, or only target-tagged ones
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _cells(line: str) -> list[str]:
+    """The comma-separated cells of one line read with universal newlines; [] for a blank line."""
+    line = line.rstrip("\n")
+    return line.split(",") if line else []
+
+
+def _raise_unparseable(path, rows, n_vals: int) -> None:
+    """Raise for the first row, in file order, with a cell that int() or float()
+    rejects, naming its line and the cell's error."""
+    for line_no, row in enumerate(rows, start=3):
+        try:
+            int(row[0])
+            list(map(float, row[1 : 1 + n_vals]))
+            int(row[1 + n_vals])
+            float(row[3 + n_vals])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: unparseable value: {exc}") from exc

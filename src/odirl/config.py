@@ -127,24 +127,36 @@ _BOUND_HOLDS = {">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0, ">= 0": lambda
 
 
 _hints = functools.cache(typing.get_type_hints)     # section class -> {field: resolved hint}
+_is_section = functools.cache(dataclasses.is_dataclass)     # field hint -> holds a subsection
+
+
+@functools.cache
+def _plan(hint) -> tuple:
+    """How `_checked` checks a value of one field type hint, worked out once per hint:
+    (item hint of a tuple hint, else None; the hint's types; the isinstance classes
+    that accept them)."""
+    if typing.get_origin(hint) is tuple:            # tuple[float, ...]: check every element
+        return typing.get_args(hint)[0], (), ()
+    types = typing.get_args(hint) or (hint,)        # float | None -> (float, NoneType)
+    return None, types, tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in types)
 
 
 def _checked(hint, val, name: str, bound: str | None = None):
     """val as a value of the field type hint, floats finite, and at or above the
     lower bound `bound` of `_LOWER_BOUNDS` if given; else a ValueError naming the key."""
-    if typing.get_origin(hint) is tuple:            # tuple[float, ...]: check every element
+    item, types, accepted = _plan(hint)
+    if item is not None:
         if not isinstance(val, (list, tuple)):
             raise ValueError(f"{name} must be a list, not {val!r}")
-        item = typing.get_args(hint)[0]
         return tuple(_checked(item, v, f"{name}[{i}]", bound) for i, v in enumerate(val))
-    types = typing.get_args(hint) or (hint,)        # float | None -> (float, NoneType)
     if float in types and isinstance(val, str):     # PyYAML reads 1e-3 as a string
         try:
             val = float(val)
         except ValueError:
             pass
-    accepted = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in types)
-    if not isinstance(val, accepted) or (isinstance(val, bool) and bool not in types):
+    # An exact type match passes without the slower ABC isinstance checks.
+    if type(val) not in types and (not isinstance(val, accepted)
+                                   or (isinstance(val, bool) and bool not in types)):
         raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {val!r}")
     if isinstance(val, float) and not math.isfinite(val):     # null, not inf, switches a clip off
         raise ValueError(f"{name} must be finite, not {val!r}")
@@ -162,7 +174,7 @@ def _check_fields(section, path: str) -> None:
         raise ValueError(f"unknown config key {path}{unknown[0]}")
     for key, hint in hints.items():
         val = _checked(hint, getattr(section, key), path + key, _LOWER_BOUNDS.get(key))
-        if dataclasses.is_dataclass(val):
+        if _is_section(hint):
             _check_fields(val, f"{path}{key}.")
         else:
             setattr(section, key, val)
@@ -201,7 +213,29 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
+# libyaml's safe emitter where PyYAML was built with it, several times faster than
+# the pure-Python one (also a supported install).
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _printable_ascii(obj) -> bool:
+    """Whether every string in a plain tree of dicts, lists and scalars is printable ASCII."""
+    if isinstance(obj, dict):
+        return all(_printable_ascii(k) and _printable_ascii(v) for k, v in obj.items())
+    if isinstance(obj, list):
+        return all(map(_printable_ascii, obj))
+    return not isinstance(obj, str) or (obj.isascii() and obj.isprintable())
+
+
 def save_config(cfg: ExperimentConfig, path) -> None:
+    """The resolved config as YAML: the same bytes whichever PyYAML emitter writes them.
+
+    The two emitters agree on printable-ASCII strings, but fold a long escaped
+    (non-ASCII or control-character) string at different places, so such a
+    config goes through the pure-Python one.
+    """
+    plain = _as_plain(dataclasses.asdict(cfg))
+    dumper = _DUMPER if _printable_ascii(plain) else yaml.SafeDumper
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        yaml.safe_dump(_as_plain(dataclasses.asdict(cfg)), fh, sort_keys=True)
+        yaml.dump(plain, fh, Dumper=dumper, sort_keys=True)

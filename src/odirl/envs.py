@@ -8,7 +8,6 @@ reward is for evaluation curves only; no learning code reads it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -508,16 +507,16 @@ def trajectory_header(state_dim: int, action_dim: int) -> list[str]:
 
 
 def trajectory_rows(batch: Batch):
-    """The batch's rows in the trajectory_header layout, floats written value-exactly."""
-    tag = batch.domain_tag
-    for s, a, sn, done in zip(batch.s.tolist(), batch.a.tolist(), batch.s_next.tolist(),
-                              batch.done.tolist()):
-        yield [format(v, ".17g") for v in (*s, *a, *sn)] + [int(done), tag]
+    """The batch's rows in the trajectory_header layout, one comma-joined line
+    each (no line end), floats written value-exactly as ``format(v, ".17g")``."""
+    values = np.concatenate([batch.s, batch.a, batch.s_next], axis=1)
+    line = ",".join(["%.17g"] * values.shape[1] + ["%d", batch.domain_tag])
+    for row, done in zip(values.tolist(), batch.done.tolist()):
+        yield line % (*row, done)
 
 
 def write_trajectory_csv(path, batch: Batch) -> None:
     """Dump a batch as CSV with the s_*, a_*, s_next_*, done, domain_tag layout."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trajectory_header(batch.s.shape[1], batch.a.shape[1]))
-        writer.writerows(trajectory_rows(batch))
+        fh.write(",".join(trajectory_header(batch.s.shape[1], batch.a.shape[1])) + "\r\n")
+        fh.writelines(line + "\r\n" for line in trajectory_rows(batch))

@@ -9,14 +9,16 @@ alpha = 0 everything reduces exactly to the plain adversarial-IRL baseline.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .envs import SOURCE, Batch
 from .nets import Mlp
 
 LOGIT_CLIP = 10.0
+# Rows per g forward of the heatmap, to bound the activations the net caches: a
+# multiple of BLAS's row blocks, so each row's g is bit for bit that of one
+# whole-grid forward (50-row chunks are not).
+HEATMAP_CHUNK = 256
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -192,7 +194,8 @@ def reward_heatmap(disc: Discriminator, grid_n: int = 50,
     """Evaluate g over grid cell centers of the unit-square arena.
 
     Only defined for state-only g. Returns (xs, ys, values) with
-    values[i, j] = g([xs[i], ys[j]]); optionally writes x,y,value CSV rows.
+    values[i, j] = g([xs[i], ys[j]]); optionally writes them to `path` as
+    x,y,value CSV rows, x-major, floats as ``.17g`` and CRLF line ends.
     """
     if not disc.state_only_g:
         raise ValueError("reward heatmap requires a state-only reward term")
@@ -203,12 +206,15 @@ def reward_heatmap(disc: Discriminator, grid_n: int = 50,
     centers = (np.arange(grid_n) + 0.5) / grid_n
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    values = disc.g_net.forward(pts)[:, 0].reshape(grid_n, grid_n)
+    # The last chunk takes a one-row remainder: numpy runs a one-row matmul as a
+    # vector-matrix product, which rounds differently.
+    bounds = [*range(0, max(len(pts) - 1, 1), HEATMAP_CHUNK), len(pts)]
+    values = np.concatenate([disc.g_net.forward(pts[i:j])[:, 0] for i, j in
+                             zip(bounds, bounds[1:])]).reshape(grid_n, grid_n)
     if path is not None:
+        text = [format(c, ".17g") for c in centers.tolist()]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "value"])
-            writer.writerows([format(centers[i], ".17g"), format(centers[j], ".17g"),
-                              format(values[i, j], ".17g")]
-                             for i in range(grid_n) for j in range(grid_n))
+            fh.write("x,y,value\r\n")
+            fh.writelines(f"{x},{y},{v:.17g}\r\n" for x, row in zip(text, values.tolist())
+                          for y, v in zip(text, row))
     return centers, centers, values

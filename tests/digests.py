@@ -5,8 +5,9 @@ Usage: python tests/digests.py OUT_DIR [--against FILE]
 On both tasks, with a small config (6 steps, r = 2, batches of 40,
 checkpoints every 3 steps), runs train_expert, collect_demos, odirl at
 alpha 1 and 0.5 and with replay buffers small enough to wrap, airl, gail,
-airl_source_transfer (also with disc.epochs: 2) and expert_transfer, with
-BLAS pinned to one thread. Then
+airl_source_transfer (also with disc.epochs: 2) and expert_transfer, plus
+odirl with a 50 x 50 reward heatmap on the point maze, with BLAS pinned to
+one thread. Then
 prints one "sha256  path" line per file under OUT_DIR, paths relative to it,
 in sorted order. Each config.yaml records absolute paths, so compare two
 outputs written to the same OUT_DIR (move the first one away in between).
@@ -63,6 +64,8 @@ RUNS = {
     "airl_source_transfer": {"method": "airl_source_transfer"},
     "airl_source_transfer_disc_epochs2": {"method": "airl_source_transfer", "disc": {"epochs": 2}},
     "expert_transfer": {"method": "expert_transfer"},
+    # Point maze only: a 50 x 50 heatmap crosses the 256-row chunks of its g forward.
+    "odirl_heatmap_grid50": {"task": "pointmaze", "method": "odirl", "heatmap_grid": 50},
 }
 
 
@@ -81,6 +84,9 @@ def run_all(out: Path) -> None:
         demos = base / "demos.csv"
         collect_demos(cfg, expert, demos)
         for name, overrides in RUNS.items():
+            overrides = dict(overrides)
+            if overrides.pop("task", task) != task:     # a run of the other task only
+                continue
             run_experiment(_config(task, out_dir=str(base / name), demos_path=str(demos),
                                    expert_path=str(expert), **overrides))
 

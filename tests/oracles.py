@@ -4,14 +4,17 @@ Everything here is computed without touching the code paths under test:
 closed-form Gaussian log-density ratios, enumerated occupancy measures,
 synthetic transition generators, a one-state-at-a-time point-maze step, the
 point-maze wall clip run on every row, per-layer views of an Mlp's flat
-parameters, textbook Adam, and a replay buffer kept as a deque of rows.
+parameters, textbook Adam, a replay buffer kept as a deque of rows, and
+the run's CSV files written cell by cell through ``csv.writer``.
 """
 
+import csv
+import json
 from collections import deque
 
 import numpy as np
 
-from odirl.envs import _WALL_EPS, Batch
+from odirl.envs import _WALL_EPS, Batch, trajectory_header
 
 GAUSS_MU_SRC = 0.0
 GAUSS_MU_TGT = 0.3
@@ -280,3 +283,54 @@ class DequeReplayBuffer:
     def sample(self, n, rng):
         """n rows, drawn as the ring draws them: one rng.integers over the rows, oldest first."""
         return [self.rows[i] for i in rng.integers(0, len(self.rows), size=n)]
+
+
+# ---------------------------------------------------------------------------
+# CSV files, one csv.writer cell at a time
+# ---------------------------------------------------------------------------
+
+def _reference_trajectory_cells(batch):
+    """Each row of a batch as trajectory_header cells, floats through format(v, ".17g")."""
+    for s, a, sn, done in zip(batch.s.tolist(), batch.a.tolist(), batch.s_next.tolist(),
+                              batch.done.tolist()):
+        yield [format(v, ".17g") for v in (*s, *a, *sn)] + [int(done), batch.domain_tag]
+
+
+def reference_write_trajectory_csv(path, batch):
+    """Reference for `envs.write_trajectory_csv`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trajectory_header(batch.s.shape[1], batch.a.shape[1]))
+        writer.writerows(_reference_trajectory_cells(batch))
+
+
+def reference_save_demos(demos, path):
+    """Reference for `buffers.save_demos`."""
+    batch = demos.batch
+    sd, ad = batch.s.shape[1], batch.a.shape[1]
+    meta = {
+        "env_config_hash": demos.env_config_hash,
+        "expert_seed": demos.expert_seed,
+        "horizon": demos.horizon,
+        "state_dim": sd,
+        "action_dim": ad,
+        "n_trajectories": int(batch.ends.sum()),
+    }
+    episode = np.cumsum(batch.ends) - batch.ends
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(meta) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["episode", *trajectory_header(sd, ad), "gt_reward"])
+        writer.writerows([ep, *row, format(gt, ".17g")] for ep, row, gt in
+                         zip(episode.tolist(), _reference_trajectory_cells(batch),
+                             batch.gt_reward.tolist()))
+
+
+def reference_heatmap_csv(path, centers, values):
+    """Reference for the file `irl.reward_heatmap` writes: values[i, j] at (centers[i], centers[j])."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "value"])
+        writer.writerows([format(centers[i], ".17g"), format(centers[j], ".17g"),
+                          format(values[i, j], ".17g")]
+                         for i in range(len(centers)) for j in range(len(centers)))

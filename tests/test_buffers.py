@@ -7,9 +7,11 @@ from scipy import stats
 
 from odirl.buffers import DemoSet, ReplayBuffer, load_demos, save_demos
 from odirl.envs import (SOURCE, TARGET, Batch, EnvSpec, PointMazeConfig, PointMazeEnv, Trajectory,
-                        Transition, rollouts)
+                        Transition, rollouts, write_trajectory_csv)
+from odirl.irl import Discriminator, reward_heatmap
 from odirl.policy import GaussianPolicy
-from oracles import DequeReplayBuffer
+from oracles import (DequeReplayBuffer, reference_heatmap_csv, reference_save_demos,
+                     reference_write_trajectory_csv)
 
 
 def make_traj(n, tag=SOURCE, offset=0.0):
@@ -176,12 +178,61 @@ def test_demo_roundtrip_is_value_exact(tmp_path):
     path = tmp_path / "demos.csv"
     save_demos(demos, path)
     loaded = load_demos(path)
+    lf_only = tmp_path / "demos_lf.csv"           # the same file with LF line ends
+    lf_only.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    assert b"\r\n" in path.read_bytes() and lf_only.stat().st_size < path.stat().st_size
+    for key in ("s", "a", "s_next", "done", "gt_reward", "ends"):
+        assert np.array_equal(getattr(load_demos(lf_only).batch, key), getattr(loaded.batch, key))
     assert loaded.env_config_hash == "abc123"
     assert loaded.expert_seed == 9
     assert loaded.batch.domain_tag == demos.batch.domain_tag == SOURCE
     for key in ("s", "a", "s_next", "done", "gt_reward", "ends"):
         assert np.array_equal(getattr(demos.batch, key), getattr(loaded.batch, key)), key
     assert int(loaded.batch.ends.sum()) == 3
+
+
+def _extreme_value_batch():
+    """Two source episodes whose s, a and s_next hold -0.0, 5e-324, 1e308 and
+    -1e-300 among random values, and whose gt_reward holds nan and +-inf."""
+    rng = np.random.default_rng(4)
+    s, a, sn = (rng.normal(size=(7, 2)) * 10.0 ** rng.integers(-30, 30, size=(7, 2))
+                for _ in range(3))
+    s[0], a[1], sn[2], s[3, 1], a[4, 0], sn[5, 1] = (-0.0, 5e-324), (1e308, -1e-300), \
+        (-1e-300, -0.0), 1e308, 5e-324, -0.0
+    gt = rng.normal(size=7)
+    gt[[1, 3, 6]] = np.nan, np.inf, -np.inf
+    ends = np.array([0, 0, 1, 0, 0, 0, 1], dtype=bool)
+    return Batch(s, a, sn, SOURCE, done=ends.copy(), gt_reward=gt, ends=ends)
+
+
+@pytest.mark.parametrize("writer", ["write_trajectory_csv", "save_demos", "reward_heatmap"])
+def test_writers_match_the_csv_writer_references_byte_for_byte(tmp_path, writer):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    batch = _extreme_value_batch()
+    if writer == "write_trajectory_csv":
+        write_trajectory_csv(got, batch)
+        reference_write_trajectory_csv(want, batch)
+    elif writer == "save_demos":
+        demos = DemoSet(batch, env_config_hash="h", expert_seed=2, horizon=4)
+        save_demos(demos, got)
+        reference_save_demos(demos, want)
+        loaded = load_demos(got).batch
+        for key in ("s", "a", "s_next", "gt_reward"):
+            assert np.array_equal(getattr(loaded, key).view(np.int64),
+                                  getattr(batch, key).view(np.int64)), key
+        for key in ("done", "ends"):
+            assert np.array_equal(getattr(loaded, key), getattr(batch, key)), key
+    else:
+        disc = Discriminator(2, 2, gamma=0.9, seed=0, hidden=(16, 16))
+        disc.g_net.params[:] = np.random.default_rng(5).normal(size=disc.g_net.params.size)
+        # g in chunks against one whole-grid forward: 2,500 rows, and 16,641 (one past a chunk)
+        for grid_n in (129, 50):
+            centers, _, values = reward_heatmap(disc, grid_n=grid_n, path=got)
+            pts = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1).reshape(-1, 2)
+            whole = disc.g_net.forward(pts)[:, 0].reshape(grid_n, grid_n)
+            assert np.array_equal(values.view(np.int64), whole.view(np.int64)), grid_n
+        reference_heatmap_csv(want, centers, values)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_load_demos_reports_row_number_on_bad_column_count(tmp_path):
@@ -199,6 +250,10 @@ def test_load_demos_reports_row_number_on_bad_column_count(tmp_path):
     ("s_0", "nan", "s_0 must be finite, not nan"), ("a_1", "inf", "a_1 must be finite, not inf"),
     ("s_next_1", "-inf", "s_next_1 must be finite, not -inf"),
     ("done", "2", "done must be 0 or 1, not 2"), ("done", "-1", "done must be 0 or 1, not -1"),
+    ("s_0", "x", "unparseable value: could not convert string to float: 'x'"),
+    ("episode", "1.5", "unparseable value: invalid literal for int\\(\\) with base 10: '1.5'"),
+    ("s_1", '"0.5"', "quoted cell \\(demo files hold none\\)"),
+    (None, "", "expected 10 columns, got 0"),      # column None: the value replaces the line
 ])
 def test_load_demos_names_the_line_of_a_non_finite_value_or_a_bad_done(tmp_path, column, value,
                                                                        message):
@@ -206,9 +261,12 @@ def test_load_demos_names_the_line_of_a_non_finite_value_or_a_bad_done(tmp_path,
     path = tmp_path / "demos.csv"
     save_demos(demos, path)
     lines = path.read_text().splitlines()
-    cells = lines[3].split(",")
-    cells[lines[1].split(",").index(column)] = value   # the second data row (file line 4)
-    lines[3] = ",".join(cells)
+    cells = lines[3].split(",")                         # the second data row (file line 4)
+    if column is None:
+        lines[3] = value
+    else:
+        cells[lines[1].split(",").index(column)] = value
+        lines[3] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"demos.csv: line 4: {message}$"):
         load_demos(path)

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import odirl.config as config_module
 import odirl.harness as harness
 import odirl.policy as policy_mod
 from odirl.buffers import load_demos, save_demos
@@ -88,6 +90,22 @@ def test_config_roundtrip_reproduces_whole_tree(tmp_path):
     path = tmp_path / "conf.yaml"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", ["runs with spaces and a long name " * 3,
+                                  "läufe mit leerzeichen und einem langen namen " * 3])
+def test_save_config_writes_the_same_bytes_through_both_yaml_dumpers(tmp_path, monkeypatch, name):
+    cfg = ExperimentConfig(out_dir=str(tmp_path / name))
+    assert len(cfg.out_dir) > 80
+    written = []
+    for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+        monkeypatch.setattr(config_module, "_DUMPER", dumper)
+        save_config(cfg, tmp_path / "conf.yaml")
+        written.append((tmp_path / "conf.yaml").read_bytes())
+    plain = yaml.safe_dump(config_module._as_plain(dataclasses.asdict(cfg)), sort_keys=True)
+    assert written[0] == written[1] == plain.encode()
+    assert load_config(tmp_path / "conf.yaml") == cfg
 
 
 def test_yaml_policy_keys_reach_the_policy_optimizer(tmp_path, demo_file, monkeypatch):
@@ -890,8 +908,9 @@ def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
                                       capture_output=True, text=True).stdout.splitlines())
         out.rename(tmp_path / attempt)
     assert outputs[0] == outputs[1]
-    # 8 runs per task; all but expert_transfer train and save a final policy
-    for name, runs in (("progress.csv", 16), ("policy_final.bin", 14)):
+    # 8 runs per task and a point-maze-only one; all but expert_transfer train
+    # and save a final policy
+    for name, runs in (("progress.csv", 17), ("policy_final.bin", 15)):
         assert sum(line.endswith("/" + name) for line in outputs[0]) == runs
 
 
@@ -902,7 +921,7 @@ def test_every_method_reports_its_last_progress_row_as_its_final_scores(tmp_path
     subprocess.run([sys.executable, str(Path(__file__).parent / "digests.py"), str(tmp_path)],
                    check=True, capture_output=True)
     summaries = sorted(tmp_path.glob("*/*/summary.json"))
-    assert len(summaries) == 16
+    assert len(summaries) == 17
     for path in summaries:
         summary, last = json.loads(path.read_text()), read_progress(path.parent)[-1]
         assert format(summary["final_gt_return"], ".10g") == last["gt_return"], path
