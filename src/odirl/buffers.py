@@ -2,22 +2,22 @@
 
 Buffers are single-domain rings: pushing a batch whose tag does not match
 the buffer is a correctness bug (domain contamination) and raises.
-Demonstrations round-trip through CSV value-exactly with a JSON metadata
-header line.
+Demonstrations are stored value-exactly in the checkpoint container of
+`nets.save_arrays`, with their provenance as header meta.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import InitVar, dataclass
-from itertools import zip_longest
 
 import numpy as np
 
-from .envs import SOURCE, Batch, trajectory_header, trajectory_rows
+from .envs import SOURCE, Batch
+from .nets import load_params, save_arrays
 
 logger = logging.getLogger(__name__)
+_DEMO_ARRAYS = ("s", "a", "s_next", "done", "gt_reward", "ends")    # a demo file's arrays
 
 
 class ReplayBuffer:
@@ -107,130 +107,63 @@ class DemoSet:
 
 
 def save_demos(demos: DemoSet, path) -> None:
-    """Persist demos as CSV: one JSON metadata line, a header row, then rows.
-
-    Rows are the trajectory-dump rows (``envs.trajectory_rows``) between an
-    episode index and the ground-truth reward, so loading reconstructs
-    the batch field by field.
-    """
+    """Persist demos through the checkpoint container (`nets.save_arrays`):
+    the batch's s, a, s_next, done, gt_reward and ends arrays, with the
+    provenance, the dims and the domain tag as header meta."""
     batch = demos.batch
-    sd, ad = batch.s.shape[1], batch.a.shape[1]
-    meta = {
-        "env_config_hash": demos.env_config_hash,
-        "expert_seed": demos.expert_seed,
-        "horizon": demos.horizon,
-        "state_dim": sd,
-        "action_dim": ad,
-        "n_trajectories": int(batch.ends.sum()),
-    }
-    episode = np.cumsum(batch.ends) - batch.ends       # episode index of each row
-    header = ["episode", *trajectory_header(sd, ad), "gt_reward"]
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta) + "\n" + ",".join(header) + "\r\n")
-        fh.writelines(f"{ep},{line},{gt:.17g}\r\n" for ep, line, gt in
-                      zip(episode.tolist(), trajectory_rows(batch), batch.gt_reward.tolist()))
+    save_arrays(path, {name: getattr(batch, name) for name in _DEMO_ARRAYS},
+                env_config_hash=demos.env_config_hash, expert_seed=demos.expert_seed,
+                horizon=demos.horizon, state_dim=batch.s.shape[1], action_dim=batch.a.shape[1],
+                domain_tag=batch.domain_tag)
 
 
 def load_demos(path, expected_spec=None, expected_config_hash: str | None = None) -> DemoSet:
-    """Load a demo CSV written by save_demos (LF or CRLF line ends, no quoted cells).
+    """Load a demo file written by save_demos.
 
-    Malformed rows, a non-finite s, a or s_next value and a done other than
-    0 or 1 raise with their 1-based file line number, and a file without
-    source-tagged rows names the file. A config-hash mismatch logs a warning
-    but the load proceeds.
+    A malformed file (see `nets.load_params`), a missing or misshapen array,
+    a non-finite s, a or s_next value, a done or ends other than 0 or 1, a
+    last row that ends no episode and a set without source-tagged rows raise
+    a ValueError naming the file, and the array and its 0-based row where
+    one applies. A config-hash mismatch logs a warning but the load proceeds.
     """
-    with open(path, "r") as fh:                # universal newlines: CRLF reads as LF
-        meta_line = fh.readline()
-        if not meta_line.startswith("#"):
-            raise ValueError(f"{path}: line 1: missing JSON metadata header")
-        try:
-            meta = json.loads(meta_line.lstrip("#").strip())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line 1: bad metadata header: {exc}") from exc
-        for key in ("state_dim", "action_dim"):
-            if not isinstance(meta, dict) or not isinstance(meta.get(key), int):
-                raise ValueError(f"{path}: line 1: metadata header has no integer {key!r}")
-        sd, ad = meta["state_dim"], meta["action_dim"]
-        if expected_spec is not None:
-            if sd != expected_spec.state_dim or ad != expected_spec.action_dim:
-                raise ValueError(
-                    f"{path}: demo dims (s={sd}, a={ad}) do not match env spec "
-                    f"(s={expected_spec.state_dim}, a={expected_spec.action_dim})"
-                )
-        if expected_config_hash is not None and meta.get("env_config_hash") != expected_config_hash:
-            logger.warning(
-                "demo file %s was recorded under env config hash %s, expected %s; loading anyway",
-                path, meta.get("env_config_hash"), expected_config_hash,
-            )
-        header = _cells(fh.readline())
-        expected = ["episode", *trajectory_header(sd, ad), "gt_reward"]
-        if header != expected:                 # name the first differing column; None: absent
-            col, got, want = next((i, h, e) for i, (h, e)
-                                  in enumerate(zip_longest(header, expected)) if h != e)
-            raise ValueError(f"{path}: line 2: bad header: column {col + 1} is {got!r}, "
-                             f"expected {want!r}")
-        n_cols = len(expected)
-        rows = []
-        for line_no, line in enumerate(fh, start=3):
-            if '"' in line:
-                raise ValueError(f"{path}: line {line_no}: quoted cell (demo files hold none)")
-            row = _cells(line)
-            if len(row) != n_cols:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
-                )
-            rows.append(row)
-    n_vals = 2 * sd + ad
-    columns = list(zip(*rows)) or [()] * n_cols
-    try:                                       # numpy parses each cell with int() / float()
-        episodes = np.array(columns[0], dtype=np.int64)
-        values = np.array(columns[1 : 1 + n_vals], dtype=np.float64).T
-        dones = np.array(columns[1 + n_vals], dtype=np.int64)
-        rewards = np.array(columns[3 + n_vals], dtype=np.float64)
-    except ValueError:
-        _raise_unparseable(path, rows, n_vals)
-        raise
-    tags = set(columns[2 + n_vals])
-    if len(tags) > 1:
-        raise ValueError(f"{path}: rows mix domain tags {sorted(tags)}")
+    arrays, meta = load_params(path)
+    for key in ("state_dim", "action_dim"):
+        if not isinstance(meta, dict) or not isinstance(meta.get(key), int):
+            raise ValueError(f"{path}: metadata has no integer {key!r}")
+    sd, ad = meta["state_dim"], meta["action_dim"]
+    if expected_spec is not None and (sd, ad) != (expected_spec.state_dim, expected_spec.action_dim):
+        raise ValueError(f"{path}: demo dims (s={sd}, a={ad}) do not match env spec "
+                         f"(s={expected_spec.state_dim}, a={expected_spec.action_dim})")
+    if expected_config_hash is not None and meta.get("env_config_hash") != expected_config_hash:
+        logger.warning("demo file %s was recorded under env config hash %s, expected %s; loading "
+                       "anyway", path, meta.get("env_config_hash"), expected_config_hash)
+    rows = arrays["s"].shape[:1] if "s" in arrays else ()
+    for name, width in zip(_DEMO_ARRAYS, [(sd,), (ad,), (sd,), (), (), ()]):
+        if name not in arrays:
+            raise ValueError(f"{path}: no array {name!r} in demo file")
+        if arrays[name].shape != rows + width:
+            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                             f"expected {rows + width}")
     # gt_reward stays unchecked: learning never reads it.
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        row, col = bad[0]
-        raise ValueError(f"{path}: line {row + 3}: {expected[1 + col]} must be finite, "
-                         f"not {float(values[row, col])!r}")
-    bad = np.flatnonzero((dones != 0) & (dones != 1))
-    if len(bad):
-        raise ValueError(f"{path}: line {bad[0] + 3}: done must be 0 or 1, not {dones[bad[0]]}")
-    # Rows grouped by episode index, in file order within an episode.
-    order = np.argsort(episodes, kind="stable")
-    ep = episodes[order]
-    s, a, s_next = (np.ascontiguousarray(x) for x in np.split(values[order], [sd, sd + ad], axis=1))
-    batch = Batch(s, a, s_next, tags.pop() if tags else SOURCE,
-                  done=dones[order].astype(bool), gt_reward=rewards[order],
-                  ends=np.append(ep[1:] != ep[:-1], True)[: len(ep)])
+    for name in ("s", "a", "s_next"):
+        bad = np.argwhere(~np.isfinite(arrays[name]))
+        if len(bad):
+            row, col = bad[0]
+            raise ValueError(f"{path}: array {name!r} row {row}: {name}_{col} must be finite, "
+                             f"not {float(arrays[name][row, col])!r}")
+    for name in ("done", "ends"):
+        bad = np.flatnonzero((arrays[name] != 0) & (arrays[name] != 1))
+        if len(bad):
+            raise ValueError(f"{path}: array {name!r} row {bad[0]}: {name} must be 0 or 1, "
+                             f"not {arrays[name][bad[0]]:g}")
+    if rows[0] and not arrays["ends"][-1]:
+        raise ValueError(f"{path}: array 'ends' row {rows[0] - 1}: the last row ends no episode")
+    batch = Batch(arrays["s"], arrays["a"], arrays["s_next"], meta.get("domain_tag"),
+                  done=arrays["done"].astype(bool), gt_reward=arrays["gt_reward"],
+                  ends=arrays["ends"].astype(bool))
     try:
         return DemoSet(batch, env_config_hash=meta.get("env_config_hash", ""),
                        expert_seed=int(meta.get("expert_seed", 0)),
                        horizon=int(meta.get("horizon", 0)))
-    except ValueError as exc:                  # no rows, or only target-tagged ones
+    except ValueError as exc:                  # no rows, or not source-tagged
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _cells(line: str) -> list[str]:
-    """The comma-separated cells of one line read with universal newlines; [] for a blank line."""
-    line = line.rstrip("\n")
-    return line.split(",") if line else []
-
-
-def _raise_unparseable(path, rows, n_vals: int) -> None:
-    """Raise for the first row, in file order, with a cell that int() or float()
-    rejects, naming its line and the cell's error."""
-    for line_no, row in enumerate(rows, start=3):
-        try:
-            int(row[0])
-            list(map(float, row[1 : 1 + n_vals]))
-            int(row[1 + n_vals])
-            float(row[3 + n_vals])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: unparseable value: {exc}") from exc

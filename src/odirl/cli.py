@@ -78,14 +78,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("collect-demos", help="roll the expert and save demonstrations")
     _add_common(p)
     p.add_argument("--expert", type=str, required=True, help="expert policy checkpoint")
-    p.add_argument("--demos-out", type=str, required=True, help="output demo CSV path")
+    p.add_argument("--demos-out", type=str, required=True, help="output demo file path")
     p.add_argument("--episodes", type=int, default=None)
 
     p = sub.add_parser("run", help="run a training method")
     _add_common(p)
     p.add_argument("--method", type=str, default=None,
                    help="odirl | airl | airl_source_transfer | gail | expert_transfer")
-    p.add_argument("--demos", type=str, default=None, help="demo CSV path")
+    p.add_argument("--demos", type=str, default=None, help="demo file path")
     p.add_argument("--expert", type=str, default=None, help="expert checkpoint (expert_transfer)")
 
     p = sub.add_parser("ablate", help="alpha ablation sweep")

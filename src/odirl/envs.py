@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .fields import check_fields
+
 SOURCE = "source"
 TARGET = "target"
 _WALL_EPS = 1e-9
@@ -146,8 +148,8 @@ class PointMazeConfig:
     action_scale: float = 0.08
     horizon: int = 80
 
-    def validate(self) -> None:
-        """The geometry rules that span fields; `ExperimentConfig.validate` checks each field."""
+    def check_cross_fields(self) -> None:
+        """The geometry rules that span fields (see `fields.check_fields`)."""
         if not 0.0 < self.source_wall_length < self.target_wall_length <= 1.0:
             raise ValueError("pointmaze: need 0 < source_wall_length < target_wall_length <= 1")
         xlo, xhi = self.wall_x - self.wall_half_width, self.wall_x + self.wall_half_width
@@ -204,7 +206,7 @@ class PointMazeEnv:
     """
 
     def __init__(self, config: PointMazeConfig, domain_tag: str, seed: int):
-        config.validate()
+        check_fields(config, "pointmaze.")
         self.config = config
         self.domain_tag = domain_tag
         self.rng = np.random.default_rng(seed)
@@ -330,8 +332,8 @@ class LinkChainConfig:
     gt_variant: str = "distance"      # "distance" | "forward_velocity"
     horizon: int = 60
 
-    def validate(self) -> None:
-        """The rules that span fields; `ExperimentConfig.validate` checks each field."""
+    def check_cross_fields(self) -> None:
+        """The rules that span fields (see `fields.check_fields`)."""
         for name in ("target_disabled_mask", "goal_angles"):
             if len(getattr(self, name)) != self.num_joints:
                 raise ValueError(f"linkchain.{name} length must equal num_joints")
@@ -363,7 +365,7 @@ class LinkChainEnv:
     """
 
     def __init__(self, config: LinkChainConfig, domain_tag: str, seed: int):
-        config.validate()
+        check_fields(config, "linkchain.")
         self.config = config
         self.domain_tag = domain_tag
         self.rng = np.random.default_rng(seed)
@@ -498,25 +500,13 @@ def rollout(policy, env, horizon: int, rng: np.random.Generator | None = None) -
     return rollouts(policy, env, 1, horizon, rng)
 
 
-def trajectory_header(state_dim: int, action_dim: int) -> list[str]:
-    cols = [f"s_{i}" for i in range(state_dim)]
-    cols += [f"a_{i}" for i in range(action_dim)]
-    cols += [f"s_next_{i}" for i in range(state_dim)]
-    cols += ["done", "domain_tag"]
-    return cols
-
-
-def trajectory_rows(batch: Batch):
-    """The batch's rows in the trajectory_header layout, one comma-joined line
-    each (no line end), floats written value-exactly as ``format(v, ".17g")``."""
-    values = np.concatenate([batch.s, batch.a, batch.s_next], axis=1)
-    line = ",".join(["%.17g"] * values.shape[1] + ["%d", batch.domain_tag])
-    for row, done in zip(values.tolist(), batch.done.tolist()):
-        yield line % (*row, done)
-
-
 def write_trajectory_csv(path, batch: Batch) -> None:
-    """Dump a batch as CSV with the s_*, a_*, s_next_*, done, domain_tag layout."""
+    """Dump a batch as CSV with the s_*, a_*, s_next_*, done, domain_tag layout,
+    CRLF line ends and floats written value-exactly as ``format(v, ".17g")``."""
+    columns = {"s": batch.s, "a": batch.a, "s_next": batch.s_next}
+    header = [f"{name}_{i}" for name, x in columns.items() for i in range(x.shape[1])]
+    values = np.concatenate(list(columns.values()), axis=1)
+    line = ",".join(["%.17g"] * values.shape[1] + ["%d", batch.domain_tag]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(trajectory_header(batch.s.shape[1], batch.a.shape[1])) + "\r\n")
-        fh.writelines(line + "\r\n" for line in trajectory_rows(batch))
+        fh.write(",".join([*header, "done", "domain_tag"]) + "\r\n")
+        fh.writelines(line % (*row, done) for row, done in zip(values.tolist(), batch.done.tolist()))

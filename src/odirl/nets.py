@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import Sequence
 
 import numpy as np
@@ -239,36 +240,52 @@ def minibatches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
-    """The arrays and meta of a save_blocks checkpoint; bit-exact for float64 payloads."""
+    """The arrays and meta of a save_arrays file; bit-exact for float64 payloads.
+
+    A header line that is not a JSON object listing each array's name and
+    non-negative shape, or a file size other than the header line plus those
+    arrays, raises a ValueError naming the file before any array is read.
+    """
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
+        try:                                   # JSONDecodeError, UnicodeDecodeError
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise ValueError(f"{path}: header line is not JSON: {exc}") from exc
+        entries = header.get("arrays") if isinstance(header, dict) else None
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(isinstance(n, int) and n >= 0 for n in e["shape"]) for e in entries):
+            raise ValueError(f"{path}: header is not an object listing arrays by name and shape")
+        payload = 8 * sum(math.prod(e["shape"]) for e in entries)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != payload:
+            raise ValueError(f"{path}: header lists {payload} bytes of arrays, file holds {held}")
         arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated checkpoint reading {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        for e in entries:
+            arrays[e["name"]] = a = np.empty(e["shape"], dtype="<f8")
+            fh.readinto(a)
     return arrays, header.get("meta", {})
 
 
-def save_blocks(path, blocks: dict, **meta) -> None:
-    """Checkpoint a {name: Mlp or FlatParams} map: a JSON header line, then
-    each block's params as raw little-endian float64 bytes, in map order.
-
-    The header's meta holds each Mlp block's meta() under the block's name,
-    plus the given meta entries.
-    """
-    header = {"meta": {**{name: b.meta() for name, b in blocks.items() if isinstance(b, Mlp)}, **meta},
-              "arrays": [{"name": name, "shape": list(b.params.shape)} for name, b in blocks.items()],
-              "dtype": "<f8"}
+def save_arrays(path, arrays: dict, **meta) -> None:
+    """Write a {name: array} map: a JSON header line (the meta, and each
+    array's name and shape), then each array as raw little-endian float64
+    bytes, in map order."""
+    header = {"meta": meta, "arrays": [{"name": name, "shape": list(np.shape(a))}
+                                       for name, a in arrays.items()], "dtype": "<f8"}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        for b in blocks.values():
-            fh.write(np.ascontiguousarray(b.params, dtype="<f8").tobytes())
+        for a in arrays.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+def save_blocks(path, blocks: dict, **meta) -> None:
+    """Checkpoint a {name: Mlp or FlatParams} map through save_arrays: each block's
+    params under its name, and each Mlp block's meta() under its name in the meta."""
+    save_arrays(path, {name: b.params for name, b in blocks.items()},
+                **{**{name: b.meta() for name, b in blocks.items() if isinstance(b, Mlp)}, **meta})
 
 
 def load_blocks(path, blocks: dict) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import Batch, EnvSpec, rollouts
+from .fields import check_fields
 from .nets import Adam, FlatParams, Mlp, minibatches
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
@@ -37,8 +38,8 @@ class PolicyOptConfig:
     grad_clip: float | None = 10.0
     target_kl: float | None = 0.02   # stop policy epochs once exceeded
 
-    def validate(self) -> None:
-        """The ranges a lower bound cannot state; `ExperimentConfig.validate` checks the rest."""
+    def check_cross_fields(self) -> None:
+        """The ranges a lower bound cannot state (see `fields.check_fields`)."""
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("policy.gamma must be in [0, 1)")
         if not 0.0 <= self.gae_lambda <= 1.0:
@@ -147,7 +148,7 @@ class PolicyOptimizer:
     """Holds the Adam state for a (policy, value) pair across updates."""
 
     def __init__(self, policy: GaussianPolicy, value: ValueNet, config: PolicyOptConfig):
-        config.validate()
+        check_fields(config, "policy.")
         self.policy = policy
         self.value = value
         self.config = config

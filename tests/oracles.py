@@ -9,12 +9,11 @@ the run's CSV files written cell by cell through ``csv.writer``.
 """
 
 import csv
-import json
 from collections import deque
 
 import numpy as np
 
-from odirl.envs import _WALL_EPS, Batch, trajectory_header
+from odirl.envs import _WALL_EPS, Batch
 
 GAUSS_MU_SRC = 0.0
 GAUSS_MU_TGT = 0.3
@@ -289,8 +288,14 @@ class DequeReplayBuffer:
 # CSV files, one csv.writer cell at a time
 # ---------------------------------------------------------------------------
 
+def reference_trajectory_header(state_dim, action_dim):
+    """The header row of a trajectory CSV."""
+    return ([f"s_{i}" for i in range(state_dim)] + [f"a_{i}" for i in range(action_dim)]
+            + [f"s_next_{i}" for i in range(state_dim)] + ["done", "domain_tag"])
+
+
 def _reference_trajectory_cells(batch):
-    """Each row of a batch as trajectory_header cells, floats through format(v, ".17g")."""
+    """Each row of a batch as trajectory CSV cells, floats through format(v, ".17g")."""
     for s, a, sn, done in zip(batch.s.tolist(), batch.a.tolist(), batch.s_next.tolist(),
                               batch.done.tolist()):
         yield [format(v, ".17g") for v in (*s, *a, *sn)] + [int(done), batch.domain_tag]
@@ -300,30 +305,8 @@ def reference_write_trajectory_csv(path, batch):
     """Reference for `envs.write_trajectory_csv`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(trajectory_header(batch.s.shape[1], batch.a.shape[1]))
+        writer.writerow(reference_trajectory_header(batch.s.shape[1], batch.a.shape[1]))
         writer.writerows(_reference_trajectory_cells(batch))
-
-
-def reference_save_demos(demos, path):
-    """Reference for `buffers.save_demos`."""
-    batch = demos.batch
-    sd, ad = batch.s.shape[1], batch.a.shape[1]
-    meta = {
-        "env_config_hash": demos.env_config_hash,
-        "expert_seed": demos.expert_seed,
-        "horizon": demos.horizon,
-        "state_dim": sd,
-        "action_dim": ad,
-        "n_trajectories": int(batch.ends.sum()),
-    }
-    episode = np.cumsum(batch.ends) - batch.ends
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["episode", *trajectory_header(sd, ad), "gt_reward"])
-        writer.writerows([ep, *row, format(gt, ".17g")] for ep, row, gt in
-                         zip(episode.tolist(), _reference_trajectory_cells(batch),
-                             batch.gt_reward.tolist()))
 
 
 def reference_heatmap_csv(path, centers, values):

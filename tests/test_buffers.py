@@ -1,4 +1,4 @@
-import re
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,8 +10,8 @@ from odirl.envs import (SOURCE, TARGET, Batch, EnvSpec, PointMazeConfig, PointMa
                         Transition, rollouts, write_trajectory_csv)
 from odirl.irl import Discriminator, reward_heatmap
 from odirl.policy import GaussianPolicy
-from oracles import (DequeReplayBuffer, reference_heatmap_csv, reference_save_demos,
-                     reference_write_trajectory_csv)
+from odirl.nets import load_params, save_arrays, save_blocks
+from oracles import DequeReplayBuffer, reference_heatmap_csv, reference_write_trajectory_csv
 
 
 def make_traj(n, tag=SOURCE, offset=0.0):
@@ -158,39 +158,6 @@ def test_demo_set_requires_source_tag():
         DemoSet(trajectories=[make_traj(3, tag=TARGET)])
 
 
-def test_demo_roundtrip_is_value_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    trajs = []
-    for ep in range(3):
-        ts = [
-            Transition(
-                s=rng.normal(size=2),
-                a=rng.normal(size=2) * 1e-7,
-                s_next=rng.normal(size=2),
-                done=bool(rng.integers(0, 2)),
-                domain_tag=SOURCE,
-                gt_reward=float(rng.normal() * 1e3),
-            )
-            for _ in range(4)
-        ]
-        trajs.append(Trajectory(transitions=ts))
-    demos = DemoSet(trajectories=trajs, env_config_hash="abc123", expert_seed=9, horizon=4)
-    path = tmp_path / "demos.csv"
-    save_demos(demos, path)
-    loaded = load_demos(path)
-    lf_only = tmp_path / "demos_lf.csv"           # the same file with LF line ends
-    lf_only.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
-    assert b"\r\n" in path.read_bytes() and lf_only.stat().st_size < path.stat().st_size
-    for key in ("s", "a", "s_next", "done", "gt_reward", "ends"):
-        assert np.array_equal(getattr(load_demos(lf_only).batch, key), getattr(loaded.batch, key))
-    assert loaded.env_config_hash == "abc123"
-    assert loaded.expert_seed == 9
-    assert loaded.batch.domain_tag == demos.batch.domain_tag == SOURCE
-    for key in ("s", "a", "s_next", "done", "gt_reward", "ends"):
-        assert np.array_equal(getattr(demos.batch, key), getattr(loaded.batch, key)), key
-    assert int(loaded.batch.ends.sum()) == 3
-
-
 def _extreme_value_batch():
     """Two source episodes whose s, a and s_next hold -0.0, 5e-324, 1e308 and
     -1e-300 among random values, and whose gt_reward holds nan and +-inf."""
@@ -202,26 +169,32 @@ def _extreme_value_batch():
     gt = rng.normal(size=7)
     gt[[1, 3, 6]] = np.nan, np.inf, -np.inf
     ends = np.array([0, 0, 1, 0, 0, 0, 1], dtype=bool)
-    return Batch(s, a, sn, SOURCE, done=ends.copy(), gt_reward=gt, ends=ends)
+    return Batch(s, a, sn, SOURCE, done=np.array([0, 1, 1, 0, 0, 0, 0], dtype=bool),
+                 gt_reward=gt, ends=ends)
 
 
-@pytest.mark.parametrize("writer", ["write_trajectory_csv", "save_demos", "reward_heatmap"])
+def test_demo_roundtrip_is_value_exact(tmp_path):
+    batch = _extreme_value_batch()
+    path = tmp_path / "demos.bin"
+    save_demos(DemoSet(batch, env_config_hash="abc123", expert_seed=9, horizon=4), path)
+    loaded = load_demos(path)
+    for key in ("s", "a", "s_next", "gt_reward"):
+        assert np.array_equal(getattr(loaded.batch, key).view(np.int64),
+                              getattr(batch, key).view(np.int64)), key
+    for key in ("done", "ends"):
+        got = getattr(loaded.batch, key)
+        assert got.dtype == bool and np.array_equal(got, getattr(batch, key)), key
+    assert (loaded.env_config_hash, loaded.expert_seed, loaded.horizon) == ("abc123", 9, 4)
+    assert loaded.batch.domain_tag == SOURCE
+
+
+@pytest.mark.parametrize("writer", ["write_trajectory_csv", "reward_heatmap"])
 def test_writers_match_the_csv_writer_references_byte_for_byte(tmp_path, writer):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    batch = _extreme_value_batch()
     if writer == "write_trajectory_csv":
+        batch = _extreme_value_batch()
         write_trajectory_csv(got, batch)
         reference_write_trajectory_csv(want, batch)
-    elif writer == "save_demos":
-        demos = DemoSet(batch, env_config_hash="h", expert_seed=2, horizon=4)
-        save_demos(demos, got)
-        reference_save_demos(demos, want)
-        loaded = load_demos(got).batch
-        for key in ("s", "a", "s_next", "gt_reward"):
-            assert np.array_equal(getattr(loaded, key).view(np.int64),
-                                  getattr(batch, key).view(np.int64)), key
-        for key in ("done", "ends"):
-            assert np.array_equal(getattr(loaded, key), getattr(batch, key)), key
     else:
         disc = Discriminator(2, 2, gamma=0.9, seed=0, hidden=(16, 16))
         disc.g_net.params[:] = np.random.default_rng(5).normal(size=disc.g_net.params.size)
@@ -235,40 +208,33 @@ def test_writers_match_the_csv_writer_references_byte_for_byte(tmp_path, writer)
     assert got.read_bytes() == want.read_bytes()
 
 
-def test_load_demos_reports_row_number_on_bad_column_count(tmp_path):
-    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
-    path = tmp_path / "demos.csv"
-    save_demos(demos, path)
-    lines = path.read_text().splitlines()
-    lines[3] = lines[3] + ",0.5"  # corrupt the second data row (file line 4)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="line 4"):
-        load_demos(path)
+def _saved_demos(tmp_path, **arrays):
+    """A three-row demo file, with the given arrays replacing (or, as None,
+    removing) the saved ones: the file and its meta."""
+    path = tmp_path / "demos.bin"
+    save_demos(DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0,
+                       horizon=3), path)
+    saved, meta = load_params(path)
+    saved.update(arrays)
+    save_arrays(path, {k: v for k, v in saved.items() if v is not None}, **meta)
+    return path, meta
 
 
 @pytest.mark.parametrize("column,value,message", [
     ("s_0", "nan", "s_0 must be finite, not nan"), ("a_1", "inf", "a_1 must be finite, not inf"),
     ("s_next_1", "-inf", "s_next_1 must be finite, not -inf"),
     ("done", "2", "done must be 0 or 1, not 2"), ("done", "-1", "done must be 0 or 1, not -1"),
-    ("s_0", "x", "unparseable value: could not convert string to float: 'x'"),
-    ("episode", "1.5", "unparseable value: invalid literal for int\\(\\) with base 10: '1.5'"),
-    ("s_1", '"0.5"', "quoted cell \\(demo files hold none\\)"),
-    (None, "", "expected 10 columns, got 0"),      # column None: the value replaces the line
+    ("ends", "0.5", "ends must be 0 or 1, not 0.5"),
 ])
 def test_load_demos_names_the_line_of_a_non_finite_value_or_a_bad_done(tmp_path, column, value,
                                                                        message):
-    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
-    path = tmp_path / "demos.csv"
-    save_demos(demos, path)
-    lines = path.read_text().splitlines()
-    cells = lines[3].split(",")                         # the second data row (file line 4)
-    if column is None:
-        lines[3] = value
-    else:
-        cells[lines[1].split(",").index(column)] = value
-        lines[3] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"demos.csv: line 4: {message}$"):
+    """The value goes into the second row; the error names the array and that 0-based row."""
+    name, _, col = column.rpartition("_") if column not in ("done", "ends") else (column, "", "")
+    path, meta = _saved_demos(tmp_path)
+    arrays, _ = load_params(path)
+    arrays[name][(1, int(col)) if col else 1] = float(value)
+    save_arrays(path, arrays, **meta)
+    with pytest.raises(ValueError, match=f"demos.bin: array '{name}' row 1: {message}$"):
         load_demos(path)
 
 
@@ -277,20 +243,19 @@ def test_load_demos_names_the_line_of_a_non_finite_value_or_a_bad_done(tmp_path,
     ("target rows", "demo transitions must be source-tagged"),
 ])
 def test_load_demos_names_the_file_without_source_rows(tmp_path, rows, message):
-    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
-    path = tmp_path / "demos.csv"
-    save_demos(demos, path)
-    lines = path.read_text().splitlines()
-    lines = lines[:2] if rows == "header only" else [x.replace(",source,", ",target,") for x in lines]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"demos.csv: {message}"):
+    path, meta = _saved_demos(tmp_path)
+    arrays, _ = load_params(path)
+    if rows == "header only":                           # every array with zero rows
+        arrays = {k: v[:0] for k, v in arrays.items()}
+    else:
+        meta["domain_tag"] = TARGET
+    save_arrays(path, arrays, **meta)
+    with pytest.raises(ValueError, match=f"demos.bin: {message}"):
         load_demos(path)
 
 
 def test_load_demos_dim_mismatch_raises(tmp_path):
-    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
-    path = tmp_path / "demos.csv"
-    save_demos(demos, path)
+    path, _ = _saved_demos(tmp_path)
     spec = EnvSpec(state_dim=6, action_dim=3, action_low=-np.ones(3), action_high=np.ones(3), horizon=10)
     with pytest.raises(ValueError, match="do not match"):
         load_demos(path, expected_spec=spec)
@@ -298,7 +263,7 @@ def test_load_demos_dim_mismatch_raises(tmp_path):
 
 def test_load_demos_hash_mismatch_warns_but_loads(tmp_path, caplog):
     demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="old", expert_seed=0, horizon=3)
-    path = tmp_path / "demos.csv"
+    path = tmp_path / "demos.bin"
     save_demos(demos, path)
     with caplog.at_level("WARNING"):
         loaded = load_demos(path, expected_config_hash="new")
@@ -311,32 +276,34 @@ def test_load_demos_hash_mismatch_warns_but_loads(tmp_path, caplog):
     ('{"state_dim": "two", "action_dim": 2}', "state_dim"), ("5", "state_dim"),
 ])
 def test_load_demos_names_a_dimension_the_metadata_lacks(tmp_path, meta, key):
-    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
-    path = tmp_path / "demos.csv"
-    save_demos(demos, path)
-    path.write_text("# " + meta + "\n" + path.read_text().split("\n", 1)[1])
-    with pytest.raises(ValueError, match=f"demos.csv: line 1: .*'{key}'"):
+    path, _ = _saved_demos(tmp_path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(header), "meta": json.loads(meta)}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match=f"demos.bin: metadata has no integer '{key}'"):
         load_demos(path)
 
 
-@pytest.mark.parametrize("header,message", [
-    # a column renamed, the s/a order swapped, the reward column dropped, a column added
-    ("episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag,reward",
-     "column 10 is 'reward', expected 'gt_reward'"),
-    ("episode,a_0,a_1,s_0,s_1,s_next_0,s_next_1,done,domain_tag,gt_reward",
-     "column 2 is 'a_0', expected 's_0'"),
-    ("episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag",
-     "column 10 is None, expected 'gt_reward'"),
-    ("episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag,gt_reward,extra",
-     "column 11 is 'extra', expected None"),
+def _checkpoint(tmp_path):
+    path = tmp_path / "demos.bin"
+    spec = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0).spec
+    save_blocks(path, GaussianPolicy(spec, hidden=(4,)).blocks())
+    return path
+
+
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda t: _saved_demos(t, gt_reward=None)[0], "no array 'gt_reward' in demo file",
+                 id="missing-array"),
+    pytest.param(lambda t: _saved_demos(t, a=np.zeros((3, 3)))[0],
+                 "array 'a' has shape \\(3, 3\\), expected \\(3, 2\\)", id="action-width"),
+    pytest.param(lambda t: _saved_demos(t, s_next=np.zeros((2, 2)))[0],
+                 "array 's_next' has shape \\(2, 2\\), expected \\(3, 2\\)", id="row-count"),
+    pytest.param(lambda t: _saved_demos(t, ends=np.zeros(()))[0],
+                 "array 'ends' has shape \\(\\), expected \\(3,\\)", id="scalar-ends"),
+    pytest.param(lambda t: _saved_demos(t, ends=np.array([0.0, 1.0, 0.0]))[0],
+                 "array 'ends' row 2: the last row ends no episode$", id="last-row-not-an-end"),
+    pytest.param(_checkpoint, "metadata has no integer 'state_dim'", id="checkpoint"),
 ])
-def test_load_demos_names_the_first_header_column_that_differs(tmp_path, header, message):
-    demos = DemoSet(trajectories=[make_traj(3)], env_config_hash="x", expert_seed=0, horizon=3)
-    path = tmp_path / "demos.csv"
-    save_demos(demos, path)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag,gt_reward"
-    lines[1] = header
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"line 2: bad header: {re.escape(message)}"):
-        load_demos(path)
+def test_load_demos_rejects_a_malformed_demo_file(tmp_path, make, message):
+    with pytest.raises(ValueError, match=f"demos.bin: {message}"):
+        load_demos(make(tmp_path))

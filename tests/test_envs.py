@@ -18,7 +18,6 @@ from odirl.envs import (
     make_pointmaze_pair,
     rollout,
     rollouts,
-    trajectory_header,
     write_trajectory_csv,
 )
 from odirl.policy import GaussianPolicy
@@ -268,7 +267,7 @@ def test_trajectory_csv_header_and_rows(tmp_path):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(trajectory_header(2, 2))
+    assert lines[0] == "s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag"
     assert len(lines) == len(traj) + 1
     assert lines[1].endswith(SOURCE)
 

@@ -23,7 +23,7 @@ from odirl.envs import (SOURCE, TARGET, Batch, LinkChainConfig, LinkChainEnv, Po
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
 from odirl.irl import Discriminator, GailDiscriminator, disc_loss
 from odirl.nets import Adam, FlatParams, Mlp, load_blocks, minibatches, save_blocks
-from odirl.policy import GaussianPolicy, ValueNet, evaluate
+from odirl.policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
 
 
 def tiny_cfg(tmp_path, name, **kw):
@@ -58,7 +58,7 @@ def demo_file(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("demos")
     cfg = tiny_cfg(tmp, "expert")
     expert = train_expert(cfg)
-    path = tmp / "demos.csv"
+    path = tmp / "demos.bin"
     collect_demos(cfg, expert, path)
     return str(path), str(expert)
 
@@ -257,12 +257,12 @@ def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, mo
 
     demo_set = load_demos(demos)
     demo_set.batch.gt_reward = np.full(len(demo_set), np.nan)
-    save_demos(demo_set, tmp_path / "nan_gt_demos.csv")
-    assert (tmp_path / "nan_gt_demos.csv").read_text().count(",nan\n") == len(demo_set)
+    save_demos(demo_set, tmp_path / "nan_gt_demos.bin")
+    assert np.isnan(load_demos(tmp_path / "nan_gt_demos.bin").batch.gt_reward).all()
 
     monkeypatch.setattr(harness, "build_envs", poisoned_build)
     cfg2 = tiny_cfg(tmp_path, "poisoned", steps=2, r=2)
-    cfg2.demos_path = str(tmp_path / "nan_gt_demos.csv")
+    cfg2.demos_path = str(tmp_path / "nan_gt_demos.bin")
     out_poisoned = run_experiment(cfg2)
 
     clean, _ = load_params(Path(out_clean) / "checkpoints" / "policy_final.bin")
@@ -314,7 +314,7 @@ def test_airl_source_transfer_budget_parity_on_linkchain(tmp_path, demo_file):
     cfg0 = tiny_cfg(tmp_path, "lc_expert", steps=4, r=2)
     cfg0.task = "linkchain"
     expert = train_expert(cfg0)
-    demo_path = tmp_path / "lc_demos.csv"
+    demo_path = tmp_path / "lc_demos.bin"
     collect_demos(cfg0, expert, demo_path)
 
     cfg1 = tiny_cfg(tmp_path, "lc_odirl", steps=4, r=2)
@@ -568,9 +568,9 @@ def test_cli_smoke(tmp_path, demo_file):
 def test_collect_demos_rejects_a_non_positive_episode_count(tmp_path, demo_file, n_episodes):
     _, expert = demo_file
     with pytest.raises(ValueError, match="n_episodes"):
-        collect_demos(tiny_cfg(tmp_path, "demos"), expert, tmp_path / "demos.csv",
+        collect_demos(tiny_cfg(tmp_path, "demos"), expert, tmp_path / "demos.bin",
                       n_episodes=n_episodes)
-    assert not (tmp_path / "demos.csv").exists()
+    assert not (tmp_path / "demos.bin").exists()
 
 
 @pytest.mark.parametrize("grid_n", [0, -3])
@@ -659,7 +659,7 @@ def test_every_entry_point_rejects_a_bad_config_built_in_code_before_writing(tmp
     calls = {"run_experiment": lambda: run_experiment(cfg),
              "train_expert": lambda: train_expert(cfg),
              "collect_demos": lambda: collect_demos(cfg, tmp_path / "expert.bin",
-                                                    tmp_path / "demos" / "demos.csv")}
+                                                    tmp_path / "demos" / "demos.bin")}
     with pytest.raises(ValueError, match="policy.lr"):
         calls[entry]()
     assert list(tmp_path.iterdir()) == []
@@ -700,6 +700,24 @@ def test_config_converts_yaml_exponent_strings_and_takes_ints_and_null_for_float
 def test_config_rejects_a_bad_source_target_pair_at_load(section, values, key):
     with pytest.raises(ValueError, match=key):
         load_config(overrides={"task": section, section: values})
+
+
+@pytest.mark.parametrize("build,key", [
+    pytest.param(lambda: PointMazeEnv(PointMazeConfig(goal_radius=-1.0), SOURCE, 0),
+                 "pointmaze.goal_radius must be > 0", id="pointmaze-env"),
+    pytest.param(lambda: LinkChainEnv(LinkChainConfig(dt=float("inf")), SOURCE, 0),
+                 "linkchain.dt must be finite", id="linkchain-env"),
+    pytest.param(lambda: PolicyOptimizer(*_agent_nets(), PolicyOptConfig(epochs=0, lr=-1.0)),
+                 "policy.epochs must be >= 1", id="policy-optimizer"),
+])
+def test_envs_and_the_policy_optimizer_check_a_section_built_in_code(build, key):
+    with pytest.raises(ValueError, match=key):
+        build()
+
+
+def _agent_nets():
+    spec = PointMazeEnv(PointMazeConfig(), SOURCE, 0).spec
+    return GaussianPolicy(spec, hidden=(4,)), ValueNet(spec, hidden=(4,))
 
 
 def test_default_env_config_hash_is_pinned():

@@ -296,6 +296,36 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         assert loaded[k].tobytes() == block.params.tobytes()
 
 
+# A demo file as the CSV codec wrote it before demos moved to the array container.
+_CSV_DEMO_FILE = ('# {"env_config_hash": "x", "expert_seed": 0, "horizon": 3, "state_dim": 2, '
+                  '"action_dim": 2, "n_trajectories": 1}\n'
+                  "episode,s_0,s_1,a_0,a_1,s_next_0,s_next_1,done,domain_tag,gt_reward\r\n"
+                  "0,0.1,0.2,0.01,-0.02,0.11,0.18,1,source,-0\r\n").encode()
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda raw: b"not json\n" + raw.split(b"\n", 1)[1], "header line is not JSON",
+                 id="not-json"),
+    pytest.param(lambda raw: b'[{"name": "a", "shape": [3]}]\n' + raw.split(b"\n", 1)[1],
+                 "header is not an object listing arrays", id="list-header"),
+    pytest.param(lambda raw: raw.replace(b'"shape": [3]', b'"shape": [-3]'),
+                 "header is not an object listing arrays", id="negative-shape"),
+    pytest.param(lambda raw: raw.replace(b'"shape": [3]', b'"shape": ["3"]'),
+                 "header is not an object listing arrays", id="string-shape"),
+    pytest.param(lambda raw: raw + b"\0", "header lists 40 bytes of arrays, file holds 41",
+                 id="trailing-bytes"),
+    pytest.param(lambda raw: raw[:-1], "header lists 40 bytes of arrays, file holds 39",
+                 id="truncated"),
+    pytest.param(lambda raw: _CSV_DEMO_FILE, "header line is not JSON", id="csv-demo-file"),
+])
+def test_load_params_names_the_file_of_a_malformed_header_or_size(tmp_path, edit, message):
+    path = tmp_path / "arrays.bin"
+    save_blocks(path, {"a": FlatParams(np.arange(3.0)), "b": FlatParams(np.ones((1, 2)))})
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"arrays.bin: {message}"):
+        load_params(path)
+
+
 @pytest.mark.parametrize("n,size", [(0, 4), (1, 4), (7, 1), (64, 64), (65, 64), (100, 30)])
 def test_minibatches_cover_every_index_once_per_call(n, size):
     rng, reference = np.random.default_rng(n), np.random.default_rng(n)
