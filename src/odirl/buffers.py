@@ -79,8 +79,9 @@ class ReplayBuffer:
 class DemoSet:
     """Expert demonstrations: one source-domain batch plus provenance metadata.
 
-    ``DemoSet(trajectories=...)`` packs a list of ``Trajectory`` episodes
-    into the batch instead.
+    The batch must carry every array a demo file stores (done, gt_reward and
+    ends as well as s, a and s_next). ``DemoSet(trajectories=...)`` packs a
+    list of ``Trajectory`` episodes into the batch instead.
     """
 
     batch: Batch | None = None
@@ -96,6 +97,9 @@ class DemoSet:
             raise ValueError("demo set must be nonempty")
         if self.batch.domain_tag != SOURCE:
             raise ValueError("demo transitions must be source-tagged")
+        for name in _DEMO_ARRAYS:
+            if getattr(self.batch, name) is None:
+                raise ValueError(f"demo set has no {name!r} array")
 
     def __len__(self):
         return len(self.batch)

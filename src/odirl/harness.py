@@ -1,11 +1,14 @@
 """Experiment orchestration: the outer training loop and all baselines.
 
-One adversarial loop serves three methods: the full algorithm, the plain
-adversarial baseline (alpha forced to 0, identical code path and RNG
-consumption, so the reduction is bit-exact), and the GAN-imitation baseline
-(no classifiers, no source rollouts). Source-domain reward transfer and
-direct expert transfer run separately. Every run writes progress.csv, a
-resolved config copy, checkpoints, and final-policy evaluation trajectories.
+Every method that trains a target policy runs `_train_target_policy` and
+passes it the work that comes before each policy update. For the full
+algorithm, the plain adversarial baseline (alpha forced to 0, identical code
+path and RNG consumption, so the reduction is bit-exact) and the
+GAN-imitation baseline (no classifiers, no source rollouts) that work is one
+discriminator phase. Source-domain reward transfer learns its reward first
+and passes none; direct expert transfer trains nothing. Every run writes
+progress.csv, a resolved config copy, checkpoints, and final-policy
+evaluation trajectories.
 """
 
 from __future__ import annotations
@@ -154,6 +157,31 @@ def _checkpoint_policy(cfg, out: Path, t: int, policy) -> None:
         ckpt = out / "checkpoints"
         ckpt.mkdir(exist_ok=True)
         save_blocks(ckpt / f"policy_{t:06d}.bin", policy.blocks())
+
+
+def _train_target_policy(cfg, out: Path, policy, popt, tgt, tgt_eval, reward_fn, rngs,
+                         before_update) -> tuple[int, tuple]:
+    """Train policy in tgt: each iteration t = 1..cfg.steps collects a batch,
+    runs before_update(t, batch), which returns its work's progress.csv
+    fields, updates on reward_fn, evaluates every eval_every iterations and at
+    the last one, then writes a progress.csv row and checkpoints. Returns
+    (target steps, the last row's (return, success rate))."""
+    target_steps = 0
+    with closing(ProgressWriter(out / "progress.csv")) as writer:
+        for t in range(1, cfg.steps + 1):
+            batch = collect_batch(policy, tgt, cfg.batch_steps, rngs["actions"])
+            target_steps += len(batch)
+            fields = before_update(t, batch)
+            pstats = popt.update(batch, reward_fn, rngs["policy_update"])
+            gt_return = success = None
+            if t % cfg.eval_every == 0 or t == cfg.steps:
+                gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
+                logger.info("%s iter %d: return %.3f success %.2f",
+                            cfg.method, t, gt_return, success)
+            writer.write(iteration=t, target_steps=target_steps, policy_entropy=pstats["entropy"],
+                         gt_return=gt_return, success_rate=success, **fields)
+            _checkpoint_policy(cfg, out, t, policy)
+    return target_steps, (gt_return, success)
 
 
 def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, final: tuple,
@@ -345,13 +373,11 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
 
     b_src = ReplayBuffer(cfg.buffers.source_capacity, src.domain_tag)
     b_tgt = ReplayBuffer(cfg.buffers.target_capacity, tgt.domain_tag)
-    writer = ProgressWriter(out / "progress.csv")
-    target_steps = source_steps = source_episodes = 0
+    source_steps = source_episodes = 0
 
-    for t in range(1, cfg.steps + 1):
-        batch = collect_batch(policy, tgt, cfg.batch_steps, rngs["actions"])
+    def before_update(t, batch):
+        nonlocal source_steps, source_episodes
         b_tgt.push(batch)
-        target_steps += len(batch)
         if use_dd_pipeline and t % cfg.r == 0:
             episode = rollout(policy, src, src.spec.horizon, rngs["actions"])
             b_src.push(episode)
@@ -384,34 +410,21 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
         d_loss, demo_acc, pol_acc = _train_discriminator(
             minibatch_loss, disc_opt, len(pol_batch), cfg.disc.epochs, cfg.disc.minibatch_size,
             rngs["disc"])
+        return dict(source_steps=source_steps, disc_loss=d_loss, classifier_loss=cls_total,
+                    mean_dd=mean_dd, loss_sas=l_sas, loss_sa=l_sa, std_dd=std_dd,
+                    demo_acc=demo_acc, policy_acc=pol_acc)
 
-        pstats = popt.update(batch, reward_fn, rngs["policy_update"])
-
-        gt_return = success = None
-        if t % cfg.eval_every == 0 or t == cfg.steps:
-            gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
-            logger.info("%s iter %d: return %.3f success %.2f disc %.3f",
-                        cfg.method, t, gt_return, success, d_loss)
-        writer.write(
-            iteration=t, target_steps=target_steps, source_steps=source_steps,
-            disc_loss=d_loss, classifier_loss=cls_total,
-            mean_dd=mean_dd, policy_entropy=pstats["entropy"],
-            gt_return=gt_return, success_rate=success,
-            loss_sas=l_sas, loss_sa=l_sa, std_dd=std_dd,
-            demo_acc=demo_acc, policy_acc=pol_acc,
-        )
-        _checkpoint_policy(cfg, out, t, policy)
-
-    writer.close()
+    target_steps, final = _train_target_policy(cfg, out, policy, popt, tgt, tgt_eval, reward_fn,
+                                               rngs, before_update)
     return _finish_run(cfg, out, policy, src_eval, tgt_eval,
-                       {"policy": policy, "value": value, **nets}, (gt_return, success),
+                       {"policy": policy, "value": value, **nets}, final,
                        disc=disc, alpha=alpha_eff,
                        target_steps=target_steps, source_steps=source_steps,
                        source_episodes=source_episodes)
 
 
 # ---------------------------------------------------------------------------
-# Baselines with their own loops
+# Transfer baselines
 # ---------------------------------------------------------------------------
 
 def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
@@ -461,27 +474,11 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     # Phase 2: transfer g as the reward for a fresh target-domain policy.
     policy2, _, popt2 = _agent(cfg, tgt.spec, seeds["policy2_init"], seeds["value2_init"],
                                cfg.policy)
-
-    def transfer_reward_fn(s, a, sn):
-        return disc.g_value(s, a)
-
-    writer = ProgressWriter(out / "progress.csv")
-    target_steps = 0
-    for t in range(1, cfg.steps + 1):
-        batch = collect_batch(policy2, tgt, cfg.batch_steps, rngs["actions"])
-        target_steps += len(batch)
-        pstats = popt2.update(batch, transfer_reward_fn, rngs["policy_update"])
-        gt_return = success = None
-        if t % cfg.eval_every == 0 or t == cfg.steps:
-            gt_return, success = evaluate(policy2, tgt_eval, cfg.eval_episodes)
-            logger.info("airl_source_transfer iter %d: return %.3f success %.2f",
-                        t, gt_return, success)
-        writer.write(iteration=t, target_steps=target_steps, source_steps=source_steps,
-                     policy_entropy=pstats["entropy"], gt_return=gt_return, success_rate=success)
-        _checkpoint_policy(cfg, out, t, policy2)
-    writer.close()
+    target_steps, final = _train_target_policy(
+        cfg, out, policy2, popt2, tgt, tgt_eval, lambda s, a, sn: disc.g_value(s, a), rngs,
+        lambda t, batch: {"source_steps": source_steps})
     return _finish_run(cfg, out, policy2, src_eval, tgt_eval,
-                       {"policy": policy2, "disc": disc}, (gt_return, success), disc=disc,
+                       {"policy": policy2, "disc": disc}, final, disc=disc,
                        target_steps=target_steps, source_steps=source_steps,
                        source_episodes=source_episodes)
 

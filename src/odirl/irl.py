@@ -2,9 +2,14 @@
 
 The discriminator logit for a transition is f(s,a,s') - log pi(a|s), with
 f = g(.) + gamma*h(s') - h(s). For expert samples the logit additionally
-carries the scaled dynamics-difference estimate, which down-weights
-demonstration transitions that are implausible under target dynamics. With
-alpha = 0 everything reduces exactly to the plain adversarial-IRL baseline.
+carries the scaled dynamics-difference estimate dd = alpha*DD; policy
+samples and the policy reward carry none. The loss's pointwise optimum
+solves rho_E*sigmoid(-(f + dd - log pi)) = rho_pi*sigmoid(f - log pi) for
+the demo and policy occupancies rho_E and rho_pi of a row, so with equal
+occupancies f - log pi = -dd/2: a negative dd raises f there. Only a demo
+logit below -LOGIT_CLIP, whose gradient the clamp cuts, stops anchoring the
+reward. With alpha = 0 everything reduces exactly to the plain
+adversarial-IRL baseline.
 """
 
 from __future__ import annotations

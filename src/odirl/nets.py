@@ -243,8 +243,9 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays and meta of a save_arrays file; bit-exact for float64 payloads.
 
     A header line that is not a JSON object listing each array's name and
-    non-negative shape, or a file size other than the header line plus those
-    arrays, raises a ValueError naming the file before any array is read.
+    non-negative shape, a name listed twice, or a file size other than the
+    header line plus those arrays, raises a ValueError naming the file before
+    any array is read.
     """
     with open(path, "rb") as fh:
         try:                                   # JSONDecodeError, UnicodeDecodeError
@@ -257,6 +258,10 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
                 and isinstance(e.get("shape"), list)
                 and all(isinstance(n, int) and n >= 0 for n in e["shape"]) for e in entries):
             raise ValueError(f"{path}: header is not an object listing arrays by name and shape")
+        names = [e["name"] for e in entries]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{path}: header lists array {name!r} twice")
         payload = 8 * sum(math.prod(e["shape"]) for e in entries)
         held = os.fstat(fh.fileno()).st_size - fh.tell()
         if held != payload:

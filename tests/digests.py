@@ -5,13 +5,13 @@ Usage: python tests/digests.py OUT_DIR [--against FILE]
 On both tasks, with a small config (6 steps, r = 2, batches of 40,
 checkpoints every 3 steps), runs train_expert, collect_demos, odirl at
 alpha 1 and 0.5 and with replay buffers small enough to wrap, airl, gail,
-airl_source_transfer (also with disc.epochs: 2) and expert_transfer, plus
-odirl with a 50 x 50 reward heatmap on the point maze, with BLAS pinned to
-one thread. Then
-prints one "sha256  path" line per file under OUT_DIR, paths relative to it,
-in sorted order. Each config.yaml records absolute paths, so compare two
-outputs written to the same OUT_DIR (move the first one away in between).
-OUT_DIR must be absent or empty.
+airl_source_transfer (also with disc.epochs: 2) and expert_transfer, odirl
+and airl_source_transfer with eval_every 4 (which does not divide the 6
+steps), plus odirl with a 50 x 50 reward heatmap on the point maze, with
+BLAS pinned to one thread. Then prints one "sha256  path" line per file
+under OUT_DIR, paths relative to it, in sorted order. Each config.yaml
+records absolute paths, so compare two outputs written to the same OUT_DIR
+(move the first one away in between). OUT_DIR must be absent or empty.
 
 With --against FILE (an earlier output of this script), also compares the
 digests with FILE's: exits 0 when every line matches, else prints the first
@@ -63,6 +63,9 @@ RUNS = {
     "gail": {"method": "gail"},
     "airl_source_transfer": {"method": "airl_source_transfer"},
     "airl_source_transfer_disc_epochs2": {"method": "airl_source_transfer", "disc": {"epochs": 2}},
+    # eval_every does not divide steps: the last iteration evaluates off the grid.
+    "odirl_eval_every4": {"method": "odirl", "eval_every": 4},
+    "airl_source_transfer_eval_every4": {"method": "airl_source_transfer", "eval_every": 4},
     "expert_transfer": {"method": "expert_transfer"},
     # Point maze only: a 50 x 50 heatmap crosses the 256-row chunks of its g forward.
     "odirl_heatmap_grid50": {"task": "pointmaze", "method": "odirl", "heatmap_grid": 50},

@@ -62,7 +62,15 @@ def test_traced_worker_runs_and_counts_every_phase(bench, tmp_path):
     subprocess.run([sys.executable, str(BENCHMARKS / "worker.py"), str(config_path),
                     str(tmp_path / "traced_run"), str(result_path), str(spans_path)],
                    check=True, timeout=300)
-    counts = json.loads(result_path.read_text())["counts"]
+    result = json.loads(result_path.read_text())
+    # The clock's hooks see the loop only through harness.collect_batch,
+    # harness.evaluate and ProgressWriter.close, looked up at call time: one
+    # iteration mark per collect_batch, an evaluation in the last iteration,
+    # then the final phase after the writer closes.
+    assert len(result["iter_s"]) == 2
+    assert result["eval_s"][-1] > 0
+    assert result["final_segments_s"]
+    counts = result["counts"]
     for name in ("harness.run_experiment", "harness.collect_batch", "harness.final_artifacts",
                  "envs.rollout", "envs.step", "nets.forward", "nets.backward", "nets.adam",
                  "policy.sample_action", "policy.log_prob", "policy.update", "policy.evaluate",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -156,6 +157,14 @@ def test_sample_uniformity_chi_square():
 def test_demo_set_requires_source_tag():
     with pytest.raises(ValueError):
         DemoSet(trajectories=[make_traj(3, tag=TARGET)])
+
+
+@pytest.mark.parametrize("missing", ["done", "gt_reward", "ends"])
+def test_demo_set_names_an_array_its_batch_lacks(missing):
+    # Such a set would save a file that load_demos rejects.
+    batch = dataclasses.replace(Batch.of([make_traj(3)]), **{missing: None})
+    with pytest.raises(ValueError, match=f"demo set has no '{missing}' array"):
+        DemoSet(batch)
 
 
 def _extreme_value_batch():

@@ -229,13 +229,14 @@ def test_full_run_determinism(tmp_path, demo_file):
     assert (Path(out1) / "heatmap.csv").read_bytes() == (Path(out2) / "heatmap.csv").read_bytes()
 
 
-def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, monkeypatch):
+@pytest.mark.parametrize("method", ["odirl", "airl", "gail", "airl_source_transfer"])
+def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, monkeypatch, method):
     # Evaluation firewall: NaN ground truth, in the training envs and in the
     # demo file, must leave training untouched.
     from odirl.nets import load_params
 
     demos, _ = demo_file
-    cfg = tiny_cfg(tmp_path, "clean", steps=2, r=2)
+    cfg = tiny_cfg(tmp_path, "clean", steps=2, r=2, method=method)
     cfg.demos_path = demos
     out_clean = run_experiment(cfg)
 
@@ -261,14 +262,20 @@ def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, mo
     assert np.isnan(load_demos(tmp_path / "nan_gt_demos.bin").batch.gt_reward).all()
 
     monkeypatch.setattr(harness, "build_envs", poisoned_build)
-    cfg2 = tiny_cfg(tmp_path, "poisoned", steps=2, r=2)
+    cfg2 = tiny_cfg(tmp_path, "poisoned", steps=2, r=2, method=method)
     cfg2.demos_path = str(tmp_path / "nan_gt_demos.bin")
     out_poisoned = run_experiment(cfg2)
 
-    clean, _ = load_params(Path(out_clean) / "checkpoints" / "policy_final.bin")
-    poisoned, _ = load_params(Path(out_poisoned) / "checkpoints" / "policy_final.bin")
-    assert np.array_equal(clean["mean"], poisoned["mean"])
-    assert np.array_equal(clean["log_std"], poisoned["log_std"])
+    # Every learned network: the policy, and the value, discriminator and
+    # classifier nets the method checkpoints.
+    finals = sorted(p.name for p in (Path(out_clean) / "checkpoints").glob("*_final.bin"))
+    assert "policy_final.bin" in finals
+    for name in finals:
+        clean, _ = load_params(Path(out_clean) / "checkpoints" / name)
+        poisoned, _ = load_params(Path(out_poisoned) / "checkpoints" / name)
+        assert clean.keys() == poisoned.keys(), name
+        for key in clean:
+            assert np.array_equal(clean[key], poisoned[key]), (name, key)
 
 
 def test_gail_runs_without_source_interactions(tmp_path, demo_file, monkeypatch):
@@ -926,9 +933,9 @@ def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
                                       capture_output=True, text=True).stdout.splitlines())
         out.rename(tmp_path / attempt)
     assert outputs[0] == outputs[1]
-    # 8 runs per task and a point-maze-only one; all but expert_transfer train
+    # 10 runs per task and a point-maze-only one; all but expert_transfer train
     # and save a final policy
-    for name, runs in (("progress.csv", 17), ("policy_final.bin", 15)):
+    for name, runs in (("progress.csv", 21), ("policy_final.bin", 19)):
         assert sum(line.endswith("/" + name) for line in outputs[0]) == runs
 
 
@@ -939,7 +946,7 @@ def test_every_method_reports_its_last_progress_row_as_its_final_scores(tmp_path
     subprocess.run([sys.executable, str(Path(__file__).parent / "digests.py"), str(tmp_path)],
                    check=True, capture_output=True)
     summaries = sorted(tmp_path.glob("*/*/summary.json"))
-    assert len(summaries) == 17
+    assert len(summaries) == 21
     for path in summaries:
         summary, last = json.loads(path.read_text()), read_progress(path.parent)[-1]
         assert format(summary["final_gt_return"], ".10g") == last["gt_return"], path

@@ -312,6 +312,8 @@ _CSV_DEMO_FILE = ('# {"env_config_hash": "x", "expert_seed": 0, "horizon": 3, "s
                  "header is not an object listing arrays", id="negative-shape"),
     pytest.param(lambda raw: raw.replace(b'"shape": [3]', b'"shape": ["3"]'),
                  "header is not an object listing arrays", id="string-shape"),
+    pytest.param(lambda raw: raw.replace(b'"name": "b"', b'"name": "a"'),
+                 "header lists array 'a' twice", id="duplicate-name"),
     pytest.param(lambda raw: raw + b"\0", "header lists 40 bytes of arrays, file holds 41",
                  id="trailing-bytes"),
     pytest.param(lambda raw: raw[:-1], "header lists 40 bytes of arrays, file holds 39",
