@@ -151,11 +151,9 @@ def main(argv=None) -> int:
 
     if args.command == "eval":
         cfg = _config_from_args(args)
-        streams = harness._streams(cfg.seed)
-        src, tgt, src_eval, tgt_eval = harness.build_envs(cfg, streams["seeds"])
+        _, _, (_, _, src_eval, tgt_eval) = harness._setup(cfg)
         env = tgt_eval if args.domain == "target" else src_eval
-        policy = harness._policy(cfg, env.spec, 0)
-        load_blocks(args.policy, policy.blocks())
+        policy = harness._load_policy(cfg, env.spec, args.policy)
         ret, succ = evaluate(policy, env, args.episodes)
         print(json.dumps({"domain": args.domain, "episodes": args.episodes,
                           "mean_gt_return": ret, "success_rate": succ}))

@@ -6,9 +6,11 @@ algorithm, the plain adversarial baseline (alpha forced to 0, identical code
 path and RNG consumption, so the reduction is bit-exact) and the
 GAN-imitation baseline (no classifiers, no source rollouts) that work is one
 discriminator phase. Source-domain reward transfer learns its reward first
-and passes none; direct expert transfer trains nothing. Every run writes
-progress.csv, a resolved config copy, checkpoints, and final-policy
-evaluation trajectories.
+and passes none; direct expert transfer trains nothing. Every method writes
+progress.csv, checkpoints, and final-policy evaluation trajectories.
+Every entry point starts from `_setup` (validate; seeds, RNG streams, envs);
+the expert run and every method from `_start_run`, which adds the run's
+resolved config.yaml. `_load_policy` reads a saved policy back.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ class ProgressWriter:
         self._fh.close()
 
 
-def _streams(seed: int) -> dict:
-    """Named deterministic RNG streams and integer seeds derived from one seed.
+def _setup(cfg: ExperimentConfig):
+    """Validate cfg, then (seeds, rngs, envs) for a run of it: named integer
+    seeds and RNG streams derived from cfg.seed, and `build_envs`' four envs.
 
     Rollouts consume two kinds of stream (see ``envs.rollouts``):
 
@@ -81,20 +84,24 @@ def _streams(seed: int) -> dict:
 
     So a one-episode rollout draws exactly what a 1-D reset and step would.
     """
-    ints = np.random.SeedSequence(seed).generate_state(24)
-    names = [
-        "env_source", "env_target", "env_eval_source", "env_eval_target",
-        "policy_init", "value_init", "disc_init", "classifier_init",
-        "actions", "classifier", "disc", "policy_update", "misc",
-        "policy2_init", "value2_init",
-    ]
-    return {
-        "seeds": {name: int(ints[i]) for i, name in enumerate(names)},
-        "rngs": {
-            name: np.random.default_rng(int(ints[16 + j]))
-            for j, name in enumerate(["actions", "classifier", "disc", "policy_update", "misc"])
-        },
-    }
+    cfg.validate()
+    ints = np.random.SeedSequence(cfg.seed).generate_state(24)
+    names = ["env_source", "env_target", "env_eval_source", "env_eval_target",
+             "policy_init", "value_init", "disc_init", "classifier_init",
+             "actions", "classifier", "disc", "policy_update", "misc",
+             "policy2_init", "value2_init"]
+    seeds = {name: int(ints[i]) for i, name in enumerate(names)}
+    rngs = {name: np.random.default_rng(int(ints[16 + j]))
+            for j, name in enumerate(["actions", "classifier", "disc", "policy_update", "misc"])}
+    return seeds, rngs, build_envs(cfg, seeds)
+
+
+def _start_run(cfg: ExperimentConfig):
+    """`_setup`, then the run directory with its resolved config; (out, seeds, rngs, envs)."""
+    seeds, rngs, envs = _setup(cfg)
+    out = Path(cfg.out_dir)
+    save_config(cfg, out / "config.yaml")       # which creates out
+    return out, seeds, rngs, envs
 
 
 def build_envs(cfg: ExperimentConfig, seeds: dict):
@@ -122,25 +129,19 @@ def collect_batch(policy, env, batch_steps: int, rng) -> Batch:
     return Batch.concat(waves)
 
 
-def _policy(cfg, spec, seed: int) -> GaussianPolicy:
-    return GaussianPolicy(spec, hidden=cfg.policy.hidden, seed=seed,
-                          init_log_std=cfg.policy.init_log_std)
-
-
 def _agent(cfg, spec, policy_seed: int, value_seed: int, opt_cfg: PolicyOptConfig):
     """A fresh (policy, value, optimizer) triple."""
-    policy = _policy(cfg, spec, policy_seed)
+    policy = GaussianPolicy(spec, hidden=cfg.policy.hidden, seed=policy_seed,
+                            init_log_std=cfg.policy.init_log_std)
     value = ValueNet(spec, hidden=cfg.policy.hidden, seed=value_seed)
     return policy, value, PolicyOptimizer(policy, value, opt_cfg)
 
 
-def _start_run(cfg: ExperimentConfig):
-    """Create the run directory with its resolved config; (out, seeds, rngs, envs)."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
-    streams = _streams(cfg.seed)
-    return out, streams["seeds"], streams["rngs"], build_envs(cfg, streams["seeds"])
+def _load_policy(cfg, spec, path) -> GaussianPolicy:
+    """The policy checkpoint at path; it sets every parameter, so any init seed will do."""
+    policy = GaussianPolicy(spec, hidden=cfg.policy.hidden)
+    load_blocks(path, policy.blocks())
+    return policy
 
 
 def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> None:
@@ -214,12 +215,7 @@ def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, f
 
 def train_expert(cfg: ExperimentConfig) -> Path:
     """Train the source-domain expert against ground-truth reward, into cfg.out_dir."""
-    cfg.validate()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    streams = _streams(cfg.seed)
-    seeds, rngs = streams["seeds"], streams["rngs"]
-    src, _, src_eval, _ = build_envs(cfg, seeds)
+    out, seeds, rngs, (src, _, src_eval, _) = _start_run(cfg)
     policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
                              replace(cfg.policy, entropy_coef=cfg.expert.entropy_coef))
     reward_fn = lambda s, a, sn: src.ground_truth_reward(sn)  # noqa: E731
@@ -245,15 +241,11 @@ def train_expert(cfg: ExperimentConfig) -> Path:
 
 def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None) -> DemoSet:
     """Roll the trained expert in the source domain and persist demonstrations."""
-    cfg.validate()
+    _, rngs, (src, _, _, _) = _setup(cfg)
     n_episodes = cfg.expert.n_demo_episodes if n_episodes is None else n_episodes
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
-    streams = _streams(cfg.seed)
-    seeds, rngs = streams["seeds"], streams["rngs"]
-    src, _, _, _ = build_envs(cfg, seeds)
-    policy = _policy(cfg, src.spec, seeds["policy_init"])
-    load_blocks(expert_path, policy.blocks())
+    policy = _load_policy(cfg, src.spec, expert_path)
     episodes, attempts = [], 0
     keep_success_only = cfg.expert.demo_success_only and cfg.task == "pointmaze"
     while len(episodes) < n_episodes and attempts < 20 * n_episodes:
@@ -331,7 +323,6 @@ def _train_discriminator(minibatch_loss, disc_opt, n: int, epochs: int, minibatc
 # ---------------------------------------------------------------------------
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
-    cfg.validate()
     if cfg.method in ("odirl", "airl", "gail"):
         return _run_adversarial(cfg)
     if cfg.method == "airl_source_transfer":
@@ -429,11 +420,10 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
 
 def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     """Evaluate the source expert directly in the target domain; no training."""
-    out, seeds, _, (src, tgt, src_eval, tgt_eval) = _start_run(cfg)
+    out, _, _, (_, tgt, src_eval, tgt_eval) = _start_run(cfg)
     if not cfg.expert_path:
         raise ValueError("expert_path is required for expert_transfer")
-    policy = _policy(cfg, tgt.spec, seeds["policy_init"])
-    load_blocks(cfg.expert_path, policy.blocks())
+    policy = _load_policy(cfg, tgt.spec, cfg.expert_path)
     writer = ProgressWriter(out / "progress.csv")
     gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
     writer.write(iteration=0, target_steps=0, source_steps=0,
@@ -510,7 +500,10 @@ def run_ablation(cfg: ExperimentConfig, alphas) -> list[Path]:
 
 
 def aggregate(run_dirs, out_path) -> Path:
-    """Per-method per-evaluation-step mean/min/max ground-truth return."""
+    """Per-method per-evaluation-step mean/min/max ground-truth return.
+
+    A method's runs must share task and alpha and each have a seed of its own.
+    """
     import yaml
 
     groups: dict[str, dict] = {}
@@ -519,6 +512,14 @@ def aggregate(run_dirs, out_path) -> Path:
         with open(run_dir / "config.yaml") as fh:
             conf = yaml.safe_load(fh)
         method = conf["method"]
+        group = groups.setdefault(method, {"first": run_dir, "conf": conf, "seeds": {}, "runs": []})
+        for key in ("task", "alpha"):
+            if conf.get(key) != group["conf"].get(key):
+                raise ValueError(f"{run_dir}, {group['first']}: {method} runs differ in {key}")
+        seed = conf.get("seed")
+        if seed in group["seeds"]:
+            raise ValueError(f"{run_dir}, {group['seeds'][seed]}: {method} runs share seed {seed}")
+        group["seeds"][seed] = run_dir
         iters, returns = [], []
         with open(run_dir / "progress.csv", newline="") as fh:
             for row in csv.DictReader(fh):
@@ -527,10 +528,8 @@ def aggregate(run_dirs, out_path) -> Path:
                     returns.append(float(row["gt_return"]))
         if not iters:
             raise ValueError(f"{run_dir}: no evaluation rows in progress.csv")
-        group = groups.setdefault(method, {"grid": iters, "runs": []})
-        if group["grid"] != iters:
-            raise ValueError(f"{run_dir}: evaluation step grid does not match other "
-                             f"{method} runs")
+        if group.setdefault("grid", iters) != iters:
+            raise ValueError(f"{run_dir}: evaluation step grid does not match {group['first']}'s")
         group["runs"].append(returns)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

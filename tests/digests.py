@@ -3,12 +3,12 @@
 Usage: python tests/digests.py OUT_DIR [--against FILE]
 
 On both tasks, with a small config (6 steps, r = 2, batches of 40,
-checkpoints every 3 steps), runs train_expert, collect_demos, odirl at
-alpha 1 and 0.5 and with replay buffers small enough to wrap, airl, gail,
-airl_source_transfer (also with disc.epochs: 2) and expert_transfer, odirl
-and airl_source_transfer with eval_every 4 (which does not divide the 6
-steps), plus odirl with a 50 x 50 reward heatmap on the point maze, with
-BLAS pinned to one thread. Then prints one "sha256  path" line per file
+checkpoints every 3 steps), runs train_expert, collect_demos (into
+TASK/demos.bin), odirl at alpha 1 and 0.5 and with replay buffers small
+enough to wrap, airl, gail, airl_source_transfer (also with disc.epochs: 2)
+and expert_transfer, odirl and airl_source_transfer with eval_every 4 (which
+does not divide the 6 steps), plus odirl with a 50 x 50 reward heatmap on
+the point maze, with BLAS pinned to one thread. Then prints one "sha256  path" line per file
 under OUT_DIR, paths relative to it, in sorted order. Each config.yaml
 records absolute paths, so compare two outputs written to the same OUT_DIR
 (move the first one away in between). OUT_DIR must be absent or empty.
@@ -84,7 +84,7 @@ def run_all(out: Path) -> None:
         base = out / task
         cfg = _config(task, out_dir=str(base / "expert"))
         expert = train_expert(cfg)
-        demos = base / "demos.csv"
+        demos = base / "demos.bin"
         collect_demos(cfg, expert, demos)
         for name, overrides in RUNS.items():
             overrides = dict(overrides)

@@ -22,7 +22,7 @@ from odirl.envs import (SOURCE, TARGET, Batch, LinkChainConfig, LinkChainEnv, Po
                         PointMazeEnv, Transition, rollouts)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
 from odirl.irl import Discriminator, GailDiscriminator, disc_loss
-from odirl.nets import Adam, FlatParams, Mlp, load_blocks, minibatches, save_blocks
+from odirl.nets import Adam, FlatParams, Mlp, load_blocks, load_params, minibatches, save_blocks
 from odirl.policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
 
 
@@ -424,22 +424,26 @@ def test_aggregate_single_seed_band_collapses(tmp_path, demo_file):
         assert r["mean_return"] == r["min_return"] == r["max_return"]
 
 
+def hand_built_run(run_dir, conf, evals=(2, 4), gt_return=-1.0):
+    """A run directory holding only config.yaml (conf) and progress.csv
+    (a gt_return row at each iteration of evals)."""
+    run_dir.mkdir()
+    with open(run_dir / "config.yaml", "w") as fh:
+        yaml.safe_dump(conf, fh)
+    with open(run_dir / "progress.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(harness.PROGRESS_COLUMNS)
+        for it in evals:
+            row = {"iteration": it, "gt_return": gt_return, "success_rate": 1.0}
+            w.writerow([row.get(col, "") for col in harness.PROGRESS_COLUMNS])
+    return run_dir
+
+
 def test_aggregate_three_constant_seeds_collapse_to_constant(tmp_path):
     # hand-built run dirs with constant return c
     c = -4.25
-    dirs = []
-    for seed in range(3):
-        d = tmp_path / f"run{seed}"
-        d.mkdir()
-        with open(d / "config.yaml", "w") as fh:
-            yaml.safe_dump({"method": "odirl", "seed": seed}, fh)
-        with open(d / "progress.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(harness.PROGRESS_COLUMNS)
-            for it in (2, 4):
-                row = {"iteration": it, "gt_return": c, "success_rate": 1.0}
-                w.writerow([row.get(col, "") for col in harness.PROGRESS_COLUMNS])
-        dirs.append(d)
+    dirs = [hand_built_run(tmp_path / f"run{seed}", {"method": "odirl", "seed": seed}, gt_return=c)
+            for seed in range(3)]
     out_csv = tmp_path / "agg.csv"
     aggregate(dirs, out_csv)
     rows = list(csv.DictReader(open(out_csv)))
@@ -452,21 +456,33 @@ def test_aggregate_three_constant_seeds_collapse_to_constant(tmp_path):
 
 
 def test_aggregate_mismatched_grids_error(tmp_path):
-    dirs = []
-    for seed, evals in ((0, (2, 4)), (1, (2, 5))):
-        d = tmp_path / f"bad{seed}"
-        d.mkdir()
-        with open(d / "config.yaml", "w") as fh:
-            yaml.safe_dump({"method": "odirl", "seed": seed}, fh)
-        with open(d / "progress.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(harness.PROGRESS_COLUMNS)
-            for it in evals:
-                row = {"iteration": it, "gt_return": -1.0}
-                w.writerow([row.get(col, "") for col in harness.PROGRESS_COLUMNS])
-        dirs.append(d)
+    dirs = [hand_built_run(tmp_path / f"bad{seed}", {"method": "odirl", "seed": seed}, evals)
+            for seed, evals in ((0, (2, 4)), (1, (2, 5)))]
     with pytest.raises(ValueError, match="grid"):
         aggregate(dirs, tmp_path / "agg.csv")
+
+
+@pytest.mark.parametrize("confs,bad,why", [
+    # two point-maze runs at alphas 0 and 1 and one link-chain run, all seed 0
+    ([{"task": "pointmaze", "alpha": 0.0, "seed": 0}, {"task": "pointmaze", "alpha": 1.0, "seed": 0},
+      {"task": "linkchain", "alpha": 1.0, "seed": 0}], 1, "differ in alpha"),
+    ([{"task": "pointmaze", "seed": 0}, {"task": "linkchain", "seed": 1}], 1, "differ in task"),
+    ([{"seed": 4}, {"seed": 5}, {"seed": 4}], 2, "share seed 4"),
+], ids=["alpha-and-task", "task", "seed"])
+def test_aggregate_rejects_unlike_runs_of_one_method_naming_both(tmp_path, confs, bad, why):
+    dirs = [hand_built_run(tmp_path / f"run{i}", {"method": "odirl", **conf})
+            for i, conf in enumerate(confs)]
+    with pytest.raises(ValueError, match=re.escape(f"{dirs[bad]}, {dirs[0]}: odirl runs {why}")):
+        aggregate(dirs, tmp_path / "agg.csv")
+    assert not (tmp_path / "agg.csv").exists()
+
+
+def test_aggregate_keeps_runs_of_other_methods_apart(tmp_path):
+    dirs = [hand_built_run(tmp_path / method, {"method": method, "task": task, "seed": 0})
+            for method, task in (("odirl", "pointmaze"), ("gail", "linkchain"))]
+    aggregate(dirs, tmp_path / "agg.csv")
+    rows = list(csv.DictReader(open(tmp_path / "agg.csv")))
+    assert [(r["method"], r["n_seeds"]) for r in rows] == [("gail", "1")] * 2 + [("odirl", "1")] * 2
 
 
 def _fresh_trainable(stem, cfg, spec):
@@ -539,6 +555,31 @@ def test_checkpoint_load_names_the_file_and_array_it_rejects(tmp_path):
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'{name}'"):
             load_blocks(path, blocks)
         assert all(np.array_equal(block.params, before[key]) for key, block in blocks.items())
+
+
+def test_train_expert_writes_the_config_it_ran_with(tmp_path):
+    cfg = tiny_cfg(tmp_path, "expert", seed=5)
+    cfg.expert.steps = 1
+    cfg.policy.hidden = (8, 4)
+    train_expert(cfg)
+    assert load_config(tmp_path / "expert" / "config.yaml") == cfg
+
+
+def test_load_policy_returns_every_block_of_the_checkpoint_bit_for_bit(tmp_path):
+    cfg = ExperimentConfig()
+    cfg.policy.hidden, cfg.policy.init_log_std = (8, 4), -1.0
+    spec = PointMazeEnv(cfg.pointmaze, TARGET, 0).spec
+    saved = GaussianPolicy(spec, hidden=cfg.policy.hidden, seed=11)
+    rng = np.random.default_rng(0)
+    for block in saved.blocks().values():       # no zero output layer, no configured std
+        block.params[...] = rng.normal(size=block.params.shape)
+    path = tmp_path / "policy.bin"
+    save_blocks(path, saved.blocks())
+    arrays, _ = load_params(path)
+    loaded = harness._load_policy(cfg, spec, path).blocks()
+    assert loaded.keys() == arrays.keys()
+    for name, block in loaded.items():
+        assert block.params.tobytes() == arrays[name].tobytes(), name
 
 
 def test_demo_file_roundtrip_through_harness(demo_file):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from odirl.envs import SOURCE, TARGET, Transition
+from odirl.envs import SOURCE, TARGET, Batch, Transition
 from odirl.irl import (
+    LOGIT_CLIP,
     Discriminator,
     GailDiscriminator,
     disc_loss,
@@ -198,6 +199,63 @@ def test_tabular_discriminator_matches_occupancy_oracle():
             d_val = _sigmoid(np.array([f - log_pi_b[s, a]]))[0]
             want = rho_e[s, a] / (rho_e[s, a] + rho_b[s, a])
             assert d_val == pytest.approx(want, abs=0.05)
+
+
+def _dd_root(rho_e, rho_pi, dd):
+    """The x solving rho_e * sigmoid(-(x + dd)) = rho_pi * sigmoid(x), by bisection:
+    the left side falls and the right side rises in x."""
+    lo, hi = -LOGIT_CLIP, LOGIT_CLIP
+    for _ in range(100):
+        x = 0.5 * (lo + hi)
+        if rho_e * _sigmoid(np.array([-(x + dd)]))[0] > rho_pi * _sigmoid(np.array([x]))[0]:
+            lo = x
+        else:
+            hi = x
+    return 0.5 * (lo + hi)
+
+
+def test_tabular_discriminator_with_dd_matches_the_pointwise_root():
+    # Each (s, a) cell of the toy MDP is one one-hot state of a state-only g
+    # with no hidden layer, so g is a lookup table; h is zero and gamma 0, so
+    # f = g. The demo logits carry DD (f + DD - log pi), the policy logits do
+    # not, so on every cell sigmoid(g - log pi) must reach sigmoid(x*) for
+    # x* the root of rho_E sigmoid(-(x + DD)) = rho_pi sigmoid(x), over the
+    # batch's own row counts.
+    P = toy_mdp_transition_matrix(31)
+    p0 = np.array([1.0, 0.0, 0.0])
+    counts = [np.round(occupancy_measure(P, random_tabular_policy(seed), p0, horizon=12)
+                       * 600).astype(int).ravel() for seed in (32, 33)]
+    n_cells = N_STATES * N_ACTIONS
+    dd_table = np.array([0.0, -3.0, 2.0, 0.0, -1.5, 0.0])
+    log_pi = np.log(random_tabular_policy(34)).ravel()
+    eye = np.eye(n_cells)
+
+    def replicated(cell_counts, tag):
+        cells = np.repeat(np.arange(n_cells), cell_counts)
+        return cells, Batch(eye[cells], np.zeros((len(cells), 1)), eye[cells], tag)
+
+    (demo_cells, demo), (pol_cells, pol) = (replicated(counts[0], SOURCE),
+                                            replicated(counts[1], TARGET))
+
+    disc = Discriminator(n_cells, 1, gamma=0.0, state_only_g=True, hidden=(), seed=0)
+    opt = Adam([disc.g_net], lr=1e-2)          # h is a zero net Adam never steps
+    for _ in range(2000):
+        disc_loss(disc, demo, pol, log_pi[demo_cells], log_pi[pol_cells], dd_table[demo_cells])
+        opt.step()
+
+    rho_e, rho_pi = (c / c.sum() for c in counts)
+    assert np.all(rho_e > 0) and np.all(rho_pi > 0)
+    x_star = np.array([_dd_root(rho_e[c], rho_pi[c], dd_table[c]) for c in range(n_cells)])
+    # Every optimal logit, demo and policy, is well inside the clamp.
+    assert np.abs(np.concatenate([x_star, x_star + dd_table])).max() < LOGIT_CLIP / 2
+    no_dd = dd_table == 0.0
+    assert _sigmoid(x_star[no_dd]) == pytest.approx(
+        (rho_e / (rho_e + rho_pi))[no_dd], abs=1e-12)
+    # DD moves the optimum: a gate blind to where DD enters would not pass.
+    assert np.all(np.abs(_sigmoid(x_star) - rho_e / (rho_e + rho_pi))[~no_dd] > 0.01)
+    x = disc.g_value(eye, np.zeros((n_cells, 1))) - log_pi
+    assert _sigmoid(x) == pytest.approx(_sigmoid(x_star), abs=1e-6)
+    assert not disc.h_net.params.any()
 
 
 def test_gail_loss_balanced_indistinguishable_is_2ln2_when_converged():
