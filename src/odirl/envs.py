@@ -456,12 +456,14 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
     and one env.step over the rows still running, and a row drops out once
     the environment reports done. Each step writes its rows into
     preallocated (episode, step) arrays, which are flattened episode by
-    episode at the end. The batch carries the env's domain tag and the
-    evaluation-only ground-truth reward of each state landed in. Stochastic
-    rollouts record the log-probability of each action taken; deterministic
-    ones record none. Within an episode, one row's s_next is the next row's s.
-    The ground-truth reward is one env.ground_truth_reward call over every
-    row's s_next, after the last step.
+    episode at the end; until the first episode ends, a step's rows are the
+    whole wave, written through a basic slice rather than an index. The
+    batch carries the env's domain tag and the evaluation-only ground-truth
+    reward of each state landed in. Stochastic rollouts record the
+    log-probability of each action taken; deterministic ones record none.
+    Within an episode, one row's s_next is the next row's s. The
+    ground-truth reward is one env.ground_truth_reward call over every row's
+    s_next, after the last step.
     """
     shape = (n_episodes, horizon)
     s = np.empty((*shape, env.spec.state_dim))
@@ -471,6 +473,7 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
     log_prob = None if deterministic else np.empty(shape)
     lengths = np.zeros(n_episodes, dtype=np.intp)
     live = np.arange(n_episodes)          # episode of each row of `states`
+    rows = slice(None)                    # `live` as a basic slice while it is every episode
     states = env.reset(n_episodes)
     for t in range(horizon):
         if len(live) == 0:
@@ -478,12 +481,13 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
         if deterministic:
             actions = policy.act_deterministic(states)
         else:
-            actions, log_prob[live, t] = policy.sample_action(states, rng)
+            actions, log_prob[rows, t] = policy.sample_action(states, rng)
         nxt, done = env.step(states, actions)
-        s[live, t], a[live, t], s_next[live, t], done_at[live, t] = states, actions, nxt, done
-        lengths[live] = t + 1
+        s[rows, t], a[rows, t], s_next[rows, t], done_at[rows, t] = states, actions, nxt, done
+        lengths[rows] = t + 1
         if done.any():
             live, nxt = live[~done], nxt[~done]
+            rows = live
         states = nxt
     steps = np.arange(horizon)
     valid = steps < lengths[:, None]

@@ -2,9 +2,11 @@
 
 Everything is float64 numpy. Parameters live in a single flat vector per
 network so optimizers, checkpoints, and gradient checks can treat every
-trainable object uniformly through the (params, grad) interface. Each
-trainable names its blocks once, in a `blocks()` map; `save_blocks` and
-`load_blocks` checkpoint any such map.
+trainable object uniformly through the (params, grad) interface. An `Adam`
+moves its blocks' vectors into one vector of its own, so each block's params
+and grad are then views into that optimizer's vectors. Each trainable names
+its blocks once, in a `blocks()` map; `save_blocks` and `load_blocks`
+checkpoint any such map.
 """
 
 from __future__ import annotations
@@ -24,14 +26,19 @@ class FlatParams:
         self.grad = np.zeros_like(self.params)
         self.version = 0
 
+    def adopt(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Use params and grad (same shapes and values, owned by an optimizer) from now on."""
+        self.params, self.grad = params, grad
+
 
 class Mlp:
     """Fully connected network with cached forward and accumulating backward.
 
     layer_sizes is the full chain [in, h1, ..., out]. Hidden layers are tanh
     and the output is identity; every network the method trains has this
-    shape. Parameters are a flat float64 vector; per-layer weight/bias views
-    share its memory, so in-place optimizer updates are visible everywhere.
+    shape. Parameters are a flat float64 vector (a view into its optimizer's
+    vector once an `Adam` holds the net); per-layer weight/bias views share
+    its memory, so in-place optimizer updates are visible everywhere.
 
     forward rejects a non-finite input; backward rejects an input other than
     the cached one, or a cache older than the last parameter update. The
@@ -55,29 +62,30 @@ class Mlp:
         self.seed = int(seed)
         self.zero_init_output = bool(zero_init_output)
 
-        fans = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-        n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in fans)
-        self.params = np.zeros(n_params, dtype=np.float64)
-        self.grad = np.zeros_like(self.params)
+        n_params = sum((fan_in + 1) * fan_out
+                       for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.version = 0
+        self.adopt(np.zeros(n_params, dtype=np.float64), np.zeros(n_params, dtype=np.float64))
+        self._init_weights()
+        # (input copy, activations, version) of the last forward; version -1: none yet
+        self._cache = (None, None, -1)
 
-        # Per-layer views into the flat vectors: (W, b) and (W, gW, gb) of
-        # each layer, so the kernels loop over one tuple per layer.
+    def adopt(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Use the flat params and grad vectors from now on (an optimizer's views
+        holding the same values), with per-layer views into them: (W, b) and
+        (W, gW, gb) of each layer, so the kernels loop over one tuple per layer."""
+        self.params, self.grad = params, grad
         layers, grad_layers = [], []
         offset = 0
-        for fan_in, fan_out in fans:
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             w, gw = (v[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-                     for v in (self.params, self.grad))
+                     for v in (params, grad))
             offset += fan_in * fan_out
-            b, gb = (v[offset : offset + fan_out] for v in (self.params, self.grad))
+            b, gb = (v[offset : offset + fan_out] for v in (params, grad))
             offset += fan_out
             layers.append((w, b))
             grad_layers.append((w, gw, gb))
         self._layers, self._grad_layers = tuple(layers), tuple(grad_layers)
-
-        self._init_weights()
-        # (input copy, activations, version) of the last forward; version -1: none yet
-        self._cache = (None, None, -1)
 
     @property
     def in_dim(self) -> int:
@@ -140,7 +148,9 @@ class Mlp:
             w, gw, gb = self._grad_layers[i]
             gw += acts[i].T @ dz
             gb += dz.sum(axis=0)
-            delta = dz @ w.T
+            # A width-1 layer's K = 1 matmul is the broadcast product, bit for bit
+            # but for the sign of a zero, which the +0-started gradient sums drop.
+            delta = dz * w.T if w.shape[1] == 1 else dz @ w.T
             if i > 0:                           # through the tanh that made acts[i]
                 h = acts[i]
                 dz = h * h
@@ -161,17 +171,26 @@ class Mlp:
 class Adam:
     """Adaptive-moment optimizer over a list of (params, grad) blocks.
 
+    On construction it moves the blocks' params, and their grads, into one
+    vector each, in block order, and points every block at its slice
+    (`adopt`), so each step runs the moments, the update and the checks once
+    over the whole vector. A block has one optimizer: one that another
+    optimizer holds (its params are a view), or one listed twice, raises a
+    ValueError.
+
     Optionally rescales the joint gradient to a maximum norm before the
-    update. step() zeroes gradients and bumps each block's version so stale
-    forward caches are detectable. The moments and the step go through two
-    work vectors per block, in the textbook update's arithmetic order.
+    update; the norm adds each block's g @ g in block order. step() zeroes
+    gradients and bumps each block's version so stale forward caches are
+    detectable. The moments and the step go through two work vectors, in the
+    textbook update's arithmetic order.
 
     step() raises FloatingPointError on a non-finite gradient element (before
-    changing anything) and on a non-finite parameter after the update. Each
-    check computes x @ x first (the clip norm needs it anyway): a nan or inf
-    element makes x @ x nan or inf, and finite elements make it finite unless
-    the sum overflows. Only a non-finite x @ x runs np.isfinite, which tells
-    a non-finite element (raise) from an overflow (a numpy warning only).
+    changing anything) and on a non-finite parameter after the update, naming
+    the block by its index in `blocks`, its kind and its size. Each check
+    computes x @ x first (the clip norm needs it anyway): a nan or inf element
+    makes x @ x nan or inf, and finite elements make it finite unless the sum
+    overflows. Only a non-finite x @ x runs np.isfinite on each block, which
+    tells a non-finite element (raise) from an overflow (a numpy warning only).
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8     # the textbook constants
@@ -184,49 +203,70 @@ class Adam:
         weight_decay: float = 0.0,
     ):
         self.blocks = list(blocks)
+        for i, block in enumerate(self.blocks):
+            if block.params.base is not None or any(block is b for b in self.blocks[:i]):
+                raise ValueError(f"{self._describe(i)} is already held by an optimizer")
         self.lr = float(lr)
         self.clip_norm = clip_norm
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self._m = [np.zeros_like(b.params) for b in self.blocks]
-        self._v = [np.zeros_like(b.params) for b in self.blocks]
-        self._work = [(np.empty_like(b.params), np.empty_like(b.params)) for b in self.blocks]
+        self._params = np.concatenate([b.params.ravel() for b in self.blocks])
+        self._grad = np.concatenate([b.grad.ravel() for b in self.blocks])
+        offset = 0
+        for block in self.blocks:
+            end = offset + block.params.size
+            block.adopt(self._params[offset:end].reshape(block.params.shape),
+                        self._grad[offset:end].reshape(block.grad.shape))
+            offset = end
+        self._m, self._v = np.zeros_like(self._params), np.zeros_like(self._params)
+        self._work = (np.empty_like(self._params), np.empty_like(self._params))
+
+    def _describe(self, i: int) -> str:
+        block = self.blocks[i]
+        return (f"block {i} of {len(self.blocks)} "
+                f"({type(block).__name__}, {block.params.size} params)")
+
+    def _check_finite(self, name: str, message: str) -> None:
+        """Raise naming the first block whose `name` array ("params" or "grad") is non-finite."""
+        for i, block in enumerate(self.blocks):
+            if not np.isfinite(getattr(block, name)).all():
+                raise FloatingPointError(f"{message} in {self._describe(i)}")
 
     def step(self) -> None:
-        grads = [b.grad for b in self.blocks]
-        squares = [float(g @ g) for g in grads]
-        for g, sq in zip(grads, squares):
-            if not math.isfinite(sq) and not np.isfinite(g).all():
-                raise FloatingPointError("non-finite gradient")
+        g, p, m, v = self._grad, self._params, self._m, self._v
+        if self.clip_norm is None:
+            square = float(g @ g)
+        else:
+            square = sum(float(b.grad @ b.grad) for b in self.blocks)
+        if not math.isfinite(square):
+            self._check_finite("grad", "non-finite gradient")
         if self.clip_norm is not None:
-            total = np.sqrt(sum(squares))
+            total = np.sqrt(square)
             if total > self.clip_norm and total > 0.0:
-                scale = self.clip_norm / total
-                for g in grads:
-                    g *= scale
+                g *= self.clip_norm / total
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for block, m, v, (s1, s2) in zip(self.blocks, self._m, self._v, self._work):
-            g, p = block.grad, block.params
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s1)
-            v *= self.beta2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - self.beta2
-            v += s1
-            if self.weight_decay:
-                p *= 1.0 - self.lr * self.weight_decay  # decoupled decay
-            np.divide(m, bc1, out=s1)
-            s1 *= self.lr
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s1 /= s2
-            p -= s1
-            if not math.isfinite(p @ p) and not np.isfinite(p).all():
-                raise FloatingPointError("non-finite parameters after update")
-            g[...] = 0.0
+        s1, s2 = self._work
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=s1)
+        v *= self.beta2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - self.beta2
+        v += s1
+        if self.weight_decay:
+            p *= 1.0 - self.lr * self.weight_decay  # decoupled decay
+        np.divide(m, bc1, out=s1)
+        s1 *= self.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        p -= s1
+        if not math.isfinite(p @ p):
+            self._check_finite("params", "non-finite parameters after update")
+        g[...] = 0.0
+        for block in self.blocks:
             block.version += 1
 
 

@@ -219,12 +219,16 @@ class PolicyOptimizer:
         logp = -0.5 * z2.sum(axis=1) - log_std.sum() - 0.5 * A.shape[1] * _LOG_2PI
         ratio = np.exp(np.minimum(np.maximum(logp - old_logp, -30.0), 30.0))
         coeff = clipped_grad_coeff(ratio, adv, cfg.clip_ratio)
-        # loss = -mean(surrogate) - lambda * H
-        c = -coeff / M
-        upstream_mean = c[:, None] * (diff / var)
-        self.policy.mean_net.backward(S, upstream_mean)
-        self.policy.log_std.grad += (c[:, None] * (z2 - 1.0)).sum(axis=0)
-        self.policy.log_std.grad += -cfg.entropy_coef
+        # loss = -mean(surrogate) - lambda * H; diff and z2 become its per-row gradients
+        c = (-coeff / M)[:, None]
+        diff /= var
+        diff *= c
+        self.policy.mean_net.backward(S, diff)
+        z2 -= 1.0
+        z2 *= c
+        log_std_grad = self.policy.log_std.grad
+        log_std_grad += z2.sum(axis=0)
+        log_std_grad -= cfg.entropy_coef
         self.policy_opt.step()
         params = self.policy.log_std.params
         np.minimum(np.maximum(params, LOG_STD_MIN, out=params), LOG_STD_MAX, out=params)

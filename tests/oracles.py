@@ -3,9 +3,10 @@
 Everything here is computed without touching the code paths under test:
 closed-form Gaussian log-density ratios, enumerated occupancy measures,
 synthetic transition generators, a one-state-at-a-time point-maze step, the
-point-maze wall clip run on every row, per-layer views of an Mlp's flat
-parameters, textbook Adam, a replay buffer kept as a deque of rows, and
-the run's CSV files written cell by cell through ``csv.writer``.
+point-maze wall clip run on every row, a lockstep rollout that indexes its
+rows by episode on every step, per-layer views of an Mlp's flat parameters,
+textbook Adam, a replay buffer kept as a deque of rows, and the run's CSV
+files written cell by cell through ``csv.writer``.
 """
 
 import csv
@@ -195,6 +196,45 @@ def stop_at_wall_every_row(wall, p0, p1):
     for i in np.flatnonzero(inside[:, 0] & inside[:, 1]):
         out[i] = _project_out(out[i], wall)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Lockstep rollouts, every row written through the episode index
+# ---------------------------------------------------------------------------
+
+def reference_rollouts(policy, env, n_episodes, horizon, rng=None, deterministic=False):
+    """Reference for `envs.rollouts`: the same wave of episodes, with every
+    step's rows written through the index of the episodes still running."""
+    shape = (n_episodes, horizon)
+    s = np.empty((*shape, env.spec.state_dim))
+    a = np.empty((*shape, env.spec.action_dim))
+    s_next = np.empty_like(s)
+    done_at = np.empty(shape, dtype=bool)
+    log_prob = None if deterministic else np.empty(shape)
+    lengths = np.zeros(n_episodes, dtype=np.intp)
+    live = np.arange(n_episodes)          # episode of each row of `states`
+    states = env.reset(n_episodes)
+    for t in range(horizon):
+        if len(live) == 0:
+            break
+        if deterministic:
+            actions = policy.act_deterministic(states)
+        else:
+            actions, log_prob[live, t] = policy.sample_action(states, rng)
+        nxt, done = env.step(states, actions)
+        s[live, t], a[live, t], s_next[live, t], done_at[live, t] = states, actions, nxt, done
+        lengths[live] = t + 1
+        if done.any():
+            live, nxt = live[~done], nxt[~done]
+        states = nxt
+    steps = np.arange(horizon)
+    valid = steps < lengths[:, None]
+    ends = (steps == lengths[:, None] - 1)[valid]
+    s_next = s_next[valid]
+    gt = np.empty(len(s_next))
+    gt[:] = env.ground_truth_reward(s_next)
+    return Batch(s[valid], a[valid], s_next, env.domain_tag, done_at[valid], gt,
+                 ends, None if deterministic else log_prob[valid])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from odirl.envs import (
     write_trajectory_csv,
 )
 from odirl.policy import GaussianPolicy
-from oracles import pointmaze_step, stop_at_wall_every_row
+from oracles import pointmaze_step, reference_rollouts, stop_at_wall_every_row
 
 
 def default_pair(seed=7):
@@ -423,3 +425,71 @@ def test_rollout_gt_reward_is_the_env_reward_of_every_landed_state(deterministic
         assert np.array_equal(batch.gt_reward, env.ground_truth_reward(batch.s_next))
         assert np.array_equal(batch.gt_reward, [env.ground_truth_reward(s) for s in batch.s_next])
 
+
+
+class GoalSeeker:
+    """Steps each row of (N, 2) states toward a point; a stochastic action adds noise
+    from the rng and reports a placeholder log-probability of it."""
+
+    def __init__(self, point, scale=0.08):
+        self.point = np.asarray(point, dtype=np.float64)
+        self.scale = scale
+
+    def act_deterministic(self, states):
+        delta = self.point - states
+        norm = np.linalg.norm(delta, axis=1, keepdims=True)
+        return delta * np.minimum(1.0, self.scale / np.maximum(norm, 1e-12))
+
+    def sample_action(self, states, rng):
+        noise = rng.normal(0.0, 0.02, states.shape)
+        return self.act_deterministic(states) + noise, -0.5 * (noise * noise).sum(axis=1)
+
+
+class EndingLinkChain(LinkChainEnv):
+    """A link chain whose episodes end once the first joint turns past 0.3 rad."""
+
+    def step(self, states, actions):
+        nxt, _ = super().step(states, actions)
+        return nxt, np.abs(nxt[:, 0]) > 0.3
+
+
+def _random_chain_policy(env):
+    policy = GaussianPolicy(env.spec, hidden=(8,), seed=2, init_log_std=0.0)
+    policy.mean_net.params[...] = np.random.default_rng(3).normal(0.0, 0.5,
+                                                                  policy.mean_net.params.shape)
+    return policy
+
+
+_MAZE_TO_GOAL = PointMazeConfig(start_region=(0.6, 0.05, 0.9, 0.3), goal=(0.9, 0.8))
+# name -> (env factory, policy factory, horizon, whether every episode runs the horizon)
+_ROLLOUT_CASES = {
+    "pointmaze-goal": (lambda: PointMazeEnv(_MAZE_TO_GOAL, TARGET, seed=4),
+                       lambda env: GoalSeeker(_MAZE_TO_GOAL.goal), 8, False),
+    "linkchain-ending": (lambda: EndingLinkChain(LinkChainConfig(), TARGET, seed=1),
+                         _random_chain_policy, 12, False),
+    "linkchain": (lambda: LinkChainEnv(LinkChainConfig(), SOURCE, seed=1),
+                  _random_chain_policy, 12, True),
+}
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("case", list(_ROLLOUT_CASES))
+def test_rollouts_equal_the_episode_indexed_reference_bit_for_bit(case, deterministic):
+    make_env, make_policy, horizon, runs_full = _ROLLOUT_CASES[case]
+    env = make_env()
+    policy = make_policy(env)
+    batch = rollouts(policy, env, 6, horizon, np.random.default_rng(0), deterministic)
+    ref = reference_rollouts(policy, make_env(), 6, horizon, np.random.default_rng(0),
+                             deterministic)
+    lengths = np.diff(np.flatnonzero(batch.ends) + 1, prepend=0)
+    if runs_full:
+        assert lengths.tolist() == [horizon] * 6
+    else:                                   # episodes of the wave end at different steps
+        assert len(set(lengths.tolist())) > 1 and lengths.min() < horizon
+    for field in dataclasses.fields(Batch):
+        got, want = getattr(batch, field.name), getattr(ref, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from oracles import TextbookAdam, mlp_layers
 
-from odirl.nets import Adam, FlatParams, Mlp, load_params, minibatches, save_blocks
+from odirl.nets import (Adam, FlatParams, Mlp, load_blocks, load_params, minibatches,
+                        save_blocks)
 
 
 def finite_difference_check(
@@ -201,6 +202,80 @@ def test_adam_raises_on_nonfinite_grad():
         opt.step()
 
 
+def test_adam_raises_naming_the_block_of_a_nan_gradient():
+    blocks = _mlp_and_log_std(0)
+    opt = Adam(blocks, lr=0.1, clip_norm=1.0)
+    before = [b.params.copy() for b in blocks]
+    blocks[1].grad[...] = np.array([0.5, np.nan])
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite gradient in block 1 of 2 \(FlatParams, 2 params\)$"):
+        opt.step()
+    assert all(np.array_equal(b.params, p) for b, p in zip(blocks, before)) and opt.t == 0
+
+
+def test_adam_raises_naming_the_block_an_update_makes_infinite():
+    net, log_std = Mlp([2, 3, 1], seed=0), FlatParams(np.zeros(2))
+    opt = Adam([net, log_std], lr=1e308)
+    net.params[0] = 1.7e308
+    net.grad[0] = -1.0                      # the first step moves params[0] by +lr
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError,
+            match=r"^non-finite parameters after update in block 0 of 2 \(Mlp, 13 params\)$"):
+        opt.step()
+
+
+def test_adam_holds_its_blocks_in_one_vector_in_block_order():
+    blocks = _mlp_and_log_std(1)
+    values = np.concatenate([b.params for b in blocks])
+    Adam(blocks)
+    for name in ("params", "grad"):
+        vector = getattr(blocks[0], name).base
+        assert vector is not None and vector.shape == values.shape
+        start, offset = vector.__array_interface__["data"][0], 0
+        for block in blocks:
+            view = getattr(block, name)
+            assert view.base is vector
+            assert view.__array_interface__["data"][0] == start + 8 * offset
+            offset += view.size
+        assert offset == vector.size
+    assert np.array_equal(blocks[0].params.base, values)
+    # a write to the vector reaches the layer views the kernels use
+    net, free = blocks[0], Mlp([3, 16, 16, 2], seed=9)
+    net.params.base[: net.params.size] = free.params
+    x = np.random.default_rng(0).normal(size=(5, 3))
+    assert np.array_equal(net.forward(x), free.forward(x))
+
+
+def test_load_blocks_writes_through_to_the_optimizer_vector(tmp_path):
+    saved = dict(zip(("mean", "log_std"), _mlp_and_log_std(2)))
+    save_blocks(tmp_path / "ckpt.bin", saved)
+    blocks = dict(zip(("mean", "log_std"), _mlp_and_log_std(3)))
+    Adam(blocks.values())
+    load_blocks(tmp_path / "ckpt.bin", blocks)
+    assert np.array_equal(blocks["mean"].params.base,
+                          np.concatenate([b.params for b in saved.values()]))
+    x = np.random.default_rng(0).normal(size=(5, 3))
+    assert np.array_equal(blocks["mean"].forward(x), saved["mean"].forward(x))
+
+
+def test_save_blocks_writes_the_same_bytes_for_blocks_an_optimizer_holds(tmp_path):
+    held, free = (dict(zip(("mean", "log_std"), _mlp_and_log_std(4))) for _ in range(2))
+    Adam(held.values())
+    save_blocks(tmp_path / "held.bin", held, seed=4)
+    save_blocks(tmp_path / "free.bin", free, seed=4)
+    assert (tmp_path / "held.bin").read_bytes() == (tmp_path / "free.bin").read_bytes()
+
+
+def test_adam_rejects_a_block_another_optimizer_holds_or_one_listed_twice():
+    net, log_std = _mlp_and_log_std(5)
+    Adam([net])
+    with pytest.raises(ValueError, match=r"block 1 of 2 \(Mlp, 370 params\) is already held"):
+        Adam([log_std, net])
+    other = FlatParams(np.ones(2))
+    with pytest.raises(ValueError, match=r"block 1 of 2 \(FlatParams, 2 params\) is already held"):
+        Adam([other, other])
+
+
 def _mlp_and_log_std(seed):
     return [Mlp([3, 16, 16, 2], seed=seed), FlatParams(np.random.default_rng(seed).normal(size=2))]
 
@@ -256,10 +331,13 @@ def test_adam_raises_on_a_parameter_the_update_makes_infinite():
         opt.step()
 
 
-def test_forward_and_backward_match_the_textbook_kernels():
-    net = Mlp([4, 16, 8, 3], seed=2)
+@pytest.mark.parametrize("sizes,zero_init_output", [
+    ([4, 16, 8, 3], False), ([4, 16, 8, 1], False), ([4, 16, 8, 1], True)],
+    ids=["width-3", "width-1", "width-1-zero-output"])
+def test_forward_and_backward_match_the_textbook_kernels(sizes, zero_init_output):
+    net = Mlp(sizes, seed=2, zero_init_output=zero_init_output)
     rng = np.random.default_rng(3)
-    x, up = rng.normal(size=(37, 4)), rng.normal(size=(37, 3))
+    x, up = rng.normal(size=(37, 4)), rng.normal(size=(37, sizes[-1]))
     layers = mlp_layers(net)
     acts, n_layers = [x], len(layers)                   # tanh hidden layers, identity output
     for i, (w, b) in enumerate(layers):
@@ -272,7 +350,8 @@ def test_forward_and_backward_match_the_textbook_kernels():
         delta = dz @ layers[i][0].T
     assert np.array_equal(net.forward(x), acts[-1])
     assert np.array_equal(net.backward(x, up), delta)
-    assert np.array_equal(net.grad, np.concatenate(grads))
+    # Bit for bit, the sign of every zero included (a zero output layer makes many).
+    assert np.array_equal(net.grad.view(np.int64), np.concatenate(grads).view(np.int64))
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
