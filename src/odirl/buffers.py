@@ -69,7 +69,7 @@ class ReplayBuffer:
         """n rows uniform with replacement (no draw for n = 0)."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self._size, size=n) if n else np.zeros(0, dtype=np.intp)
+        idx = rng.integers(0, self._size, size=n)
         at = (self._head + idx) % self.capacity
         s, a, s_next = (x[at] for x in self._arrays)
         return Batch(s, a, s_next, self.domain_tag)

@@ -329,7 +329,6 @@ class LinkChainConfig:
     init_vel_range: float = 0.05
     goal_angles: tuple[float, ...] = (1.1, -0.6, 0.9)
     success_radius: float = 0.25
-    gt_variant: str = "distance"      # "distance" | "forward_velocity"
     horizon: int = 60
 
     def check_cross_fields(self) -> None:
@@ -339,8 +338,6 @@ class LinkChainConfig:
                 raise ValueError(f"linkchain.{name} length must equal num_joints")
         if not any(self.target_disabled_mask):
             raise ValueError("linkchain.target_disabled_mask needs at least one disabled actuator")
-        if self.gt_variant not in ("distance", "forward_velocity"):
-            raise ValueError("linkchain.gt_variant must be 'distance' or 'forward_velocity'")
 
     def base_config(self) -> "LinkChainConfig":
         """This config; kept only because benchmarks/workloads.py calls it."""
@@ -409,12 +406,7 @@ class LinkChainEnv:
         state = np.asarray(state, dtype=np.float64)
         if not np.isfinite(state).all():
             raise ValueError("non-finite state")
-        n = self.config.num_joints
-        angles, vels = state[..., :n], state[..., n:]
-        if self.config.gt_variant == "forward_velocity":
-            cum = np.cumsum(angles, axis=-1)
-            cum_vel = np.cumsum(vels, axis=-1)
-            return _per_row(-np.sum(np.sin(cum) * cum_vel, axis=-1) / n)  # d/dt of tip x
+        angles = state[..., :self.config.num_joints]
         return _per_row(-_norm(_chain_tip(angles) - self.goal_tip))
 
     def is_success(self, states: np.ndarray) -> np.ndarray:

@@ -424,11 +424,10 @@ def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     if not cfg.expert_path:
         raise ValueError("expert_path is required for expert_transfer")
     policy = _load_policy(cfg, tgt.spec, cfg.expert_path)
-    writer = ProgressWriter(out / "progress.csv")
-    gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
-    writer.write(iteration=0, target_steps=0, source_steps=0,
-                 policy_entropy=policy.entropy(), gt_return=gt_return, success_rate=success)
-    writer.close()
+    with closing(ProgressWriter(out / "progress.csv")) as writer:
+        gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
+        writer.write(iteration=0, target_steps=0, source_steps=0,
+                     policy_entropy=policy.entropy(), gt_return=gt_return, success_rate=success)
     return _finish_run(cfg, out, policy, src_eval, tgt_eval, {}, (gt_return, success),
                        target_steps=0, source_steps=0, source_episodes=0)
 

@@ -129,11 +129,11 @@ class Mlp:
         self._cache = (x2.copy(), acts, self.version)
         return h[0] if single else h
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, x: np.ndarray, upstream: np.ndarray) -> None:
         """Accumulate d(sum(upstream * output))/d(params) into grad, for (batch, in) rows x.
 
         Requires a forward pass cached for exactly these rows since the last
-        parameter update; returns the gradient with respect to x.
+        parameter update. Only parameter gradients are formed: no input gradient.
         """
         x = np.asarray(x, dtype=np.float64)
         upstream = np.asarray(upstream, dtype=np.float64)
@@ -148,15 +148,14 @@ class Mlp:
             w, gw, gb = self._grad_layers[i]
             gw += acts[i].T @ dz
             gb += dz.sum(axis=0)
-            # A width-1 layer's K = 1 matmul is the broadcast product, bit for bit
-            # but for the sign of a zero, which the +0-started gradient sums drop.
-            delta = dz * w.T if w.shape[1] == 1 else dz @ w.T
             if i > 0:                           # through the tanh that made acts[i]
+                # A width-1 layer's K = 1 matmul is the broadcast product, bit for bit
+                # but for the sign of a zero, which the +0-started gradient sums drop.
+                delta = dz * w.T if w.shape[1] == 1 else dz @ w.T
                 h = acts[i]
                 dz = h * h
                 np.subtract(1.0, dz, out=dz)
                 dz *= delta
-        return delta
 
     def meta(self) -> dict:
         return {

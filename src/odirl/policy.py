@@ -205,7 +205,6 @@ class PolicyOptimizer:
             "mean_reward": mean_reward,
             "approx_kl": approx_kl,
             "entropy": self.policy.entropy(),
-            "n_samples": T,
         }
 
     def _policy_step(self, S, A, old_logp, adv) -> float:

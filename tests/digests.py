@@ -14,9 +14,10 @@ records absolute paths, so compare two outputs written to the same OUT_DIR
 (move the first one away in between). OUT_DIR must be absent or empty.
 
 With --against FILE (an earlier output of this script), also compares the
-digests with FILE's: exits 0 when every line matches, else prints the first
-path, in sorted order, whose digest differs or that only one side has to
-stderr and exits 1. So a byte-identity check between two commits is
+digests with FILE's: exits 0 when every line matches, else prints to stderr
+how many paths differ and then each of them, in sorted order, marked
+"differs" (both sides have it), "only here" or "only in FILE", and exits 1.
+So a byte-identity check between two commits is
 
     python tests/digests.py OUT_DIR > before.txt     # on the first commit
     rm -r OUT_DIR
@@ -100,15 +101,16 @@ def digests(out: Path) -> list[str]:
             for path in sorted(p for p in out.rglob("*") if p.is_file())]
 
 
-def first_difference(got: list[str], want: list[str]) -> str | None:
-    """The first path, in sorted order, whose digest differs between two
-    digest lists or that only one of them has; None when they match."""
+def differences(got: list[str], want: list[str]) -> list[tuple[str, str]]:
+    """(path, how) for every path, in sorted order, whose digest differs
+    between two digest lists ("differs") or that only `got` ("only here") or
+    only `want` ("only in FILE") has; empty when they match."""
     got_by_path, want_by_path = ({path: sha for sha, path in (line.split("  ", 1) for line in lines)}
                                  for lines in (got, want))
-    for path in sorted(got_by_path.keys() | want_by_path.keys()):
-        if got_by_path.get(path) != want_by_path.get(path):
-            return path
-    return None
+    return [(path, "only in FILE" if path not in got_by_path
+             else "only here" if path not in want_by_path else "differs")
+            for path in sorted(got_by_path.keys() | want_by_path.keys())
+            if got_by_path.get(path) != want_by_path.get(path)]
 
 
 def main(argv: list[str]) -> int:
@@ -126,9 +128,11 @@ def main(argv: list[str]) -> int:
     print("\n".join(got))
     if want is None:
         return 0
-    path = first_difference(got, want)
-    if path is not None:
-        print(f"differs from {args.against}: first at {path}", file=sys.stderr)
+    diff = differences(got, want)
+    if diff:
+        print(f"differs from {args.against} at {len(diff)} paths:", file=sys.stderr)
+        for path, how in diff:
+            print(f"  {path}  ({how})", file=sys.stderr)
         return 1
     print(f"identical to {args.against}: {len(got)} files", file=sys.stderr)
     return 0

@@ -322,18 +322,17 @@ def test_pointmaze_batched_step_matches_scalar_oracle(wall_length):
 
 
 def test_linkchain_batched_step_equals_row_by_row():
-    for gt_variant in ("distance", "forward_velocity"):
-        _, env = make_linkchain_pair(LinkChainConfig(gt_variant=gt_variant), (False, True, False), 0, 0)
-        rng = np.random.default_rng(5)
-        states = rng.normal(scale=2.0, size=(50, 6))
-        actions = rng.uniform(-1.5, 1.5, size=(50, 3))
-        nxt, done = env.step(states, actions)
-        assert not done.any() and done.shape == (50,)
-        rows = np.array([env.step(s, a)[0] for s, a in zip(states, actions)])
-        assert np.array_equal(nxt, rows)
-        rewards = env.ground_truth_reward(nxt)
-        assert np.array_equal(rewards, [env.ground_truth_reward(s) for s in nxt])
-        assert np.array_equal(env.is_success(nxt), [env.is_success(s[None])[0] for s in nxt])
+    _, env = make_linkchain_pair(LinkChainConfig(), (False, True, False), 0, 0)
+    rng = np.random.default_rng(5)
+    states = rng.normal(scale=2.0, size=(50, 6))
+    actions = rng.uniform(-1.5, 1.5, size=(50, 3))
+    nxt, done = env.step(states, actions)
+    assert not done.any() and done.shape == (50,)
+    rows = np.array([env.step(s, a)[0] for s, a in zip(states, actions)])
+    assert np.array_equal(nxt, rows)
+    rewards = env.ground_truth_reward(nxt)
+    assert np.array_equal(rewards, [env.ground_truth_reward(s) for s in nxt])
+    assert np.array_equal(env.is_success(nxt), [env.is_success(s[None])[0] for s in nxt])
 
 
 def test_pointmaze_batched_reward_and_success_equal_row_by_row():
@@ -412,7 +411,7 @@ def test_pointmaze_step_equals_the_every_row_slab_test_bit_for_bit(data):
 def _gt_rollout_envs():
     return (PointMazeEnv(PointMazeConfig(), TARGET, seed=1),
             LinkChainEnv(LinkChainConfig(), TARGET, seed=1),
-            LinkChainEnv(LinkChainConfig(gt_variant="forward_velocity"), SOURCE, seed=1))
+            LinkChainEnv(LinkChainConfig(), SOURCE, seed=1))
 
 
 @pytest.mark.parametrize("deterministic", [False, True])

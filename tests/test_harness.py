@@ -151,9 +151,11 @@ def test_config_rejects_alpha_for_non_odirl(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "conf.yaml"
-    path.write_text("not_a_real_key: 1\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config(path)
+    # gt_variant is no longer a key: the link chain's reward is always the tip distance
+    for text in ("not_a_real_key: 1\n", "linkchain: {gt_variant: distance}\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config(path)
 
 
 def test_run_single_iteration_executes_every_phase(tmp_path, demo_file):
@@ -314,6 +316,29 @@ def test_expert_transfer_emits_single_evaluation_row(tmp_path, demo_file):
     assert rows[0]["iteration"] == "0"
     assert rows[0]["gt_return"] != ""
     assert rows[0]["disc_loss"] == ""
+
+
+def test_expert_transfer_closes_progress_csv_when_evaluate_raises(tmp_path, demo_file,
+                                                                  monkeypatch):
+    _, expert = demo_file
+    cfg = tiny_cfg(tmp_path, "transfer")
+    cfg.method = "expert_transfer"
+    cfg.expert_path = expert
+    writers = []
+
+    class RecordingWriter(harness.ProgressWriter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            writers.append(self)
+
+    def failing_evaluate(*args):
+        raise RuntimeError("evaluation failed")
+
+    monkeypatch.setattr(harness, "ProgressWriter", RecordingWriter)
+    monkeypatch.setattr(harness, "evaluate", failing_evaluate)
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        run_experiment(cfg)
+    assert len(writers) == 1 and writers[0]._fh.closed
 
 
 def test_airl_source_transfer_budget_parity_on_linkchain(tmp_path, demo_file):
@@ -772,7 +797,7 @@ def test_default_env_config_hash_is_pinned():
     # Demo files record this hash; a changed default hash would make every
     # demo file recorded before the change load with a mismatch warning.
     assert load_config(overrides={"task": "pointmaze"}).env_config_hash() == "da9341d5796b"
-    assert load_config(overrides={"task": "linkchain"}).env_config_hash() == "3d30ed26db03"
+    assert load_config(overrides={"task": "linkchain"}).env_config_hash() == "10a65bb37e41"
 
 
 def _wave_envs():
@@ -995,20 +1020,24 @@ def test_every_method_reports_its_last_progress_row_as_its_final_scores(tmp_path
 
 
 def test_digests_against_exits_1_naming_the_first_differing_path(tmp_path):
-    """tests/digests.py --against FILE: exit 1 and the first differing path
-    (sorted) on stderr when FILE differs, exit 0 when it matches."""
+    """tests/digests.py --against FILE: exit 1, the number of differing paths
+    and each of them (sorted) on stderr when FILE differs, exit 0 when it matches."""
     script, out = Path(__file__).parent / "digests.py", tmp_path / "out"
     first = subprocess.run([sys.executable, str(script), str(out)], check=True,
                            capture_output=True, text=True).stdout.splitlines()
     out.rename(tmp_path / "first")
-    # change one digest and drop one line; the earlier path in sorted order is named
+    # change one digest, drop one line and add one; all three paths are named, in sorted order
     tampered = list(first)
     tampered[5] = "0" * 64 + "  " + first[5].split("  ", 1)[1]
     del tampered[9]
+    tampered.append("0" * 64 + "  zzz/extra.csv")
     (tmp_path / "tampered.txt").write_text("\n".join(tampered) + "\n")
     (tmp_path / "first.txt").write_text("\n".join(first) + "\n")
-    for against, code, message in (("tampered.txt", 1, first[5].split("  ", 1)[1]),
-                                   ("first.txt", 0, f"{len(first)} files")):
+    paths = [first[i].split("  ", 1)[1] for i in (5, 9)]
+    for against, code, message in (
+            ("tampered.txt", 1, f"at 3 paths:\n  {paths[0]}  (differs)\n  {paths[1]}  (only here)\n"
+                                "  zzz/extra.csv  (only in FILE)\n"),
+            ("first.txt", 0, f"{len(first)} files")):
         run = subprocess.run([sys.executable, str(script), str(out), "--against",
                               str(tmp_path / against)], capture_output=True, text=True)
         assert run.returncode == code, run.stderr

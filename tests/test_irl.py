@@ -177,8 +177,8 @@ def test_tabular_discriminator_matches_occupancy_oracle():
     p0 = np.array([1.0, 0.0, 0.0])
     rho_e = occupancy_measure(P, pi_e, p0, horizon=12)
     rho_b = occupancy_measure(P, pi_b, p0, horizon=12)
-    demo, _ = replicated_occupancy_batch(P, rho_e, SOURCE, scale=3000)
-    pol, _ = replicated_occupancy_batch(P, rho_b, TARGET, scale=3000)
+    demo, _ = replicated_occupancy_batch(P, rho_e, SOURCE, scale=300)
+    pol, _ = replicated_occupancy_batch(P, rho_b, TARGET, scale=300)
 
     disc = Discriminator(N_STATES, N_ACTIONS, gamma=0.0, state_only_g=False,
                          hidden=(64, 64), seed=1)
