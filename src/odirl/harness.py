@@ -53,6 +53,9 @@ class ProgressWriter:
         self._columns = columns
 
     def write(self, **fields) -> None:
+        unknown = sorted(fields.keys() - self._columns)
+        if unknown:
+            raise ValueError(f"progress field {unknown[0]!r} is not a column of {self._fh.name}")
         row = []
         for col in self._columns:
             val = fields.get(col)

@@ -32,11 +32,8 @@ class PolicyOptConfig:
     minibatch_size: int = 64
     lr: float = 3e-4
     value_lr: float = 1e-3
-    adv_norm: bool = True
-    reward_norm: bool = True         # standardize rewards per batch before GAE
-    bootstrap_on_done: bool = True   # value-bootstrap through goal termination
-    grad_clip: float | None = 10.0
-    target_kl: float | None = 0.02   # stop policy epochs once exceeded
+    grad_clip: float = 10.0          # global gradient-norm clip of both optimizers
+    target_kl: float = 0.02          # stop policy epochs once exceeded
 
     def check_cross_fields(self) -> None:
         """The ranges a lower bound cannot state (see `fields.check_fields`)."""
@@ -128,18 +125,18 @@ def clipped_grad_coeff(ratio: np.ndarray, adv: np.ndarray, clip_ratio: float) ->
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, next_values: np.ndarray,
-                dones: np.ndarray, ends: np.ndarray, gamma: float, lam: float) -> np.ndarray:
+                ends: np.ndarray, gamma: float, lam: float) -> np.ndarray:
     """Generalized advantage estimates over concatenated episodes (arrays of length T).
 
-    ends[t] marks the last transition of an episode; no advantage flows across it.
+    Goal termination is treated as truncation: every row bootstraps from
+    next_values, and only ends[t] (an episode's last row) stops advantage flow.
     """
     T = len(rewards)
     adv = np.zeros(T)
     last = 0.0
     for t in range(T - 1, -1, -1):
-        nonterminal = 0.0 if dones[t] else 1.0
-        delta = rewards[t] + gamma * nonterminal * next_values[t] - values[t]
-        last = delta + gamma * lam * nonterminal * (0.0 if ends[t] else last)
+        delta = rewards[t] + gamma * next_values[t] - values[t]
+        last = delta + gamma * lam * (0.0 if ends[t] else last)
         adv[t] = last
     return adv
 
@@ -160,7 +157,9 @@ class PolicyOptimizer:
 
         reward_fn maps batched (s, a, s_next) to per-transition rewards;
         non-finite rewards raise. The batch must carry the log_prob of a
-        stochastic rollout. Returns summary statistics.
+        stochastic rollout. Rewards and advantages are standardized per batch;
+        goal termination is treated as truncation, so only `ends` stops
+        advantage flow (see `compute_gae`). Returns summary statistics.
         """
         cfg = self.config
         if len(batch) == 0:
@@ -168,27 +167,24 @@ class PolicyOptimizer:
         if batch.log_prob is None:
             raise ValueError("batch has no log_prob: the update needs a stochastic rollout's "
                              "action log-probabilities")
-        S, A, S_next, done, ends = batch.s, batch.a, batch.s_next, batch.done, batch.ends
+        S, A, S_next, ends = batch.s, batch.a, batch.s_next, batch.ends
         old_logp = batch.log_prob
 
         r = np.asarray(reward_fn(S, A, S_next), dtype=np.float64)
         if not np.all(np.isfinite(r)):
             raise FloatingPointError("non-finite rewards in policy update")
         mean_reward = float(np.mean(r))
-        if cfg.reward_norm:
-            mu, sd = r.mean(), r.std()
-            r = (r - mu) / (sd + 1e-8) if sd > 1e-8 else np.zeros_like(r)
+        sd = r.std()
+        r = (r - r.mean()) / (sd + 1e-8) if sd > 1e-8 else np.zeros_like(r)
 
         v = self.value.predict(S)
         vn = self.value.predict(S_next)
-        d_eff = np.zeros_like(done) if cfg.bootstrap_on_done else done
-        adv = compute_gae(r, v, vn, d_eff, ends, cfg.gamma, cfg.gae_lambda)
+        adv = compute_gae(r, v, vn, ends, cfg.gamma, cfg.gae_lambda)
         ret = adv + v
 
-        if cfg.adv_norm:
-            std = adv.std()
-            # Below float-noise scale the batch carries no ranking signal.
-            adv = (adv - adv.mean()) / (std + 1e-8) if std > 1e-8 else np.zeros_like(adv)
+        std = adv.std()
+        # Below float-noise scale the batch carries no ranking signal.
+        adv = (adv - adv.mean()) / (std + 1e-8) if std > 1e-8 else np.zeros_like(adv)
 
         T = S.shape[0]
         approx_kl = 0.0
@@ -196,7 +192,7 @@ class PolicyOptimizer:
             kls = [self._policy_step(S[idx], A[idx], old_logp[idx], adv[idx])
                    for idx in minibatches(T, cfg.minibatch_size, rng)]
             approx_kl = float(np.mean(kls))
-            if cfg.target_kl is not None and approx_kl > 1.5 * cfg.target_kl:
+            if approx_kl > 1.5 * cfg.target_kl:
                 break
         for _ in range(cfg.epochs):
             for idx in minibatches(T, cfg.minibatch_size, rng):

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,8 @@ def test_config_yaml_roundtrip(tmp_path):
 def test_config_roundtrip_reproduces_whole_tree(tmp_path):
     cfg = load_config(overrides={
         "method": "airl", "heatmap_grid": 7,
-        "policy": {"hidden": [32, 16], "init_log_std": -1.5, "target_kl": None,
-                   "reward_norm": False, "bootstrap_on_done": False, "grad_clip": None},
+        "policy": {"hidden": [32, 16], "init_log_std": -1.5, "target_kl": 0.05,
+                   "clip_ratio": 0.3, "grad_clip": 1},
         "dd": {"weight_decay": 0.0, "dd_clip": None, "batch_size": 8},
         "disc": {"epochs": 3},
         "linkchain": {"goal_angles": [0.5, 0.25, -0.125]},
@@ -114,7 +115,7 @@ def test_yaml_policy_keys_reach_the_policy_optimizer(tmp_path, demo_file, monkey
     save_config(tiny_cfg(tmp_path, "opt_keys", steps=1, method="gail"), path)
     with open(path) as fh:
         raw = yaml.safe_load(fh)
-    raw["policy"].update(target_kl=None, reward_norm=False)
+    raw["policy"].update(target_kl=0.05, clip_ratio=0.3)
     raw["demos_path"] = demos
     with open(path, "w") as fh:
         yaml.safe_dump(raw, fh)
@@ -128,8 +129,8 @@ def test_yaml_policy_keys_reach_the_policy_optimizer(tmp_path, demo_file, monkey
     monkeypatch.setattr(harness, "PolicyOptimizer", RecordingOptimizer)
     run_experiment(load_config(path))
     assert len(seen) == 1
-    assert seen[0].target_kl is None
-    assert seen[0].reward_norm is False
+    assert seen[0].target_kl == 0.05
+    assert seen[0].clip_ratio == 0.3
 
 
 @pytest.mark.parametrize("key", [
@@ -151,8 +152,12 @@ def test_config_rejects_alpha_for_non_odirl(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "conf.yaml"
-    # gt_variant is no longer a key: the link chain's reward is always the tip distance
-    for text in ("not_a_real_key: 1\n", "linkchain: {gt_variant: distance}\n"):
+    # Keys that are gone: the link chain's reward is always the tip distance, and
+    # the policy update always standardizes rewards and advantages and bootstraps
+    # through goal termination.
+    for text in ("not_a_real_key: 1\n", "linkchain: {gt_variant: distance}\n",
+                 "policy: {adv_norm: false}\n", "policy: {reward_norm: false}\n",
+                 "policy: {bootstrap_on_done: false}\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
@@ -339,6 +344,16 @@ def test_expert_transfer_closes_progress_csv_when_evaluate_raises(tmp_path, demo
     with pytest.raises(RuntimeError, match="evaluation failed"):
         run_experiment(cfg)
     assert len(writers) == 1 and writers[0]._fh.closed
+
+
+def test_progress_writer_rejects_a_field_that_is_not_one_of_its_columns(tmp_path):
+    # A misspelt field would otherwise leave its column blank without a word.
+    path = tmp_path / "progress.csv"
+    with closing(harness.ProgressWriter(path, ["iteration", "disc_loss"])) as writer:
+        writer.write(iteration=1, disc_loss=0.5)
+        with pytest.raises(ValueError, match="'disc_los'"):
+            writer.write(iteration=2, disc_los=0.25)
+    assert path.read_bytes() == b"iteration,disc_loss\r\n1,0.5\r\n"
 
 
 def test_airl_source_transfer_budget_parity_on_linkchain(tmp_path, demo_file):
@@ -663,7 +678,7 @@ def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
     ("checkpoint_every", -1),
     # values of the wrong type
     ("pointmaze.horizon", 2.5), ("seed", "x"), ("steps", "10"), ("steps", True),
-    ("alpha", [1]), ("policy.lr", "fast"), ("policy.adv_norm", "no"),
+    ("alpha", [1]), ("policy.lr", "fast"), ("expert.demo_success_only", "no"),
     ("disc.state_only_g", 0), ("policy.init_log_std", "x"), ("out_dir", 5),
     # learning rates and clips out of range
     ("policy.lr", 0.0), ("policy.value_lr", 0), ("disc.lr", -1e-3), ("dd.lr", 0.0),
@@ -713,6 +728,8 @@ def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
     ("linkchain.goal_angles", [1.1, -0.6, float("-inf")]),
     # an int key given a float (new rows go last: list-valued ids are numbered by position)
     ("r", 2.5),
+    # the gradient clip and the KL stop cannot be switched off
+    ("policy.grad_clip", None), ("policy.target_kl", None),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
@@ -749,11 +766,11 @@ def test_cli_ablate_rejects_an_alpha_that_is_not_a_number(capsys):
 
 def test_config_converts_yaml_exponent_strings_and_takes_ints_and_null_for_floats(tmp_path):
     path = tmp_path / "conf.yaml"
-    path.write_text("alpha: 2\npolicy:\n  lr: 1e-3\n  grad_clip: null\ndd:\n  dd_clip: 3\n")
+    path.write_text("alpha: 2\npolicy:\n  lr: 1e-3\n  grad_clip: 3\ndd:\n  dd_clip: null\n")
     cfg = load_config(path)
     assert yaml.safe_load("lr: 1e-3") == {"lr": "1e-3"}
     assert cfg.policy.lr == 1e-3 and isinstance(cfg.policy.lr, float)
-    assert cfg.alpha == 2 and cfg.dd.dd_clip == 3 and cfg.policy.grad_clip is None
+    assert cfg.alpha == 2 and cfg.policy.grad_clip == 3 and cfg.dd.dd_clip is None
 
 
 @pytest.mark.parametrize("section,values,key", [
