@@ -23,7 +23,7 @@ CLS_SOURCE, CLS_TARGET = 0, 1
 @dataclass
 class DDConfig:
     hidden: tuple[int, ...] = (64, 64)
-    dd_clip: float | None = 5.0
+    dd_clip: float = 5.0
     input_noise_std: float = 0.03
     lr: float = 3e-4
     weight_decay: float = 3e-3
@@ -54,16 +54,18 @@ def classifier_loss(
     pair: ClassifierPair,
     source_batch,
     target_batch,
-    noise_std: float = 0.0,
-    rng: np.random.Generator | None = None,
+    noise_std: float,
+    rng: np.random.Generator,
 ) -> tuple[float, float, float]:
     """Cross-entropy of both classifiers on a two-domain batch.
 
     Returns (total, loss_sas, loss_sa), each the mean negative log-probability
     of the true domain label over the combined batch, and accumulates
-    gradients into both networks. Training-time Gaussian input smoothing is
-    applied when noise_std > 0. Each batch is a ``Batch`` or a list of
-    ``Transition`` rows (packed with ``Batch.of``).
+    gradients into both networks. Both inputs get Gaussian smoothing noise of
+    std noise_std from rng: an (n, 2*state_dim + action_dim) draw for (s, a, s'),
+    then an (n, state_dim + action_dim) draw for (s, a), over all n rows; at
+    noise_std 0 the draws are exact zeros but still advance rng. Each batch is
+    a ``Batch`` or a list of ``Transition`` rows (packed with ``Batch.of``).
     """
     if len(source_batch) == 0 or len(target_batch) == 0:
         raise ValueError("classifier loss needs transitions from both domains")
@@ -78,11 +80,8 @@ def classifier_loss(
     labels = np.concatenate(
         [np.full(len(source_batch), CLS_SOURCE), np.full(len(target_batch), CLS_TARGET)]
     )
-    if noise_std > 0.0:
-        if rng is None:
-            raise ValueError("rng required when input smoothing noise is enabled")
-        x_sas = x_sas + rng.normal(0.0, noise_std, x_sas.shape)
-        x_sa = x_sa + rng.normal(0.0, noise_std, x_sa.shape)
+    x_sas = x_sas + rng.normal(0.0, noise_std, x_sas.shape)
+    x_sa = x_sa + rng.normal(0.0, noise_std, x_sa.shape)
 
     n = labels.shape[0]
     onehot = np.zeros((n, 2))
@@ -99,7 +98,7 @@ def classifier_loss(
 
 def dd_for_transitions(pair: ClassifierPair, batch: Batch, config: DDConfig,
                        alpha: float) -> np.ndarray:
-    """alpha * clamp(log-odds_sas - log-odds_sa) for each row of a batch.
+    """alpha * clip(log-odds_sas - log-odds_sa, -dd_clip, dd_clip) for each batch row.
 
     The log-probability differences reduce to raw logit differences, so no
     exponentials are involved and the value is numerically safe everywhere.
@@ -107,6 +106,4 @@ def dd_for_transitions(pair: ClassifierPair, batch: Batch, config: DDConfig,
     z_sas = pair.q_sas.forward(np.concatenate([batch.s, batch.a, batch.s_next], axis=1))
     z_sa = pair.q_sa.forward(np.concatenate([batch.s, batch.a], axis=1))
     raw = (z_sas[:, CLS_TARGET] - z_sas[:, CLS_SOURCE]) - (z_sa[:, CLS_TARGET] - z_sa[:, CLS_SOURCE])
-    if config.dd_clip is not None:
-        raw = np.clip(raw, -config.dd_clip, config.dd_clip)
-    return alpha * raw
+    return alpha * np.clip(raw, -config.dd_clip, config.dd_clip)

@@ -10,9 +10,10 @@ import math
 import numbers
 import typing
 
+import numpy as np
+
 # The lower bound of every bounded numeric field, by field name: a name has the
-# same bound in every section, a tuple field's bound holds for each element,
-# and null passes (it switches off a field whose default may be null).
+# same bound in every section, and a tuple field's bound holds for each element.
 _LOWER_BOUNDS = {
     **dict.fromkeys(("r", "steps", "batch_steps", "eval_every", "eval_episodes",
                      "final_eval_trajectories", "heatmap_grid", "hidden", "epochs",
@@ -35,35 +36,37 @@ _is_section = functools.cache(dataclasses.is_dataclass)     # field hint -> hold
 @functools.cache
 def _plan(hint) -> tuple:
     """How `checked` checks a value of one field type hint, worked out once per hint:
-    (item hint of a tuple hint, else None; the hint's types; the isinstance classes
-    that accept them)."""
+    (item hint of a tuple hint, else None; the isinstance class that accepts the
+    hint's values)."""
     if typing.get_origin(hint) is tuple:            # tuple[float, ...]: check every element
-        return typing.get_args(hint)[0], (), ()
-    types = typing.get_args(hint) or (hint,)        # float | None -> (float, NoneType)
-    return None, types, tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in types)
+        return typing.get_args(hint)[0], None
+    return None, {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
 
 
 def checked(hint, val, name: str, bound: str | None = None):
     """val as a value of the field type hint, floats finite, and at or above the
-    lower bound `bound` of `_LOWER_BOUNDS` if given; else a ValueError naming the key."""
-    item, types, accepted = _plan(hint)
+    lower bound `bound` of `_LOWER_BOUNDS` if given; else a ValueError naming the key.
+    A numpy scalar is stored as the Python number it holds, so YAML and JSON take it."""
+    item, accepted = _plan(hint)
     if item is not None:
         if not isinstance(val, (list, tuple)):
             raise ValueError(f"{name} must be a list, not {val!r}")
         return tuple(checked(item, v, f"{name}[{i}]", bound) for i, v in enumerate(val))
-    if float in types and isinstance(val, str):     # PyYAML reads 1e-3 as a string
+    if isinstance(val, np.generic):
+        val = val.item()
+    if hint is float and isinstance(val, str):      # PyYAML reads 1e-3 as a string
         try:
             val = float(val)
         except ValueError:
             pass
     # An exact type match passes without the slower ABC isinstance checks.
-    if type(val) not in types and (not isinstance(val, accepted)
-                                   or (isinstance(val, bool) and bool not in types)):
-        raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {val!r}")
-    if isinstance(val, float) and not math.isfinite(val):     # null, not inf, switches a clip off
+    if type(val) is not hint and (not isinstance(val, accepted)
+                                  or (isinstance(val, bool) and hint is not bool)):
+        raise ValueError(f"{name} must be {hint.__name__}, not {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
         raise ValueError(f"{name} must be finite, not {val!r}")
-    if bound and val is not None and not _BOUND_HOLDS[bound](val):
-        raise ValueError(f"{name} must be {bound}{' or null' if type(None) in types else ''}")
+    if bound and not _BOUND_HOLDS[bound](val):
+        raise ValueError(f"{name} must be {bound}")
     return val
 
 

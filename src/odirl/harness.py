@@ -86,6 +86,8 @@ def _setup(cfg: ExperimentConfig):
       step one (live rows, 2) noise normal; the link chain draws no noise.
 
     So a one-episode rollout draws exactly what a 1-D reset and step would.
+    Each classifier step draws from ``classifier`` its source row indices, then its
+    target row indices, then ``classifier_loss``'s two smoothing normals.
     """
     cfg.validate()
     ints = np.random.SeedSequence(cfg.seed).generate_state(24)
@@ -134,8 +136,7 @@ def collect_batch(policy, env, batch_steps: int, rng) -> Batch:
 
 def _agent(cfg, spec, policy_seed: int, value_seed: int, opt_cfg: PolicyOptConfig):
     """A fresh (policy, value, optimizer) triple."""
-    policy = GaussianPolicy(spec, hidden=cfg.policy.hidden, seed=policy_seed,
-                            init_log_std=cfg.policy.init_log_std)
+    policy = GaussianPolicy(spec, hidden=cfg.policy.hidden, seed=policy_seed)
     value = ValueNet(spec, hidden=cfg.policy.hidden, seed=value_seed)
     return policy, value, PolicyOptimizer(policy, value, opt_cfg)
 

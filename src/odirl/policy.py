@@ -23,7 +23,6 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 @dataclass
 class PolicyOptConfig:
     hidden: tuple[int, ...] = (64, 64)   # policy and value network widths
-    init_log_std: float | None = None
     entropy_coef: float = 0.01       # lambda, scales the entropy bonus
     gamma: float = 0.99
     gae_lambda: float = 0.95
@@ -46,21 +45,17 @@ class PolicyOptConfig:
 class GaussianPolicy:
     """Diagonal Gaussian over actions; mean from an MLP, state-independent std.
 
-    With init_log_std=None the initial std is half of each action dimension's
-    half-range, so exploration starts at the scale of the action box.
+    The initial std is half of each action dimension's half-range (clipped to the
+    log-std bounds), so exploration starts at the scale of the action box.
     """
 
-    def __init__(self, spec: EnvSpec, hidden=(64, 64), seed: int = 0,
-                 init_log_std: float | None = None):
+    def __init__(self, spec: EnvSpec, hidden=(64, 64), seed: int = 0):
         self.spec = spec
         self.mean_net = Mlp([spec.state_dim, *hidden, spec.action_dim], seed=seed,
                             zero_init_output=True)
-        if init_log_std is None:
-            half_range = (spec.action_high - spec.action_low) / 2.0
-            init = np.log(np.clip(0.5 * half_range, np.exp(LOG_STD_MIN), np.exp(LOG_STD_MAX)))
-        else:
-            init = np.full(spec.action_dim, float(init_log_std))
-        self.log_std = FlatParams(init)
+        half_range = (spec.action_high - spec.action_low) / 2.0
+        self.log_std = FlatParams(
+            np.log(np.clip(0.5 * half_range, np.exp(LOG_STD_MIN), np.exp(LOG_STD_MAX))))
 
     def clipped_log_std(self) -> np.ndarray:
         # np.minimum(np.maximum(...)) is np.clip bit for bit, nan included, at less cost per call.

@@ -2,11 +2,13 @@
 
 Everything here is computed without touching the code paths under test:
 closed-form Gaussian log-density ratios, enumerated occupancy measures,
-synthetic transition generators, a one-state-at-a-time point-maze step, the
+synthetic transition generators, the point-maze rows that only the source
+domain's wall gap allows, a one-state-at-a-time point-maze step, the
 point-maze wall clip run on every row, a lockstep rollout that indexes its
 rows by episode on every step, per-layer views of an Mlp's flat parameters,
 textbook Adam, a replay buffer kept as a deque of rows, and the run's CSV
-files written cell by cell through ``csv.writer``.
+files written cell by cell through ``csv.writer``. ``with_log_std`` gives a
+policy a starting std other than the action-box one.
 """
 
 import csv
@@ -14,7 +16,7 @@ from collections import deque
 
 import numpy as np
 
-from odirl.envs import _WALL_EPS, Batch
+from odirl.envs import _WALL_EPS, SOURCE, TARGET, Batch
 
 GAUSS_MU_SRC = 0.0
 GAUSS_MU_TGT = 0.3
@@ -132,6 +134,15 @@ def segment_box_entry(p0, p1, box):
             if tmin > tmax:
                 return None
     return tmin
+
+
+def infeasible_rows(config, batch):
+    """(N,) bool: which rows s -> s_next of a point-maze batch enter the target wall
+    box but not the source one, i.e. move through the gap only the source has."""
+    target, source = config.wall_box(TARGET), config.wall_box(SOURCE)
+    return np.array([segment_box_entry(s, sn, target) is not None
+                     and segment_box_entry(s, sn, source) is None
+                     for s, sn in zip(batch.s, batch.s_next)], dtype=bool)
 
 
 def pointmaze_step(config, wall, state, action):
@@ -357,3 +368,14 @@ def reference_heatmap_csv(path, centers, values):
         writer.writerows([format(centers[i], ".17g"), format(centers[j], ".17g"),
                           format(values[i, j], ".17g")]
                          for i in range(len(centers)) for j in range(len(centers)))
+
+
+# ---------------------------------------------------------------------------
+# A policy's starting std
+# ---------------------------------------------------------------------------
+
+def with_log_std(policy, log_std):
+    """policy, with every entry of its log-std set to log_std in place (set it
+    before an optimizer adopts the parameters)."""
+    policy.log_std.params[...] = log_std
+    return policy

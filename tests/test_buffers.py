@@ -12,7 +12,8 @@ from odirl.envs import (SOURCE, TARGET, Batch, EnvSpec, PointMazeConfig, PointMa
 from odirl.irl import Discriminator, reward_heatmap
 from odirl.policy import GaussianPolicy
 from odirl.nets import load_params, save_arrays, save_blocks
-from oracles import DequeReplayBuffer, reference_heatmap_csv, reference_write_trajectory_csv
+from oracles import (DequeReplayBuffer, reference_heatmap_csv, reference_write_trajectory_csv,
+                     with_log_std)
 
 
 def make_traj(n, tag=SOURCE, offset=0.0):
@@ -95,7 +96,7 @@ def test_ring_holds_at_most_100_bytes_per_point_maze_row():
     """At full capacity, whatever the ring allocated (and kept) is counted."""
     capacity = 10_000
     env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
-    policy = GaussianPolicy(env.spec, hidden=(8,), seed=0, init_log_std=0.0)
+    policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=0), 0.0)
     batches = [rollouts(policy, env, 8, env.spec.horizon, np.random.default_rng(i)) for i in range(3)]
     tracemalloc.start()
     try:

@@ -25,6 +25,8 @@ from oracles import (
 )
 
 LN2 = float(np.log(2.0))
+# A DD clamp far above any DD these tests produce, so the clamp is the identity.
+UNCLAMPED = 1e9
 
 
 def dd_of_rows(pair, s, a, s_next, config, alpha):
@@ -50,6 +52,12 @@ def fit_classifiers(pair, source_transitions, target_transitions, steps, config,
     return last
 
 
+def unsmoothed_loss(pair, source_batch, target_batch):
+    """classifier_loss without input smoothing; its zero draws come from a throwaway stream."""
+    return classifier_loss(pair, source_batch, target_batch, noise_std=0.0,
+                           rng=np.random.default_rng(0))
+
+
 def classifier_accuracy(pair, source_batch, target_batch) -> float:
     """Fraction of correct (s,a,s') domain predictions over both batches."""
     def predict(batch):
@@ -72,7 +80,7 @@ def test_untrained_pair_has_uniform_logits_and_loss_2ln2():
     pair = ClassifierPair(1, 1, hidden=(16,), seed=0)
     src = [small_transition(SOURCE, rng) for _ in range(8)]
     tgt = [small_transition(TARGET, rng) for _ in range(8)]
-    total, l_sas, l_sa = classifier_loss(pair, src, tgt)
+    total, l_sas, l_sa = unsmoothed_loss(pair, src, tgt)
     assert total == pytest.approx(2 * LN2, abs=1e-12)
     assert l_sas == pytest.approx(LN2, abs=1e-12)
     assert l_sa == pytest.approx(LN2, abs=1e-12)
@@ -83,9 +91,9 @@ def test_classifier_loss_requires_both_domains():
     pair = ClassifierPair(1, 1, hidden=(16,), seed=0)
     src = [small_transition(SOURCE, rng) for _ in range(4)]
     with pytest.raises(ValueError):
-        classifier_loss(pair, src, [])
+        unsmoothed_loss(pair, src, [])
     with pytest.raises(ValueError):
-        classifier_loss(pair, [], src)
+        unsmoothed_loss(pair, [], src)
 
 
 def test_classifier_loss_rejects_mislabeled_batches():
@@ -94,7 +102,40 @@ def test_classifier_loss_rejects_mislabeled_batches():
     src = [small_transition(SOURCE, rng) for _ in range(4)]
     tgt = [small_transition(TARGET, rng) for _ in range(4)]
     with pytest.raises(ValueError):
-        classifier_loss(pair, tgt, src)
+        unsmoothed_loss(pair, tgt, src)
+
+
+@pytest.mark.parametrize("noise_std", [0.03, 0.0])
+def test_classifier_loss_draws_two_smoothing_normals_per_call(noise_std):
+    # The classifier stream's contract: each call draws one (n, 2*state_dim +
+    # action_dim) normal for the (s, a, s') input, then one (n, state_dim +
+    # action_dim) normal for the (s, a) input, whatever noise_std is.
+    state_dim, action_dim, n_src, n_tgt = 3, 2, 5, 4
+    rng = np.random.default_rng(0)
+
+    def batch(n, tag):
+        return Batch(rng.normal(size=(n, state_dim)), rng.normal(size=(n, action_dim)),
+                     rng.normal(size=(n, state_dim)), tag)
+
+    src, tgt = batch(n_src, SOURCE), batch(n_tgt, TARGET)
+    pair = ClassifierPair(state_dim, action_dim, hidden=(8,), seed=0)
+    for net in (pair.q_sas, pair.q_sa):       # random weights, so the noise moves the loss
+        net.params[...] = rng.normal(0.0, 0.5, net.params.shape)
+    stream, twin = np.random.default_rng(1), np.random.default_rng(1)
+    _, l_sas, l_sa = classifier_loss(pair, src, tgt, noise_std=noise_std, rng=stream)
+    n = n_src + n_tgt
+    z_sas = twin.standard_normal((n, 2 * state_dim + action_dim))
+    z_sa = twin.standard_normal((n, state_dim + action_dim))
+    assert stream.bit_generator.state == twin.bit_generator.state
+
+    # The first draw smooths the (s, a, s') input and the second the (s, a) input.
+    s, a, sn = (np.concatenate([getattr(src, k), getattr(tgt, k)]) for k in ("s", "a", "s_next"))
+    labels = np.r_[np.full(n_src, CLS_SOURCE), np.full(n_tgt, CLS_TARGET)]
+    for net, x, z, loss in ((pair.q_sas, np.hstack([s, a, sn]), z_sas, l_sas),
+                            (pair.q_sa, np.hstack([s, a]), z_sa, l_sa)):
+        logits = net.forward(x + noise_std * z)
+        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        assert loss == pytest.approx(-logp[np.arange(n), labels].mean(), rel=1e-12)
 
 
 def test_separable_domains_train_to_near_zero_loss():
@@ -113,7 +154,7 @@ def test_separable_domains_train_to_near_zero_loss():
     pair = ClassifierPair(1, 1, hidden=(32,), seed=0)
     cfg = DDConfig(input_noise_std=0.0, lr=3e-3, batch_size=128)
     fit_classifiers(pair, src, tgt, steps=600, config=cfg, rng=np.random.default_rng(2))
-    loss, l_sas, _ = classifier_loss(pair, src, tgt)
+    loss, l_sas, _ = unsmoothed_loss(pair, src, tgt)
     assert l_sas < 0.05
 
 
@@ -126,7 +167,7 @@ def test_identical_domains_stay_at_chance():
     fit_classifiers(pair, src, tgt, steps=500, config=cfg, rng=np.random.default_rng(4))
     held_src = gaussian_domain_transitions(1000, 0.0, SOURCE, rng)
     held_tgt = gaussian_domain_transitions(1000, 0.0, TARGET, rng)
-    trained_loss, _, _ = classifier_loss(pair, held_src, held_tgt)
+    trained_loss, _, _ = unsmoothed_loss(pair, held_src, held_tgt)
     assert trained_loss >= 2 * LN2 - 0.08
     acc = classifier_accuracy(pair, held_src, held_tgt)
     assert 0.45 <= acc <= 0.55
@@ -134,7 +175,7 @@ def test_identical_domains_stay_at_chance():
 
 def test_dd_zero_when_logits_identical():
     pair = ClassifierPair(1, 1, hidden=(16,), seed=0)  # zero output init
-    cfg = DDConfig(dd_clip=None)
+    cfg = DDConfig(dd_clip=UNCLAMPED)
     dd = dd_of_rows(pair, np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((5, 1)), cfg, 1.0)
     assert np.all(dd == 0.0)
 
@@ -143,7 +184,7 @@ def test_dd_matches_direct_substitution_example():
     # q_sas says p(target)=0.8, q_sa says 0.5 -> DD = ln 4
     pair = ClassifierPair(1, 1, hidden=(16,), seed=0)
     mlp_layers(pair.q_sas)[-1][1][...] = np.array([0.0, np.log(4.0)])
-    cfg = DDConfig(dd_clip=None)
+    cfg = DDConfig(dd_clip=UNCLAMPED)
     dd = dd_of_rows(pair, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), cfg, 1.0)
     assert dd[0] == pytest.approx(np.log(4.0), abs=1e-12)
 
@@ -155,9 +196,9 @@ def test_dd_alpha_linearity_is_exact():
     mlp_layers(pair.q_sas)[-1][0][...] = rng.normal(size=(16, 2))
     mlp_layers(pair.q_sa)[-1][0][...] = rng.normal(size=(16, 2))
     s, a, sn = rng.normal(size=(9, 1)), rng.normal(size=(9, 1)), rng.normal(size=(9, 1))
-    base = dd_of_rows(pair, s, a, sn, DDConfig(dd_clip=None), 1.0)
+    base = dd_of_rows(pair, s, a, sn, DDConfig(dd_clip=UNCLAMPED), 1.0)
     for c in (0.0, 0.5, 2.0, 7.0):
-        scaled = dd_of_rows(pair, s, a, sn, DDConfig(dd_clip=None), c)
+        scaled = dd_of_rows(pair, s, a, sn, DDConfig(dd_clip=UNCLAMPED), c)
         assert np.array_equal(scaled, c * base)
     # with the clamp, alpha still scales outside the clamp
     clipped = dd_of_rows(pair, s, a, sn, DDConfig(dd_clip=0.5), 3.0)
@@ -179,7 +220,7 @@ def test_swapped_label_query_is_exact_negation():
     mlp_layers(pair.q_sas)[-1][0][...] = rng.normal(size=(16, 2))
     mlp_layers(pair.q_sa)[-1][0][...] = rng.normal(size=(16, 2))
     s, a, sn = rng.normal(size=(6, 1)), rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
-    cfg = DDConfig(dd_clip=None)
+    cfg = DDConfig(dd_clip=UNCLAMPED)
     base = dd_of_rows(pair, s, a, sn, cfg, 1.0)
 
     def swapped(net):  # the classifier with its source and target logit columns exchanged
@@ -197,7 +238,7 @@ def test_retraining_with_swapped_domains_negates_dd_within_noise():
     # swapped roles: target data relabeled source and vice versa
     src_sw = Batch(tgt.s, tgt.a, tgt.s_next, SOURCE)
     tgt_sw = Batch(src.s, src.a, src.s_next, TARGET)
-    cfg = DDConfig(dd_clip=None, input_noise_std=0.01, lr=1e-3, batch_size=256)
+    cfg = DDConfig(dd_clip=UNCLAMPED, input_noise_std=0.01, lr=1e-3, batch_size=256)
     pair = ClassifierPair(1, 1, hidden=(32, 32), seed=0)
     pair_sw = ClassifierPair(1, 1, hidden=(32, 32), seed=0)
     fit_classifiers(pair, src, tgt, steps=1500, config=cfg, rng=np.random.default_rng(9))
@@ -214,7 +255,7 @@ def test_gaussian_log_ratio_recovery():
     src = gaussian_domain_transitions(12000, GAUSS_MU_SRC, SOURCE, rng)
     tgt = gaussian_domain_transitions(12000, GAUSS_MU_TGT, TARGET, rng)
     pair = ClassifierPair(1, 1, hidden=(64, 64), seed=0)
-    cfg = DDConfig(dd_clip=None, input_noise_std=0.01, lr=1e-3, batch_size=256)
+    cfg = DDConfig(dd_clip=UNCLAMPED, input_noise_std=0.01, lr=1e-3, batch_size=256)
     fit_classifiers(pair, src, tgt, steps=2500, config=cfg, rng=np.random.default_rng(11))
     S, A, SN = gaussian_eval_grid(20)
     est = dd_of_rows(pair, S[:, None], A[:, None], SN[:, None], cfg, 1.0)
@@ -230,7 +271,7 @@ def test_tabular_bayes_consistency():
     src = replicated_uniform_sa_batch(P_src, SOURCE, copies=120)
     tgt = replicated_uniform_sa_batch(P_tgt, TARGET, copies=120)
     pair = ClassifierPair(3, 2, hidden=(64,), seed=0)
-    cfg = DDConfig(dd_clip=None, input_noise_std=0.0, lr=3e-3, batch_size=10_000)
+    cfg = DDConfig(dd_clip=UNCLAMPED, input_noise_std=0.0, lr=3e-3, batch_size=10_000)
     fit_classifiers(pair, src, tgt, steps=4000, config=cfg, rng=np.random.default_rng(23))
     from oracles import onehot
     for s in range(3):

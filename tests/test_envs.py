@@ -23,7 +23,7 @@ from odirl.envs import (
     write_trajectory_csv,
 )
 from odirl.policy import GaussianPolicy
-from oracles import pointmaze_step, reference_rollouts, stop_at_wall_every_row
+from oracles import pointmaze_step, reference_rollouts, stop_at_wall_every_row, with_log_std
 
 
 def default_pair(seed=7):
@@ -417,7 +417,7 @@ def _gt_rollout_envs():
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_rollout_gt_reward_is_the_env_reward_of_every_landed_state(deterministic):
     for env in _gt_rollout_envs():
-        policy = GaussianPolicy(env.spec, hidden=(8,), seed=2, init_log_std=0.0)
+        policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=2), 0.0)
         policy.mean_net.params[...] = np.random.default_rng(3).normal(0.0, 0.5,
                                                                       policy.mean_net.params.shape)
         batch = rollouts(policy, env, 5, env.spec.horizon, np.random.default_rng(4), deterministic)
@@ -453,7 +453,7 @@ class EndingLinkChain(LinkChainEnv):
 
 
 def _random_chain_policy(env):
-    policy = GaussianPolicy(env.spec, hidden=(8,), seed=2, init_log_std=0.0)
+    policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=2), 0.0)
     policy.mean_net.params[...] = np.random.default_rng(3).normal(0.0, 0.5,
                                                                   policy.mean_net.params.shape)
     return policy

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import typing
 from contextlib import closing
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import yaml
 
 import odirl.config as config_module
+import odirl.fields as fields
 import odirl.harness as harness
 import odirl.policy as policy_mod
 from odirl.buffers import load_demos, save_demos
@@ -25,6 +27,7 @@ from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment
 from odirl.irl import Discriminator, GailDiscriminator, disc_loss
 from odirl.nets import Adam, FlatParams, Mlp, load_blocks, load_params, minibatches, save_blocks
 from odirl.policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
+from oracles import with_log_std
 
 
 def tiny_cfg(tmp_path, name, **kw):
@@ -82,9 +85,9 @@ def test_config_yaml_roundtrip(tmp_path):
 def test_config_roundtrip_reproduces_whole_tree(tmp_path):
     cfg = load_config(overrides={
         "method": "airl", "heatmap_grid": 7,
-        "policy": {"hidden": [32, 16], "init_log_std": -1.5, "target_kl": 0.05,
+        "policy": {"hidden": [32, 16], "entropy_coef": 0.05, "target_kl": 0.05,
                    "clip_ratio": 0.3, "grad_clip": 1},
-        "dd": {"weight_decay": 0.0, "dd_clip": None, "batch_size": 8},
+        "dd": {"weight_decay": 0.0, "dd_clip": 2.5, "batch_size": 8},
         "disc": {"epochs": 3},
         "linkchain": {"goal_angles": [0.5, 0.25, -0.125]},
     })
@@ -152,12 +155,12 @@ def test_config_rejects_alpha_for_non_odirl(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "conf.yaml"
-    # Keys that are gone: the link chain's reward is always the tip distance, and
-    # the policy update always standardizes rewards and advantages and bootstraps
-    # through goal termination.
+    # Keys that are gone: the link chain's reward is always the tip distance, the
+    # policy update always standardizes rewards and advantages and bootstraps
+    # through goal termination, and the policy's std always starts from the action box.
     for text in ("not_a_real_key: 1\n", "linkchain: {gt_variant: distance}\n",
                  "policy: {adv_norm: false}\n", "policy: {reward_norm: false}\n",
-                 "policy: {bootstrap_on_done: false}\n"):
+                 "policy: {bootstrap_on_done: false}\n", "policy: {init_log_std: -1.0}\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
@@ -607,7 +610,7 @@ def test_train_expert_writes_the_config_it_ran_with(tmp_path):
 
 def test_load_policy_returns_every_block_of_the_checkpoint_bit_for_bit(tmp_path):
     cfg = ExperimentConfig()
-    cfg.policy.hidden, cfg.policy.init_log_std = (8, 4), -1.0
+    cfg.policy.hidden = (8, 4)
     spec = PointMazeEnv(cfg.pointmaze, TARGET, 0).spec
     saved = GaussianPolicy(spec, hidden=cfg.policy.hidden, seed=11)
     rng = np.random.default_rng(0)
@@ -679,6 +682,7 @@ def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
     # values of the wrong type
     ("pointmaze.horizon", 2.5), ("seed", "x"), ("steps", "10"), ("steps", True),
     ("alpha", [1]), ("policy.lr", "fast"), ("expert.demo_success_only", "no"),
+    # (init_log_std is no longer a key: its rows here and below are rejected as unknown)
     ("disc.state_only_g", 0), ("policy.init_log_std", "x"), ("out_dir", 5),
     # learning rates and clips out of range
     ("policy.lr", 0.0), ("policy.value_lr", 0), ("disc.lr", -1e-3), ("dd.lr", 0.0),
@@ -728,8 +732,8 @@ def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
     ("linkchain.goal_angles", [1.1, -0.6, float("-inf")]),
     # an int key given a float (new rows go last: list-valued ids are numbered by position)
     ("r", 2.5),
-    # the gradient clip and the KL stop cannot be switched off
-    ("policy.grad_clip", None), ("policy.target_kl", None),
+    # the gradient clip, the KL stop and the DD clamp cannot be switched off
+    ("policy.grad_clip", None), ("policy.target_kl", None), ("dd.dd_clip", None),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
@@ -764,13 +768,44 @@ def test_cli_ablate_rejects_an_alpha_that_is_not_a_number(capsys):
     assert "argument --alphas: '0,x'" in capsys.readouterr().err
 
 
-def test_config_converts_yaml_exponent_strings_and_takes_ints_and_null_for_floats(tmp_path):
+def test_config_converts_yaml_exponent_strings_and_takes_ints_for_floats(tmp_path):
     path = tmp_path / "conf.yaml"
-    path.write_text("alpha: 2\npolicy:\n  lr: 1e-3\n  grad_clip: 3\ndd:\n  dd_clip: null\n")
+    path.write_text("alpha: 2\npolicy:\n  lr: 1e-3\n  grad_clip: 3\ndd:\n  dd_clip: 4\n")
     cfg = load_config(path)
     assert yaml.safe_load("lr: 1e-3") == {"lr": "1e-3"}
     assert cfg.policy.lr == 1e-3 and isinstance(cfg.policy.lr, float)
-    assert cfg.alpha == 2 and cfg.policy.grad_clip == 3 and cfg.dd.dd_clip is None
+    assert cfg.alpha == 2 and cfg.policy.grad_clip == 3 and cfg.dd.dd_clip == 4
+
+
+def test_no_config_field_admits_none():
+    def admits_none(hint):
+        return hint is type(None) or any(map(admits_none, typing.get_args(hint)))
+
+    def leaf_hints(section, path=""):
+        for key, hint in fields.section_hints(section).items():
+            if dataclasses.is_dataclass(hint):
+                yield from leaf_hints(hint, f"{path}{key}.")
+            else:
+                yield path + key, hint
+
+    leaves = dict(leaf_hints(ExperimentConfig))
+    assert "dd.dd_clip" in leaves and "pointmaze.goal" in leaves
+    assert [key for key, hint in leaves.items() if admits_none(hint)] == []
+
+
+def test_validate_stores_numpy_scalars_as_the_python_numbers_they_hold(tmp_path):
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "run"))
+    cfg.alpha, cfg.seed, cfg.pointmaze.horizon = np.float64(0.25), np.int64(3), np.int64(30)
+    cfg.pointmaze.goal = (np.float64(0.9), np.float64(0.8))
+    cfg.validate()
+    stored = [cfg.alpha, cfg.seed, cfg.pointmaze.horizon, *cfg.pointmaze.goal]
+    assert [type(v) for v in stored] == [float, int, int, float, float]
+    assert stored == [0.25, 3, 30, 0.9, 0.8]
+    save_config(cfg, tmp_path / "conf.yaml")
+    assert load_config(tmp_path / "conf.yaml") == cfg
+    plain = ExperimentConfig()
+    plain.pointmaze.horizon, plain.pointmaze.goal = 30, (0.9, 0.8)
+    assert cfg.env_config_hash() == plain.env_config_hash()
 
 
 @pytest.mark.parametrize("section,values,key", [
@@ -829,7 +864,7 @@ def _wave_envs():
 @pytest.mark.parametrize("batch_steps", [1, 37, 100, 301])
 def test_collect_batch_stops_at_the_first_episode_reaching_batch_steps(batch_steps):
     for env in _wave_envs():
-        policy = GaussianPolicy(env.spec, hidden=(8,), seed=0, init_log_std=1.0)
+        policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=0), 1.0)
         batch = harness.collect_batch(policy, env, batch_steps, np.random.default_rng(0))
         lengths = np.diff(np.flatnonzero(batch.ends), prepend=-1).tolist()
         assert sum(lengths[:-1]) < batch_steps <= sum(lengths) == len(batch)
@@ -854,7 +889,7 @@ def test_evaluate_and_final_artifacts_roll_exactly_n_episodes(tmp_path, monkeypa
     monkeypatch.setattr(harness, "rollouts", recording_rollouts)
     monkeypatch.setattr(policy_mod, "rollouts", recording_rollouts)
     maze, _ = _wave_envs()
-    policy = GaussianPolicy(maze.spec, hidden=(8,), seed=0, init_log_std=1.0)
+    policy = with_log_std(GaussianPolicy(maze.spec, hidden=(8,), seed=0), 1.0)
     evaluate(policy, maze, 7)
     assert calls == [(TARGET, 7, 7, True)]
 
@@ -880,7 +915,7 @@ def test_rollouts_never_recompute_log_prob(monkeypatch):
 
 def test_rollout_log_probs_are_those_of_the_clipped_actions():
     maze, _ = _wave_envs()
-    policy = GaussianPolicy(maze.spec, hidden=(8,), seed=0, init_log_std=1.0)
+    policy = with_log_std(GaussianPolicy(maze.spec, hidden=(8,), seed=0), 1.0)
     batch = rollouts(policy, maze, 4, maze.spec.horizon, np.random.default_rng(3))
     expected = policy.log_prob(batch.s, batch.a)
     assert np.allclose(batch.log_prob, expected, rtol=0, atol=1e-12)
@@ -900,7 +935,7 @@ def _phase_inputs(n, seed=0):
 
     # std 1 keeps log pi, and so most logits, inside the logit clamp
     spec = PointMazeEnv(PointMazeConfig(), TARGET, seed=0).spec
-    policy = GaussianPolicy(spec, hidden=(64, 64), seed=1, init_log_std=0.0)
+    policy = with_log_std(GaussianPolicy(spec, hidden=(64, 64), seed=1), 0.0)
     pair = ClassifierPair(2, 2, hidden=(16,), seed=2)
     for net in (policy.mean_net, pair.q_sas, pair.q_sa):
         net.params[...] = rng.normal(0.0, 0.5, net.params.shape)

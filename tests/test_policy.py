@@ -12,6 +12,7 @@ from odirl.policy import (
     compute_gae,
     evaluate,
 )
+from oracles import with_log_std
 
 
 def bandit_spec(action_dim=1, bound=2.0):
@@ -33,8 +34,14 @@ def collect_bandit_batch(policy, n, rng):
                  log_prob=policy.log_prob(states, actions))
 
 
+@pytest.mark.parametrize("bound,log_std", [(2.0, 0.0), (50.0, 2.0), (1e-4, -5.0)])
+def test_initial_std_is_half_the_action_half_range_within_the_log_std_bounds(bound, log_std):
+    policy = GaussianPolicy(bandit_spec(2, bound=bound), hidden=(8,), seed=0)
+    assert np.allclose(policy.log_std.params, log_std, rtol=0, atol=1e-12)
+
+
 def test_sample_action_min_log_std_is_nearly_deterministic():
-    policy = GaussianPolicy(bandit_spec(2), hidden=(8,), seed=0, init_log_std=-5.0)
+    policy = with_log_std(GaussianPolicy(bandit_spec(2), hidden=(8,), seed=0), -5.0)
     rng = np.random.default_rng(0)
     states = np.zeros((20, 1))
     mean = policy.mean_net.forward(states)
@@ -43,7 +50,7 @@ def test_sample_action_min_log_std_is_nearly_deterministic():
 
 
 def test_sample_action_logp_matches_log_prob_when_in_bounds():
-    policy = GaussianPolicy(bandit_spec(2, bound=50.0), hidden=(8,), seed=1, init_log_std=-1.0)
+    policy = with_log_std(GaussianPolicy(bandit_spec(2, bound=50.0), hidden=(8,), seed=1), -1.0)
     rng = np.random.default_rng(3)
     states = np.zeros((20, 1))
     a, logp = policy.sample_action(states, rng)
@@ -66,7 +73,7 @@ def quadratic_bandit_reward(target=0.5):
 
 def test_maxent_update_bandit_converges_to_optimum():
     # closed-form optimum: action mean -> 0.5
-    policy = GaussianPolicy(bandit_spec(), hidden=(16,), seed=0, init_log_std=-1.0)
+    policy = with_log_std(GaussianPolicy(bandit_spec(), hidden=(16,), seed=0), -1.0)
     value = ValueNet(bandit_spec(), hidden=(16,), seed=1)
     cfg = PolicyOptConfig(entropy_coef=0.0, epochs=5, minibatch_size=32, lr=3e-3,
                           value_lr=3e-3, gamma=0.0, gae_lambda=1.0)
@@ -83,7 +90,7 @@ def test_huge_clip_one_epoch_matches_reinforce_sign():
     # With an effectively infinite clip and one epoch the first update is the
     # plain policy-gradient estimate; Adam's first step moves each parameter
     # in the gradient's direction, so the mean shift matches the REINFORCE sign.
-    policy = GaussianPolicy(bandit_spec(), hidden=(8,), seed=5, init_log_std=-0.5)
+    policy = with_log_std(GaussianPolicy(bandit_spec(), hidden=(8,), seed=5), -0.5)
     value = ValueNet(bandit_spec(), hidden=(8,), seed=6)
     cfg = PolicyOptConfig(entropy_coef=0.0, epochs=1, minibatch_size=4096, lr=1e-3,
                           clip_ratio=1e9, gamma=0.0)
@@ -129,7 +136,7 @@ def test_nonfinite_reward_raises():
 
 
 def converged_sigma(entropy_coef, seed=0, updates=400):
-    policy = GaussianPolicy(bandit_spec(), hidden=(8,), seed=seed, init_log_std=-1.0)
+    policy = with_log_std(GaussianPolicy(bandit_spec(), hidden=(8,), seed=seed), -1.0)
     value = ValueNet(bandit_spec(), hidden=(8,), seed=seed + 1)
     cfg = PolicyOptConfig(entropy_coef=entropy_coef, epochs=5, minibatch_size=32,
                           lr=3e-3, value_lr=3e-3, gamma=0.0)
@@ -260,7 +267,7 @@ def test_update_without_log_prob_raises_before_any_reward_or_value_call(monkeypa
 
 def test_evaluate_policy_that_never_moves_has_zero_success():
     env = PointMazeEnv(PointMazeConfig(noise_std=0.0), SOURCE, seed=0)
-    policy = GaussianPolicy(env.spec, hidden=(8,), seed=0, init_log_std=-5.0)
+    policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=0), -5.0)
     # zero-init output layer: mean action is exactly zero
     ret, success = evaluate(policy, env, n_episodes=5)
     assert success == 0.0
@@ -296,6 +303,6 @@ def test_evaluate_scripted_goal_policy_in_wall_free_maze():
     ret_opt, success = evaluate(StraightToGoal(cfg.goal, cfg.action_scale), env, n_episodes=5)
     assert success == 1.0
 
-    random_policy = GaussianPolicy(env.spec, hidden=(8,), seed=3, init_log_std=2.0)
+    random_policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=3), 2.0)
     ret_rand, _ = evaluate(random_policy, env, n_episodes=5)
     assert ret_opt >= ret_rand
