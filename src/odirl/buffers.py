@@ -121,24 +121,26 @@ def save_demos(demos: DemoSet, path) -> None:
                 domain_tag=batch.domain_tag)
 
 
-def load_demos(path, expected_spec=None, expected_config_hash: str | None = None) -> DemoSet:
-    """Load a demo file written by save_demos.
+def load_demos(path, expected_spec, expected_config_hash: str) -> DemoSet:
+    """Load a demo file written by save_demos for an env of `expected_spec`
+    under env config hash `expected_config_hash`.
 
-    A malformed file (see `nets.load_params`), a missing or misshapen array,
-    a non-finite s, a or s_next value, a done or ends other than 0 or 1, a
-    last row that ends no episode and a set without source-tagged rows raise
-    a ValueError naming the file, and the array and its 0-based row where
-    one applies. A config-hash mismatch logs a warning but the load proceeds.
+    Dims other than the spec's, a malformed file (see `nets.load_params`), a
+    missing or misshapen array, a non-finite s, a or s_next value, a done or
+    ends other than 0 or 1, a last row that ends no episode and a set without
+    source-tagged rows raise a ValueError naming the file, and the array and
+    its 0-based row where one applies. A config-hash mismatch logs a warning
+    but the load proceeds.
     """
     arrays, meta = load_params(path)
     for key in ("state_dim", "action_dim"):
         if not isinstance(meta, dict) or not isinstance(meta.get(key), int):
             raise ValueError(f"{path}: metadata has no integer {key!r}")
     sd, ad = meta["state_dim"], meta["action_dim"]
-    if expected_spec is not None and (sd, ad) != (expected_spec.state_dim, expected_spec.action_dim):
+    if (sd, ad) != (expected_spec.state_dim, expected_spec.action_dim):
         raise ValueError(f"{path}: demo dims (s={sd}, a={ad}) do not match env spec "
                          f"(s={expected_spec.state_dim}, a={expected_spec.action_dim})")
-    if expected_config_hash is not None and meta.get("env_config_hash") != expected_config_hash:
+    if meta.get("env_config_hash") != expected_config_hash:
         logger.warning("demo file %s was recorded under env config hash %s, expected %s; loading "
                        "anyway", path, meta.get("env_config_hash"), expected_config_hash)
     rows = arrays["s"].shape[:1] if "s" in arrays else ()

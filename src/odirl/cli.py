@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--expert", type=str, required=True, help="expert policy checkpoint")
     p.add_argument("--demos-out", type=str, required=True, help="output demo file path")
-    p.add_argument("--episodes", type=int, default=None)
+    p.add_argument("--episodes", type=int, default=None, help="overrides expert.n_demo_episodes")
 
     p = sub.add_parser("run", help="run a training method")
     _add_common(p)
@@ -118,8 +118,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "collect-demos":
-        cfg = _config_from_args(args)
-        demos = harness.collect_demos(cfg, args.expert, args.demos_out, n_episodes=args.episodes)
+        episodes = {} if args.episodes is None else {"expert": {"n_demo_episodes": args.episodes}}
+        cfg = _config_from_args(args, **episodes)
+        demos = harness.collect_demos(cfg, args.expert, args.demos_out)
         print(f"saved {int(demos.batch.ends.sum())} episodes to {args.demos_out}")
         return 0
 
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
 
     if args.command == "heatmap":
         disc = discriminator_from_checkpoint(args.disc)
-        reward_heatmap(disc, grid_n=args.grid, path=args.out)
+        reward_heatmap(disc, args.grid, args.out)
         print(f"wrote {args.grid * args.grid} cells to {args.out}")
         return 0
 

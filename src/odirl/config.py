@@ -17,7 +17,7 @@ import yaml
 
 from .dd import DDConfig
 from .envs import LinkChainConfig, PointMazeConfig
-from .fields import check_fields, checked, section_hints
+from .fields import check_fields, section_hints
 from .policy import PolicyOptConfig
 
 METHODS = ("odirl", "airl", "airl_source_transfer", "gail", "expert_transfer")
@@ -103,6 +103,7 @@ def _as_plain(obj):
 
 
 def _overlay(section, values: dict, path: str):
+    """Place values into section, recursing into subsections; `validate` checks them."""
     hints = section_hints(type(section))
     for key, val in values.items():
         if key not in hints:
@@ -113,11 +114,11 @@ def _overlay(section, values: dict, path: str):
                 raise ValueError(f"{path}.{key} must be a mapping")
             _overlay(current, val, f"{path}.{key}")
         else:
-            setattr(section, key, checked(hints[key], val, f"{path}.{key}"))
+            setattr(section, key, val)
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Build a config from defaults, an optional YAML file, and overrides."""
+    """Build a config from defaults, an optional YAML file, and overrides, then validate it."""
     cfg = ExperimentConfig()
     raw = {}
     if path is not None:
@@ -128,10 +129,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         _overlay(cfg, raw, "config")
     if overrides:
         _overlay(cfg, {k: v for k, v in overrides.items() if v is not None}, "override")
+    cfg.validate()
     alpha_given = "alpha" in raw or (overrides or {}).get("alpha") is not None
     if alpha_given and cfg.alpha != ExperimentConfig().alpha and cfg.method != "odirl":
         raise ValueError(f"alpha is only meaningful for the odirl method, not {cfg.method!r}")
-    cfg.validate()
     return cfg
 
 

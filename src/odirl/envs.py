@@ -26,7 +26,7 @@ class EnvSpec:
     action_low: np.ndarray
     action_high: np.ndarray
     horizon: int
-    goal: np.ndarray | None = None
+    goal: np.ndarray
 
     def __post_init__(self):
         self.action_low = np.asarray(self.action_low, dtype=np.float64)
@@ -37,8 +37,7 @@ class EnvSpec:
             raise ValueError("horizon must be >= 1")
         if not (np.all(np.isfinite(self.action_low)) and np.all(np.isfinite(self.action_high))):
             raise ValueError("action bounds must be finite")
-        if self.goal is not None:
-            self.goal = np.asarray(self.goal, dtype=np.float64)
+        self.goal = np.asarray(self.goal, dtype=np.float64)
 
 
 @dataclass(slots=True)
@@ -232,7 +231,7 @@ class PointMazeEnv:
     def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
         """Next state and done flag of a (2,) state, or of each row of (N, 2) states.
 
-        Draws one (N, 2) noise array per call (one (2,) draw for a 1-D state).
+        Draws one (N, 2) noise normal per call, (2,) for a 1-D state; zeros at noise_std 0.
         """
         state = np.asarray(state, dtype=np.float64)
         single = state.ndim == 1
@@ -240,8 +239,7 @@ class PointMazeEnv:
         if not np.isfinite(p0).all():
             raise ValueError("non-finite state: simulator diverged")
         move = np.minimum(np.maximum(action, self.spec.action_low), self.spec.action_high)
-        if self.config.noise_std > 0:
-            move = move + self.rng.normal(0.0, self.config.noise_std, size=move.shape)
+        move = move + self.rng.normal(0.0, self.config.noise_std, size=move.shape)
         # Clamp to the arena first: motion that would leave the square slides
         # along its boundary, and the slid path must still respect the wall
         # (the wall reaches the top edge, so the edge is not a corridor).
@@ -440,9 +438,9 @@ def make_linkchain_pair(
 # Rollouts and trajectory CSV
 # ---------------------------------------------------------------------------
 
-def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generator | None = None,
+def rollouts(policy, env, n_episodes: int, rng: np.random.Generator | None = None,
              deterministic: bool = False) -> Batch:
-    """Run `n_episodes` episodes of up to `horizon` transitions in lockstep.
+    """Run `n_episodes` episodes of up to ``env.spec.horizon`` transitions in lockstep.
 
     The episodes start from one batched reset; each step makes one policy call
     and one env.step over the rows still running, and a row drops out once
@@ -457,6 +455,7 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
     ground-truth reward is one env.ground_truth_reward call over every row's
     s_next, after the last step.
     """
+    horizon = env.spec.horizon
     shape = (n_episodes, horizon)
     s = np.empty((*shape, env.spec.state_dim))
     a = np.empty((*shape, env.spec.action_dim))
@@ -491,9 +490,9 @@ def rollouts(policy, env, n_episodes: int, horizon: int, rng: np.random.Generato
                  ends, None if deterministic else log_prob[valid])
 
 
-def rollout(policy, env, horizon: int, rng: np.random.Generator | None = None) -> Batch:
+def rollout(policy, env, rng: np.random.Generator) -> Batch:
     """One stochastic episode: `rollouts` with a single row."""
-    return rollouts(policy, env, 1, horizon, rng)
+    return rollouts(policy, env, 1, rng)
 
 
 def write_trajectory_csv(path, batch: Batch) -> None:

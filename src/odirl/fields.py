@@ -43,9 +43,9 @@ def _plan(hint) -> tuple:
     return None, {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
 
 
-def checked(hint, val, name: str, bound: str | None = None):
+def checked(hint, val, name: str, bound: str | None):
     """val as a value of the field type hint, floats finite, and at or above the
-    lower bound `bound` of `_LOWER_BOUNDS` if given; else a ValueError naming the key.
+    lower bound `bound` of `_LOWER_BOUNDS` if there is one; else a ValueError naming the key.
     A numpy scalar is stored as the Python number it holds, so YAML and JSON take it."""
     item, accepted = _plan(hint)
     if item is not None:

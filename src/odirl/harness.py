@@ -127,9 +127,8 @@ def collect_batch(policy, env, batch_steps: int, rng) -> Batch:
     a time until batch_steps would.
     """
     waves, n = [], 0
-    horizon = env.spec.horizon
     while n < batch_steps:
-        waves.append(rollouts(policy, env, -(-(batch_steps - n) // horizon), horizon, rng))
+        waves.append(rollouts(policy, env, -(-(batch_steps - n) // env.spec.horizon), rng))
         n += len(waves[-1])
     return Batch.concat(waves)
 
@@ -151,8 +150,7 @@ def _load_policy(cfg, spec, path) -> GaussianPolicy:
 def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> None:
     """Dump final-policy evaluation trajectories in both domains."""
     for name, env in (("target", tgt_eval), ("source", src_eval)):
-        batch = rollouts(policy, env, cfg.final_eval_trajectories, env.spec.horizon,
-                         deterministic=True)
+        batch = rollouts(policy, env, cfg.final_eval_trajectories, deterministic=True)
         write_trajectory_csv(out / f"final_eval_{name}.csv", batch)
 
 
@@ -204,7 +202,7 @@ def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, f
             meta = {"gamma": disc.gamma, "state_only_g": disc.state_only_g} if net is disc else {}
             save_blocks(ckpt / f"{name}_final.bin", net.blocks(), **meta)
     if disc is not None and cfg.task == "pointmaze" and cfg.disc.state_only_g:
-        reward_heatmap(disc, cfg.heatmap_grid, path=out / "heatmap.csv")
+        reward_heatmap(disc, cfg.heatmap_grid, out / "heatmap.csv")
     _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
     with open(out / "summary.json", "w") as fh:
         json.dump(dict(method=cfg.method, task=cfg.task, seed=cfg.seed, alpha=alpha,
@@ -243,18 +241,16 @@ def train_expert(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def collect_demos(cfg: ExperimentConfig, expert_path, out_path, n_episodes=None) -> DemoSet:
-    """Roll the trained expert in the source domain and persist demonstrations."""
+def collect_demos(cfg: ExperimentConfig, expert_path, out_path) -> DemoSet:
+    """Roll the trained expert in the source domain; save cfg.expert.n_demo_episodes episodes."""
     _, rngs, (src, _, _, _) = _setup(cfg)
-    n_episodes = cfg.expert.n_demo_episodes if n_episodes is None else n_episodes
-    if n_episodes < 1:
-        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    n_episodes = cfg.expert.n_demo_episodes
     policy = _load_policy(cfg, src.spec, expert_path)
     episodes, attempts = [], 0
     keep_success_only = cfg.expert.demo_success_only and cfg.task == "pointmaze"
     while len(episodes) < n_episodes and attempts < 20 * n_episodes:
         attempts += 1
-        episode = rollout(policy, src, src.spec.horizon, rngs["misc"])
+        episode = rollout(policy, src, rngs["misc"])
         if keep_success_only and not episode.done[-1]:
             continue
         episodes.append(episode)
@@ -289,17 +285,17 @@ def _airl_reward_fn(disc, policy):
     return reward_fn
 
 
-def _airl_minibatch_loss(disc, policy, demo_batch, pol_batch, demo_dd=None):
+def _airl_minibatch_loss(disc, policy, demo_batch, pol_batch, demo_dd):
     """The minibatch loss of `_train_discriminator` for disc_loss over one
-    phase's batches; the demo logits carry the demo rows' DD, if given. log pi
-    of both batches is computed here, once per phase (the policy is frozen
-    through it), and each minibatch slices it and the DD."""
+    phase's batches; the demo logits carry the demo rows' DD. log pi of both
+    batches is computed here, once per phase (the policy is frozen through
+    it), and each minibatch slices it and the DD."""
     demo_logp = policy.log_prob(demo_batch.s, demo_batch.a)
     pol_logp = policy.log_prob(pol_batch.s, pol_batch.a)
 
     def minibatch_loss(idx):
         return disc_loss(disc, demo_batch.rows(idx), pol_batch.rows(idx),
-                         demo_logp[idx], pol_logp[idx], None if demo_dd is None else demo_dd[idx])
+                         demo_logp[idx], pol_logp[idx], demo_dd[idx])
     return minibatch_loss
 
 
@@ -374,7 +370,7 @@ def _run_adversarial(cfg: ExperimentConfig) -> Path:
         nonlocal source_steps, source_episodes
         b_tgt.push(batch)
         if use_dd_pipeline and t % cfg.r == 0:
-            episode = rollout(policy, src, src.spec.horizon, rngs["actions"])
+            episode = rollout(policy, src, rngs["actions"])
             b_src.push(episode)
             source_steps += len(episode)
             source_episodes += 1
@@ -442,7 +438,7 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_run(cfg)
     demos = _load_demoset(cfg, src.spec)
 
-    # Phase 1: source-domain adversarial IRL, budget-matched to the main
+    # Phase 1: source-domain adversarial IRL (zero DD), budget-matched to the main
     # method's source episode count, with an r-fold gradient-step multiplier.
     policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
                              replace(cfg.policy, epochs=cfg.policy.epochs * cfg.r))
@@ -454,13 +450,14 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     with closing(ProgressWriter(out / "source_phase.csv",
                                 ["iteration", "source_steps", "disc_loss"])) as phase_writer:
         for t in range(1, n_src_iters + 1):
-            episode = rollout(policy, src, src.spec.horizon, rngs["actions"])
+            episode = rollout(policy, src, rngs["actions"])
             source_steps += len(episode)
             source_episodes += 1
             _, demo_batch = demos.sample(len(episode), rngs["disc"])
             d_loss, _, _ = _train_discriminator(
-                _airl_minibatch_loss(disc, policy, demo_batch, episode), disc_opt, len(episode),
-                cfg.disc.epochs * cfg.r, cfg.disc.minibatch_size, rngs["disc"])
+                _airl_minibatch_loss(disc, policy, demo_batch, episode, np.zeros(len(episode))),
+                disc_opt, len(episode), cfg.disc.epochs * cfg.r, cfg.disc.minibatch_size,
+                rngs["disc"])
             popt.update(episode, src_reward_fn, rngs["policy_update"])
             phase_writer.write(iteration=t, source_steps=source_steps, disc_loss=d_loss)
 

@@ -129,18 +129,17 @@ def disc_loss(
     policy_batch,
     demo_log_pi: np.ndarray,
     policy_log_pi: np.ndarray,
-    demo_dd: np.ndarray | None = None,
+    demo_dd: np.ndarray,
 ) -> tuple[float, dict]:
     """Binary logistic loss of the modified discriminator; accumulates gradients.
 
     Expert samples are pushed toward label 1 through sigmoid(f + dd - log pi);
     policy samples toward label 0 through sigmoid(f - log pi). The dd values
-    are inputs (no gradient flows into the classifier pair).
+    are inputs (no gradient flows into the classifier pair); the plain
+    adversarial-IRL loss is the one with zero dd.
     """
     s, a, sn = _stacked_batches(demo_batch, policy_batch)
     n_demo = len(demo_batch)
-    if demo_dd is None:
-        demo_dd = np.zeros(n_demo)
     demo_dd = np.asarray(demo_dd, dtype=np.float64)
     demo_log_pi = np.asarray(demo_log_pi, dtype=np.float64)
     policy_log_pi = np.asarray(policy_log_pi, dtype=np.float64)
@@ -194,13 +193,13 @@ def gail_policy_reward(gail: GailDiscriminator, s, a) -> np.ndarray:
 # Reward heatmap
 # ---------------------------------------------------------------------------
 
-def reward_heatmap(disc: Discriminator, grid_n: int = 50,
-                   path=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def reward_heatmap(disc: Discriminator, grid_n: int,
+                   path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate g over grid cell centers of the unit-square arena.
 
     Only defined for state-only g. Returns (xs, ys, values) with
-    values[i, j] = g([xs[i], ys[j]]); optionally writes them to `path` as
-    x,y,value CSV rows, x-major, floats as ``.17g`` and CRLF line ends.
+    values[i, j] = g([xs[i], ys[j]]), and writes them to `path` as x,y,value
+    CSV rows, x-major, floats as ``.17g`` and CRLF line ends.
     """
     if not disc.state_only_g:
         raise ValueError("reward heatmap requires a state-only reward term")
@@ -216,10 +215,9 @@ def reward_heatmap(disc: Discriminator, grid_n: int = 50,
     bounds = [*range(0, max(len(pts) - 1, 1), HEATMAP_CHUNK), len(pts)]
     values = np.concatenate([disc.g_net.forward(pts[i:j])[:, 0] for i, j in
                              zip(bounds, bounds[1:])]).reshape(grid_n, grid_n)
-    if path is not None:
-        text = [format(c, ".17g") for c in centers.tolist()]
-        with open(path, "w", newline="") as fh:
-            fh.write("x,y,value\r\n")
-            fh.writelines(f"{x},{y},{v:.17g}\r\n" for x, row in zip(text, values.tolist())
-                          for y, v in zip(text, row))
+    text = [format(c, ".17g") for c in centers.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("x,y,value\r\n")
+        fh.writelines(f"{x},{y},{v:.17g}\r\n" for x, row in zip(text, values.tolist())
+                      for y, v in zip(text, row))
     return centers, centers, values

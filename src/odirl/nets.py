@@ -177,11 +177,11 @@ class Adam:
     optimizer holds (its params are a view), or one listed twice, raises a
     ValueError.
 
-    Optionally rescales the joint gradient to a maximum norm before the
-    update; the norm adds each block's g @ g in block order. step() zeroes
-    gradients and bumps each block's version so stale forward caches are
-    detectable. The moments and the step go through two work vectors, in the
-    textbook update's arithmetic order.
+    Rescales the joint gradient to norm `clip_norm` when it is larger (the
+    default, math.inf, never clips); the norm adds each block's g @ g in block
+    order. step() zeroes gradients and bumps each block's version so stale
+    forward caches are detectable. The moments and the step go through two
+    work vectors, in the textbook update's arithmetic order.
 
     step() raises FloatingPointError on a non-finite gradient element (before
     changing anything) and on a non-finite parameter after the update, naming
@@ -198,7 +198,7 @@ class Adam:
         self,
         blocks: Sequence,
         lr: float = 3e-4,
-        clip_norm: float | None = None,
+        clip_norm: float = math.inf,
         weight_decay: float = 0.0,
     ):
         self.blocks = list(blocks)
@@ -233,16 +233,12 @@ class Adam:
 
     def step(self) -> None:
         g, p, m, v = self._grad, self._params, self._m, self._v
-        if self.clip_norm is None:
-            square = float(g @ g)
-        else:
-            square = sum(float(b.grad @ b.grad) for b in self.blocks)
+        square = sum(float(b.grad @ b.grad) for b in self.blocks)
         if not math.isfinite(square):
             self._check_finite("grad", "non-finite gradient")
-        if self.clip_norm is not None:
-            total = np.sqrt(square)
-            if total > self.clip_norm and total > 0.0:
-                g *= self.clip_norm / total
+        total = np.sqrt(square)
+        if total > self.clip_norm:
+            g *= self.clip_norm / total
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

@@ -237,6 +237,6 @@ def evaluate(policy: GaussianPolicy, env, n_episodes: int) -> tuple[float, float
     state) of one lockstep wave of mean-action episodes."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    batch = rollouts(policy, env, n_episodes, env.spec.horizon, deterministic=True)
+    batch = rollouts(policy, env, n_episodes, deterministic=True)
     success = env.is_success(batch.s_next[batch.ends])
     return float(np.mean(batch.episode_returns())), int(success.sum()) / n_episodes

@@ -35,6 +35,14 @@ def make_batch(n, tag=SOURCE, offset=0.0):
     return Batch.of([make_traj(n, tag, offset)])
 
 
+MAZE_SPEC = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0).spec     # 2-d states and actions
+
+
+def load_maze_demos(path, config_hash="x"):
+    """load_demos for an env of make_traj's dims, under _saved_demos' env config hash."""
+    return load_demos(path, MAZE_SPEC, config_hash)
+
+
 def held_first_coords(buf, rng_seed=0, draws=2000):
     """The distinct s[0] values a buffer holds, seen through its sampler."""
     return set(buf.sample(draws, np.random.default_rng(rng_seed)).s[:, 0].tolist())
@@ -49,8 +57,7 @@ def test_push_fifo_eviction():
 
 def test_push_empty_trajectory_is_noop():
     buf = ReplayBuffer(capacity=5, domain_tag=SOURCE)
-    env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
-    buf.push(rollouts(GaussianPolicy(env.spec, hidden=(4,)), env, 3, 0))
+    buf.push(Batch(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), SOURCE))
     assert len(buf) == 0
 
 
@@ -97,7 +104,7 @@ def test_ring_holds_at_most_100_bytes_per_point_maze_row():
     capacity = 10_000
     env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
     policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=0), 0.0)
-    batches = [rollouts(policy, env, 8, env.spec.horizon, np.random.default_rng(i)) for i in range(3)]
+    batches = [rollouts(policy, env, 8, np.random.default_rng(i)) for i in range(3)]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -187,7 +194,7 @@ def test_demo_roundtrip_is_value_exact(tmp_path):
     batch = _extreme_value_batch()
     path = tmp_path / "demos.bin"
     save_demos(DemoSet(batch, env_config_hash="abc123", expert_seed=9, horizon=4), path)
-    loaded = load_demos(path)
+    loaded = load_maze_demos(path, "abc123")
     for key in ("s", "a", "s_next", "gt_reward"):
         assert np.array_equal(getattr(loaded.batch, key).view(np.int64),
                               getattr(batch, key).view(np.int64)), key
@@ -210,7 +217,7 @@ def test_writers_match_the_csv_writer_references_byte_for_byte(tmp_path, writer)
         disc.g_net.params[:] = np.random.default_rng(5).normal(size=disc.g_net.params.size)
         # g in chunks against one whole-grid forward: 2,500 rows, and 16,641 (one past a chunk)
         for grid_n in (129, 50):
-            centers, _, values = reward_heatmap(disc, grid_n=grid_n, path=got)
+            centers, _, values = reward_heatmap(disc, grid_n, got)
             pts = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1).reshape(-1, 2)
             whole = disc.g_net.forward(pts)[:, 0].reshape(grid_n, grid_n)
             assert np.array_equal(values.view(np.int64), whole.view(np.int64)), grid_n
@@ -245,7 +252,7 @@ def test_load_demos_names_the_line_of_a_non_finite_value_or_a_bad_done(tmp_path,
     arrays[name][(1, int(col)) if col else 1] = float(value)
     save_arrays(path, arrays, **meta)
     with pytest.raises(ValueError, match=f"demos.bin: array '{name}' row 1: {message}$"):
-        load_demos(path)
+        load_maze_demos(path)
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -261,14 +268,15 @@ def test_load_demos_names_the_file_without_source_rows(tmp_path, rows, message):
         meta["domain_tag"] = TARGET
     save_arrays(path, arrays, **meta)
     with pytest.raises(ValueError, match=f"demos.bin: {message}"):
-        load_demos(path)
+        load_maze_demos(path)
 
 
 def test_load_demos_dim_mismatch_raises(tmp_path):
     path, _ = _saved_demos(tmp_path)
-    spec = EnvSpec(state_dim=6, action_dim=3, action_low=-np.ones(3), action_high=np.ones(3), horizon=10)
+    spec = EnvSpec(state_dim=6, action_dim=3, action_low=-np.ones(3), action_high=np.ones(3),
+                   horizon=10, goal=np.zeros(2))
     with pytest.raises(ValueError, match="do not match"):
-        load_demos(path, expected_spec=spec)
+        load_demos(path, spec, "x")
 
 
 def test_load_demos_hash_mismatch_warns_but_loads(tmp_path, caplog):
@@ -276,7 +284,7 @@ def test_load_demos_hash_mismatch_warns_but_loads(tmp_path, caplog):
     path = tmp_path / "demos.bin"
     save_demos(demos, path)
     with caplog.at_level("WARNING"):
-        loaded = load_demos(path, expected_config_hash="new")
+        loaded = load_maze_demos(path, "new")
     assert len(loaded) == 3
     assert any("config hash" in rec.message for rec in caplog.records)
 
@@ -291,13 +299,12 @@ def test_load_demos_names_a_dimension_the_metadata_lacks(tmp_path, meta, key):
     header = {**json.loads(header), "meta": json.loads(meta)}
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(ValueError, match=f"demos.bin: metadata has no integer '{key}'"):
-        load_demos(path)
+        load_maze_demos(path)
 
 
 def _checkpoint(tmp_path):
     path = tmp_path / "demos.bin"
-    spec = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0).spec
-    save_blocks(path, GaussianPolicy(spec, hidden=(4,)).blocks())
+    save_blocks(path, GaussianPolicy(MAZE_SPEC, hidden=(4,)).blocks())
     return path
 
 
@@ -316,4 +323,4 @@ def _checkpoint(tmp_path):
 ])
 def test_load_demos_rejects_a_malformed_demo_file(tmp_path, make, message):
     with pytest.raises(ValueError, match=f"demos.bin: {message}"):
-        load_demos(make(tmp_path))
+        load_maze_demos(make(tmp_path))

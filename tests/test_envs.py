@@ -93,6 +93,21 @@ def test_pointmaze_zero_action_zero_noise_is_fixed_point():
     assert not done
 
 
+@pytest.mark.parametrize("noise_std", [0.01, 0.0])
+def test_pointmaze_step_draws_one_noise_normal_per_call(noise_std):
+    """One step over N rows advances the env's generator by exactly one (N, 2)
+    normal, and a 1-D step by one (2,) normal, whatever noise_std is."""
+    env = PointMazeEnv(PointMazeConfig(noise_std=noise_std), SOURCE, seed=0)
+    env.rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    states = np.random.default_rng(12).uniform(0.05, 0.4, (5, 2))
+    for rows in (states, states[0]):
+        env.step(rows, np.full(rows.shape, 0.01))
+        twin.standard_normal(rows.shape)
+        assert env.rng.bit_generator.state == twin.bit_generator.state
+    assert np.array_equal(env.step(states, np.zeros((5, 2)))[0],
+                          states + noise_std * twin.standard_normal((5, 2)))
+
+
 def test_pointmaze_step_rejects_nonfinite_state():
     env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
     with pytest.raises(ValueError):
@@ -183,17 +198,11 @@ def test_linkchain_source_mask_must_be_all_false_target_some_true():
         make_linkchain_pair(LinkChainConfig(), (False, False, False), 0, 0)
 
 
-def test_rollout_horizon_zero_is_empty():
-    env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
-    traj = rollout(ScriptedPolicy((0.9, 0.8)), env, horizon=0)
-    assert len(traj) == 0
-
-
 def test_rollout_deterministic_policy_zero_noise_repeats_bit_identically():
-    cfg = PointMazeConfig(noise_std=0.0)
+    cfg = PointMazeConfig(noise_std=0.0, horizon=30)
     pol = ScriptedPolicy((0.9, 0.1))
-    t1 = rollout(pol, PointMazeEnv(cfg, SOURCE, seed=9), horizon=30)
-    t2 = rollout(pol, PointMazeEnv(cfg, SOURCE, seed=9), horizon=30)
+    t1 = rollout(pol, PointMazeEnv(cfg, SOURCE, seed=9), np.random.default_rng(0))
+    t2 = rollout(pol, PointMazeEnv(cfg, SOURCE, seed=9), np.random.default_rng(0))
     assert len(t1) == len(t2)
     for key in ("s", "a", "s_next", "done", "gt_reward", "ends"):
         assert np.array_equal(getattr(t1, key), getattr(t2, key)), key
@@ -207,7 +216,7 @@ def test_rollout_tags_transitions_and_stops_on_done():
         PointMazeConfig(noise_std=0.0, start_region=(0.8, 0.1, 0.9, 0.2), goal=(0.9, 0.8)),
         TARGET, seed=0,
     )
-    traj = rollout(ScriptedPolicy((0.9, 0.8)), env2, horizon=80)
+    traj = rollout(ScriptedPolicy((0.9, 0.8)), env2, np.random.default_rng(0))
     assert traj.domain_tag == TARGET
     assert traj.done[-1] and not traj.done[:-1].any()
     assert np.flatnonzero(traj.ends).tolist() == [len(traj) - 1]
@@ -215,10 +224,11 @@ def test_rollout_tags_transitions_and_stops_on_done():
 
 
 def test_rollouts_lay_episodes_back_to_back_as_one_episode_at_a_time_would():
-    cfg = PointMazeConfig(noise_std=0.0, start_region=(0.6, 0.05, 0.9, 0.3), goal=(0.9, 0.8))
+    cfg = PointMazeConfig(noise_std=0.0, start_region=(0.6, 0.05, 0.9, 0.3), goal=(0.9, 0.8),
+                          horizon=12)
     env = PointMazeEnv(cfg, TARGET, seed=4)
     policy = ScriptedPolicy(cfg.goal)
-    batch = rollouts(policy, env, 6, 12, np.random.default_rng(0))
+    batch = rollouts(policy, env, 6, np.random.default_rng(0))
     starts = PointMazeEnv(cfg, TARGET, seed=4).reset(6)
     stops = np.flatnonzero(batch.ends) + 1
     assert batch.domain_tag == TARGET and stops[-1] == len(batch) and len(stops) == 6
@@ -264,8 +274,8 @@ def test_batch_of_packs_rows_or_episodes_of_one_domain():
 
 
 def test_trajectory_csv_header_and_rows(tmp_path):
-    env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
-    traj = rollout(ScriptedPolicy((0.9, 0.8)), env, horizon=5)
+    env = PointMazeEnv(PointMazeConfig(horizon=5), SOURCE, seed=0)
+    traj = rollout(ScriptedPolicy((0.9, 0.8)), env, np.random.default_rng(0))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj)
     lines = path.read_text().strip().splitlines()
@@ -420,7 +430,7 @@ def test_rollout_gt_reward_is_the_env_reward_of_every_landed_state(deterministic
         policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=2), 0.0)
         policy.mean_net.params[...] = np.random.default_rng(3).normal(0.0, 0.5,
                                                                       policy.mean_net.params.shape)
-        batch = rollouts(policy, env, 5, env.spec.horizon, np.random.default_rng(4), deterministic)
+        batch = rollouts(policy, env, 5, np.random.default_rng(4), deterministic)
         assert np.array_equal(batch.gt_reward, env.ground_truth_reward(batch.s_next))
         assert np.array_equal(batch.gt_reward, [env.ground_truth_reward(s) for s in batch.s_next])
 
@@ -459,25 +469,25 @@ def _random_chain_policy(env):
     return policy
 
 
-_MAZE_TO_GOAL = PointMazeConfig(start_region=(0.6, 0.05, 0.9, 0.3), goal=(0.9, 0.8))
-# name -> (env factory, policy factory, horizon, whether every episode runs the horizon)
+_MAZE_TO_GOAL = PointMazeConfig(start_region=(0.6, 0.05, 0.9, 0.3), goal=(0.9, 0.8), horizon=8)
+# name -> (env factory, policy factory, whether every episode runs the env's horizon)
 _ROLLOUT_CASES = {
     "pointmaze-goal": (lambda: PointMazeEnv(_MAZE_TO_GOAL, TARGET, seed=4),
-                       lambda env: GoalSeeker(_MAZE_TO_GOAL.goal), 8, False),
-    "linkchain-ending": (lambda: EndingLinkChain(LinkChainConfig(), TARGET, seed=1),
-                         _random_chain_policy, 12, False),
-    "linkchain": (lambda: LinkChainEnv(LinkChainConfig(), SOURCE, seed=1),
-                  _random_chain_policy, 12, True),
+                       lambda env: GoalSeeker(_MAZE_TO_GOAL.goal), False),
+    "linkchain-ending": (lambda: EndingLinkChain(LinkChainConfig(horizon=12), TARGET, seed=1),
+                         _random_chain_policy, False),
+    "linkchain": (lambda: LinkChainEnv(LinkChainConfig(horizon=12), SOURCE, seed=1),
+                  _random_chain_policy, True),
 }
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("case", list(_ROLLOUT_CASES))
 def test_rollouts_equal_the_episode_indexed_reference_bit_for_bit(case, deterministic):
-    make_env, make_policy, horizon, runs_full = _ROLLOUT_CASES[case]
+    make_env, make_policy, runs_full = _ROLLOUT_CASES[case]
     env = make_env()
-    policy = make_policy(env)
-    batch = rollouts(policy, env, 6, horizon, np.random.default_rng(0), deterministic)
+    policy, horizon = make_policy(env), env.spec.horizon
+    batch = rollouts(policy, env, 6, np.random.default_rng(0), deterministic)
     ref = reference_rollouts(policy, make_env(), 6, horizon, np.random.default_rng(0),
                              deterministic)
     lengths = np.diff(np.flatnonzero(batch.ends) + 1, prepend=0)

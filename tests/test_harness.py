@@ -56,6 +56,12 @@ def tiny_cfg(tmp_path, name, **kw):
     return cfg
 
 
+def load_tiny_demos(path):
+    """The demo file at path, loaded as a point-maze run of tiny_cfg loads it."""
+    cfg = tiny_cfg(Path(), "")
+    return load_demos(path, PointMazeEnv(cfg.pointmaze, SOURCE, 0).spec, cfg.env_config_hash())
+
+
 @pytest.fixture(scope="module")
 def demo_file(tmp_path_factory):
     """A tiny demo file shared by the loop-contract tests."""
@@ -266,10 +272,10 @@ def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, mo
         src, tgt, src_eval, tgt_eval = real_build(cfg_, seeds)
         return PoisonedGt(src), PoisonedGt(tgt), src_eval, tgt_eval
 
-    demo_set = load_demos(demos)
+    demo_set = load_tiny_demos(demos)
     demo_set.batch.gt_reward = np.full(len(demo_set), np.nan)
     save_demos(demo_set, tmp_path / "nan_gt_demos.bin")
-    assert np.isnan(load_demos(tmp_path / "nan_gt_demos.bin").batch.gt_reward).all()
+    assert np.isnan(load_tiny_demos(tmp_path / "nan_gt_demos.bin").batch.gt_reward).all()
 
     monkeypatch.setattr(harness, "build_envs", poisoned_build)
     cfg2 = tiny_cfg(tmp_path, "poisoned", steps=2, r=2, method=method)
@@ -627,7 +633,7 @@ def test_load_policy_returns_every_block_of_the_checkpoint_bit_for_bit(tmp_path)
 
 def test_demo_file_roundtrip_through_harness(demo_file):
     demos, _ = demo_file
-    loaded = load_demos(demos)
+    loaded = load_tiny_demos(demos)
     assert int(loaded.batch.ends.sum()) == 3
     assert loaded.batch.domain_tag == SOURCE
 
@@ -657,10 +663,17 @@ def test_cli_smoke(tmp_path, demo_file):
 
 @pytest.mark.parametrize("n_episodes", [0, -1, -4])
 def test_collect_demos_rejects_a_non_positive_episode_count(tmp_path, demo_file, n_episodes):
+    from odirl.cli import main
+
     _, expert = demo_file
-    with pytest.raises(ValueError, match="n_episodes"):
-        collect_demos(tiny_cfg(tmp_path, "demos"), expert, tmp_path / "demos.bin",
-                      n_episodes=n_episodes)
+    cfg = tiny_cfg(tmp_path, "demos")
+    cfg.expert.n_demo_episodes = n_episodes
+    with pytest.raises(ValueError, match="expert.n_demo_episodes must be >= 1"):
+        collect_demos(cfg, expert, tmp_path / "demos.bin")
+    # The CLI's --episodes overrides the key, so the config load rejects it.
+    with pytest.raises(ValueError, match="expert.n_demo_episodes must be >= 1"):
+        main(["collect-demos", "--expert", expert, "--demos-out", str(tmp_path / "demos.bin"),
+              "--episodes", str(n_episodes)])
     assert not (tmp_path / "demos.bin").exists()
 
 
@@ -670,70 +683,126 @@ def test_reward_heatmap_rejects_a_non_positive_grid(tmp_path, grid_n):
 
     disc = Discriminator(2, 2, gamma=0.99, hidden=(8,), seed=0)
     with pytest.raises(ValueError, match="grid_n"):
-        reward_heatmap(disc, grid_n=grid_n, path=tmp_path / "hm.csv")
+        reward_heatmap(disc, grid_n, tmp_path / "hm.csv")
     assert not (tmp_path / "hm.csv").exists()
 
 
+# Every row names its id, so a row can go without renaming the rows after it; the
+# list-valued rows keep the ids pytest once numbered them with by position.
 @pytest.mark.parametrize("key,value", [
-    ("policy.epochs", 0), ("policy.minibatch_size", 0), ("policy.clip_ratio", 0.0),
-    ("expert.steps", 0), ("expert.batch_steps", 0), ("expert.n_demo_episodes", 0),
-    ("expert.entropy_coef", -0.1), ("policy.hidden", 64), ("disc.hidden", None),
-    ("checkpoint_every", -1),
+    pytest.param("policy.epochs", 0, id="policy.epochs-0"),
+    pytest.param("policy.minibatch_size", 0, id="policy.minibatch_size-0"),
+    pytest.param("policy.clip_ratio", 0.0, id="policy.clip_ratio-0.0"),
+    pytest.param("expert.steps", 0, id="expert.steps-0"),
+    pytest.param("expert.batch_steps", 0, id="expert.batch_steps-0"),
+    pytest.param("expert.n_demo_episodes", 0, id="expert.n_demo_episodes-0"),
+    pytest.param("expert.entropy_coef", -0.1, id="expert.entropy_coef--0.1"),
+    pytest.param("policy.hidden", 64, id="policy.hidden-64"),
+    pytest.param("disc.hidden", None, id="disc.hidden-None"),
+    pytest.param("checkpoint_every", -1, id="checkpoint_every--1"),
     # values of the wrong type
-    ("pointmaze.horizon", 2.5), ("seed", "x"), ("steps", "10"), ("steps", True),
-    ("alpha", [1]), ("policy.lr", "fast"), ("expert.demo_success_only", "no"),
-    # (init_log_std is no longer a key: its rows here and below are rejected as unknown)
-    ("disc.state_only_g", 0), ("policy.init_log_std", "x"), ("out_dir", 5),
+    pytest.param("pointmaze.horizon", 2.5, id="pointmaze.horizon-2.5"),
+    pytest.param("seed", "x", id="seed-x"),
+    pytest.param("steps", "10", id="steps-10"),
+    pytest.param("steps", True, id="steps-True"),
+    pytest.param("alpha", [1], id="alpha-value14"),
+    pytest.param("policy.lr", "fast", id="policy.lr-fast"),
+    pytest.param("expert.demo_success_only", "no", id="expert.demo_success_only-no"),
+    pytest.param("disc.state_only_g", 0, id="disc.state_only_g-0"),
+    pytest.param("out_dir", 5, id="out_dir-5"),
     # learning rates and clips out of range
-    ("policy.lr", 0.0), ("policy.value_lr", 0), ("disc.lr", -1e-3), ("dd.lr", 0.0),
-    ("policy.grad_clip", 0), ("policy.target_kl", 0.0), ("policy.lr", "nan"),
-    ("dd.lr", float("nan")), ("policy.grad_clip", "nan"),
+    pytest.param("policy.lr", 0.0, id="policy.lr-0.0"),
+    pytest.param("policy.value_lr", 0, id="policy.value_lr-0"),
+    pytest.param("disc.lr", -1e-3, id="disc.lr--0.001"),
+    pytest.param("dd.lr", 0.0, id="dd.lr-0.0"),
+    pytest.param("policy.grad_clip", 0, id="policy.grad_clip-0"),
+    pytest.param("policy.target_kl", 0.0, id="policy.target_kl-0.0"),
+    pytest.param("policy.lr", "nan", id="policy.lr-nan"),
+    pytest.param("dd.lr", float("nan"), id="dd.lr-nan"),
+    pytest.param("policy.grad_clip", "nan", id="policy.grad_clip-nan"),
     # env horizons, weight decays and the DD clamp
-    ("pointmaze.horizon", 0), ("linkchain.horizon", 0), ("disc.weight_decay", -1e-3),
-    ("dd.weight_decay", -1.0), ("disc.weight_decay", "nan"), ("dd.dd_clip", 0),
-    ("dd.dd_clip", -5.0), ("dd.input_noise_std", -0.1),
+    pytest.param("pointmaze.horizon", 0, id="pointmaze.horizon-0"),
+    pytest.param("linkchain.horizon", 0, id="linkchain.horizon-0"),
+    pytest.param("disc.weight_decay", -1e-3, id="disc.weight_decay--0.001"),
+    pytest.param("dd.weight_decay", -1.0, id="dd.weight_decay--1.0"),
+    pytest.param("disc.weight_decay", "nan", id="disc.weight_decay-nan"),
+    pytest.param("dd.dd_clip", 0, id="dd.dd_clip-0"),
+    pytest.param("dd.dd_clip", -5.0, id="dd.dd_clip--5.0"),
+    pytest.param("dd.input_noise_std", -0.1, id="dd.input_noise_std--0.1"),
     # classifier steps and layer widths
-    ("dd.steps_per_iter", 0), ("dd.steps_per_iter", -1), ("dd.hidden", [0]),
-    ("policy.hidden", [-3]), ("disc.hidden", [64, 0]), ("dd.hidden", [2.5]),
-    ("policy.hidden", [True]),
+    pytest.param("dd.steps_per_iter", 0, id="dd.steps_per_iter-0"),
+    pytest.param("dd.steps_per_iter", -1, id="dd.steps_per_iter--1"),
+    pytest.param("dd.hidden", [0], id="dd.hidden-value39"),
+    pytest.param("policy.hidden", [-3], id="policy.hidden-value40"),
+    pytest.param("disc.hidden", [64, 0], id="disc.hidden-value41"),
+    pytest.param("dd.hidden", [2.5], id="dd.hidden-value42"),
+    pytest.param("policy.hidden", [True], id="policy.hidden-value43"),
     # nan passes a `x < 0` or `x <= 0` check; these are written `not x >= 0` / `not x > 0`
-    ("alpha", float("nan")), ("policy.entropy_coef", float("nan")),
-    ("expert.entropy_coef", float("nan")), ("policy.init_log_std", float("nan")),
-    ("policy.init_log_std", float("inf")), ("pointmaze.noise_std", float("nan")),
-    ("pointmaze.goal_radius", float("nan")), ("pointmaze.action_scale", float("nan")),
-    ("linkchain.torque_limit", float("nan")), ("linkchain.dt", float("nan")),
+    pytest.param("alpha", float("nan"), id="alpha-nan"),
+    pytest.param("policy.entropy_coef", float("nan"), id="policy.entropy_coef-nan"),
+    pytest.param("expert.entropy_coef", float("nan"), id="expert.entropy_coef-nan"),
+    pytest.param("pointmaze.noise_std", float("nan"), id="pointmaze.noise_std-nan"),
+    pytest.param("pointmaze.goal_radius", float("nan"), id="pointmaze.goal_radius-nan"),
+    pytest.param("pointmaze.action_scale", float("nan"), id="pointmaze.action_scale-nan"),
+    pytest.param("linkchain.torque_limit", float("nan"), id="linkchain.torque_limit-nan"),
+    pytest.param("linkchain.dt", float("nan"), id="linkchain.dt-nan"),
     # env fields that had no range check
-    ("linkchain.damping", -1), ("linkchain.torque_gain", -1), ("linkchain.vel_limit", -1),
-    ("linkchain.init_angle_range", -1), ("linkchain.init_vel_range", -1),
-    ("linkchain.success_radius", -1), ("pointmaze.wall_half_width", -1),
+    pytest.param("linkchain.damping", -1, id="linkchain.damping--1"),
+    pytest.param("linkchain.torque_gain", -1, id="linkchain.torque_gain--1"),
+    pytest.param("linkchain.vel_limit", -1, id="linkchain.vel_limit--1"),
+    pytest.param("linkchain.init_angle_range", -1, id="linkchain.init_angle_range--1"),
+    pytest.param("linkchain.init_vel_range", -1, id="linkchain.init_vel_range--1"),
+    pytest.param("linkchain.success_radius", -1, id="linkchain.success_radius--1"),
+    pytest.param("pointmaze.wall_half_width", -1, id="pointmaze.wall_half_width--1"),
     # point-maze shapes, and a seed numpy cannot take
-    ("pointmaze.goal", [0.9]), ("pointmaze.start_region", [0.14, 0.60, 0.06, 0.50]),
-    ("pointmaze.start_region", [0.06, 0.50]), ("seed", -1),
+    pytest.param("pointmaze.goal", [0.9], id="pointmaze.goal-value61"),
+    pytest.param("pointmaze.start_region", [0.14, 0.60, 0.06, 0.50],
+                 id="pointmaze.start_region-value62"),
+    pytest.param("pointmaze.start_region", [0.06, 0.50], id="pointmaze.start_region-value63"),
+    pytest.param("seed", -1, id="seed--1"),
     # list elements of the wrong type, and an infinite alpha
-    ("pointmaze.goal", ["a", 1]), ("pointmaze.goal", [True, 0.5]),
-    ("pointmaze.start_region", ["x", 0.50, 0.14, 0.60]),
-    # goal_region is no longer a key: a config that sets it is rejected as unknown
-    ("pointmaze.goal_region", [0.78, 0.43, 1.0, None]), ("linkchain.goal_angles", ["x", 1, 2]),
-    ("linkchain.goal_angles", [1.1, False, 0.9]), ("linkchain.target_disabled_mask", [0, 0, 1]),
-    ("linkchain.target_disabled_mask", [False, False, "yes"]), ("alpha", float("inf")),
+    pytest.param("pointmaze.goal", ["a", 1], id="pointmaze.goal-value65"),
+    pytest.param("pointmaze.goal", [True, 0.5], id="pointmaze.goal-value66"),
+    pytest.param("pointmaze.start_region", ["x", 0.50, 0.14, 0.60],
+                 id="pointmaze.start_region-value67"),
+    pytest.param("linkchain.goal_angles", ["x", 1, 2], id="linkchain.goal_angles-value69"),
+    pytest.param("linkchain.goal_angles", [1.1, False, 0.9], id="linkchain.goal_angles-value70"),
+    pytest.param("linkchain.target_disabled_mask", [0, 0, 1],
+                 id="linkchain.target_disabled_mask-value71"),
+    pytest.param("linkchain.target_disabled_mask", [False, False, "yes"],
+                 id="linkchain.target_disabled_mask-value72"),
+    pytest.param("alpha", float("inf"), id="alpha-inf"),
     # a goal the agent can never reach: inside the target wall, or outside the arena
-    ("pointmaze.goal", [0.5, 0.9]), ("pointmaze.goal", [1.5, 0.5]), ("pointmaze.goal", [0.9, -0.1]),
-    ("pointmaze.goal", [float("nan"), 0.5]),
+    pytest.param("pointmaze.goal", [0.5, 0.9], id="pointmaze.goal-value74"),
+    pytest.param("pointmaze.goal", [1.5, 0.5], id="pointmaze.goal-value75"),
+    pytest.param("pointmaze.goal", [0.9, -0.1], id="pointmaze.goal-value76"),
+    pytest.param("pointmaze.goal", [float("nan"), 0.5], id="pointmaze.goal-value77"),
     # a start region reaching outside the arena
-    ("pointmaze.start_region", [-0.1, 0.5, 0.14, 0.6]),
-    ("pointmaze.start_region", [0.06, 0.5, 0.14, 1.2]),
-    ("pointmaze.start_region", [0.9, 0.2, 1.1, 0.3]),
+    pytest.param("pointmaze.start_region", [-0.1, 0.5, 0.14, 0.6],
+                 id="pointmaze.start_region-value78"),
+    pytest.param("pointmaze.start_region", [0.06, 0.5, 0.14, 1.2],
+                 id="pointmaze.start_region-value79"),
+    pytest.param("pointmaze.start_region", [0.9, 0.2, 1.1, 0.3],
+                 id="pointmaze.start_region-value80"),
     # non-finite floats, which no range check caught: a first-reset overflow, every
     # episode a success, a jump onto the wall's face, a failure inside Adam
-    ("linkchain.init_angle_range", float("inf")), ("pointmaze.goal_radius", float("inf")),
-    ("linkchain.success_radius", float("inf")), ("pointmaze.noise_std", float("inf")),
-    ("policy.lr", float("inf")), ("dd.weight_decay", float("inf")), ("policy.value_lr", "inf"),
-    ("linkchain.goal_angles", [1.1, float("nan"), 0.9]),
-    ("linkchain.goal_angles", [1.1, -0.6, float("-inf")]),
-    # an int key given a float (new rows go last: list-valued ids are numbered by position)
-    ("r", 2.5),
+    pytest.param("linkchain.init_angle_range", float("inf"), id="linkchain.init_angle_range-inf"),
+    pytest.param("pointmaze.goal_radius", float("inf"), id="pointmaze.goal_radius-inf"),
+    pytest.param("linkchain.success_radius", float("inf"), id="linkchain.success_radius-inf"),
+    pytest.param("pointmaze.noise_std", float("inf"), id="pointmaze.noise_std-inf"),
+    pytest.param("policy.lr", float("inf"), id="policy.lr-inf"),
+    pytest.param("dd.weight_decay", float("inf"), id="dd.weight_decay-inf"),
+    pytest.param("policy.value_lr", "inf", id="policy.value_lr-inf"),
+    pytest.param("linkchain.goal_angles", [1.1, float("nan"), 0.9],
+                 id="linkchain.goal_angles-value88"),
+    pytest.param("linkchain.goal_angles", [1.1, -0.6, float("-inf")],
+                 id="linkchain.goal_angles-value89"),
+    # an int key given a float
+    pytest.param("r", 2.5, id="r-2.5"),
     # the gradient clip, the KL stop and the DD clamp cannot be switched off
-    ("policy.grad_clip", None), ("policy.target_kl", None), ("dd.dd_clip", None),
+    pytest.param("policy.grad_clip", None, id="policy.grad_clip-None"),
+    pytest.param("policy.target_kl", None, id="policy.target_kl-None"),
+    pytest.param("dd.dd_clip", None, id="dd.dd_clip-None"),
 ])
 def test_config_names_the_bad_policy_or_expert_key(key, value):
     section, _, name = key.rpartition(".")
@@ -743,6 +812,24 @@ def test_config_names_the_bad_policy_or_expert_key(key, value):
     cfg = ExperimentConfig()
     setattr(getattr(cfg, section) if section else cfg, name, value)
     with pytest.raises(ValueError, match=key):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("key,value", [
+    pytest.param("policy.init_log_std", "x", id="policy.init_log_std-x"),
+    pytest.param("policy.init_log_std", float("nan"), id="policy.init_log_std-nan"),
+    pytest.param("policy.init_log_std", float("inf"), id="policy.init_log_std-inf"),
+    pytest.param("pointmaze.goal_region", [0.78, 0.43, 1.0, None],
+                 id="pointmaze.goal_region-list"),
+])
+def test_config_rejects_a_removed_key(key, value):
+    section, _, name = key.rpartition(".")
+    with pytest.raises(ValueError, match=rf"^unknown config key override\.{re.escape(key)}$"):
+        load_config(overrides={section: {name: value}})
+    # The same key set on a config built in code, as tests and sweeps build them.
+    cfg = ExperimentConfig()
+    setattr(getattr(cfg, section), name, value)
+    with pytest.raises(ValueError, match=rf"^unknown config key {re.escape(key)}$"):
         cfg.validate()
 
 
@@ -881,8 +968,8 @@ def test_evaluate_and_final_artifacts_roll_exactly_n_episodes(tmp_path, monkeypa
     calls = []
     real_rollouts = harness.rollouts
 
-    def recording_rollouts(policy, env, n_episodes, horizon, rng=None, deterministic=False):
-        batch = real_rollouts(policy, env, n_episodes, horizon, rng, deterministic)
+    def recording_rollouts(policy, env, n_episodes, rng=None, deterministic=False):
+        batch = real_rollouts(policy, env, n_episodes, rng, deterministic)
         calls.append((env.domain_tag, n_episodes, int(batch.ends.sum()), deterministic))
         return batch
 
@@ -916,7 +1003,7 @@ def test_rollouts_never_recompute_log_prob(monkeypatch):
 def test_rollout_log_probs_are_those_of_the_clipped_actions():
     maze, _ = _wave_envs()
     policy = with_log_std(GaussianPolicy(maze.spec, hidden=(8,), seed=0), 1.0)
-    batch = rollouts(policy, maze, 4, maze.spec.horizon, np.random.default_rng(3))
+    batch = rollouts(policy, maze, 4, np.random.default_rng(3))
     expected = policy.log_prob(batch.s, batch.a)
     assert np.allclose(batch.log_prob, expected, rtol=0, atol=1e-12)
     assert np.all(np.abs(batch.a) <= maze.spec.action_high)
@@ -1020,14 +1107,14 @@ def test_discriminator_phase_reads_demo_dd_from_the_iteration_dd_of_every_demo_r
         dd_calls.append(dd_for_transitions_(pair, batch, config, alpha_))
         return dd_calls[-1]
 
-    def phase_loss_spy(disc, policy, demo_batch, pol_batch, demo_dd=None):
+    def phase_loss_spy(disc, policy, demo_batch, pol_batch, demo_dd):
         phases.append((demo_batch, demo_dd))
         return phase_loss(disc, policy, demo_batch, pol_batch, demo_dd)
 
     monkeypatch.setattr(harness, "dd_for_transitions", dd_spy)
     monkeypatch.setattr(harness, "_airl_minibatch_loss", phase_loss_spy)
     demos_path, _ = demo_file
-    demos = load_demos(demos_path).batch
+    demos = load_tiny_demos(demos_path).batch
     cfg = tiny_cfg(tmp_path, "dd", steps=3, r=1, method="odirl" if alpha else "airl")
     cfg.alpha, cfg.demos_path = alpha, demos_path
     run_experiment(cfg)

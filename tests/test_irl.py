@@ -131,25 +131,11 @@ def test_disc_loss_rejects_empty_and_mistagged_batches():
     demo = _toy_batch(4, SOURCE, rng)
     pol = _toy_batch(4, TARGET, rng)
     with pytest.raises(ValueError):
-        disc_loss(disc, [], pol, np.zeros(0), np.zeros(4))
+        disc_loss(disc, [], pol, np.zeros(0), np.zeros(4), np.zeros(0))
     with pytest.raises(ValueError):
-        disc_loss(disc, demo, [], np.zeros(4), np.zeros(0))
+        disc_loss(disc, demo, [], np.zeros(4), np.zeros(0), np.zeros(4))
     with pytest.raises(ValueError):
-        disc_loss(disc, pol, demo, np.zeros(4), np.zeros(4))  # target-tagged demos
-
-
-def test_disc_loss_with_none_dd_equals_zero_dd_bitwise():
-    rng = np.random.default_rng(6)
-    disc_a = rand_disc(seed=3)
-    disc_b = rand_disc(seed=3)
-    demo = _toy_batch(16, SOURCE, rng)
-    pol = _toy_batch(16, TARGET, rng)
-    lp_d, lp_p = rng.normal(size=16), rng.normal(size=16)
-    loss_a, _ = disc_loss(disc_a, demo, pol, lp_d, lp_p, demo_dd=None)
-    loss_b, _ = disc_loss(disc_b, demo, pol, lp_d, lp_p, demo_dd=np.zeros(16))
-    assert loss_a == loss_b
-    assert np.array_equal(disc_a.g_net.grad, disc_b.g_net.grad)
-    assert np.array_equal(disc_a.h_net.grad, disc_b.h_net.grad)
+        disc_loss(disc, pol, demo, np.zeros(4), np.zeros(4), np.zeros(4))  # target-tagged demos
 
 
 def test_disc_loss_indistinguishable_data_converges_to_2ln2():
@@ -160,12 +146,12 @@ def test_disc_loss_indistinguishable_data_converges_to_2ln2():
         demo = _toy_batch(64, SOURCE, rng)
         pol = _toy_batch(64, TARGET, rng)
         lp = np.full(64, -1.0)
-        disc_loss(disc, demo, pol, lp, lp)
+        disc_loss(disc, demo, pol, lp, lp, np.zeros(64))
         opt.step()
     held_demo = _toy_batch(512, SOURCE, rng)
     held_pol = _toy_batch(512, TARGET, rng)
     lp = np.full(512, -1.0)
-    loss, stats = disc_loss(disc, held_demo, held_pol, lp, lp)
+    loss, stats = disc_loss(disc, held_demo, held_pol, lp, lp, np.zeros(512))
     assert loss >= 2 * LN2 - 0.05
 
 
@@ -189,7 +175,7 @@ def test_tabular_discriminator_matches_occupancy_oracle():
     lp_demo = log_pi_b[demo.s.argmax(axis=1), demo.a.argmax(axis=1)]
     lp_pol = log_pi_b[pol.s.argmax(axis=1), pol.a.argmax(axis=1)]
     for _ in range(2500):
-        disc_loss(disc, demo, pol, lp_demo, lp_pol)
+        disc_loss(disc, demo, pol, lp_demo, lp_pol, np.zeros(len(demo)))
         opt.step()
 
     for s in range(N_STATES):
@@ -302,9 +288,9 @@ def test_gail_separable_data_reaches_full_demo_accuracy():
     assert stats["policy_acc"] == 1.0
 
 
-def test_heatmap_zero_net_is_all_zeros_and_shape():
+def test_heatmap_zero_net_is_all_zeros_and_shape(tmp_path):
     disc = Discriminator(2, 2, gamma=0.9, seed=0, hidden=(16,), state_only_g=True)
-    xs, ys, vals = reward_heatmap(disc, grid_n=10)
+    xs, ys, vals = reward_heatmap(disc, 10, tmp_path / "heatmap.csv")
     assert vals.shape == (10, 10)
     assert np.all(vals == 0.0)
 
@@ -312,16 +298,17 @@ def test_heatmap_zero_net_is_all_zeros_and_shape():
 def test_heatmap_csv_has_2500_rows(tmp_path):
     disc = Discriminator(2, 2, gamma=0.9, seed=0, hidden=(16,), state_only_g=True)
     path = tmp_path / "heatmap.csv"
-    reward_heatmap(disc, grid_n=50, path=path)
+    reward_heatmap(disc, 50, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) == 2501
 
 
-def test_heatmap_rejects_state_action_reward_term():
+def test_heatmap_rejects_state_action_reward_term(tmp_path):
     disc = Discriminator(2, 2, gamma=0.9, seed=0, hidden=(16,), state_only_g=False)
     with pytest.raises(ValueError):
-        reward_heatmap(disc, grid_n=10)
+        reward_heatmap(disc, 10, tmp_path / "heatmap.csv")
+    assert not (tmp_path / "heatmap.csv").exists()
 
 
 def test_shaping_constant_shift_leaves_logits_unchanged_at_gamma_one():

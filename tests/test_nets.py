@@ -264,11 +264,16 @@ def _mlp_and_log_std(seed):
     return [Mlp([3, 16, 16, 2], seed=seed), FlatParams(np.random.default_rng(seed).normal(size=2))]
 
 
+def _adam(blocks, clip_norm, **kw):
+    """An Adam with the given clip_norm, or with its default (no clip) for None."""
+    return Adam(blocks, **kw) if clip_norm is None else Adam(blocks, clip_norm=clip_norm, **kw)
+
+
 @pytest.mark.parametrize("clip_norm,weight_decay", [
     (None, 0.0), (None, 1e-2), (0.5, 1e-2), (1e6, 1e-2), (0.5, 0.0)])
 def test_adam_matches_the_textbook_update_bit_for_bit(clip_norm, weight_decay):
     blocks, reference = _mlp_and_log_std(4), _mlp_and_log_std(4)
-    opt = Adam(blocks, lr=1e-2, clip_norm=clip_norm, weight_decay=weight_decay)
+    opt = _adam(blocks, clip_norm, lr=1e-2, weight_decay=weight_decay)
     ref = TextbookAdam(reference, lr=1e-2, clip_norm=clip_norm, weight_decay=weight_decay)
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -288,7 +293,7 @@ def test_adam_matches_the_textbook_update_bit_for_bit(clip_norm, weight_decay):
 @pytest.mark.parametrize("clip_norm", [None, 1.0])
 def test_adam_raises_on_a_nan_gradient_before_changing_anything(clip_norm):
     x = FlatParams(np.ones(3))
-    opt = Adam([x], lr=0.1, clip_norm=clip_norm)
+    opt = _adam([x], clip_norm, lr=0.1)
     x.grad[...] = np.array([0.5, np.nan, 0.5])
     with pytest.raises(FloatingPointError, match="gradient"):
         opt.step()
@@ -299,7 +304,7 @@ def test_adam_raises_on_a_nan_gradient_before_changing_anything(clip_norm):
 def test_adam_takes_finite_gradients_and_parameters_whose_square_sum_overflows(clip_norm):
     # g @ g and p @ p overflow to inf here, but every element is finite
     x = FlatParams(np.full(4, 1e200))
-    opt = Adam([x], lr=0.1, clip_norm=clip_norm)
+    opt = _adam([x], clip_norm, lr=0.1)
     x.grad[...] = np.array([1e200, -1e200, 3.0, 0.0])
     with np.errstate(over="ignore"):    # numpy's overflow warnings are errors under pytest
         assert np.isinf(x.grad @ x.grad) and np.isinf(x.params @ x.params)

@@ -22,6 +22,7 @@ def bandit_spec(action_dim=1, bound=2.0):
         action_low=np.full(action_dim, -bound),
         action_high=np.full(action_dim, bound),
         horizon=1,
+        goal=np.zeros(1),
     )
 
 
@@ -202,7 +203,7 @@ def one_episode_gae(r, v, vn, gamma, lam):
 
 def test_update_makes_one_reward_call_two_value_forwards_and_one_gae_call(monkeypatch):
     spec = EnvSpec(state_dim=2, action_dim=1, action_low=np.full(1, -1.0),
-                   action_high=np.full(1, 1.0), horizon=10)
+                   action_high=np.full(1, 1.0), horizon=10, goal=np.zeros(2))
     policy = GaussianPolicy(spec, hidden=(8,), seed=0)
     value = ValueNet(spec, hidden=(8,), seed=1)
     opt = PolicyOptimizer(policy, value, PolicyOptConfig(epochs=2, minibatch_size=4))
@@ -238,14 +239,17 @@ def test_update_without_transitions_raises_empty_batch():
     policy = GaussianPolicy(bandit_spec(), hidden=(8,), seed=0)
     opt = PolicyOptimizer(policy, ValueNet(bandit_spec(), hidden=(8,), seed=1), PolicyOptConfig())
     env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
-    for n_episodes in (0, 1, 2):            # no episode, or episodes of no steps
-        batch = rollouts(GaussianPolicy(env.spec, hidden=(4,)), env, n_episodes, 0)
+    no_episode = rollouts(GaussianPolicy(env.spec, hidden=(4,)), env, 0, np.random.default_rng(0))
+    no_row = Batch(np.empty((0, 1)), np.empty((0, 1)), np.empty((0, 1)), SOURCE,
+                   done=np.empty(0, dtype=bool), gt_reward=np.empty(0),
+                   ends=np.empty(0, dtype=bool), log_prob=np.empty(0))
+    for batch in (no_episode, no_row):
         with pytest.raises(ValueError, match="empty batch"):
             opt.update(batch, lambda s, a, sn: np.zeros(len(s)), np.random.default_rng(0))
 
 
 def test_update_without_log_prob_raises_before_any_reward_or_value_call(monkeypatch):
-    env = PointMazeEnv(PointMazeConfig(), SOURCE, seed=0)
+    env = PointMazeEnv(PointMazeConfig(horizon=5), SOURCE, seed=0)
     policy = GaussianPolicy(env.spec, hidden=(8,), seed=0)
     value = ValueNet(env.spec, hidden=(8,), seed=1)
     opt = PolicyOptimizer(policy, value, PolicyOptConfig(epochs=1))
@@ -255,8 +259,8 @@ def test_update_without_log_prob_raises_before_any_reward_or_value_call(monkeypa
         raise AssertionError("called before the log_prob check")
 
     monkeypatch.setattr(ValueNet, "predict", forbidden)
-    deterministic = rollouts(policy, env, 2, 5, deterministic=True)
-    sampled = rollouts(policy, env, 2, 5, np.random.default_rng(0)).rows(np.arange(4))
+    deterministic = rollouts(policy, env, 2, deterministic=True)
+    sampled = rollouts(policy, env, 2, np.random.default_rng(0)).rows(np.arange(4))
     for batch in (deterministic, sampled):      # a mean-action rollout, buffer-style rows
         assert len(batch) > 0 and batch.log_prob is None
         with pytest.raises(ValueError, match="log_prob"):

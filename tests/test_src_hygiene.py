@@ -13,7 +13,11 @@ benchmarks/tracing.py patches. Tests do not count: a definition only tests
 read belongs in tests/. The third flags every defaulted parameter of such a
 function, method or constructor that no call in src/odirl or benchmarks/
 passes, by keyword, by position or through a *args/**kwargs call; calls are
-matched by bare name, and a constructor's calls are those of its class.
+matched by bare name, and a constructor's calls are those of its class. The
+fourth flags every parameter in src/odirl that defaults to None unless it is on
+an allow-list that gives the reason for it: a None default is a second shape
+of the call, so it has to stand for something the program cannot state as a
+value.
 """
 
 import ast
@@ -171,3 +175,51 @@ def test_the_check_flags_defaulted_parameters_no_call_passes():
 def test_every_defaulted_parameter_in_src_is_passed_by_some_caller():
     callers = [p.read_text() for p in [*SRC.glob("*.py"), *BENCHMARKS]]
     assert unpassed_defaults({p.name: p.read_text() for p in MODULES}, callers) == []
+
+
+# The src/odirl parameters that may default to None (module:function(parameter),
+# a method as Class.method), each with the reason why.
+NONE_DEFAULTS_ALLOWED = {
+    "cli.py:main(argv)": "argparse reads sys.argv, as the console script needs",
+    "config.py:load_config(path)": "a config from the defaults and overrides alone, no YAML file",
+    "config.py:load_config(overrides)": "a config from the defaults and the YAML file alone",
+    "envs.py:rollouts(rng)": "a deterministic rollout draws nothing",
+    "envs.py:PointMazeEnv.reset(n)": "one (2,) state: the benchmark's one-state form",
+    "envs.py:LinkChainEnv.reset(n)": "one state: the benchmark's one-state form",
+    "harness.py:_finish_run(disc)": "methods with no AIRL discriminator write no heatmap",
+    "harness.py:_finish_run(alpha)": "methods with no alpha write a null alpha to summary.json",
+}
+
+
+def none_defaults(source: str) -> list[str]:
+    """function(parameter) of each parameter of a source that defaults to None, in
+    source order; a method or nested function is named Class.method or f.inner."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                found.extend(f"{prefix}{child.name}({a.arg})" for a, d in pairs
+                             if isinstance(d, ast.Constant) and d.value is None)
+            visit(child, f"{prefix}{child.name}." if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_check_finds_every_parameter_that_defaults_to_none():
+    source = ("def f(a, b=None, c=0, *, d=None, e=1, g):\n"
+              "    def inner(y=None):\n        pass\n\n"
+              "class K:\n    def __init__(self, p=None):\n        pass\n"
+              "    def m(self, x=None, z='None'):\n        pass\n")
+    assert none_defaults(source) == ["f(b)", "f(d)", "f.inner(y)", "K.__init__(p)", "K.m(x)"]
+
+
+def test_src_parameters_default_to_none_only_where_the_allow_list_says_why():
+    found = [f"{p.name}:{name}" for p in MODULES for name in none_defaults(p.read_text())]
+    assert sorted(found) == sorted(NONE_DEFAULTS_ALLOWED)
