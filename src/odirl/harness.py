@@ -1,16 +1,12 @@
-"""Experiment orchestration: the outer training loop and all baselines.
+"""Experiment orchestration: one recipe per method, looked up once in `RECIPES`.
 
-Every method that trains a target policy runs `_train_target_policy` and
-passes it the work that comes before each policy update. For the full
-algorithm, the plain adversarial baseline (alpha forced to 0, identical code
-path and RNG consumption, so the reduction is bit-exact) and the
-GAN-imitation baseline (no classifiers, no source rollouts) that work is one
-discriminator phase. Source-domain reward transfer learns its reward first
-and passes none; direct expert transfer trains nothing. Every method writes
-progress.csv, checkpoints, and final-policy evaluation trajectories.
-Every entry point starts from `_setup` (validate; seeds, RNG streams, envs);
-the expert run and every method from `_start_run`, which adds the run's
-resolved config.yaml. `_load_policy` reads a saved policy back.
+- odirl (`_run_adversarial`): `_start_imitation`, `_agent`, `_airl_phase` at
+  cfg.alpha before each update of `_train_target_policy`, `_finish_run`;
+- airl: the same at alpha 0 (same code path and RNG draws, so bit-exact);
+- gail: the same with `_gail_phase` (no classifiers, no source rollouts);
+- airl_source_transfer: `_start_imitation`, adversarial IRL in the source
+  domain, `_train_on_g` (a fresh target agent on the learned g), `_finish_run`;
+- expert_transfer: `_setup`, the expert, `_run_dir`, one evaluation, `_finish_run`.
 """
 
 from __future__ import annotations
@@ -21,6 +17,7 @@ import json
 import logging
 from contextlib import closing
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +98,25 @@ def _setup(cfg: ExperimentConfig):
     return seeds, rngs, build_envs(cfg, seeds)
 
 
+def _run_dir(cfg: ExperimentConfig) -> Path:
+    """cfg.out_dir, made with the run's resolved config.yaml once its inputs are checked."""
+    save_config(cfg, Path(cfg.out_dir) / "config.yaml")       # which creates out_dir
+    return Path(cfg.out_dir)
+
+
 def _start_run(cfg: ExperimentConfig):
-    """`_setup`, then the run directory with its resolved config; (out, seeds, rngs, envs)."""
+    """`_setup`, then `_run_dir`; (out, seeds, rngs, envs)."""
     seeds, rngs, envs = _setup(cfg)
-    out = Path(cfg.out_dir)
-    save_config(cfg, out / "config.yaml")       # which creates out
-    return out, seeds, rngs, envs
+    return _run_dir(cfg), seeds, rngs, envs
+
+
+def _start_imitation(cfg: ExperimentConfig):
+    """`_setup`, then the demos, checked before `_run_dir`; (demos, out, seeds, rngs, envs)."""
+    seeds, rngs, envs = _setup(cfg)
+    if not cfg.demos_path:
+        raise ValueError(f"demos_path is required for {cfg.method}")
+    demos = load_demos(cfg.demos_path, envs[0].spec, cfg.env_config_hash())
+    return demos, _run_dir(cfg), seeds, rngs, envs
 
 
 def build_envs(cfg: ExperimentConfig, seeds: dict):
@@ -154,21 +164,14 @@ def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> None:
         write_trajectory_csv(out / f"final_eval_{name}.csv", batch)
 
 
-def _checkpoint_policy(cfg, out: Path, t: int, policy) -> None:
-    """checkpoints/policy_NNNNNN.bin after every checkpoint_every-th iteration t (0: never)."""
-    if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
-        ckpt = out / "checkpoints"
-        ckpt.mkdir(exist_ok=True)
-        save_blocks(ckpt / f"policy_{t:06d}.bin", policy.blocks())
-
-
 def _train_target_policy(cfg, out: Path, policy, popt, tgt, tgt_eval, reward_fn, rngs,
                          before_update) -> tuple[int, tuple]:
     """Train policy in tgt: each iteration t = 1..cfg.steps collects a batch,
     runs before_update(t, batch), which returns its work's progress.csv
     fields, updates on reward_fn, evaluates every eval_every iterations and at
-    the last one, then writes a progress.csv row and checkpoints. Returns
-    (target steps, the last row's (return, success rate))."""
+    the last one, then writes a progress.csv row and, every checkpoint_every-th
+    iteration (0: never), checkpoints/policy_NNNNNN.bin. Returns (target steps,
+    the last row's (return, success rate))."""
     target_steps = 0
     with closing(ProgressWriter(out / "progress.csv")) as writer:
         for t in range(1, cfg.steps + 1):
@@ -183,24 +186,25 @@ def _train_target_policy(cfg, out: Path, policy, popt, tgt, tgt_eval, reward_fn,
                             cfg.method, t, gt_return, success)
             writer.write(iteration=t, target_steps=target_steps, policy_entropy=pstats["entropy"],
                          gt_return=gt_return, success_rate=success, **fields)
-            _checkpoint_policy(cfg, out, t, policy)
+            if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
+                (out / "checkpoints").mkdir(exist_ok=True)
+                save_blocks(out / "checkpoints" / f"policy_{t:06d}.bin", policy.blocks())
     return target_steps, (gt_return, success)
 
 
 def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, final: tuple,
-                disc=None, alpha=None, **counts) -> Path:
-    """Final checkpoints, the reward heatmap, final-policy artifacts and summary.json.
+                alpha, **counts) -> Path:
+    """Final checkpoints, checkpoints["disc"]'s heatmap, final-policy artifacts and summary.json.
 
     checkpoints maps a file stem to the trainable whose blocks are saved there;
     final is the (return, success rate) of the last progress row, which evaluated the final policy.
     """
-    if checkpoints:
-        ckpt = out / "checkpoints"
-        ckpt.mkdir(exist_ok=True)
-        for name, net in checkpoints.items():
-            # The heatmap command rebuilds the discriminator from this meta.
-            meta = {"gamma": disc.gamma, "state_only_g": disc.state_only_g} if net is disc else {}
-            save_blocks(ckpt / f"{name}_final.bin", net.blocks(), **meta)
+    disc = checkpoints.get("disc")
+    for name, net in checkpoints.items():
+        # The heatmap command rebuilds the discriminator from this meta.
+        meta = {"gamma": disc.gamma, "state_only_g": disc.state_only_g} if net is disc else {}
+        (out / "checkpoints").mkdir(exist_ok=True)
+        save_blocks(out / "checkpoints" / f"{name}_final.bin", net.blocks(), **meta)
     if disc is not None and cfg.task == "pointmaze" and cfg.disc.state_only_g:
         reward_heatmap(disc, cfg.heatmap_grid, out / "heatmap.csv")
     _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
@@ -268,7 +272,7 @@ def collect_demos(cfg: ExperimentConfig, expert_path, out_path) -> DemoSet:
 
 
 # ---------------------------------------------------------------------------
-# The AIRL discriminator and the discriminator minibatch loop
+# Discriminator phases and method recipes
 # ---------------------------------------------------------------------------
 
 def _airl_discriminator(cfg, spec, seed: int):
@@ -280,9 +284,7 @@ def _airl_discriminator(cfg, spec, seed: int):
 
 
 def _airl_reward_fn(disc, policy):
-    def reward_fn(s, a, sn):
-        return policy_reward(disc, s, a, sn, policy.log_prob(s, a))
-    return reward_fn
+    return lambda s, a, sn: policy_reward(disc, s, a, sn, policy.log_prob(s, a))
 
 
 def _airl_minibatch_loss(disc, policy, demo_batch, pol_batch, demo_dd):
@@ -318,138 +320,120 @@ def _train_discriminator(minibatch_loss, disc_opt, n: int, epochs: int, minibatc
     return float(np.mean(d_losses)), float(np.mean(demo_accs)), float(np.mean(pol_accs))
 
 
-# ---------------------------------------------------------------------------
-# Main adversarial loop (odirl / airl / gail)
-# ---------------------------------------------------------------------------
-
-def run_experiment(cfg: ExperimentConfig) -> Path:
-    if cfg.method in ("odirl", "airl", "gail"):
-        return _run_adversarial(cfg)
-    if cfg.method == "airl_source_transfer":
-        return _run_airl_source_transfer(cfg)
-    if cfg.method == "expert_transfer":
-        return _run_expert_transfer(cfg)
-    raise ValueError(f"unknown method {cfg.method}")
-
-
-def _load_demoset(cfg, spec) -> DemoSet:
-    if not cfg.demos_path:
-        raise ValueError("demos_path is required for this method")
-    return load_demos(cfg.demos_path, expected_spec=spec,
-                      expected_config_hash=cfg.env_config_hash())
-
-
-def _run_adversarial(cfg: ExperimentConfig) -> Path:
-    out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_run(cfg)
-    demos = _load_demoset(cfg, src.spec)
-    policy, value, popt = _agent(cfg, tgt.spec, seeds["policy_init"], seeds["value_init"],
-                                 cfg.policy)
-
-    use_dd_pipeline = cfg.method in ("odirl", "airl")
-    alpha_eff = cfg.alpha if cfg.method == "odirl" else 0.0
-    if use_dd_pipeline:
-        disc, disc_opt = _airl_discriminator(cfg, tgt.spec, seeds["disc_init"])
-        pair = ClassifierPair(tgt.spec.state_dim, tgt.spec.action_dim,
-                              hidden=cfg.dd.hidden, seed=seeds["classifier_init"])
-        cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
-        reward_fn = _airl_reward_fn(disc, policy)
-        nets = {"disc": disc, "classifiers": pair}
-    else:
-        disc = None
-        gail = GailDiscriminator(tgt.spec.state_dim, tgt.spec.action_dim,
-                                 hidden=cfg.disc.hidden, seed=seeds["disc_init"])
-        disc_opt = Adam(gail.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
-        reward_fn = lambda s, a, sn: gail_policy_reward(gail, s, a)  # noqa: E731
-        nets = {"gail": gail}
-
+def _airl_phase(cfg, seeds, rngs, src, tgt, demos: DemoSet, policy, alpha: float):
+    """AIRL with alpha * DD on the demo logits. Each step puts a source episode into
+    the source ring every r-th iteration; once that holds rows, it runs the classifier
+    steps; then it takes the DD of every demo row and reads the sampled rows' DD from it."""
+    disc, disc_opt = _airl_discriminator(cfg, tgt.spec, seeds["disc_init"])
+    pair = ClassifierPair(tgt.spec.state_dim, tgt.spec.action_dim,
+                          hidden=cfg.dd.hidden, seed=seeds["classifier_init"])
+    cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
     b_src = ReplayBuffer(cfg.buffers.source_capacity, src.domain_tag)
-    b_tgt = ReplayBuffer(cfg.buffers.target_capacity, tgt.domain_tag)
-    source_steps = source_episodes = 0
+    counts = {"source_steps": 0, "source_episodes": 0}
 
-    def before_update(t, batch):
-        nonlocal source_steps, source_episodes
-        b_tgt.push(batch)
-        if use_dd_pipeline and t % cfg.r == 0:
+    def step(t, b_tgt, demo_idx, demo_batch, pol_batch):
+        if t % cfg.r == 0:
             episode = rollout(policy, src, rngs["actions"])
             b_src.push(episode)
-            source_steps += len(episode)
-            source_episodes += 1
+            counts["source_steps"] += len(episode)
+            counts["source_episodes"] += 1
+        fields = {"source_steps": counts["source_steps"]}
+        if len(b_src) > 0:
+            for _ in range(cfg.dd.steps_per_iter):
+                sb = b_src.sample(cfg.dd.batch_size, rngs["classifier"])
+                tb = b_tgt.sample(cfg.dd.batch_size, rngs["classifier"])
+                cls_total, l_sas, l_sa = classifier_loss(
+                    pair, sb, tb, noise_std=cfg.dd.input_noise_std, rng=rngs["classifier"])
+                cls_opt.step()
+            fields.update(classifier_loss=cls_total, loss_sas=l_sas, loss_sa=l_sa)
+        dd_all = dd_for_transitions(pair, demos.batch, cfg.dd, alpha)
+        fields.update(mean_dd=float(dd_all.mean()), std_dd=float(dd_all.std()))
+        return fields, _airl_minibatch_loss(disc, policy, demo_batch, pol_batch, dd_all[demo_idx])
 
-        cls_total = l_sas = l_sa = None
-        dd_demo_all = mean_dd = std_dd = None
-        if use_dd_pipeline:
-            if len(b_src) > 0:
-                for _ in range(cfg.dd.steps_per_iter):
-                    sb = b_src.sample(cfg.dd.batch_size, rngs["classifier"])
-                    tb = b_tgt.sample(cfg.dd.batch_size, rngs["classifier"])
-                    cls_total, l_sas, l_sa = classifier_loss(
-                        pair, sb, tb, noise_std=cfg.dd.input_noise_std, rng=rngs["classifier"])
-                    cls_opt.step()
-            dd_demo_all = dd_for_transitions(pair, demos.batch, cfg.dd, alpha_eff)
-            mean_dd, std_dd = float(dd_demo_all.mean()), float(dd_demo_all.std())
+    return ({"disc": disc, "classifiers": pair}, _airl_reward_fn(disc, policy), disc_opt, step,
+            counts)
 
-        # Discriminator phase: a buffer-sampled policy batch of the
-        # iteration's size and a demo batch of equal size, whose DD is read
-        # from this iteration's DD of every demo row (the pair is not
-        # trained again before the phase).
+
+def _gail_phase(cfg, seeds, rngs, src, tgt, demos: DemoSet, policy):
+    """GAN imitation: no classifiers, no source rollouts, a reward that reads no log pi."""
+    gail = GailDiscriminator(tgt.spec.state_dim, tgt.spec.action_dim,
+                             hidden=cfg.disc.hidden, seed=seeds["disc_init"])
+    disc_opt = Adam(gail.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
+
+    def step(t, b_tgt, demo_idx, demo_batch, pol_batch):
+        return {"source_steps": 0}, lambda idx: gail_disc_loss(gail, demo_batch.rows(idx),
+                                                                pol_batch.rows(idx))
+
+    return ({"gail": gail}, lambda s, a, sn: gail_policy_reward(gail, s, a), disc_opt, step,
+            {"source_steps": 0, "source_episodes": 0})
+
+
+def run_experiment(cfg: ExperimentConfig) -> Path:
+    """Run cfg.method's recipe (`RECIPES`, keyed by config.METHODS) into cfg.out_dir."""
+    return RECIPES[cfg.method](cfg)
+
+
+def _run_adversarial(cfg: ExperimentConfig, alpha: float, phase) -> Path:
+    """A fresh target agent with a discriminator phase before each update.
+
+    phase(cfg, seeds, rngs, src, tgt, demos, policy) returns (nets, reward_fn, disc_opt,
+    step, source counts). Each iteration pushes its batch into the target ring and draws
+    a ring batch and a demo batch of its size from rngs["disc"]; step(t, ring, demo_idx,
+    demo_batch, pol_batch) does the phase's own work and returns its progress fields and
+    the minibatch loss for `_train_discriminator`. alpha goes to summary.json.
+    """
+    demos, out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_imitation(cfg)
+    policy, value, popt = _agent(cfg, tgt.spec, seeds["policy_init"], seeds["value_init"],
+                                 cfg.policy)
+    nets, reward_fn, disc_opt, step, counts = phase(cfg, seeds, rngs, src, tgt, demos, policy)
+    b_tgt = ReplayBuffer(cfg.buffers.target_capacity, tgt.domain_tag)
+
+    def before_update(t, batch):
+        b_tgt.push(batch)
         pol_batch = b_tgt.sample(len(batch), rngs["disc"])
         demo_idx, demo_batch = demos.sample(len(batch), rngs["disc"])
-        minibatch_loss = (
-            _airl_minibatch_loss(disc, policy, demo_batch, pol_batch, dd_demo_all[demo_idx])
-            if use_dd_pipeline else
-            lambda idx: gail_disc_loss(gail, demo_batch.rows(idx), pol_batch.rows(idx)))
+        fields, minibatch_loss = step(t, b_tgt, demo_idx, demo_batch, pol_batch)
         d_loss, demo_acc, pol_acc = _train_discriminator(
             minibatch_loss, disc_opt, len(pol_batch), cfg.disc.epochs, cfg.disc.minibatch_size,
             rngs["disc"])
-        return dict(source_steps=source_steps, disc_loss=d_loss, classifier_loss=cls_total,
-                    mean_dd=mean_dd, loss_sas=l_sas, loss_sa=l_sa, std_dd=std_dd,
-                    demo_acc=demo_acc, policy_acc=pol_acc)
+        return dict(fields, disc_loss=d_loss, demo_acc=demo_acc, policy_acc=pol_acc)
 
     target_steps, final = _train_target_policy(cfg, out, policy, popt, tgt, tgt_eval, reward_fn,
                                                rngs, before_update)
     return _finish_run(cfg, out, policy, src_eval, tgt_eval,
-                       {"policy": policy, "value": value, **nets}, final,
-                       disc=disc, alpha=alpha_eff,
-                       target_steps=target_steps, source_steps=source_steps,
-                       source_episodes=source_episodes)
+                       {"policy": policy, "value": value, **nets}, final, alpha,
+                       target_steps=target_steps, **counts)
 
-
-# ---------------------------------------------------------------------------
-# Transfer baselines
-# ---------------------------------------------------------------------------
 
 def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     """Evaluate the source expert directly in the target domain; no training."""
-    out, _, _, (_, tgt, src_eval, tgt_eval) = _start_run(cfg)
+    _, _, (_, tgt, src_eval, tgt_eval) = _setup(cfg)
     if not cfg.expert_path:
         raise ValueError("expert_path is required for expert_transfer")
     policy = _load_policy(cfg, tgt.spec, cfg.expert_path)
+    out = _run_dir(cfg)
     with closing(ProgressWriter(out / "progress.csv")) as writer:
         gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
         writer.write(iteration=0, target_steps=0, source_steps=0,
                      policy_entropy=policy.entropy(), gt_return=gt_return, success_rate=success)
-    return _finish_run(cfg, out, policy, src_eval, tgt_eval, {}, (gt_return, success),
+    return _finish_run(cfg, out, policy, src_eval, tgt_eval, {}, (gt_return, success), None,
                        target_steps=0, source_steps=0, source_episodes=0)
 
 
 def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     """Adversarial IRL in the source domain on the same source budget, then
     the transferable reward term g trains a fresh target policy."""
-    out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_run(cfg)
-    demos = _load_demoset(cfg, src.spec)
+    demos, out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_imitation(cfg)
 
     # Phase 1: source-domain adversarial IRL (zero DD), budget-matched to the main
     # method's source episode count, with an r-fold gradient-step multiplier.
     policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
                              replace(cfg.policy, epochs=cfg.policy.epochs * cfg.r))
     disc, disc_opt = _airl_discriminator(cfg, src.spec, seeds["disc_init"])
-    src_reward_fn = _airl_reward_fn(disc, policy)
-
-    n_src_iters = cfg.steps // cfg.r
     source_steps = source_episodes = 0
     with closing(ProgressWriter(out / "source_phase.csv",
                                 ["iteration", "source_steps", "disc_loss"])) as phase_writer:
-        for t in range(1, n_src_iters + 1):
+        for t in range(1, cfg.steps // cfg.r + 1):
             episode = rollout(policy, src, rngs["actions"])
             source_steps += len(episode)
             source_episodes += 1
@@ -458,19 +442,34 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
                 _airl_minibatch_loss(disc, policy, demo_batch, episode, np.zeros(len(episode))),
                 disc_opt, len(episode), cfg.disc.epochs * cfg.r, cfg.disc.minibatch_size,
                 rngs["disc"])
-            popt.update(episode, src_reward_fn, rngs["policy_update"])
+            popt.update(episode, _airl_reward_fn(disc, policy), rngs["policy_update"])
             phase_writer.write(iteration=t, source_steps=source_steps, disc_loss=d_loss)
 
-    # Phase 2: transfer g as the reward for a fresh target-domain policy.
-    policy2, _, popt2 = _agent(cfg, tgt.spec, seeds["policy2_init"], seeds["value2_init"],
-                               cfg.policy)
-    target_steps, final = _train_target_policy(
-        cfg, out, policy2, popt2, tgt, tgt_eval, lambda s, a, sn: disc.g_value(s, a), rngs,
-        lambda t, batch: {"source_steps": source_steps})
-    return _finish_run(cfg, out, policy2, src_eval, tgt_eval,
-                       {"policy": policy2, "disc": disc}, final, disc=disc,
-                       target_steps=target_steps, source_steps=source_steps,
+    policy2, target_steps, final = _train_on_g(cfg, out, seeds, rngs, tgt, tgt_eval, disc,
+                                               source_steps)
+    return _finish_run(cfg, out, policy2, src_eval, tgt_eval, {"policy": policy2, "disc": disc},
+                       final, None, target_steps=target_steps, source_steps=source_steps,
                        source_episodes=source_episodes)
+
+
+def _train_on_g(cfg, out: Path, seeds, rngs, tgt, tgt_eval, disc, source_steps: int):
+    """A fresh target agent (policy2/value2 seeds) trained on a trained AIRL
+    discriminator's reward term g; (policy, target steps, final)."""
+    policy, _, popt = _agent(cfg, tgt.spec, seeds["policy2_init"], seeds["value2_init"],
+                             cfg.policy)
+    target_steps, final = _train_target_policy(
+        cfg, out, policy, popt, tgt, tgt_eval, lambda s, a, sn: disc.g_value(s, a), rngs,
+        lambda t, batch: {"source_steps": source_steps})
+    return policy, target_steps, final
+
+
+RECIPES = {
+    "odirl": lambda cfg: _run_adversarial(cfg, cfg.alpha, partial(_airl_phase, alpha=cfg.alpha)),
+    "airl": lambda cfg: _run_adversarial(cfg, 0.0, partial(_airl_phase, alpha=0.0)),
+    "gail": lambda cfg: _run_adversarial(cfg, 0.0, _gail_phase),
+    "airl_source_transfer": _run_airl_source_transfer,
+    "expert_transfer": _run_expert_transfer,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,8 @@ def test_gt_poisoning_does_not_change_learned_parameters(tmp_path, demo_file, mo
 
 
 def test_gail_runs_without_source_interactions(tmp_path, demo_file, monkeypatch):
-    calls = {"log_prob": 0, "dd_for_transitions": 0, "disc_loss": 0, "gail_disc_loss": 0}
+    calls = {"log_prob": 0, "dd_for_transitions": 0, "disc_loss": 0, "gail_disc_loss": 0,
+             "ClassifierPair": 0, "ReplayBuffer": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -304,15 +305,18 @@ def test_gail_runs_without_source_interactions(tmp_path, demo_file, monkeypatch)
         return wrapper
 
     monkeypatch.setattr(GaussianPolicy, "log_prob", counted("log_prob", GaussianPolicy.log_prob))
-    for name in ("dd_for_transitions", "disc_loss", "gail_disc_loss"):
+    for name in ("dd_for_transitions", "disc_loss", "gail_disc_loss", "ClassifierPair",
+                 "ReplayBuffer"):
         monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
     demos, _ = demo_file
     cfg = tiny_cfg(tmp_path, "gail", steps=2, r=2)
     cfg.method = "gail"
     cfg.demos_path = demos
     out = run_experiment(cfg)
-    # no log pi, DD or AIRL loss; the GAN loss once per minibatch (40 rows in minibatches of 32)
-    assert calls == {"log_prob": 0, "dd_for_transitions": 0, "disc_loss": 0, "gail_disc_loss": 4}
+    # no log pi, DD or AIRL loss; the GAN loss once per minibatch (40 rows in minibatches
+    # of 32); no classifier pair, and the target ring is its one replay buffer
+    assert calls == {"log_prob": 0, "dd_for_transitions": 0, "disc_loss": 0, "gail_disc_loss": 4,
+                     "ClassifierPair": 0, "ReplayBuffer": 1}
     rows = read_progress(out)
     assert all(int(r["source_steps"]) == 0 for r in rows)
     assert all(r["classifier_loss"] == "" for r in rows)
@@ -833,6 +837,35 @@ def test_config_rejects_a_removed_key(key, value):
         cfg.validate()
 
 
+def test_run_experiment_looks_every_method_up_in_one_table(tmp_path):
+    assert set(harness.RECIPES) == set(config_module.METHODS)
+    # load_config rejects an unknown method; one set in code fails the lookup
+    cfg = tiny_cfg(tmp_path, "run")
+    cfg.method = "nope"
+    with pytest.raises(KeyError, match="nope"):
+        run_experiment(cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", ["missing", "another task"])
+@pytest.mark.parametrize("method", config_module.METHODS)
+def test_every_method_checks_its_input_before_making_its_run_directory(tmp_path, demo_file,
+                                                                       method, fault):
+    """Without its input (demos, or the expert for expert_transfer), or with one made
+    for the point maze in a link-chain run, a method raises and leaves no run directory."""
+    demos, expert = demo_file
+    key, path = ("expert_path", expert) if method == "expert_transfer" else ("demos_path", demos)
+    cfg = tiny_cfg(tmp_path, "run", method=method)
+    if fault == "missing":
+        match = f"{key} is required for {method}"
+    else:
+        cfg.task, match = "linkchain", re.escape(path)
+        setattr(cfg, key, path)
+    with pytest.raises(ValueError, match=match):
+        run_experiment(cfg)
+    assert not Path(cfg.out_dir).exists()
+
+
 @pytest.mark.parametrize("entry", ["run_experiment", "train_expert", "collect_demos"])
 def test_every_entry_point_rejects_a_bad_config_built_in_code_before_writing(tmp_path, entry):
     cfg = tiny_cfg(tmp_path, "run")
@@ -1138,9 +1171,9 @@ def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
                                       capture_output=True, text=True).stdout.splitlines())
         out.rename(tmp_path / attempt)
     assert outputs[0] == outputs[1]
-    # 10 runs per task and a point-maze-only one; all but expert_transfer train
+    # 11 runs per task and a point-maze-only one; all but expert_transfer train
     # and save a final policy
-    for name, runs in (("progress.csv", 21), ("policy_final.bin", 19)):
+    for name, runs in (("progress.csv", 23), ("policy_final.bin", 21)):
         assert sum(line.endswith("/" + name) for line in outputs[0]) == runs
 
 
@@ -1151,7 +1184,7 @@ def test_every_method_reports_its_last_progress_row_as_its_final_scores(tmp_path
     subprocess.run([sys.executable, str(Path(__file__).parent / "digests.py"), str(tmp_path)],
                    check=True, capture_output=True)
     summaries = sorted(tmp_path.glob("*/*/summary.json"))
-    assert len(summaries) == 21
+    assert len(summaries) == 23
     for path in summaries:
         summary, last = json.loads(path.read_text()), read_progress(path.parent)[-1]
         assert format(summary["final_gt_return"], ".10g") == last["gt_return"], path

@@ -186,8 +186,6 @@ NONE_DEFAULTS_ALLOWED = {
     "envs.py:rollouts(rng)": "a deterministic rollout draws nothing",
     "envs.py:PointMazeEnv.reset(n)": "one (2,) state: the benchmark's one-state form",
     "envs.py:LinkChainEnv.reset(n)": "one state: the benchmark's one-state form",
-    "harness.py:_finish_run(disc)": "methods with no AIRL discriminator write no heatmap",
-    "harness.py:_finish_run(alpha)": "methods with no alpha write a null alpha to summary.json",
 }
 
 
