@@ -23,9 +23,12 @@ _DEMO_ARRAYS = ("s", "a", "s_next", "done", "gt_reward", "ends")    # a demo fil
 class ReplayBuffer:
     """The newest `capacity` (s, a, s_next) rows of one domain, in a numpy ring.
 
-    The ring's arrays grow by doubling up to `capacity` rows, so a large
-    capacity costs memory only as the buffer fills. Once full, a push
-    overwrites the oldest rows: row i, oldest first, sits at
+    The first push allocates the arrays at `capacity` rows (`np.empty`, so
+    rows not yet written are not resident); no push grows or copies them.
+    The harness sizes each ring to the rows its run can push, not to the
+    configured capacity: numpy backs arrays of 4 MB and more with huge pages,
+    so the touched rows of an oversized ring are resident in 2 MB units. Once
+    full, a push overwrites the oldest rows: row i, oldest first, sits at
     (head + i) % capacity.
     """
 
@@ -52,13 +55,8 @@ class ReplayBuffer:
         if n == 0:
             return
         size = min(self._size + n, self.capacity)
-        if not self._arrays or size > len(self._arrays[0]):
-            # Only a ring that has never wrapped grows, so its rows start at 0.
-            rows = min(self.capacity, max(size, 2 * len(self._arrays[0]) if self._arrays else 0))
-            grown = tuple(np.empty((rows, x.shape[1])) for x in new)
-            for dst, src in zip(grown, self._arrays):
-                dst[: self._size] = src[: self._size]
-            self._arrays = grown
+        if not self._arrays:
+            self._arrays = tuple(np.empty((self.capacity, x.shape[1])) for x in new)
         at = (self._head + self._size + np.arange(n)) % self.capacity
         for dst, src in zip(self._arrays, new):
             dst[at] = src

@@ -134,7 +134,7 @@ def collect_batch(policy, env, batch_steps: int, rng) -> Batch:
     episodes, so every episode starts with fewer than batch_steps transitions
     before it (earlier episodes counted in full): given the same episode
     lengths, the batch holds exactly the episodes that rolling one episode at
-    a time until batch_steps would.
+    a time until batch_steps would, and at most batch_steps + horizon - 1 transitions.
     """
     waves, n = [], 0
     while n < batch_steps:
@@ -328,7 +328,8 @@ def _airl_phase(cfg, seeds, rngs, src, tgt, demos: DemoSet, policy, alpha: float
     pair = ClassifierPair(tgt.spec.state_dim, tgt.spec.action_dim,
                           hidden=cfg.dd.hidden, seed=seeds["classifier_init"])
     cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
-    b_src = ReplayBuffer(cfg.buffers.source_capacity, src.domain_tag)
+    b_src = ReplayBuffer(min(cfg.buffers.source_capacity,        # steps // r episodes, may be 0
+                             max(1, cfg.steps // cfg.r * src.spec.horizon)), src.domain_tag)
     counts = {"source_steps": 0, "source_episodes": 0}
 
     def step(t, b_tgt, demo_idx, demo_batch, pol_batch):
@@ -386,7 +387,8 @@ def _run_adversarial(cfg: ExperimentConfig, alpha: float, phase) -> Path:
     policy, value, popt = _agent(cfg, tgt.spec, seeds["policy_init"], seeds["value_init"],
                                  cfg.policy)
     nets, reward_fn, disc_opt, step, counts = phase(cfg, seeds, rngs, src, tgt, demos, policy)
-    b_tgt = ReplayBuffer(cfg.buffers.target_capacity, tgt.domain_tag)
+    b_tgt = ReplayBuffer(min(cfg.buffers.target_capacity,        # collect_batch's bound per step
+                             cfg.steps * (cfg.batch_steps + tgt.spec.horizon - 1)), tgt.domain_tag)
 
     def before_update(t, batch):
         b_tgt.push(batch)

@@ -32,9 +32,11 @@ import os
 import sys
 from pathlib import Path
 
-# Pin BLAS to one thread before numpy loads, as the benchmark worker does.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ[_var] = "1"
+# Run as a script, pin BLAS to one thread before numpy loads, as the benchmark
+# worker does; a test that imports RUNS leaves its own process as it is.
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -53,7 +55,9 @@ SMALL = {
     "expert": {"steps": 3, "batch_steps": 40, "n_demo_episodes": 3, "demo_success_only": False},
 }
 
-# run directory name -> overrides on top of SMALL
+TASKS = ("pointmaze", "linkchain")
+
+# run directory name -> overrides on top of SMALL; an entry with a task runs on that task only
 RUNS = {
     "odirl": {"method": "odirl"},
     "odirl_alpha0.5": {"method": "odirl", "alpha": 0.5},
@@ -83,17 +87,20 @@ def _config(task: str, **overrides):
     return load_config(overrides=merged)
 
 
+def task_runs(task: str) -> dict:
+    """name -> overrides of every RUNS entry made on task, without its task key."""
+    return {name: {key: val for key, val in run.items() if key != "task"}
+            for name, run in RUNS.items() if run.get("task", task) == task}
+
+
 def run_all(out: Path) -> None:
-    for task in ("pointmaze", "linkchain"):
+    for task in TASKS:
         base = out / task
         cfg = _config(task, out_dir=str(base / "expert"))
         expert = train_expert(cfg)
         demos = base / "demos.bin"
         collect_demos(cfg, expert, demos)
-        for name, overrides in RUNS.items():
-            overrides = dict(overrides)
-            if overrides.pop("task", task) != task:     # a run of the other task only
-                continue
+        for name, overrides in task_runs(task).items():
             run_experiment(_config(task, out_dir=str(base / name), demos_path=str(demos),
                                    expert_path=str(expert), **overrides))
 

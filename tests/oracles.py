@@ -6,9 +6,10 @@ synthetic transition generators, the point-maze rows that only the source
 domain's wall gap allows, a one-state-at-a-time point-maze step, the
 point-maze wall clip run on every row, a lockstep rollout that indexes its
 rows by episode on every step, per-layer views of an Mlp's flat parameters,
-textbook Adam, a replay buffer kept as a deque of rows, and the run's CSV
-files written cell by cell through ``csv.writer``. ``with_log_std`` gives a
-policy a starting std other than the action-box one.
+textbook Adam, a replay buffer kept as a deque of rows and one whose numpy
+ring grows by doubling, and the run's CSV files written cell by cell through
+``csv.writer``. ``with_log_std`` gives a policy a starting std other than the
+action-box one.
 """
 
 import csv
@@ -318,7 +319,7 @@ class TextbookAdam:
 
 
 # ---------------------------------------------------------------------------
-# Replay buffer, one row object at a time
+# Replay buffers: one row object at a time, and a ring grown by doubling
 # ---------------------------------------------------------------------------
 
 class DequeReplayBuffer:
@@ -333,6 +334,46 @@ class DequeReplayBuffer:
     def sample(self, n, rng):
         """n rows, drawn as the ring draws them: one rng.integers over the rows, oldest first."""
         return [self.rows[i] for i in rng.integers(0, len(self.rows), size=n)]
+
+
+class DoublingReplayBuffer:
+    """Reference for `buffers.ReplayBuffer`: the same numpy ring, with arrays
+    that grow by doubling up to `capacity` rows instead of one allocation."""
+
+    def __init__(self, capacity, domain_tag):
+        self.capacity = int(capacity)
+        self.domain_tag = domain_tag
+        self._arrays = ()      # s, a, s_next
+        self._head = 0
+        self._size = 0
+
+    def __len__(self):
+        return self._size
+
+    def push(self, batch):
+        new = [x[-self.capacity:] for x in (batch.s, batch.a, batch.s_next)]
+        n = len(new[0])
+        if n == 0:
+            return
+        size = min(self._size + n, self.capacity)
+        if not self._arrays or size > len(self._arrays[0]):
+            # Only a ring that has never wrapped grows, so its rows start at 0.
+            rows = min(self.capacity, max(size, 2 * len(self._arrays[0]) if self._arrays else 0))
+            grown = tuple(np.empty((rows, x.shape[1])) for x in new)
+            for dst, src in zip(grown, self._arrays):
+                dst[: self._size] = src[: self._size]
+            self._arrays = grown
+        at = (self._head + self._size + np.arange(n)) % self.capacity
+        for dst, src in zip(self._arrays, new):
+            dst[at] = src
+        self._head = (self._head + self._size + n - size) % self.capacity
+        self._size = size
+
+    def sample(self, n, rng):
+        idx = rng.integers(0, self._size, size=n)
+        at = (self._head + idx) % self.capacity
+        s, a, s_next = (x[at] for x in self._arrays)
+        return Batch(s, a, s_next, self.domain_tag)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ import pytest
 from scipy import stats
 
 from odirl.buffers import DemoSet, ReplayBuffer, load_demos, save_demos
-from odirl.envs import (SOURCE, TARGET, Batch, EnvSpec, PointMazeConfig, PointMazeEnv, Trajectory,
-                        Transition, rollouts, write_trajectory_csv)
+from odirl.envs import (SOURCE, TARGET, Batch, EnvSpec, LinkChainConfig, LinkChainEnv,
+                        PointMazeConfig, PointMazeEnv, Trajectory, Transition, rollouts,
+                        write_trajectory_csv)
 from odirl.irl import Discriminator, reward_heatmap
 from odirl.policy import GaussianPolicy
 from odirl.nets import load_params, save_arrays, save_blocks
-from oracles import (DequeReplayBuffer, reference_heatmap_csv, reference_write_trajectory_csv,
-                     with_log_std)
+from oracles import (DequeReplayBuffer, DoublingReplayBuffer, reference_heatmap_csv,
+                     reference_write_trajectory_csv, with_log_std)
 
 
 def make_traj(n, tag=SOURCE, offset=0.0):
@@ -79,14 +80,20 @@ def test_wrong_tag_push_raises_before_writing_a_row():
         assert np.array_equal(getattr(before, key), getattr(after, key))
 
 
+RING_LENGTHS = np.random.default_rng(0).integers(1, 90, size=40).tolist()    # episode lengths
+
+
+def ring_episodes():
+    """Episodes of RING_LENGTHS rows, each with first coordinates of its own."""
+    return [make_batch(n, offset=1000.0 * k) for k, n in enumerate(RING_LENGTHS)]
+
+
 @pytest.mark.parametrize("capacity", [1, 7, 64, 1000])
 def test_ring_samples_the_rows_a_deque_of_rows_samples(capacity):
     """Episodes pushed far past capacity (some longer than the ring): each
     sample draws the same indices into the same oldest-first rows."""
     ring, ref = ReplayBuffer(capacity, SOURCE), DequeReplayBuffer(capacity)
-    lengths = np.random.default_rng(0).integers(1, 90, size=40)
-    for k, n in enumerate(lengths):
-        batch = make_batch(int(n), offset=1000.0 * k)
+    for k, batch in enumerate(ring_episodes()):
         ring.push(batch)
         ref.push(batch)
         assert len(ring) == len(ref.rows)
@@ -96,7 +103,52 @@ def test_ring_samples_the_rows_a_deque_of_rows_samples(capacity):
         for j, key in enumerate(("s", "a", "s_next")):
             assert np.array_equal(getattr(got, key), np.array([row[j] for row in want]))
         assert rng_ring.random() == rng_ref.random()      # the same draws were made
-    assert len(ring) == min(capacity, int(lengths.sum()))
+    assert len(ring) == min(capacity, sum(RING_LENGTHS))
+
+
+@pytest.mark.parametrize("capacity", [1, 7, 57, 1000, sum(RING_LENGTHS)])
+def test_ring_samples_every_bit_the_doubling_ring_samples(capacity):
+    """The same episodes into the one-allocation ring and into the ring that
+    grew by doubling: the same length and sampled bits after every push, the
+    same draws, and one set of arrays from the first push on."""
+    ring, ref = ReplayBuffer(capacity, SOURCE), DoublingReplayBuffer(capacity, SOURCE)
+    for k, batch in enumerate(ring_episodes()):
+        ring.push(batch)
+        ref.push(batch)
+        if k == 0:
+            arrays = ring._arrays
+        assert len(ring._arrays) == 3 and all(x is y for x, y in zip(ring._arrays, arrays))
+        assert len(ring) == len(ref)
+        rng_ring, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+        got, want = ring.sample(33, rng_ring), ref.sample(33, rng_ref)
+        for key in ("s", "a", "s_next"):
+            assert np.array_equal(getattr(got, key).view(np.int64),
+                                  getattr(want, key).view(np.int64))
+        assert rng_ring.bit_generator.state == rng_ref.bit_generator.state
+    assert len(ring) == min(capacity, sum(RING_LENGTHS))
+
+
+def test_pushes_into_a_ring_of_its_runs_rows_peak_at_its_arrays_plus_one_batch():
+    """A ring sized to the 3,600 link-chain rows pushed into it: while they
+    are pushed, the traced peak stays within the ring's arrays and one batch
+    (a ring that grew by doubling would hold its old and new arrays at once)."""
+    env = LinkChainEnv(LinkChainConfig(horizon=15), TARGET, seed=0)
+    policy = GaussianPolicy(env.spec, hidden=(8,), seed=0)
+    batches = [rollouts(policy, env, 8, np.random.default_rng(i)) for i in range(3)]
+    widths = sum(x.shape[1] for x in (batches[0].s, batches[0].a, batches[0].s_next))
+    pushes = 30
+    capacity = sum(len(batches[i % 3]) for i in range(pushes))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        buf = ReplayBuffer(capacity, TARGET)
+        for i in range(pushes):
+            buf.push(batches[i % 3])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert capacity == 3600 and len(buf) == capacity
+    assert peak <= 8 * widths * (capacity + max(len(b) for b in batches))
 
 
 def test_ring_holds_at_most_100_bytes_per_point_maze_row():

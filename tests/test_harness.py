@@ -17,7 +17,7 @@ import odirl.config as config_module
 import odirl.fields as fields
 import odirl.harness as harness
 import odirl.policy as policy_mod
-from odirl.buffers import load_demos, save_demos
+from odirl.buffers import ReplayBuffer, load_demos, save_demos
 from odirl.cli import discriminator_from_checkpoint
 from odirl.config import ExperimentConfig, load_config, save_config
 from odirl.dd import ClassifierPair, DDConfig, dd_for_transitions
@@ -27,6 +27,7 @@ from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment
 from odirl.irl import Discriminator, GailDiscriminator, disc_loss
 from odirl.nets import Adam, FlatParams, Mlp, load_blocks, load_params, minibatches, save_blocks
 from odirl.policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
+from digests import TASKS, task_runs
 from oracles import with_log_std
 
 
@@ -71,6 +72,16 @@ def demo_file(tmp_path_factory):
     path = tmp / "demos.bin"
     collect_demos(cfg, expert, path)
     return str(path), str(expert)
+
+
+@pytest.fixture(scope="module")
+def chain_demo_file(tmp_path_factory):
+    """A tiny link-chain demo file."""
+    tmp = tmp_path_factory.mktemp("chain_demos")
+    cfg = tiny_cfg(tmp, "expert", task="linkchain")
+    path = tmp / "demos.bin"
+    collect_demos(cfg, train_expert(cfg), path)
+    return str(path)
 
 
 def read_progress(out_dir):
@@ -321,6 +332,66 @@ def test_gail_runs_without_source_interactions(tmp_path, demo_file, monkeypatch)
     assert all(int(r["source_steps"]) == 0 for r in rows)
     assert all(r["classifier_loss"] == "" for r in rows)
     assert (Path(out) / "checkpoints" / "gail_final.bin").exists()
+
+
+def spy_rings(monkeypatch):
+    """The rings the harness builds from now on, each with the row count of every push."""
+    built = []
+
+    class SpyRing(ReplayBuffer):
+        def __init__(self, capacity, domain_tag):
+            super().__init__(capacity, domain_tag)
+            self.pushed = []
+            built.append(self)
+
+        def push(self, batch):
+            self.pushed.append(len(batch))
+            super().push(batch)
+
+    monkeypatch.setattr(harness, "ReplayBuffer", SpyRing)
+    return built
+
+
+@pytest.mark.parametrize("capacities", [(1_000_000, 100_000), (57, 13)], ids=["large", "small"])
+@pytest.mark.parametrize("method", ["odirl", "gail"])
+@pytest.mark.parametrize("task", ["pointmaze", "linkchain"])
+def test_each_ring_is_built_at_the_rows_its_run_can_push(tmp_path, demo_file, chain_demo_file,
+                                                         monkeypatch, task, method, capacities):
+    """Each ring is built at min(configured capacity, its bound) and is never
+    pushed more rows than the bound: steps * (batch_steps + horizon - 1) target
+    rows and max(1, steps // r * horizon) source rows. Point-maze episodes that
+    start next to the goal end early, so a second wave overshoots batch_steps."""
+    rings = spy_rings(monkeypatch)
+    cfg = tiny_cfg(tmp_path, "run", steps=4, r=2, task=task, method=method)
+    cfg.demos_path = demo_file[0] if task == "pointmaze" else chain_demo_file
+    cfg.pointmaze.start_region = (0.7, 0.45, 0.76, 0.65)
+    cfg.buffers.target_capacity, cfg.buffers.source_capacity = capacities
+    summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
+    horizon = cfg.env_config().horizon
+    bounds = {TARGET: cfg.steps * (cfg.batch_steps + horizon - 1),
+              SOURCE: max(1, cfg.steps // cfg.r * horizon)}
+    configured = {TARGET: capacities[0], SOURCE: capacities[1]}
+    assert [ring.domain_tag for ring in rings] == ([SOURCE, TARGET] if method == "odirl"
+                                                    else [TARGET])
+    for ring in rings:
+        assert ring.capacity == min(configured[ring.domain_tag], bounds[ring.domain_tag])
+        assert sum(ring.pushed) <= bounds[ring.domain_tag]
+    assert max(rings[-1].pushed) > cfg.batch_steps         # a wave overshot
+    assert sum(rings[-1].pushed) == summary["target_steps"]
+    if method == "odirl":
+        assert sum(rings[0].pushed) == summary["source_steps"]
+
+
+def test_a_run_shorter_than_r_builds_a_one_row_source_ring(tmp_path, demo_file, monkeypatch):
+    """steps: 1, r: 2 rolls no source episode: the source ring is built at
+    one row (a ring of 0 rows is rejected) and the run writes source_steps 0."""
+    rings = spy_rings(monkeypatch)
+    cfg = tiny_cfg(tmp_path, "run", steps=1, r=2)
+    cfg.demos_path = demo_file[0]
+    out = run_experiment(cfg)
+    assert (rings[0].domain_tag, rings[0].capacity, rings[0].pushed) == (SOURCE, 1, [])
+    assert [row["source_steps"] for row in read_progress(out)] == ["0"]
+    assert json.loads((out / "summary.json").read_text())["source_steps"] == 0
 
 
 def test_expert_transfer_emits_single_evaluation_row(tmp_path, demo_file):
@@ -1161,6 +1232,11 @@ def test_discriminator_phase_reads_demo_dd_from_the_iteration_dd_of_every_demo_r
             assert match.any() and value in dd_all[match]
 
 
+def digest_run_methods():
+    """The method of every run directory tests/digests.py makes."""
+    return [run["method"] for task in TASKS for run in task_runs(task).values()]
+
+
 def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
     """tests/digests.py twice into the same directory: every file of every
     method's run directory, on both tasks, has the same sha256 both times."""
@@ -1171,9 +1247,10 @@ def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
                                       capture_output=True, text=True).stdout.splitlines())
         out.rename(tmp_path / attempt)
     assert outputs[0] == outputs[1]
-    # 11 runs per task and a point-maze-only one; all but expert_transfer train
-    # and save a final policy
-    for name, runs in (("progress.csv", 23), ("policy_final.bin", 21)):
+    # every run writes progress.csv; all but expert_transfer train and save a final policy
+    methods = digest_run_methods()
+    for name, runs in (("progress.csv", len(methods)),
+                       ("policy_final.bin", sum(m != "expert_transfer" for m in methods))):
         assert sum(line.endswith("/" + name) for line in outputs[0]) == runs
 
 
@@ -1184,7 +1261,7 @@ def test_every_method_reports_its_last_progress_row_as_its_final_scores(tmp_path
     subprocess.run([sys.executable, str(Path(__file__).parent / "digests.py"), str(tmp_path)],
                    check=True, capture_output=True)
     summaries = sorted(tmp_path.glob("*/*/summary.json"))
-    assert len(summaries) == 23
+    assert len(summaries) == len(digest_run_methods())
     for path in summaries:
         summary, last = json.loads(path.read_text()), read_progress(path.parent)[-1]
         assert format(summary["final_gt_return"], ".10g") == last["gt_return"], path
