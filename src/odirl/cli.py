@@ -54,14 +54,16 @@ def _config_from_args(args, **extra):
 
 
 def discriminator_from_checkpoint(path) -> Discriminator:
-    """The discriminator saved at path, rebuilt from its g/h meta."""
+    """The discriminator saved at path, rebuilt from its g/h meta; a meta it
+    cannot be rebuilt from raises a ValueError naming the file."""
     _, meta = load_params(path)
-    if not all(key in meta for key in ("g", "h", "gamma", "state_only_g")):
-        raise ValueError(f"{path}: not a discriminator checkpoint")
-    g_sizes, state_dim = meta["g"]["layer_sizes"], meta["h"]["layer_sizes"][0]
-    # A state-only g records no action dim; g never reads the action then.
-    disc = Discriminator(state_dim, g_sizes[0] - state_dim or 1, gamma=meta["gamma"],
-                         state_only_g=meta["state_only_g"], hidden=tuple(g_sizes[1:-1]))
+    try:
+        g_sizes, state_dim = meta["g"]["layer_sizes"], meta["h"]["layer_sizes"][0]
+        # A state-only g records no action dim; g never reads the action then.
+        disc = Discriminator(state_dim, g_sizes[0] - state_dim or 1, gamma=meta["gamma"],
+                             state_only_g=meta["state_only_g"], hidden=tuple(g_sizes[1:-1]))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a discriminator checkpoint: {exc!r}") from exc
     load_blocks(path, disc.blocks())
     return disc
 

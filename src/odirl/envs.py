@@ -12,8 +12,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import check_fields
-
 SOURCE = "source"
 TARGET = "target"
 _WALL_EPS = 1e-9
@@ -31,12 +29,6 @@ class EnvSpec:
     def __post_init__(self):
         self.action_low = np.asarray(self.action_low, dtype=np.float64)
         self.action_high = np.asarray(self.action_high, dtype=np.float64)
-        if self.state_dim < 1 or self.action_dim < 1:
-            raise ValueError("state_dim and action_dim must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not (np.all(np.isfinite(self.action_low)) and np.all(np.isfinite(self.action_high))):
-            raise ValueError("action bounds must be finite")
         self.goal = np.asarray(self.goal, dtype=np.float64)
 
 
@@ -148,7 +140,7 @@ class PointMazeConfig:
     horizon: int = 80
 
     def check_cross_fields(self) -> None:
-        """The geometry rules that span fields (see `fields.check_fields`)."""
+        """The geometry rules that span fields, run by `config.check_fields`."""
         if not 0.0 < self.source_wall_length < self.target_wall_length <= 1.0:
             raise ValueError("pointmaze: need 0 < source_wall_length < target_wall_length <= 1")
         xlo, xhi = self.wall_x - self.wall_half_width, self.wall_x + self.wall_half_width
@@ -202,10 +194,10 @@ class PointMazeEnv:
 
     reset, step and ground_truth_reward take one (2,) state or a leading batch
     axis of states, like ``Mlp.forward``; is_success takes (N, 2) states.
+    config is a section `ExperimentConfig.validate` has checked.
     """
 
     def __init__(self, config: PointMazeConfig, domain_tag: str, seed: int):
-        check_fields(config, "pointmaze.")
         self.config = config
         self.domain_tag = domain_tag
         self.rng = np.random.default_rng(seed)
@@ -330,7 +322,7 @@ class LinkChainConfig:
     horizon: int = 60
 
     def check_cross_fields(self) -> None:
-        """The rules that span fields (see `fields.check_fields`)."""
+        """The rules that span fields, run by `config.check_fields`."""
         for name in ("target_disabled_mask", "goal_angles"):
             if len(getattr(self, name)) != self.num_joints:
                 raise ValueError(f"linkchain.{name} length must equal num_joints")
@@ -356,11 +348,11 @@ class LinkChainEnv:
     """Torque-controlled planar joint chain; masked actuators produce zero torque.
 
     Each joint integrates a damped second-order servo; the task reward is
-    defined on the chain tip via forward kinematics.
+    defined on the chain tip via forward kinematics. config is a section
+    `ExperimentConfig.validate` has checked.
     """
 
     def __init__(self, config: LinkChainConfig, domain_tag: str, seed: int):
-        check_fields(config, "linkchain.")
         self.config = config
         self.domain_tag = domain_tag
         self.rng = np.random.default_rng(seed)

@@ -501,23 +501,26 @@ def run_ablation(cfg: ExperimentConfig, alphas) -> list[Path]:
 
 
 def aggregate(run_dirs, out_path) -> Path:
-    """Per-method per-evaluation-step mean/min/max ground-truth return.
+    """Per-(method, alpha) per-evaluation-step mean/min/max ground-truth return.
 
-    A method's runs must share task and alpha and each have a seed of its own.
+    alpha is the one each run's summary.json records: odirl's, 0 for airl and
+    gail, null (an empty cell) for the transfers. A group's runs must share task
+    and each have a seed of its own.
     """
-    import yaml
-
-    groups: dict[str, dict] = {}
+    groups: dict[tuple, dict] = {}
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
-        with open(run_dir / "config.yaml") as fh:
-            conf = yaml.safe_load(fh)
-        method = conf["method"]
-        group = groups.setdefault(method, {"first": run_dir, "conf": conf, "seeds": {}, "runs": []})
-        for key in ("task", "alpha"):
-            if conf.get(key) != group["conf"].get(key):
-                raise ValueError(f"{run_dir}, {group['first']}: {method} runs differ in {key}")
-        seed = conf.get("seed")
+        if not (run_dir / "summary.json").is_file():
+            raise ValueError(f"{run_dir}: no summary.json; not a finished run directory")
+        with open(run_dir / "summary.json") as fh:
+            summary = json.load(fh)
+        method = summary["method"]
+        group = groups.setdefault((method, summary.get("alpha")),
+                                  {"first": run_dir, "task": summary.get("task"), "seeds": {},
+                                   "runs": []})
+        if summary.get("task") != group["task"]:
+            raise ValueError(f"{run_dir}, {group['first']}: {method} runs differ in task")
+        seed = summary.get("seed")
         if seed in group["seeds"]:
             raise ValueError(f"{run_dir}, {group['seeds'][seed]}: {method} runs share seed {seed}")
         group["seeds"][seed] = run_dir
@@ -536,14 +539,17 @@ def aggregate(run_dirs, out_path) -> Path:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "iteration", "mean_return", "min_return", "max_return", "n_seeds"])
-        for method in sorted(groups):
-            grid = groups[method]["grid"]
-            data = np.array(groups[method]["runs"])
-            for k, it in enumerate(grid):
+        writer.writerow(["method", "alpha", "iteration", "mean_return", "min_return",
+                         "max_return", "n_seeds"])
+        # A null alpha sorts before every number.
+        for method, alpha in sorted(groups, key=lambda k: (k[0], k[1] is not None, k[1] or 0.0)):
+            group = groups[method, alpha]
+            data = np.array(group["runs"])
+            for k, it in enumerate(group["grid"]):
                 col = data[:, k]
                 writer.writerow([
-                    method, it, format(col.mean(), ".10g"),
-                    format(col.min(), ".10g"), format(col.max(), ".10g"), data.shape[0],
+                    method, "" if alpha is None else format(alpha, ".10g"), it,
+                    format(col.mean(), ".10g"), format(col.min(), ".10g"),
+                    format(col.max(), ".10g"), data.shape[0],
                 ])
     return out_path

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import Batch, EnvSpec, rollouts
-from .fields import check_fields
 from .nets import Adam, FlatParams, Mlp, minibatches
 
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
@@ -35,7 +34,7 @@ class PolicyOptConfig:
     target_kl: float = 0.02          # stop policy epochs once exceeded
 
     def check_cross_fields(self) -> None:
-        """The ranges a lower bound cannot state (see `fields.check_fields`)."""
+        """The ranges a lower bound cannot state, run by `config.check_fields`."""
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("policy.gamma must be in [0, 1)")
         if not 0.0 <= self.gae_lambda <= 1.0:
@@ -137,10 +136,10 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, next_values: np.ndarray
 
 
 class PolicyOptimizer:
-    """Holds the Adam state for a (policy, value) pair across updates."""
+    """Holds the Adam state for a (policy, value) pair across updates; config is a
+    section `ExperimentConfig.validate` has checked."""
 
     def __init__(self, policy: GaussianPolicy, value: ValueNet, config: PolicyOptConfig):
-        check_fields(config, "policy.")
         self.policy = policy
         self.value = value
         self.config = config

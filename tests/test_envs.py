@@ -193,11 +193,6 @@ def test_linkchain_masked_action_equals_zero_action():
         assert np.array_equal(tgt.step(state, a)[0], tgt.step(state, a_zeroed)[0])
 
 
-def test_linkchain_source_mask_must_be_all_false_target_some_true():
-    with pytest.raises(ValueError):
-        make_linkchain_pair(LinkChainConfig(), (False, False, False), 0, 0)
-
-
 def test_rollout_deterministic_policy_zero_noise_repeats_bit_identically():
     cfg = PointMazeConfig(noise_std=0.0, horizon=30)
     pol = ScriptedPolicy((0.9, 0.1))

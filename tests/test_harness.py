@@ -1,3 +1,4 @@
+import collections
 import copy
 import csv
 import dataclasses
@@ -14,19 +15,18 @@ import pytest
 import yaml
 
 import odirl.config as config_module
-import odirl.fields as fields
 import odirl.harness as harness
 import odirl.policy as policy_mod
 from odirl.buffers import ReplayBuffer, load_demos, save_demos
 from odirl.cli import discriminator_from_checkpoint
-from odirl.config import ExperimentConfig, load_config, save_config
+from odirl.config import ExperimentConfig, load_config, save_config, section_hints
 from odirl.dd import ClassifierPair, DDConfig, dd_for_transitions
 from odirl.envs import (SOURCE, TARGET, Batch, LinkChainConfig, LinkChainEnv, PointMazeConfig,
                         PointMazeEnv, Transition, rollouts)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
 from odirl.irl import Discriminator, GailDiscriminator, disc_loss
 from odirl.nets import Adam, FlatParams, Mlp, load_blocks, load_params, minibatches, save_blocks
-from odirl.policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
+from odirl.policy import GaussianPolicy, PolicyOptConfig, ValueNet, evaluate
 from digests import TASKS, task_runs
 from oracles import with_log_std
 
@@ -549,11 +549,11 @@ def test_aggregate_single_seed_band_collapses(tmp_path, demo_file):
 
 
 def hand_built_run(run_dir, conf, evals=(2, 4), gt_return=-1.0):
-    """A run directory holding only config.yaml (conf) and progress.csv
+    """A run directory holding only summary.json (conf) and progress.csv
     (a gt_return row at each iteration of evals)."""
     run_dir.mkdir()
-    with open(run_dir / "config.yaml", "w") as fh:
-        yaml.safe_dump(conf, fh)
+    with open(run_dir / "summary.json", "w") as fh:
+        json.dump(conf, fh)
     with open(run_dir / "progress.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(harness.PROGRESS_COLUMNS)
@@ -587,9 +587,9 @@ def test_aggregate_mismatched_grids_error(tmp_path):
 
 
 @pytest.mark.parametrize("confs,bad,why", [
-    # two point-maze runs at alphas 0 and 1 and one link-chain run, all seed 0
+    # point-maze runs at alphas 0 and 1 make two bands; a link-chain run at alpha 0 clashes
     ([{"task": "pointmaze", "alpha": 0.0, "seed": 0}, {"task": "pointmaze", "alpha": 1.0, "seed": 0},
-      {"task": "linkchain", "alpha": 1.0, "seed": 0}], 1, "differ in alpha"),
+      {"task": "linkchain", "alpha": 0.0, "seed": 0}], 2, "differ in task"),
     ([{"task": "pointmaze", "seed": 0}, {"task": "linkchain", "seed": 1}], 1, "differ in task"),
     ([{"seed": 4}, {"seed": 5}, {"seed": 4}], 2, "share seed 4"),
 ], ids=["alpha-and-task", "task", "seed"])
@@ -597,6 +597,34 @@ def test_aggregate_rejects_unlike_runs_of_one_method_naming_both(tmp_path, confs
     dirs = [hand_built_run(tmp_path / f"run{i}", {"method": "odirl", **conf})
             for i, conf in enumerate(confs)]
     with pytest.raises(ValueError, match=re.escape(f"{dirs[bad]}, {dirs[0]}: odirl runs {why}")):
+        aggregate(dirs, tmp_path / "agg.csv")
+    assert not (tmp_path / "agg.csv").exists()
+
+
+def test_aggregate_makes_one_band_per_alpha_of_an_ablation(tmp_path, demo_file):
+    demos, _ = demo_file
+    cfg = tiny_cfg(tmp_path, "ablate", steps=2, r=2, seed=0)
+    cfg.demos_path = demos
+    dirs = run_ablation(cfg, [1.0, 0.5])
+    # expert_transfer records a null alpha: an empty cell, sorted before numbers
+    dirs.append(hand_built_run(tmp_path / "transfer", {"method": "expert_transfer",
+                                                       "task": "pointmaze", "alpha": None,
+                                                       "seed": 0}))
+    aggregate(dirs, tmp_path / "agg.csv")
+    rows = list(csv.DictReader(open(tmp_path / "agg.csv")))
+    assert [(r["method"], r["alpha"], r["iteration"], r["n_seeds"]) for r in rows] == [
+        ("expert_transfer", "", "2", "1"), ("expert_transfer", "", "4", "1"),
+        ("odirl", "0.5", "2", "1"), ("odirl", "1", "2", "1")]
+    by_alpha = {r["alpha"]: r["mean_return"] for r in rows if r["method"] == "odirl"}
+    for d, alpha in zip(dirs, ("1", "0.5")):
+        assert [by_alpha[alpha]] == [r["gt_return"] for r in read_progress(d) if r["gt_return"]]
+
+
+def test_aggregate_rejects_a_run_directory_without_a_summary_naming_it(tmp_path):
+    dirs = [hand_built_run(tmp_path / "run0", {"method": "odirl", "seed": 0}),
+            hand_built_run(tmp_path / "run1", {"method": "odirl", "seed": 1})]
+    (dirs[1] / "summary.json").unlink()
+    with pytest.raises(ValueError, match=re.escape(f"{dirs[1]}: no summary.json")):
         aggregate(dirs, tmp_path / "agg.csv")
     assert not (tmp_path / "agg.csv").exists()
 
@@ -679,6 +707,24 @@ def test_checkpoint_load_names_the_file_and_array_it_rejects(tmp_path):
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'{name}'"):
             load_blocks(path, blocks)
         assert all(np.array_equal(block.params, before[key]) for key, block in blocks.items())
+
+
+@pytest.mark.parametrize("edit,why", [
+    pytest.param(lambda meta: list(meta), "list indices", id="list-meta"),
+    pytest.param(lambda meta: {**meta, "g": {"seed": 0}}, "layer_sizes", id="g-without-layer-sizes"),
+    pytest.param(lambda meta: {**meta, "gamma": "0.9"}, "not supported", id="string-gamma"),
+])
+def test_a_discriminator_checkpoint_with_a_malformed_meta_is_rejected_naming_the_file(
+        tmp_path, edit, why):
+    disc = Discriminator(2, 2, gamma=0.9, hidden=(8,), seed=0)
+    path = tmp_path / "disc_final.bin"
+    save_blocks(path, disc.blocks(), gamma=disc.gamma, state_only_g=disc.state_only_g)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header["meta"] = edit(header["meta"])
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not a discriminator .*{why}"):
+        discriminator_from_checkpoint(path)
 
 
 def test_train_expert_writes_the_config_it_ran_with(tmp_path):
@@ -973,7 +1019,7 @@ def test_no_config_field_admits_none():
         return hint is type(None) or any(map(admits_none, typing.get_args(hint)))
 
     def leaf_hints(section, path=""):
-        for key, hint in fields.section_hints(section).items():
+        for key, hint in section_hints(section).items():
             if dataclasses.is_dataclass(hint):
                 yield from leaf_hints(hint, f"{path}{key}.")
             else:
@@ -1018,22 +1064,52 @@ def test_config_rejects_a_bad_source_target_pair_at_load(section, values, key):
         load_config(overrides={"task": section, section: values})
 
 
-@pytest.mark.parametrize("build,key", [
-    pytest.param(lambda: PointMazeEnv(PointMazeConfig(goal_radius=-1.0), SOURCE, 0),
+# The envs and PolicyOptimizer take a section as `validate()` checked it, so a bad
+# section built in code is rejected by `validate()`, which every entry point calls.
+@pytest.mark.parametrize("sections,key", [
+    pytest.param({"pointmaze": PointMazeConfig(goal_radius=-1.0)},
                  "pointmaze.goal_radius must be > 0", id="pointmaze-env"),
-    pytest.param(lambda: LinkChainEnv(LinkChainConfig(dt=float("inf")), SOURCE, 0),
+    pytest.param({"task": "linkchain", "linkchain": LinkChainConfig(dt=float("inf"))},
                  "linkchain.dt must be finite", id="linkchain-env"),
-    pytest.param(lambda: PolicyOptimizer(*_agent_nets(), PolicyOptConfig(epochs=0, lr=-1.0)),
+    pytest.param({"policy": PolicyOptConfig(epochs=0, lr=-1.0)},
                  "policy.epochs must be >= 1", id="policy-optimizer"),
 ])
-def test_envs_and_the_policy_optimizer_check_a_section_built_in_code(build, key):
+def test_envs_and_the_policy_optimizer_check_a_section_built_in_code(sections, key):
+    cfg = ExperimentConfig(**sections)
     with pytest.raises(ValueError, match=key):
-        build()
+        cfg.validate()
 
 
-def _agent_nets():
-    spec = PointMazeEnv(PointMazeConfig(), SOURCE, 0).spec
-    return GaussianPolicy(spec, hidden=(4,)), ValueNet(spec, hidden=(4,))
+def dotted_keys(section, path=""):
+    """The dotted key of every field under section, its subsections and the
+    elements of its tuples, as `config.checked` names them."""
+    for key, hint in section_hints(type(section)).items():
+        val = getattr(section, key)
+        yield path + key
+        if dataclasses.is_dataclass(hint):
+            yield from dotted_keys(val, f"{path}{key}.")
+        elif isinstance(val, tuple):
+            yield from (f"{path}{key}[{i}]" for i in range(len(val)))
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_each_config_value_is_checked_once_per_run(monkeypatch, task):
+    seen = collections.Counter()
+    real_checked = config_module.checked
+
+    def counting_checked(hint, val, name, bound):
+        seen[name] += 1
+        return real_checked(hint, val, name, bound)
+
+    monkeypatch.setattr(config_module, "checked", counting_checked)
+    cfg = load_config(overrides={"task": task})
+    seen.clear()
+    seeds, _, envs = harness._setup(cfg)
+    assert "pointmaze.noise_std" in seen and "linkchain.goal_angles[2]" in seen
+    assert seen == dict.fromkeys(dotted_keys(cfg), 1)
+    seen.clear()
+    harness._agent(cfg, envs[1].spec, seeds["policy_init"], seeds["value_init"], cfg.policy)
+    assert seen == {}
 
 
 def test_default_env_config_hash_is_pinned():

@@ -17,7 +17,10 @@ matched by bare name, and a constructor's calls are those of its class. The
 fourth flags every parameter in src/odirl that defaults to None unless it is on
 an allow-list that gives the reason for it: a None default is a second shape
 of the call, so it has to stand for something the program cannot state as a
-value.
+value. The fifth flags every module of src/odirl other than config.py that
+calls the config field walker `check_fields`: `ExperimentConfig.validate`
+checks a config once, and the envs and the policy optimizer take the
+sections it has checked.
 """
 
 import ast
@@ -135,6 +138,12 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
     return out
 
 
+def _callee(call: ast.Call) -> str | None:
+    """The bare name a call calls: f for f(...) and obj.f(...)."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def passed_parameters(sources) -> tuple[set, dict, set]:
     """From every call in the sources, by bare callee name: the (name, keyword)
     pairs passed, the most positional arguments passed, and the names called
@@ -142,8 +151,7 @@ def passed_parameters(sources) -> tuple[set, dict, set]:
     keywords, positions, starred = set(), {}, set()
     for source in sources:
         for call in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)):
-            func = call.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _callee(call)
             if any(isinstance(a, ast.Starred) for a in call.args) or any(
                     k.arg is None for k in call.keywords):
                 starred.add(name)
@@ -221,3 +229,23 @@ def test_the_check_finds_every_parameter_that_defaults_to_none():
 def test_src_parameters_default_to_none_only_where_the_allow_list_says_why():
     found = [f"{p.name}:{name}" for p in MODULES for name in none_defaults(p.read_text())]
     assert sorted(found) == sorted(NONE_DEFAULTS_ALLOWED)
+
+
+def calls_of(name: str, sources: dict[str, str]) -> list[str]:
+    """Each module of sources with a call of name, by bare name or as an attribute."""
+    return [module for module, source in sources.items()
+            if any(isinstance(n, ast.Call) and _callee(n) == name
+                   for n in ast.walk(ast.parse(source)))]
+
+
+def test_the_check_finds_every_module_that_calls_the_field_walker():
+    sources = {"a.py": "from .config import check_fields\n\ndef f(s):\n    check_fields(s, 'p.')\n",
+               "b.py": "from . import config\nconfig.check_fields(s, '')\n",
+               "c.py": "from .config import check_fields\nwalk = check_fields\n",
+               "d.py": "def check_fields(s, path):\n    pass\n"}
+    assert calls_of("check_fields", sources) == ["a.py", "b.py"]
+
+
+def test_only_the_config_module_calls_the_field_walker():
+    callers = calls_of("check_fields", {p.name: p.read_text() for p in MODULES})
+    assert callers == ["config.py"]
