@@ -1,7 +1,8 @@
 """Replay buffers and demonstration persistence.
 
-Buffers are single-domain rings: pushing a batch whose tag does not match
-the buffer is a correctness bug (domain contamination) and raises.
+Replay buffers are single-domain, append-only stores: pushing a batch whose
+tag does not match the buffer is a correctness bug (domain contamination)
+and raises.
 Demonstrations are stored value-exactly in the checkpoint container of
 `nets.save_arrays`, with their provenance as header meta.
 """
@@ -21,15 +22,13 @@ _DEMO_ARRAYS = ("s", "a", "s_next", "done", "gt_reward", "ends")    # a demo fil
 
 
 class ReplayBuffer:
-    """The newest `capacity` (s, a, s_next) rows of one domain, in a numpy ring.
+    """Every (s, a, s_next) row pushed into it, oldest first, up to `capacity` rows.
 
     The first push allocates the arrays at `capacity` rows (`np.empty`, so
     rows not yet written are not resident); no push grows or copies them.
-    The harness sizes each ring to the rows its run can push, not to the
-    configured capacity: numpy backs arrays of 4 MB and more with huge pages,
-    so the touched rows of an oversized ring are resident in 2 MB units. Once
-    full, a push overwrites the oldest rows: row i, oldest first, sits at
-    (head + i) % capacity.
+    The harness sizes each buffer to the rows its run can push: numpy backs
+    arrays of 4 MB and more with huge pages, so the touched rows of an
+    oversized buffer are resident in 2 MB units. A push past capacity raises.
     """
 
     def __init__(self, capacity: int, domain_tag: str):
@@ -38,7 +37,6 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.domain_tag = domain_tag
         self._arrays: tuple = ()      # s, a, s_next
-        self._head = 0
         self._size = 0
 
     def __len__(self):
@@ -50,26 +48,23 @@ class ReplayBuffer:
                 f"domain contamination: {batch.domain_tag!r} batch pushed into "
                 f"{self.domain_tag!r} buffer"
             )
-        new = [x[-self.capacity:] for x in (batch.s, batch.a, batch.s_next)]
-        n = len(new[0])
-        if n == 0:
-            return
-        size = min(self._size + n, self.capacity)
+        n = len(batch)
+        if self._size + n > self.capacity:
+            raise ValueError(f"pushing {n} rows into a buffer holding {self._size} of "
+                             f"{self.capacity} rows would overflow it")
+        new = (batch.s, batch.a, batch.s_next)
         if not self._arrays:
             self._arrays = tuple(np.empty((self.capacity, x.shape[1])) for x in new)
-        at = (self._head + self._size + np.arange(n)) % self.capacity
         for dst, src in zip(self._arrays, new):
-            dst[at] = src
-        self._head = (self._head + self._size + n - size) % self.capacity
-        self._size = size
+            dst[self._size:self._size + n] = src
+        self._size += n
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
         """n rows uniform with replacement (no draw for n = 0)."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=n)
-        at = (self._head + idx) % self.capacity
-        s, a, s_next = (x[at] for x in self._arrays)
+        s, a, s_next = (x[idx] for x in self._arrays)
         return Batch(s, a, s_next, self.domain_tag)
 
 

@@ -33,8 +33,8 @@ TASKS = ("pointmaze", "linkchain")
 _LOWER_BOUNDS = {
     **dict.fromkeys(("r", "steps", "batch_steps", "eval_every", "eval_episodes",
                      "final_eval_trajectories", "heatmap_grid", "hidden", "epochs",
-                     "minibatch_size", "batch_size", "steps_per_iter", "target_capacity",
-                     "source_capacity", "n_demo_episodes", "horizon", "num_joints"), ">= 1"),
+                     "minibatch_size", "batch_size", "steps_per_iter", "n_demo_episodes",
+                     "horizon", "num_joints"), ">= 1"),
     **dict.fromkeys(("clip_ratio", "lr", "value_lr", "grad_clip", "target_kl", "dd_clip",
                      "wall_half_width", "action_scale", "goal_radius", "torque_limit", "dt",
                      "torque_gain", "vel_limit", "success_radius"), "> 0"),
@@ -116,12 +116,6 @@ class DiscConfig:
 
 
 @dataclass
-class BufferConfig:
-    target_capacity: int = 1_000_000
-    source_capacity: int = 100_000
-
-
-@dataclass
 class ExpertConfig:
     steps: int = 300
     batch_steps: int = 640
@@ -152,7 +146,6 @@ class ExperimentConfig:
     policy: PolicyOptConfig = field(default_factory=PolicyOptConfig)
     dd: DDConfig = field(default_factory=DDConfig)
     disc: DiscConfig = field(default_factory=DiscConfig)
-    buffers: BufferConfig = field(default_factory=BufferConfig)
     expert: ExpertConfig = field(default_factory=ExpertConfig)
 
     def validate(self) -> None:

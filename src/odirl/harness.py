@@ -322,14 +322,14 @@ def _train_discriminator(minibatch_loss, disc_opt, n: int, epochs: int, minibatc
 
 def _airl_phase(cfg, seeds, rngs, src, tgt, demos: DemoSet, policy, alpha: float):
     """AIRL with alpha * DD on the demo logits. Each step puts a source episode into
-    the source ring every r-th iteration; once that holds rows, it runs the classifier
+    the source buffer every r-th iteration; once that holds rows, it runs the classifier
     steps; then it takes the DD of every demo row and reads the sampled rows' DD from it."""
     disc, disc_opt = _airl_discriminator(cfg, tgt.spec, seeds["disc_init"])
     pair = ClassifierPair(tgt.spec.state_dim, tgt.spec.action_dim,
                           hidden=cfg.dd.hidden, seed=seeds["classifier_init"])
     cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
-    b_src = ReplayBuffer(min(cfg.buffers.source_capacity,        # steps // r episodes, may be 0
-                             max(1, cfg.steps // cfg.r * src.spec.horizon)), src.domain_tag)
+    # steps // r episodes, which may be 0
+    b_src = ReplayBuffer(max(1, cfg.steps // cfg.r * src.spec.horizon), src.domain_tag)
     counts = {"source_steps": 0, "source_episodes": 0}
 
     def step(t, b_tgt, demo_idx, demo_batch, pol_batch):
@@ -378,8 +378,8 @@ def _run_adversarial(cfg: ExperimentConfig, alpha: float, phase) -> Path:
     """A fresh target agent with a discriminator phase before each update.
 
     phase(cfg, seeds, rngs, src, tgt, demos, policy) returns (nets, reward_fn, disc_opt,
-    step, source counts). Each iteration pushes its batch into the target ring and draws
-    a ring batch and a demo batch of its size from rngs["disc"]; step(t, ring, demo_idx,
+    step, source counts). Each iteration pushes its batch into the target buffer and draws
+    a buffer batch and a demo batch of its size from rngs["disc"]; step(t, buffer, demo_idx,
     demo_batch, pol_batch) does the phase's own work and returns its progress fields and
     the minibatch loss for `_train_discriminator`. alpha goes to summary.json.
     """
@@ -387,8 +387,8 @@ def _run_adversarial(cfg: ExperimentConfig, alpha: float, phase) -> Path:
     policy, value, popt = _agent(cfg, tgt.spec, seeds["policy_init"], seeds["value_init"],
                                  cfg.policy)
     nets, reward_fn, disc_opt, step, counts = phase(cfg, seeds, rngs, src, tgt, demos, policy)
-    b_tgt = ReplayBuffer(min(cfg.buffers.target_capacity,        # collect_batch's bound per step
-                             cfg.steps * (cfg.batch_steps + tgt.spec.horizon - 1)), tgt.domain_tag)
+    # collect_batch's bound on the rows of each step
+    b_tgt = ReplayBuffer(cfg.steps * (cfg.batch_steps + tgt.spec.horizon - 1), tgt.domain_tag)
 
     def before_update(t, batch):
         b_tgt.push(batch)

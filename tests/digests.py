@@ -4,13 +4,13 @@ Usage: python tests/digests.py OUT_DIR [--against FILE]
 
 On both tasks, with a small config (6 steps, r = 2, batches of 40,
 checkpoints every 3 steps), runs train_expert, collect_demos (into
-TASK/demos.bin), odirl at alpha 1 and 0.5 and with replay buffers small
-enough to wrap, airl, gail (also with a target buffer small enough to
-wrap), airl_source_transfer (also with disc.epochs: 2) and
-expert_transfer, odirl and airl_source_transfer with eval_every 4 (which
-does not divide the 6 steps), plus odirl with a 50 x 50 reward heatmap on
-the point maze, with BLAS pinned to one thread. Then prints one "sha256  path" line per file
-under OUT_DIR, paths relative to it, in sorted order. Each config.yaml
+TASK/demos.bin), odirl at alpha 1 and 0.5, airl, gail,
+airl_source_transfer (also with disc.epochs: 2) and expert_transfer,
+odirl and airl_source_transfer with eval_every 4 (which does not divide
+the 6 steps), plus odirl with a 50 x 50 reward heatmap on the point maze,
+with BLAS pinned to one thread. Each replay buffer is built at the rows
+its run can push and holds all of them. Then prints one "sha256  path"
+line per file under OUT_DIR, paths relative to it, in sorted order. Each config.yaml
 records absolute paths, so compare two outputs written to the same OUT_DIR
 (move the first one away in between). OUT_DIR must be absent or empty.
 
@@ -61,14 +61,8 @@ TASKS = ("pointmaze", "linkchain")
 RUNS = {
     "odirl": {"method": "odirl"},
     "odirl_alpha0.5": {"method": "odirl", "alpha": 0.5},
-    # Each ring fills and wraps several times; a source episode (up to 20
-    # or 15 rows) can exceed its 13 rows on its own.
-    "odirl_wrapping_buffers": {"method": "odirl",
-                               "buffers": {"target_capacity": 57, "source_capacity": 13}},
     "airl": {"method": "airl"},
     "gail": {"method": "gail"},
-    # The GAN-imitation baseline's target ring wraps as odirl's does.
-    "gail_wrapping_buffers": {"method": "gail", "buffers": {"target_capacity": 57}},
     "airl_source_transfer": {"method": "airl_source_transfer"},
     "airl_source_transfer_disc_epochs2": {"method": "airl_source_transfer", "disc": {"epochs": 2}},
     # eval_every does not divide steps: the last iteration evaluates off the grid.

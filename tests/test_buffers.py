@@ -13,8 +13,8 @@ from odirl.envs import (SOURCE, TARGET, Batch, EnvSpec, LinkChainConfig, LinkCha
 from odirl.irl import Discriminator, reward_heatmap
 from odirl.policy import GaussianPolicy
 from odirl.nets import load_params, save_arrays, save_blocks
-from oracles import (DequeReplayBuffer, DoublingReplayBuffer, reference_heatmap_csv,
-                     reference_write_trajectory_csv, with_log_std)
+from oracles import (RowListReplayBuffer, reference_heatmap_csv, reference_write_trajectory_csv,
+                     with_log_std)
 
 
 def make_traj(n, tag=SOURCE, offset=0.0):
@@ -44,18 +44,6 @@ def load_maze_demos(path, config_hash="x"):
     return load_demos(path, MAZE_SPEC, config_hash)
 
 
-def held_first_coords(buf, rng_seed=0, draws=2000):
-    """The distinct s[0] values a buffer holds, seen through its sampler."""
-    return set(buf.sample(draws, np.random.default_rng(rng_seed)).s[:, 0].tolist())
-
-
-def test_push_fifo_eviction():
-    buf = ReplayBuffer(capacity=5, domain_tag=SOURCE)
-    buf.push(make_batch(10))
-    assert len(buf) == 5
-    assert held_first_coords(buf) == {0.1 + i for i in range(5, 10)}
-
-
 def test_push_empty_trajectory_is_noop():
     buf = ReplayBuffer(capacity=5, domain_tag=SOURCE)
     buf.push(Batch(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), SOURCE))
@@ -68,64 +56,63 @@ def test_push_wrong_tag_raises():
         buf.push(make_batch(3, tag=SOURCE))
 
 
+def assert_holds(buf, rows, arrays, sample):
+    """buf holds `rows` rows in the very `arrays` it had, and samples `sample` again."""
+    assert len(buf) == rows and all(x is y for x, y in zip(buf._arrays, arrays, strict=True))
+    again = buf.sample(50, np.random.default_rng(1))
+    for key in ("s", "a", "s_next"):
+        assert np.array_equal(getattr(again, key), getattr(sample, key))
+
+
 def test_wrong_tag_push_raises_before_writing_a_row():
-    buf = ReplayBuffer(capacity=4, domain_tag=TARGET)
+    buf = ReplayBuffer(capacity=12, domain_tag=TARGET)
     buf.push(make_batch(6, tag=TARGET))
-    before = buf.sample(50, np.random.default_rng(1))
+    arrays, before = buf._arrays, buf.sample(50, np.random.default_rng(1))
     with pytest.raises(ValueError, match="domain contamination"):
         buf.push(make_batch(3, tag=SOURCE, offset=100.0))
-    assert len(buf) == 4
-    after = buf.sample(50, np.random.default_rng(1))
-    for key in ("s", "a", "s_next"):
-        assert np.array_equal(getattr(before, key), getattr(after, key))
+    assert_holds(buf, 6, arrays, before)
 
 
-RING_LENGTHS = np.random.default_rng(0).integers(1, 90, size=40).tolist()    # episode lengths
+def test_a_push_past_capacity_raises_and_leaves_the_buffer_as_it_was():
+    buf = ReplayBuffer(capacity=10, domain_tag=SOURCE)
+    with pytest.raises(ValueError, match="pushing 11 rows into a buffer holding 0 of 10 rows"):
+        buf.push(make_batch(11))
+    assert len(buf) == 0 and buf._arrays == ()
+    buf.push(make_batch(6))
+    arrays, before = buf._arrays, buf.sample(50, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="pushing 5 rows into a buffer holding 6 of 10 rows"):
+        buf.push(make_batch(5, offset=100.0))
+    assert_holds(buf, 6, arrays, before)
+    buf.push(make_batch(4, offset=100.0))         # exactly full
+    assert len(buf) == 10
 
 
-def ring_episodes():
-    """Episodes of RING_LENGTHS rows, each with first coordinates of its own."""
-    return [make_batch(n, offset=1000.0 * k) for k, n in enumerate(RING_LENGTHS)]
+BUFFER_LENGTHS = np.random.default_rng(0).integers(1, 90, size=40).tolist()    # episode lengths
 
 
-@pytest.mark.parametrize("capacity", [1, 7, 64, 1000])
-def test_ring_samples_the_rows_a_deque_of_rows_samples(capacity):
-    """Episodes pushed far past capacity (some longer than the ring): each
-    sample draws the same indices into the same oldest-first rows."""
-    ring, ref = ReplayBuffer(capacity, SOURCE), DequeReplayBuffer(capacity)
-    for k, batch in enumerate(ring_episodes()):
-        ring.push(batch)
-        ref.push(batch)
-        assert len(ring) == len(ref.rows)
-        rng_ring, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
-        got, want = ring.sample(33, rng_ring), ref.sample(33, rng_ref)
-        assert got.domain_tag == SOURCE and len(got) == 33
-        for j, key in enumerate(("s", "a", "s_next")):
-            assert np.array_equal(getattr(got, key), np.array([row[j] for row in want]))
-        assert rng_ring.random() == rng_ref.random()      # the same draws were made
-    assert len(ring) == min(capacity, sum(RING_LENGTHS))
-
-
-@pytest.mark.parametrize("capacity", [1, 7, 57, 1000, sum(RING_LENGTHS)])
-def test_ring_samples_every_bit_the_doubling_ring_samples(capacity):
-    """The same episodes into the one-allocation ring and into the ring that
-    grew by doubling: the same length and sampled bits after every push, the
-    same draws, and one set of arrays from the first push on."""
-    ring, ref = ReplayBuffer(capacity, SOURCE), DoublingReplayBuffer(capacity, SOURCE)
-    for k, batch in enumerate(ring_episodes()):
-        ring.push(batch)
+@pytest.mark.parametrize("capacity", [sum(BUFFER_LENGTHS), sum(BUFFER_LENGTHS) + 1000])
+def test_buffer_samples_every_bit_a_list_of_rows_samples(capacity):
+    """Episodes of BUFFER_LENGTHS rows, each with first coordinates of its own,
+    pushed up to (or short of) capacity: after every push, the same length,
+    the same sampled bits and the same draws as a list of rows, oldest first,
+    and one set of arrays from the first push on."""
+    buf, ref = ReplayBuffer(capacity, SOURCE), RowListReplayBuffer()
+    for k, n in enumerate(BUFFER_LENGTHS):
+        batch = make_batch(n, offset=1000.0 * k)
+        buf.push(batch)
         ref.push(batch)
         if k == 0:
-            arrays = ring._arrays
-        assert len(ring._arrays) == 3 and all(x is y for x, y in zip(ring._arrays, arrays))
-        assert len(ring) == len(ref)
-        rng_ring, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
-        got, want = ring.sample(33, rng_ring), ref.sample(33, rng_ref)
-        for key in ("s", "a", "s_next"):
+            arrays = buf._arrays
+        assert len(buf._arrays) == 3 and all(x is y for x, y in zip(buf._arrays, arrays))
+        assert len(buf) == len(ref.rows)
+        rng_buf, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+        got, want = buf.sample(33, rng_buf), ref.sample(33, rng_ref)
+        assert got.domain_tag == SOURCE and len(got) == 33
+        for j, key in enumerate(("s", "a", "s_next")):
             assert np.array_equal(getattr(got, key).view(np.int64),
-                                  getattr(want, key).view(np.int64))
-        assert rng_ring.bit_generator.state == rng_ref.bit_generator.state
-    assert len(ring) == min(capacity, sum(RING_LENGTHS))
+                                  np.array([row[j] for row in want]).view(np.int64))
+        assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
+    assert len(buf) == sum(BUFFER_LENGTHS)
 
 
 def test_pushes_into_a_ring_of_its_runs_rows_peak_at_its_arrays_plus_one_batch():
@@ -152,20 +139,20 @@ def test_pushes_into_a_ring_of_its_runs_rows_peak_at_its_arrays_plus_one_batch()
 
 
 def test_ring_holds_at_most_100_bytes_per_point_maze_row():
-    """At full capacity, whatever the ring allocated (and kept) is counted."""
-    capacity = 10_000
+    """At full capacity, whatever the buffer allocated (and kept) is counted."""
     env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
     policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=0), 0.0)
     batches = [rollouts(policy, env, 8, np.random.default_rng(i)) for i in range(3)]
+    pushes = 0
+    while sum(len(batches[i % 3]) for i in range(pushes)) < 10_000:
+        pushes += 1
+    capacity = sum(len(batches[i % 3]) for i in range(pushes))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         buf = ReplayBuffer(capacity, TARGET)
-        pushed = 0
-        while pushed < capacity:
-            batch = batches[pushed % 3]
-            buf.push(batch)
-            pushed += len(batch)
+        for i in range(pushes):
+            buf.push(batches[i % 3])
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()

@@ -155,7 +155,7 @@ def test_yaml_policy_keys_reach_the_policy_optimizer(tmp_path, demo_file, monkey
 
 @pytest.mark.parametrize("key", [
     "final_eval_trajectories", "heatmap_grid", "disc.epochs", "disc.minibatch_size",
-    "dd.batch_size", "buffers.target_capacity", "buffers.source_capacity",
+    "dd.batch_size",
 ])
 def test_config_rejects_zero_where_the_run_needs_one(key):
     section, _, name = key.rpartition(".")
@@ -174,10 +174,12 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "conf.yaml"
     # Keys that are gone: the link chain's reward is always the tip distance, the
     # policy update always standardizes rewards and advantages and bootstraps
-    # through goal termination, and the policy's std always starts from the action box.
+    # through goal termination, the policy's std always starts from the action box,
+    # and a replay buffer is sized to the rows its run pushes.
     for text in ("not_a_real_key: 1\n", "linkchain: {gt_variant: distance}\n",
                  "policy: {adv_norm: false}\n", "policy: {reward_norm: false}\n",
-                 "policy: {bootstrap_on_done: false}\n", "policy: {init_log_std: -1.0}\n"):
+                 "policy: {bootstrap_on_done: false}\n", "policy: {init_log_std: -1.0}\n",
+                 "buffers: {target_capacity: 57}\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
@@ -352,29 +354,26 @@ def spy_rings(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("capacities", [(1_000_000, 100_000), (57, 13)], ids=["large", "small"])
 @pytest.mark.parametrize("method", ["odirl", "gail"])
 @pytest.mark.parametrize("task", ["pointmaze", "linkchain"])
 def test_each_ring_is_built_at_the_rows_its_run_can_push(tmp_path, demo_file, chain_demo_file,
-                                                         monkeypatch, task, method, capacities):
-    """Each ring is built at min(configured capacity, its bound) and is never
-    pushed more rows than the bound: steps * (batch_steps + horizon - 1) target
-    rows and max(1, steps // r * horizon) source rows. Point-maze episodes that
-    start next to the goal end early, so a second wave overshoots batch_steps."""
+                                                         monkeypatch, task, method):
+    """Each buffer is built at its bound and is never pushed more rows than
+    that: steps * (batch_steps + horizon - 1) target rows and
+    max(1, steps // r * horizon) source rows. Point-maze episodes that start
+    next to the goal end early, so a second wave overshoots batch_steps."""
     rings = spy_rings(monkeypatch)
     cfg = tiny_cfg(tmp_path, "run", steps=4, r=2, task=task, method=method)
     cfg.demos_path = demo_file[0] if task == "pointmaze" else chain_demo_file
     cfg.pointmaze.start_region = (0.7, 0.45, 0.76, 0.65)
-    cfg.buffers.target_capacity, cfg.buffers.source_capacity = capacities
     summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
     horizon = cfg.env_config().horizon
     bounds = {TARGET: cfg.steps * (cfg.batch_steps + horizon - 1),
               SOURCE: max(1, cfg.steps // cfg.r * horizon)}
-    configured = {TARGET: capacities[0], SOURCE: capacities[1]}
     assert [ring.domain_tag for ring in rings] == ([SOURCE, TARGET] if method == "odirl"
                                                     else [TARGET])
     for ring in rings:
-        assert ring.capacity == min(configured[ring.domain_tag], bounds[ring.domain_tag])
+        assert ring.capacity == bounds[ring.domain_tag]
         assert sum(ring.pushed) <= bounds[ring.domain_tag]
     assert max(rings[-1].pushed) > cfg.batch_steps         # a wave overshot
     assert sum(rings[-1].pushed) == summary["target_steps"]
