@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import harness
@@ -26,12 +27,17 @@ def _setup_logging() -> None:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# Flags a subcommand takes only if it reads their config key: --out sets out_dir.
+_KEY_FLAGS = {"--out": dict(type=str, help="output directory"), "--alpha": dict(type=float),
+              "--steps": dict(type=int)}
+
+
+def _add_common(p: argparse.ArgumentParser, *key_flags: str) -> None:
+    """--config and --seed, then each of key_flags (keys of `_KEY_FLAGS`)."""
     p.add_argument("--config", type=str, default=None, help="YAML experiment config")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    for flag in key_flags:
+        p.add_argument(flag, default=None, **_KEY_FLAGS[flag])
 
 
 def _alphas(text: str) -> list[float]:
@@ -43,14 +49,9 @@ def _alphas(text: str) -> list[float]:
 
 
 def _config_from_args(args, **extra):
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "alpha": getattr(args, "alpha", None),
-        "steps": getattr(args, "steps", None),
-    }
-    overrides.update(extra)
-    return load_config(args.config, overrides)
+    overrides = {"seed": args.seed, "out_dir": getattr(args, "out", None),
+                 "alpha": getattr(args, "alpha", None), "steps": getattr(args, "steps", None)}
+    return load_config(args.config, {**overrides, **extra})
 
 
 def discriminator_from_checkpoint(path) -> Discriminator:
@@ -72,10 +73,12 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = argparse.ArgumentParser(prog="odirl",
                                      description="Off-dynamics inverse reinforcement learning")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: ablate would read --alpha as its --alphas.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("train-expert", help="train the source-domain expert on ground truth")
-    _add_common(p)
+    _add_common(p, "--out")
 
     p = sub.add_parser("collect-demos", help="roll the expert and save demonstrations")
     _add_common(p)
@@ -84,14 +87,14 @@ def main(argv=None) -> int:
     p.add_argument("--episodes", type=int, default=None, help="overrides expert.n_demo_episodes")
 
     p = sub.add_parser("run", help="run a training method")
-    _add_common(p)
+    _add_common(p, "--out", "--alpha", "--steps")
     p.add_argument("--method", type=str, default=None,
                    help="odirl | airl | airl_source_transfer | gail | expert_transfer")
     p.add_argument("--demos", type=str, default=None, help="demo file path")
     p.add_argument("--expert", type=str, default=None, help="expert checkpoint (expert_transfer)")
 
     p = sub.add_parser("ablate", help="alpha ablation sweep")
-    _add_common(p)
+    _add_common(p, "--out", "--steps")
     p.add_argument("--alphas", type=_alphas, default="0,0.1,0.5,1,2",
                    help="comma-separated alpha values")
     p.add_argument("--demos", type=str, default=None)

@@ -1004,6 +1004,26 @@ def test_cli_ablate_rejects_an_alpha_that_is_not_a_number(capsys):
     assert "argument --alphas: '0,x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("train-expert", "--alpha"), ("train-expert", "--steps"),
+    ("collect-demos", "--out"), ("collect-demos", "--alpha"), ("collect-demos", "--steps"),
+    ("eval", "--out"), ("eval", "--alpha"), ("eval", "--steps"),
+    ("ablate", "--alpha"),
+])
+def test_cli_rejects_a_flag_its_subcommand_does_not_read(tmp_path, capsys, command, flag):
+    """train_expert reads expert.steps, collect_demos and eval write no run
+    directory and take no alpha, and ablate's --alphas sets every alpha: the
+    flag is a usage error, before the (missing) config file is opened."""
+    from odirl.cli import main
+
+    required = {"collect-demos": ["--expert", "x.bin", "--demos-out", "d.bin"],
+                "eval": ["--policy", "x.bin"]}.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "missing.yaml"), *required, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_config_converts_yaml_exponent_strings_and_takes_ints_for_floats(tmp_path):
     path = tmp_path / "conf.yaml"
     path.write_text("alpha: 2\npolicy:\n  lr: 1e-3\n  grad_clip: 3\ndd:\n  dd_clip: 4\n")
