@@ -88,11 +88,11 @@ def _setup(cfg: ExperimentConfig):
     """
     cfg.validate()
     ints = np.random.SeedSequence(cfg.seed).generate_state(24)
+    # The streams take ints[16..20]; ints[8..12], [15] and [21..23] seed nothing.
     names = ["env_source", "env_target", "env_eval_source", "env_eval_target",
              "policy_init", "value_init", "disc_init", "classifier_init",
-             "actions", "classifier", "disc", "policy_update", "misc",
              "policy2_init", "value2_init"]
-    seeds = {name: int(ints[i]) for i, name in enumerate(names)}
+    seeds = {name: int(ints[i]) for i, name in zip([*range(8), 13, 14], names)}
     rngs = {name: np.random.default_rng(int(ints[16 + j]))
             for j, name in enumerate(["actions", "classifier", "disc", "policy_update", "misc"])}
     return seeds, rngs, build_envs(cfg, seeds)

@@ -336,6 +336,38 @@ def test_gail_runs_without_source_interactions(tmp_path, demo_file, monkeypatch)
     assert (Path(out) / "checkpoints" / "gail_final.bin").exists()
 
 
+def test_setup_names_each_seed_the_harness_reads(tmp_path, demo_file, monkeypatch):
+    """_setup's seeds map holds the 10 names that training, demo collection
+    and every method read, and each at the SeedSequence draw it always had."""
+    demos, expert = demo_file
+    read, real_setup, real_build_envs = set(), harness._setup, harness.build_envs
+
+    class ReadSeeds(dict):
+        def __getitem__(self, name):
+            read.add(name)
+            return super().__getitem__(name)
+
+    def recording_setup(cfg):
+        seeds, rngs, envs = real_setup(cfg)
+        return ReadSeeds(seeds), rngs, envs
+
+    monkeypatch.setattr(harness, "_setup", recording_setup)
+    monkeypatch.setattr(harness, "build_envs",
+                        lambda cfg, seeds: real_build_envs(cfg, ReadSeeds(seeds)))
+    cfg = tiny_cfg(tmp_path, "expert", steps=2, r=1)
+    cfg.expert.steps = 1
+    collect_demos(cfg, train_expert(cfg), tmp_path / "demos.bin")
+    for method in ("odirl", "gail", "airl_source_transfer", "expert_transfer"):
+        run_experiment(tiny_cfg(tmp_path, method, steps=2, r=1, method=method, demos_path=demos,
+                                expert_path=expert))
+    seeds, _, _ = real_setup(cfg)
+    names = ["env_source", "env_target", "env_eval_source", "env_eval_target", "policy_init",
+             "value_init", "disc_init", "classifier_init", "policy2_init", "value2_init"]
+    assert read == seeds.keys() == set(names)
+    ints = np.random.SeedSequence(cfg.seed).generate_state(24)
+    assert [seeds[name] for name in names] == [*ints[:8], *ints[13:15]]
+
+
 def spy_rings(monkeypatch):
     """The rings the harness builds from now on, each with the row count of every push."""
     built = []
