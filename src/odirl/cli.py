@@ -16,8 +16,7 @@ from pathlib import Path
 
 from . import harness
 from .config import load_config
-from .irl import Discriminator, reward_heatmap
-from .nets import load_blocks, load_params
+from .irl import load_discriminator, reward_heatmap
 from .policy import evaluate
 
 
@@ -52,21 +51,6 @@ def _config_from_args(args, **extra):
     overrides = {"seed": args.seed, "out_dir": getattr(args, "out", None),
                  "alpha": getattr(args, "alpha", None), "steps": getattr(args, "steps", None)}
     return load_config(args.config, {**overrides, **extra})
-
-
-def discriminator_from_checkpoint(path) -> Discriminator:
-    """The discriminator saved at path, rebuilt from its g/h meta; a meta it
-    cannot be rebuilt from raises a ValueError naming the file."""
-    _, meta = load_params(path)
-    try:
-        g_sizes, state_dim = meta["g"]["layer_sizes"], meta["h"]["layer_sizes"][0]
-        # A state-only g records no action dim; g never reads the action then.
-        disc = Discriminator(state_dim, g_sizes[0] - state_dim or 1, gamma=meta["gamma"],
-                             state_only_g=meta["state_only_g"], hidden=tuple(g_sizes[1:-1]))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not a discriminator checkpoint: {exc!r}") from exc
-    load_blocks(path, disc.blocks())
-    return disc
 
 
 def main(argv=None) -> int:
@@ -145,7 +129,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "heatmap":
-        disc = discriminator_from_checkpoint(args.disc)
+        disc = load_discriminator(args.disc)
         reward_heatmap(disc, args.grid, args.out)
         print(f"wrote {args.grid * args.grid} cells to {args.out}")
         return 0

@@ -27,7 +27,8 @@ from .config import ExperimentConfig, save_config
 from .dd import ClassifierPair, classifier_loss, dd_for_transitions
 from .envs import (SOURCE, TARGET, Batch, LinkChainEnv, PointMazeEnv, rollout, rollouts,
                    write_trajectory_csv)
-from .irl import Discriminator, GailDiscriminator, disc_loss, gail_disc_loss, gail_policy_reward, policy_reward, reward_heatmap
+from .irl import (Discriminator, GailDiscriminator, checkpoint_meta, disc_loss, gail_disc_loss,
+                  gail_policy_reward, policy_reward, reward_heatmap)
 from .nets import Adam, load_blocks, minibatches, save_blocks
 from .policy import GaussianPolicy, PolicyOptConfig, PolicyOptimizer, ValueNet, evaluate
 
@@ -199,12 +200,10 @@ def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, f
     checkpoints maps a file stem to the trainable whose blocks are saved there;
     final is the (return, success rate) of the last progress row, which evaluated the final policy.
     """
-    disc = checkpoints.get("disc")
     for name, net in checkpoints.items():
-        # The heatmap command rebuilds the discriminator from this meta.
-        meta = {"gamma": disc.gamma, "state_only_g": disc.state_only_g} if net is disc else {}
         (out / "checkpoints").mkdir(exist_ok=True)
-        save_blocks(out / "checkpoints" / f"{name}_final.bin", net.blocks(), **meta)
+        save_blocks(out / "checkpoints" / f"{name}_final.bin", net.blocks(), **checkpoint_meta(net))
+    disc = checkpoints.get("disc")
     if disc is not None and cfg.task == "pointmaze" and cfg.disc.state_only_g:
         reward_heatmap(disc, cfg.heatmap_grid, out / "heatmap.csv")
     _final_artifacts(cfg, out, policy, src_eval, tgt_eval)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .envs import SOURCE, Batch
-from .nets import Mlp
+from .nets import Mlp, load_blocks, load_params
 
 LOGIT_CLIP = 10.0
 # Rows per g forward of the heatmap, to bound the activations the net caches: a
@@ -78,6 +78,29 @@ class Discriminator:
         """f(s,a,s') = g(.) + gamma*h(s') - h(s) of each row."""
         return (self.g_value(s, a) + self.gamma * self.h_net.forward(s_next)[:, 0]
                 - self.h_net.forward(s)[:, 0])
+
+
+def checkpoint_meta(net) -> dict:
+    """The header meta of net's checkpoint besides its Mlp blocks' own: a
+    Discriminator's gamma and state_only_g, which `load_discriminator` reads."""
+    if isinstance(net, Discriminator):
+        return {"gamma": net.gamma, "state_only_g": net.state_only_g}
+    return {}
+
+
+def load_discriminator(path) -> Discriminator:
+    """The discriminator saved at path, rebuilt from its g/h meta; a meta it
+    cannot be rebuilt from raises a ValueError naming the file."""
+    _, meta = load_params(path)
+    try:
+        g_sizes, state_dim = meta["g"]["layer_sizes"], meta["h"]["layer_sizes"][0]
+        # A state-only g records no action dim; g never reads the action then.
+        disc = Discriminator(state_dim, g_sizes[0] - state_dim or 1, gamma=meta["gamma"],
+                             state_only_g=meta["state_only_g"], hidden=tuple(g_sizes[1:-1]))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a discriminator checkpoint: {exc!r}") from exc
+    load_blocks(path, disc.blocks())
+    return disc
 
 
 def policy_reward(disc: Discriminator, s, a, s_next, log_pi) -> np.ndarray:

@@ -18,13 +18,12 @@ import odirl.config as config_module
 import odirl.harness as harness
 import odirl.policy as policy_mod
 from odirl.buffers import ReplayBuffer, load_demos, save_demos
-from odirl.cli import discriminator_from_checkpoint
 from odirl.config import ExperimentConfig, load_config, save_config, section_hints
 from odirl.dd import ClassifierPair, DDConfig, dd_for_transitions
 from odirl.envs import (SOURCE, TARGET, Batch, LinkChainConfig, LinkChainEnv, PointMazeConfig,
                         PointMazeEnv, Transition, rollouts)
 from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
-from odirl.irl import Discriminator, GailDiscriminator, disc_loss
+from odirl.irl import Discriminator, GailDiscriminator, disc_loss, load_discriminator
 from odirl.nets import Adam, FlatParams, Mlp, load_blocks, load_params, minibatches, save_blocks
 from odirl.policy import GaussianPolicy, PolicyOptConfig, ValueNet, evaluate
 from digests import TASKS, task_runs
@@ -709,7 +708,7 @@ def test_final_checkpoints_load_into_fresh_objects_bit_exactly(tmp_path, demo_fi
         trained = live[f"{stem}_final.bin"]
         loaded = [_fresh_trainable(stem, cfg, spec).blocks()]
         if stem == "disc":
-            loaded.append(discriminator_from_checkpoint(ckpt / "disc_final.bin").blocks())
+            loaded.append(load_discriminator(ckpt / "disc_final.bin").blocks())
         for blocks in loaded:
             assert blocks.keys() == trained.keys()
             load_blocks(ckpt / f"{stem}_final.bin", blocks)
@@ -755,7 +754,7 @@ def test_a_discriminator_checkpoint_with_a_malformed_meta_is_rejected_naming_the
     header["meta"] = edit(header["meta"])
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not a discriminator .*{why}"):
-        discriminator_from_checkpoint(path)
+        load_discriminator(path)
 
 
 def test_train_expert_writes_the_config_it_ran_with(tmp_path):
