@@ -143,10 +143,10 @@ def test_ring_holds_at_most_100_bytes_per_point_maze_row():
     env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
     policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=0), 0.0)
     batches = [rollouts(policy, env, 8, np.random.default_rng(i)) for i in range(3)]
-    pushes = 0
-    while sum(len(batches[i % 3]) for i in range(pushes)) < 10_000:
+    pushes = capacity = 0                 # whole batches, to at least 10,000 rows
+    while capacity < 10_000:
+        capacity += len(batches[pushes % 3])
         pushes += 1
-    capacity = sum(len(batches[i % 3]) for i in range(pushes))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
