@@ -90,15 +90,28 @@ def test_a_push_past_capacity_raises_and_leaves_the_buffer_as_it_was():
 BUFFER_LENGTHS = np.random.default_rng(0).integers(1, 90, size=40).tolist()    # episode lengths
 
 
-@pytest.mark.parametrize("capacity", [sum(BUFFER_LENGTHS), sum(BUFFER_LENGTHS) + 1000])
-def test_buffer_samples_every_bit_a_list_of_rows_samples(capacity):
-    """Episodes of BUFFER_LENGTHS rows, each with first coordinates of its own,
-    pushed up to (or short of) capacity: after every push, the same length,
-    the same sampled bits and the same draws as a list of rows, oldest first,
-    and one set of arrays from the first push on."""
+def episode(n, k):
+    """An episode of n rows (0 gives an empty batch) with first coordinates of its own."""
+    if n == 0:
+        return Batch(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), SOURCE)
+    return make_batch(n, offset=1000.0 * k)
+
+
+@pytest.mark.parametrize("lengths, capacity", [
+    pytest.param(BUFFER_LENGTHS, sum(BUFFER_LENGTHS), id="episodes-to-capacity"),
+    pytest.param(BUFFER_LENGTHS, sum(BUFFER_LENGTHS) + 1000, id="episodes-short-of-capacity"),
+    pytest.param([1] * 57, 57, id="one-row-pushes"),
+    pytest.param([sum(BUFFER_LENGTHS)], sum(BUFFER_LENGTHS), id="one-push-fills-it"),
+    pytest.param([1], 1, id="one-row-buffer"),
+    pytest.param([5, 0, 9, 0, 0, 3], 18, id="empty-pushes-between"),
+])
+def test_buffer_samples_every_bit_a_list_of_rows_samples(lengths, capacity):
+    """Episodes of `lengths` rows pushed up to (or short of) capacity: after
+    every push, the same length, the same sampled bits and the same draws as
+    a list of rows, oldest first, and one set of arrays from the first push on."""
     buf, ref = ReplayBuffer(capacity, SOURCE), RowListReplayBuffer()
-    for k, n in enumerate(BUFFER_LENGTHS):
-        batch = make_batch(n, offset=1000.0 * k)
+    for k, n in enumerate(lengths):
+        batch = episode(n, k)
         buf.push(batch)
         ref.push(batch)
         if k == 0:
@@ -112,7 +125,7 @@ def test_buffer_samples_every_bit_a_list_of_rows_samples(capacity):
             assert np.array_equal(getattr(got, key).view(np.int64),
                                   np.array([row[j] for row in want]).view(np.int64))
         assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
-    assert len(buf) == sum(BUFFER_LENGTHS)
+    assert len(buf) == sum(lengths)
 
 
 def test_pushes_into_a_ring_of_its_runs_rows_peak_at_its_arrays_plus_one_batch():
