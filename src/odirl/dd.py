@@ -103,7 +103,8 @@ def dd_for_transitions(pair: ClassifierPair, batch: Batch, config: DDConfig,
     The log-probability differences reduce to raw logit differences, so no
     exponentials are involved and the value is numerically safe everywhere.
     """
-    z_sas = pair.q_sas.forward(np.concatenate([batch.s, batch.a, batch.s_next], axis=1))
-    z_sa = pair.q_sa.forward(np.concatenate([batch.s, batch.a], axis=1))
+    z_sas = pair.q_sas.forward(np.concatenate([batch.s, batch.a, batch.s_next], axis=1),
+                               keep=False)
+    z_sa = pair.q_sa.forward(np.concatenate([batch.s, batch.a], axis=1), keep=False)
     raw = (z_sas[:, CLS_TARGET] - z_sas[:, CLS_SOURCE]) - (z_sa[:, CLS_TARGET] - z_sa[:, CLS_SOURCE])
     return alpha * np.clip(raw, -config.dd_clip, config.dd_clip)

@@ -20,9 +20,9 @@ from .envs import SOURCE, Batch
 from .nets import Mlp, load_blocks, load_params
 
 LOGIT_CLIP = 10.0
-# Rows per g forward of the heatmap, to bound the activations the net caches: a
-# multiple of BLAS's row blocks, so each row's g is bit for bit that of one
-# whole-grid forward (50-row chunks are not).
+# Rows per g forward of the heatmap, to bound the transient activations of each
+# inference forward: a multiple of BLAS's row blocks, so each row's g is bit for
+# bit that of one whole-grid forward (50-row chunks are not).
 HEATMAP_CHUNK = 256
 
 
@@ -72,12 +72,12 @@ class Discriminator:
 
     def g_value(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         """g of each row of (N, state_dim) states and (N, action_dim) actions."""
-        return self.g_net.forward(self._g_input(s, a))[:, 0]
+        return self.g_net.forward(self._g_input(s, a), keep=False)[:, 0]
 
     def f_value(self, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> np.ndarray:
         """f(s,a,s') = g(.) + gamma*h(s') - h(s) of each row."""
-        return (self.g_value(s, a) + self.gamma * self.h_net.forward(s_next)[:, 0]
-                - self.h_net.forward(s)[:, 0])
+        return (self.g_value(s, a) + self.gamma * self.h_net.forward(s_next, keep=False)[:, 0]
+                - self.h_net.forward(s, keep=False)[:, 0])
 
 
 def checkpoint_meta(net) -> dict:
@@ -194,7 +194,7 @@ class GailDiscriminator:
 
     def logits(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         """D's logit of each row of (N, state_dim) states and (N, action_dim) actions."""
-        return self.d_net.forward(np.concatenate([s, a], axis=1))[:, 0]
+        return self.d_net.forward(np.concatenate([s, a], axis=1), keep=False)[:, 0]
 
 
 def gail_disc_loss(gail: GailDiscriminator, demo_batch, policy_batch) -> tuple[float, dict]:
@@ -236,7 +236,7 @@ def reward_heatmap(disc: Discriminator, grid_n: int,
     # The last chunk takes a one-row remainder: numpy runs a one-row matmul as a
     # vector-matrix product, which rounds differently.
     bounds = [*range(0, max(len(pts) - 1, 1), HEATMAP_CHUNK), len(pts)]
-    values = np.concatenate([disc.g_net.forward(pts[i:j])[:, 0] for i, j in
+    values = np.concatenate([disc.g_net.forward(pts[i:j], keep=False)[:, 0] for i, j in
                              zip(bounds, bounds[1:])]).reshape(grid_n, grid_n)
     text = [format(c, ".17g") for c in centers.tolist()]
     with open(path, "w", newline="") as fh:

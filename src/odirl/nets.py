@@ -6,7 +6,7 @@ trainable object uniformly through the (params, grad) interface. An `Adam`
 moves its blocks' vectors into one vector of its own, so each block's params
 and grad are then views into that optimizer's vectors. Each trainable names
 its blocks once, in a `blocks()` map; `save_blocks` and `load_blocks`
-checkpoint any such map.
+checkpoint any such map. Only a training forward keeps memory past its call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class FlatParams:
     def __init__(self, values: np.ndarray):
         self.params = np.asarray(values, dtype=np.float64).copy()
         self.grad = np.zeros_like(self.params)
-        self.version = 0
 
     def adopt(self, params: np.ndarray, grad: np.ndarray) -> None:
         """Use params and grad (same shapes and values, owned by an optimizer) from now on."""
@@ -32,7 +31,7 @@ class FlatParams:
 
 
 class Mlp:
-    """Fully connected network with cached forward and accumulating backward.
+    """Fully connected network with a kept training forward and accumulating backward.
 
     layer_sizes is the full chain [in, h1, ..., out]. Hidden layers are tanh
     and the output is identity; every network the method trains has this
@@ -40,8 +39,10 @@ class Mlp:
     vector once an `Adam` holds the net); per-layer weight/bias views share
     its memory, so in-place optimizer updates are visible everywhere.
 
-    forward rejects a non-finite input; backward rejects an input other than
-    the cached one, or a cache older than the last parameter update. The
+    forward rejects a non-finite input. forward(x) keeps x and the activations
+    for backward until the next such forward or parameter update (`Adam.step`,
+    `load_blocks`); forward(x, keep=False) keeps nothing. backward rejects an
+    input other than the kept one. The
     kernels work in place on arrays they just made (z = h @ W; z += b;
     tanh(z, out=z), and dz = h * h; 1 - dz; dz *= delta): the operations of
     tanh(h @ W + b) and delta * (1 - h * h) in the same order, so bit for bit
@@ -64,11 +65,9 @@ class Mlp:
 
         n_params = sum((fan_in + 1) * fan_out
                        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-        self.version = 0
         self.adopt(np.zeros(n_params, dtype=np.float64), np.zeros(n_params, dtype=np.float64))
         self._init_weights()
-        # (input copy, activations, version) of the last forward; version -1: none yet
-        self._cache = (None, None, -1)
+        self._kept = None           # the activations backward reads, from the last forward(x)
 
     def adopt(self, params: np.ndarray, grad: np.ndarray) -> None:
         """Use the flat params and grad vectors from now on (an optimizer's views
@@ -106,8 +105,8 @@ class Mlp:
             w[...] = 0.0
             b[...] = 0.0
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the net on x of shape (in,) or (batch, in); caches x as rows for backward."""
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
+        """Run the net on x of shape (in,) or (batch, in); keep: keep x as rows for backward."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         x2 = x[None, :] if single else x
@@ -121,25 +120,27 @@ class Mlp:
             h = h @ w
             h += b
             np.tanh(h, out=h)
-            acts.append(h)
+            if keep:
+                acts.append(h)
         w, b = self._layers[-1]
         h = h @ w
         h += b
-        acts.append(h)
-        self._cache = (x2.copy(), acts, self.version)
+        if keep:                    # the input (a copy) and hidden activations
+            acts[0] = x2.copy()
+            self._kept = acts
         return h[0] if single else h
 
     def backward(self, x: np.ndarray, upstream: np.ndarray) -> None:
         """Accumulate d(sum(upstream * output))/d(params) into grad, for (batch, in) rows x.
 
-        Requires a forward pass cached for exactly these rows since the last
+        Requires a training forward kept for exactly these rows since the last
         parameter update. Only parameter gradients are formed: no input gradient.
         """
         x = np.asarray(x, dtype=np.float64)
         upstream = np.asarray(upstream, dtype=np.float64)
-        cached, acts, version = self._cache
+        acts = self._kept
         # The shape test and element compare of np.array_equal, without its call overhead.
-        if version != self.version or cached.shape != x.shape or not (cached == x).all():
+        if acts is None or acts[0].shape != x.shape or not (acts[0] == x).all():
             raise RuntimeError("stale forward cache: call forward on these (batch, in) rows first")
         if upstream.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"upstream shape {upstream.shape} does not match output")
@@ -179,9 +180,9 @@ class Adam:
 
     Rescales the joint gradient to norm `clip_norm` when it is larger (the
     default, math.inf, never clips); the norm adds each block's g @ g in block
-    order. step() zeroes gradients and bumps each block's version so stale
-    forward caches are detectable. The moments and the step go through two
-    work vectors, in the textbook update's arithmetic order.
+    order. step() zeroes gradients and releases each Mlp block's kept
+    forward, which the update makes stale. The moments and the step go
+    through two work vectors, in the textbook update's arithmetic order.
 
     step() raises FloatingPointError on a non-finite gradient element (before
     changing anything) and on a non-finite parameter after the update, naming
@@ -262,7 +263,8 @@ class Adam:
             self._check_finite("params", "non-finite parameters after update")
         g[...] = 0.0
         for block in self.blocks:
-            block.version += 1
+            if isinstance(block, Mlp):
+                block._kept = None
 
 
 def minibatches(n: int, size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -343,4 +345,5 @@ def load_blocks(path, blocks: dict) -> None:
                              f"expected {block.params.shape}")
     for name, block in blocks.items():
         block.params[...] = arrays[name]
-        block.version += 1
+        if isinstance(block, Mlp):
+            block._kept = None

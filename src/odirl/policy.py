@@ -64,7 +64,7 @@ class GaussianPolicy:
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw an action for each row of (N, state_dim) states: the clipped
         (N, action_dim) actions and their (N,) log-density, from one forward pass."""
-        mean = self.mean_net.forward(states)
+        mean = self.mean_net.forward(states, keep=False)
         log_std = self.clipped_log_std()
         std = np.exp(log_std)
         action = np.minimum(np.maximum(mean + std * rng.standard_normal(mean.shape),
@@ -73,12 +73,12 @@ class GaussianPolicy:
 
     def act_deterministic(self, states: np.ndarray) -> np.ndarray:
         """The clipped mean action of each row of (N, state_dim) states."""
-        mean = self.mean_net.forward(states)
+        mean = self.mean_net.forward(states, keep=False)
         return np.minimum(np.maximum(mean, self.spec.action_low), self.spec.action_high)
 
     def log_prob(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Gaussian log-density of the given actions, shape (batch,)."""
-        mean = self.mean_net.forward(np.asarray(states, dtype=np.float64))
+        mean = self.mean_net.forward(np.asarray(states, dtype=np.float64), keep=False)
         log_std = self.clipped_log_std()
         return self._log_density(mean, np.asarray(actions, dtype=np.float64), log_std,
                                  np.exp(log_std))
@@ -102,7 +102,7 @@ class ValueNet:
         self.net = Mlp([spec.state_dim, *hidden, 1], seed=seed, zero_init_output=True)
 
     def predict(self, states: np.ndarray) -> np.ndarray:
-        return self.net.forward(np.asarray(states, dtype=np.float64))[..., 0]
+        return self.net.forward(np.asarray(states, dtype=np.float64), keep=False)[..., 0]
 
     def blocks(self) -> dict:
         return {"value": self.net}

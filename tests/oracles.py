@@ -313,7 +313,6 @@ class TextbookAdam:
             if not np.all(np.isfinite(block.params)):
                 raise FloatingPointError("non-finite parameters after update")
             block.grad[...] = 0.0
-            block.version += 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@ from oracles import (RowListReplayBuffer, reference_heatmap_csv, reference_write
 
 
 def make_traj(n, tag=SOURCE, offset=0.0):
+    """An episode of n rows whose first coordinate counts the rows; each row's
+    s_next is the next row's s, the last row's the episode's own final state."""
+    states = [np.array([0.1 + offset + i, 0.2 - 0.02 * i]) for i in range(n + 1)]
     ts = [
         Transition(
-            s=np.array([0.1 + offset + i, 0.2]),
+            s=states[i],
             a=np.array([0.01, -0.02]),
-            s_next=np.array([0.1 + offset + i + 0.01, 0.18]),
+            s_next=states[i + 1],
             done=(i == n - 1),
             domain_tag=tag,
             gt_reward=-float(i) / 3.0,
@@ -87,14 +90,50 @@ def test_a_push_past_capacity_raises_and_leaves_the_buffer_as_it_was():
     assert len(buf) == 10
 
 
+def pushed_batch(fault):
+    """A three-row episode that `push` must reject, for each kind of fault."""
+    batch = make_batch(3, offset=100.0)
+    s, s_next = batch.s.copy(), batch.s_next.copy()
+    if fault == "no-ends":
+        return dataclasses.replace(batch, ends=None)
+    if fault == "open-last-episode":
+        return dataclasses.replace(batch, ends=np.array([False, True, False]))
+    if fault == "inner-s-next-one-ulp-off":
+        s_next[1, 0] = np.nextafter(s[2, 0], np.inf)
+    else:                                           # the same value but for the sign of a zero
+        s[1, 1] = 0.0
+        s_next[0, 1] = -0.0
+    return dataclasses.replace(batch, s=s, s_next=s_next)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("no-ends", "a pushed batch needs ends, and its last row must end an episode"),
+    ("open-last-episode", "a pushed batch needs ends, and its last row must end an episode"),
+    ("inner-s-next-one-ulp-off", "row 1 of the pushed batch: s_next is not the next row's s"),
+    ("inner-s-next-negative-zero", "row 0 of the pushed batch: s_next is not the next row's s"),
+])
+def test_a_push_of_anything_but_whole_episodes_raises_before_writing_a_row(fault, message):
+    buf = ReplayBuffer(capacity=12, domain_tag=SOURCE)
+    with pytest.raises(ValueError, match=message):
+        buf.push(pushed_batch(fault))
+    assert len(buf) == 0 and buf._arrays == ()
+    buf.push(make_batch(6))
+    arrays, before = buf._arrays, buf.sample(50, np.random.default_rng(1))
+    with pytest.raises(ValueError, match=message):
+        buf.push(pushed_batch(fault))
+    assert_holds(buf, 6, arrays, before)
+
+
 BUFFER_LENGTHS = np.random.default_rng(0).integers(1, 90, size=40).tolist()    # episode lengths
 
 
 def episode(n, k):
-    """An episode of n rows (0 gives an empty batch) with first coordinates of its own."""
+    """The k-th push: an episode of n rows (0 gives an empty batch), or one
+    episode of each length of a tuple n, with first coordinates of its own."""
     if n == 0:
         return Batch(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), SOURCE)
-    return make_batch(n, offset=1000.0 * k)
+    lengths = n if isinstance(n, tuple) else (n,)
+    return Batch.of([make_traj(m, offset=1000.0 * k + 100.0 * j) for j, m in enumerate(lengths)])
 
 
 @pytest.mark.parametrize("lengths, capacity", [
@@ -104,20 +143,25 @@ def episode(n, k):
     pytest.param([sum(BUFFER_LENGTHS)], sum(BUFFER_LENGTHS), id="one-push-fills-it"),
     pytest.param([1], 1, id="one-row-buffer"),
     pytest.param([5, 0, 9, 0, 0, 3], 18, id="empty-pushes-between"),
+    pytest.param([(3, 1, 7), (80,) * 5, 2, (1,) * 9], 422, id="several-episodes-per-push"),
 ])
 def test_buffer_samples_every_bit_a_list_of_rows_samples(lengths, capacity):
     """Episodes of `lengths` rows pushed up to (or short of) capacity: after
     every push, the same length, the same sampled bits and the same draws as
     a list of rows, oldest first, and one set of arrays from the first push on."""
     buf, ref = ReplayBuffer(capacity, SOURCE), RowListReplayBuffer()
+    episodes = 0
     for k, n in enumerate(lengths):
         batch = episode(n, k)
         buf.push(batch)
         ref.push(batch)
+        episodes += len(batch) and int(batch.ends.sum())
         if k == 0:
             arrays = buf._arrays
-        assert len(buf._arrays) == 3 and all(x is y for x, y in zip(buf._arrays, arrays))
+        assert len(buf._arrays) == 2 and all(x is y for x, y in zip(buf._arrays, arrays))
         assert len(buf) == len(ref.rows)
+        # one last row and one final state per episode pushed
+        assert [len(x) for x in buf._episodes] == [episodes, episodes]
         rng_buf, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
         got, want = buf.sample(33, rng_buf), ref.sample(33, rng_ref)
         assert got.domain_tag == SOURCE and len(got) == 33
@@ -125,7 +169,7 @@ def test_buffer_samples_every_bit_a_list_of_rows_samples(lengths, capacity):
             assert np.array_equal(getattr(got, key).view(np.int64),
                                   np.array([row[j] for row in want]).view(np.int64))
         assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
-    assert len(buf) == sum(lengths)
+    assert len(buf) == sum(np.sum(n) for n in lengths)
 
 
 def test_pushes_into_a_ring_of_its_runs_rows_peak_at_its_arrays_plus_one_batch():
@@ -151,8 +195,10 @@ def test_pushes_into_a_ring_of_its_runs_rows_peak_at_its_arrays_plus_one_batch()
     assert peak <= 8 * widths * (capacity + max(len(b) for b in batches))
 
 
-def test_ring_holds_at_most_100_bytes_per_point_maze_row():
-    """At full capacity, whatever the buffer allocated (and kept) is counted."""
+def test_ring_holds_at_most_40_bytes_per_point_maze_row():
+    """At full capacity, whatever the buffer allocated (and kept) is counted:
+    s and a (32 bytes) and a share of the per-episode arrays; s, a and s_next
+    stored apart would take 48 bytes."""
     env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
     policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=0), 0.0)
     batches = [rollouts(policy, env, 8, np.random.default_rng(i)) for i in range(3)]
@@ -170,7 +216,7 @@ def test_ring_holds_at_most_100_bytes_per_point_maze_row():
     finally:
         tracemalloc.stop()
     assert len(buf) == capacity
-    assert held / capacity <= 100
+    assert held / capacity <= 40
 
 
 def test_sample_n_zero_gives_empty_batch():

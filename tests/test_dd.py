@@ -224,7 +224,7 @@ def test_swapped_label_query_is_exact_negation():
     base = dd_of_rows(pair, s, a, sn, cfg, 1.0)
 
     def swapped(net):  # the classifier with its source and target logit columns exchanged
-        return SimpleNamespace(forward=lambda x: net.forward(x)[:, ::-1])
+        return SimpleNamespace(forward=lambda x, keep=True: net.forward(x, keep)[:, ::-1])
 
     swapped_pair = SimpleNamespace(q_sas=swapped(pair.q_sas), q_sa=swapped(pair.q_sa))
     swapped = dd_of_rows(swapped_pair, s, a, sn, cfg, 1.0)

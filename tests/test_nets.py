@@ -131,19 +131,56 @@ def test_backward_accumulation_is_linear():
     assert np.allclose(net.grad, combined, atol=1e-12)
 
 
-def test_backward_requires_fresh_forward_cache():
+STALE = "stale forward cache: call forward on these"
+
+
+def test_backward_requires_a_kept_forward_of_the_same_rows():
     net = Mlp([3, 8, 2], seed=0)
     rng = np.random.default_rng(5)
     x1 = rng.normal(size=(2, 3))
     x2 = rng.normal(size=(2, 3))
-    net.forward(x1)
-    with pytest.raises(RuntimeError):
-        net.backward(x2, np.ones((2, 2)))
-    # a parameter update also invalidates the cache
-    net.forward(x1)
-    Adam([net], lr=1e-3).step()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=STALE):        # nothing kept yet
         net.backward(x1, np.ones((2, 2)))
+    net.forward(x1)
+    with pytest.raises(RuntimeError, match=STALE):
+        net.backward(x2, np.ones((2, 2)))
+    net.forward(x2, keep=False)                           # an inference forward keeps nothing
+    with pytest.raises(RuntimeError, match=STALE):
+        net.backward(x2, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("update", ["adam-step", "load-blocks"])
+def test_a_parameter_update_releases_the_kept_forward(tmp_path, update):
+    net, log_std = _mlp_and_log_std(6)
+    x = np.random.default_rng(5).normal(size=(4, 3))
+    blocks = {"mean": net, "log_std": log_std}
+    save_blocks(tmp_path / "ckpt.bin", blocks)
+    opt = Adam(blocks.values(), lr=1e-3)
+    net.forward(x)
+    net.backward(x, np.ones((4, 2)))                      # usable until the update
+    if update == "adam-step":
+        opt.step()
+    else:
+        load_blocks(tmp_path / "ckpt.bin", blocks)
+    assert net._kept is None
+    with pytest.raises(RuntimeError, match=STALE):
+        net.backward(x, np.ones((4, 2)))
+
+
+def test_an_inference_forward_gives_the_same_bits_and_leaves_the_kept_forward_usable():
+    rng = np.random.default_rng(8)
+    net, twin = Mlp([3, 16, 16, 2], seed=4), Mlp([3, 16, 16, 2], seed=4)
+    x, up = rng.normal(size=(9, 3)), rng.normal(size=(9, 2))
+    net.forward(x)
+    kept = net._kept
+    for other in (rng.normal(size=(33, 3)), rng.normal(size=3)):     # rows, and one 1-D state
+        got = net.forward(other, keep=False)
+        assert net._kept is kept
+        assert np.array_equal(got.view(np.int64), twin.forward(other).view(np.int64))
+    net.backward(x, up)
+    twin.forward(x)
+    twin.backward(x, up)
+    assert np.array_equal(net.grad.view(np.int64), twin.grad.view(np.int64))
 
 
 def test_adam_zero_grad_keeps_params():
@@ -286,7 +323,7 @@ def test_adam_matches_the_textbook_update_bit_for_bit(clip_norm, weight_decay):
         ref.step()
         for b, r in zip(blocks, reference):
             assert np.array_equal(b.params, r.params)
-            assert np.all(b.grad == 0.0) and b.version == r.version
+            assert np.all(b.grad == 0.0)
     assert opt.t == ref.t == 50
 
 
