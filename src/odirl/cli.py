@@ -143,7 +143,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         _, _, (_, _, src_eval, tgt_eval) = harness._setup(cfg)
         env = tgt_eval if args.domain == "target" else src_eval
-        policy = harness._load_policy(cfg, env.spec, args.policy)
+        policy, _ = harness._load_policy(cfg, env.spec, args.policy)
         ret, succ = evaluate(policy, env, args.episodes)
         print(json.dumps({"domain": args.domain, "episodes": args.episodes,
                           "mean_gt_return": ret, "success_rate": succ}))

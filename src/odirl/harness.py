@@ -151,11 +151,10 @@ def _agent(cfg, spec, policy_seed: int, value_seed: int, opt_cfg: PolicyOptConfi
     return policy, value, PolicyOptimizer(policy, value, opt_cfg)
 
 
-def _load_policy(cfg, spec, path) -> GaussianPolicy:
-    """The policy checkpoint at path; it sets every parameter, so any init seed will do."""
+def _load_policy(cfg, spec, path) -> tuple[GaussianPolicy, dict]:
+    """The policy checkpoint at path, and its meta; it sets every parameter, so any seed will do."""
     policy = GaussianPolicy(spec, hidden=cfg.policy.hidden)
-    load_blocks(path, policy.blocks())
-    return policy
+    return policy, load_blocks(path, policy.blocks())
 
 
 def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> None:
@@ -239,8 +238,8 @@ def train_expert(cfg: ExperimentConfig) -> Path:
                 score = succ + 0.01 * ret  # success first, return breaks ties
                 if score >= best_score:
                     best_score = score
-                    save_blocks(path, policy.blocks())
-    save_blocks(out / "expert_policy_final.bin", policy.blocks())
+                    save_blocks(path, policy.blocks(), expert_seed=cfg.seed)
+    save_blocks(out / "expert_policy_final.bin", policy.blocks(), expert_seed=cfg.seed)
     return path
 
 
@@ -248,7 +247,9 @@ def collect_demos(cfg: ExperimentConfig, expert_path, out_path) -> DemoSet:
     """Roll the trained expert in the source domain; save cfg.expert.n_demo_episodes episodes."""
     _, rngs, (src, _, _, _) = _setup(cfg)
     n_episodes = cfg.expert.n_demo_episodes
-    policy = _load_policy(cfg, src.spec, expert_path)
+    policy, meta = _load_policy(cfg, src.spec, expert_path)
+    if not isinstance(meta, dict) or not isinstance(expert_seed := meta.get("expert_seed"), int):
+        raise ValueError(f"{expert_path}: no integer 'expert_seed' in the checkpoint meta")
     episodes, attempts = [], 0
     keep_success_only = cfg.expert.demo_success_only and cfg.task == "pointmaze"
     while len(episodes) < n_episodes and attempts < 20 * n_episodes:
@@ -262,7 +263,7 @@ def collect_demos(cfg: ExperimentConfig, expert_path, out_path) -> DemoSet:
             f"collected only {len(episodes)}/{n_episodes} demo episodes; expert too weak"
         )
     demos = DemoSet(Batch.concat(episodes), env_config_hash=cfg.env_config_hash(),
-                    expert_seed=cfg.seed, horizon=src.spec.horizon)
+                    expert_seed=expert_seed, horizon=src.spec.horizon)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_demos(demos, out_path)
     logger.info("saved %d demo episodes (%d transitions) to %s", len(episodes), len(demos),
@@ -411,7 +412,7 @@ def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     _, _, (_, tgt, src_eval, tgt_eval) = _setup(cfg)
     if not cfg.expert_path:
         raise ValueError("expert_path is required for expert_transfer")
-    policy = _load_policy(cfg, tgt.spec, cfg.expert_path)
+    policy, _ = _load_policy(cfg, tgt.spec, cfg.expert_path)
     out = _run_dir(cfg)
     with closing(ProgressWriter(out / "progress.csv")) as writer:
         gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .envs import SOURCE, Batch
-from .nets import Mlp, load_blocks, load_params
+from .nets import Mlp, copy_blocks, load_params
 
 LOGIT_CLIP = 10.0
 # Rows per g forward of the heatmap, to bound the transient activations of each
@@ -91,7 +91,7 @@ def checkpoint_meta(net) -> dict:
 def load_discriminator(path) -> Discriminator:
     """The discriminator saved at path, rebuilt from its g/h meta; a meta it
     cannot be rebuilt from raises a ValueError naming the file."""
-    _, meta = load_params(path)
+    arrays, meta = load_params(path)
     try:
         g_sizes, state_dim = meta["g"]["layer_sizes"], meta["h"]["layer_sizes"][0]
         # A state-only g records no action dim; g never reads the action then.
@@ -99,7 +99,7 @@ def load_discriminator(path) -> Discriminator:
                              state_only_g=meta["state_only_g"], hidden=tuple(g_sizes[1:-1]))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a discriminator checkpoint: {exc!r}") from exc
-    load_blocks(path, disc.blocks())
+    copy_blocks(path, arrays, disc.blocks())
     return disc
 
 

@@ -330,13 +330,19 @@ def save_blocks(path, blocks: dict, **meta) -> None:
                 **{**{name: b.meta() for name, b in blocks.items() if isinstance(b, Mlp)}, **meta})
 
 
-def load_blocks(path, blocks: dict) -> None:
-    """Copy the checkpoint at path into a {name: Mlp or FlatParams} map.
+def load_blocks(path, blocks: dict) -> dict:
+    """Copy the checkpoint at path into a {name: Mlp or FlatParams} map; returns its meta.
 
     Every block needs an array of its own name and shape in the file; else a
     ValueError names the file and the array, and no block is changed.
     """
-    arrays, _ = load_params(path)
+    arrays, meta = load_params(path)
+    copy_blocks(path, arrays, blocks)
+    return meta
+
+
+def copy_blocks(path, arrays: dict, blocks: dict) -> None:
+    """`load_blocks` on the arrays of the checkpoint at path, already read."""
     for name, block in blocks.items():
         if name not in arrays:
             raise ValueError(f"{path}: no array {name!r} in checkpoint")

@@ -776,7 +776,7 @@ def test_load_policy_returns_every_block_of_the_checkpoint_bit_for_bit(tmp_path)
     path = tmp_path / "policy.bin"
     save_blocks(path, saved.blocks())
     arrays, _ = load_params(path)
-    loaded = harness._load_policy(cfg, spec, path).blocks()
+    loaded = harness._load_policy(cfg, spec, path)[0].blocks()
     assert loaded.keys() == arrays.keys()
     for name, block in loaded.items():
         assert block.params.tobytes() == arrays[name].tobytes(), name
@@ -826,6 +826,48 @@ def test_collect_demos_rejects_a_non_positive_episode_count(tmp_path, demo_file,
         main(["collect-demos", "--expert", expert, "--demos-out", str(tmp_path / "demos.bin"),
               "--episodes", str(n_episodes)])
     assert not (tmp_path / "demos.bin").exists()
+
+
+def test_demos_record_the_seed_the_expert_trained_at(tmp_path, demo_file):
+    """The demo_file expert trained at seed 3; demos collected at seed 5 say 3."""
+    _, expert = demo_file
+    for name in ("expert_policy.bin", "expert_policy_final.bin"):
+        assert load_params(Path(expert).parent / name)[1]["expert_seed"] == 3
+    path = tmp_path / "demos.bin"
+    collect_demos(tiny_cfg(tmp_path, "demos", seed=5), expert, path)
+    assert load_params(path)[1]["expert_seed"] == 3
+    assert load_tiny_demos(path).expert_seed == 3
+
+
+def test_collect_demos_rejects_a_checkpoint_without_an_expert_seed_naming_it(tmp_path):
+    cfg = tiny_cfg(tmp_path, "demos")
+    policy_path = tmp_path / "policy_final.bin"
+    save_blocks(policy_path, GaussianPolicy(PointMazeEnv(cfg.pointmaze, SOURCE, 0).spec,
+                                            hidden=cfg.policy.hidden).blocks())
+    with pytest.raises(ValueError, match=f"{re.escape(str(policy_path))}: no integer "
+                                         "'expert_seed' in the checkpoint meta"):
+        collect_demos(cfg, policy_path, tmp_path / "demos.bin")
+    assert not (tmp_path / "demos.bin").exists()
+
+
+def test_load_discriminator_parses_its_checkpoint_once(tmp_path, monkeypatch):
+    import odirl.irl as irl
+    import odirl.nets as nets
+
+    saved = Discriminator(2, 2, gamma=0.9, hidden=(8,), seed=0)
+    path = tmp_path / "disc_final.bin"
+    save_blocks(path, saved.blocks(), gamma=saved.gamma, state_only_g=saved.state_only_g)
+    parses = []
+
+    def counted(real):
+        return lambda *args: parses.append(args) or real(*args)
+
+    monkeypatch.setattr(irl, "load_params", counted(nets.load_params))
+    monkeypatch.setattr(nets, "load_params", counted(nets.load_params))
+    disc = load_discriminator(path)
+    assert len(parses) == 1
+    for name, block in disc.blocks().items():
+        assert block.params.tobytes() == saved.blocks()[name].params.tobytes()
 
 
 @pytest.mark.parametrize("grid_n", [0, -3])
@@ -1419,3 +1461,4 @@ def test_digests_against_exits_1_naming_the_first_differing_path(tmp_path):
         assert message in run.stderr
         assert run.stdout.splitlines() == first
         out.rename(tmp_path / against.replace(".txt", "_out"))
+
