@@ -1462,3 +1462,48 @@ def test_digests_against_exits_1_naming_the_first_differing_path(tmp_path):
         assert run.stdout.splitlines() == first
         out.rename(tmp_path / against.replace(".txt", "_out"))
 
+
+def watch_kept_forwards(monkeypatch):
+    """Fail a run at once when a net keeps a training forward that no backward
+    reads before that net's next kept forward or optimizer step; returns the
+    count of kept forwards, inference forwards and backwards, and the nets
+    whose kept forward waits for its backward."""
+    counts, pending = collections.Counter(), set()
+    forward, backward, step = Mlp.forward, Mlp.backward, Adam.step
+
+    def watched_forward(net, x, keep=True):
+        if keep:
+            assert net not in pending, f"Mlp {net.layer_sizes} kept a forward no backward read"
+            pending.add(net)
+        counts["kept" if keep else "inference"] += 1
+        return forward(net, x, keep)
+
+    def watched_backward(net, x, upstream):
+        pending.discard(net)
+        counts["backward"] += 1
+        return backward(net, x, upstream)
+
+    def watched_step(opt):
+        waiting = [b.layer_sizes for b in opt.blocks if b in pending]
+        assert not waiting, f"an optimizer step over Mlps {waiting} with unread kept forwards"
+        return step(opt)
+
+    monkeypatch.setattr(Mlp, "forward", watched_forward)
+    monkeypatch.setattr(Mlp, "backward", watched_backward)
+    monkeypatch.setattr(Adam, "step", watched_step)
+    return counts, pending
+
+
+@pytest.mark.parametrize("method", ["odirl", "gail", "airl_source_transfer"])
+@pytest.mark.parametrize("task", ["pointmaze", "linkchain"])
+def test_every_kept_forward_is_read_by_a_backward_before_the_next(tmp_path, demo_file,
+                                                                  chain_demo_file, monkeypatch,
+                                                                  task, method):
+    """Only training forwards keep activations: an inference call site that
+    kept them would leave them unread until its net's next forward or step."""
+    counts, pending = watch_kept_forwards(monkeypatch)
+    cfg = tiny_cfg(tmp_path, "run", steps=2, r=1, task=task, method=method)
+    cfg.demos_path = demo_file[0] if task == "pointmaze" else chain_demo_file
+    run_experiment(cfg)
+    assert not pending
+    assert counts["kept"] == counts["backward"] > 0 and counts["inference"] > 0
