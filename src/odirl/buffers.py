@@ -24,13 +24,13 @@ _DEMO_ARRAYS = ("s", "a", "s_next", "done", "gt_reward", "ends")    # a demo fil
 class ReplayBuffer:
     """Every (s, a, s_next) row pushed into it, oldest first, up to `capacity` rows.
 
-    Each state is stored once: s and a per row, and each episode's last row
-    and final state (other rows' s_next is the next row's s). The first push
-    allocates the row arrays at `capacity` rows (`np.empty`, so rows not yet
-    written are not resident); no push grows or copies them. The harness
-    sizes each buffer to the rows its run can push: numpy backs arrays of 4 MB
-    and more with huge pages, so the touched rows of an oversized buffer are
-    resident in 2 MB units. A push past capacity raises.
+    Each state is stored once: s, a and an episode-end flag per row, and each
+    episode's last row and final state (other rows' s_next is the next row's
+    s). The first push allocates the row arrays at `capacity` rows (`np.empty`,
+    so rows not yet written are not resident); no push grows or copies them.
+    The harness sizes each buffer to the rows its run can push: numpy backs
+    arrays of 4 MB and more with huge pages, so the touched rows of an
+    oversized buffer are resident in 2 MB units. A push past capacity raises.
     """
 
     def __init__(self, capacity: int, domain_tag: str):
@@ -38,7 +38,7 @@ class ReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self.domain_tag = domain_tag
-        self._arrays: tuple = ()      # s, a
+        self._arrays: tuple = ()      # s, a, ends
         self._episodes: tuple = ()    # last row, final state
         self._size = 0
 
@@ -61,14 +61,16 @@ class ReplayBuffer:
         s, s_next, ends = batch.s, batch.s_next, batch.ends
         if ends is None or not ends[-1]:
             raise ValueError("a pushed batch needs ends, and its last row must end an episode")
-        inner = np.flatnonzero(~ends[:-1])      # bit for bit, as sample rebuilds s_next
-        bad = inner[(s_next[inner].view(np.int64) != s[inner + 1].view(np.int64)).any(axis=1)]
+        # bit for bit, as sample rebuilds s_next, wherever no episode ends
+        bad = np.flatnonzero((s_next[:-1].view(np.int64) != s[1:].view(np.int64)).any(axis=1)
+                             & ~ends[:-1])
         if len(bad):
             raise ValueError(f"row {bad[0]} of the pushed batch: s_next is not the next row's s")
         if not self._arrays:
-            self._arrays = tuple(np.empty((self.capacity, x.shape[1])) for x in (s, batch.a))
+            self._arrays = (*(np.empty((self.capacity, x.shape[1])) for x in (s, batch.a)),
+                            np.empty(self.capacity, dtype=bool))
             self._episodes = (np.empty(0, dtype=np.intp), np.empty((0, s.shape[1])))
-        for dst, src in zip(self._arrays, (s, batch.a)):
+        for dst, src in zip(self._arrays, (s, batch.a, ends)):
             dst[self._size:self._size + n] = src
         self._episodes = tuple(np.concatenate(x) for x in zip(
             self._episodes, (self._size + np.flatnonzero(ends), s_next[ends])))
@@ -79,11 +81,10 @@ class ReplayBuffer:
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=n)
-        (s, a), (last_rows, finals) = self._arrays, self._episodes
-        episode = np.searchsorted(last_rows, idx)           # the episode of each row
-        end = last_rows[episode] == idx
+        (s, a, ends), (last_rows, finals) = self._arrays, self._episodes
+        end = ends[idx]
         s_next = s[np.where(end, idx, idx + 1)]             # the next row's s inside an episode
-        s_next[end] = finals[episode[end]]
+        s_next[end] = finals[np.searchsorted(last_rows, idx[end])]
         return Batch(s[idx], a[idx], s_next, self.domain_tag)
 
 

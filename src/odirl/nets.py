@@ -114,7 +114,7 @@ class Mlp:
             raise ValueError(f"expected input dim {self.in_dim}, got shape {x.shape}")
         if not np.isfinite(x2).all():
             raise ValueError("non-finite network input")
-        acts = [x2]
+        acts = [x2.copy()] if keep else None     # for backward: the input, hidden outputs
         h = x2
         for w, b in self._layers[:-1]:
             h = h @ w
@@ -125,8 +125,7 @@ class Mlp:
         w, b = self._layers[-1]
         h = h @ w
         h += b
-        if keep:                    # the input (a copy) and hidden activations
-            acts[0] = x2.copy()
+        if keep:
             self._kept = acts
         return h[0] if single else h
 

@@ -158,7 +158,7 @@ def test_buffer_samples_every_bit_a_list_of_rows_samples(lengths, capacity):
         episodes += len(batch) and int(batch.ends.sum())
         if k == 0:
             arrays = buf._arrays
-        assert len(buf._arrays) == 2 and all(x is y for x, y in zip(buf._arrays, arrays))
+        assert len(buf._arrays) == 3 and all(x is y for x, y in zip(buf._arrays, arrays))
         assert len(buf) == len(ref.rows)
         # one last row and one final state per episode pushed
         assert [len(x) for x in buf._episodes] == [episodes, episodes]
@@ -197,8 +197,8 @@ def test_pushes_into_a_ring_of_its_runs_rows_peak_at_its_arrays_plus_one_batch()
 
 def test_ring_holds_at_most_40_bytes_per_point_maze_row():
     """At full capacity, whatever the buffer allocated (and kept) is counted:
-    s and a (32 bytes) and a share of the per-episode arrays; s, a and s_next
-    stored apart would take 48 bytes."""
+    s, a and the end flag (33 bytes) and a share of the per-episode arrays;
+    s, a and s_next stored apart would take 48 bytes."""
     env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
     policy = with_log_std(GaussianPolicy(env.spec, hidden=(8,), seed=0), 0.0)
     batches = [rollouts(policy, env, 8, np.random.default_rng(i)) for i in range(3)]
