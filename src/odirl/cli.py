@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Subcommands: train-expert, collect-demos, run, ablate, heatmap, aggregate,
-eval. Log verbosity comes from the ODIRL_LOG_LEVEL environment variable.
+Subcommands: train-expert, collect-demos, run, sweep (one run per entry of a
+YAML grid: run-directory name -> config overrides), heatmap, aggregate, eval.
+Log verbosity comes from the ODIRL_LOG_LEVEL environment variable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
+
+import yaml
 
 from . import harness
 from .config import load_config
@@ -39,25 +42,17 @@ def _add_common(p: argparse.ArgumentParser, *key_flags: str) -> None:
         p.add_argument(flag, default=None, **_KEY_FLAGS[flag])
 
 
-def _alphas(text: str) -> list[float]:
-    """The --alphas list; an entry that is not a number is a usage error."""
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
-
-
-def _config_from_args(args, **extra):
-    overrides = {"seed": args.seed, "out_dir": getattr(args, "out", None),
-                 "alpha": getattr(args, "alpha", None), "steps": getattr(args, "steps", None)}
-    return load_config(args.config, {**overrides, **extra})
+def _overrides(args, **extra) -> dict:
+    """The config keys the flags set (None where a flag is not given), and extra."""
+    return {"seed": args.seed, "out_dir": getattr(args, "out", None),
+            "alpha": getattr(args, "alpha", None), "steps": getattr(args, "steps", None), **extra}
 
 
 def main(argv=None) -> int:
     _setup_logging()
     parser = argparse.ArgumentParser(prog="odirl",
                                      description="Off-dynamics inverse reinforcement learning")
-    # No abbreviations: ablate would read --alpha as its --alphas.
+    # No abbreviations: a flag a subcommand does not take is an error, not a prefix.
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
@@ -77,10 +72,10 @@ def main(argv=None) -> int:
     p.add_argument("--demos", type=str, default=None, help="demo file path")
     p.add_argument("--expert", type=str, default=None, help="expert checkpoint (expert_transfer)")
 
-    p = sub.add_parser("ablate", help="alpha ablation sweep")
+    p = sub.add_parser("sweep", help="one run per entry of a grid of config overrides")
     _add_common(p, "--out", "--steps")
-    p.add_argument("--alphas", type=_alphas, default="0,0.1,0.5,1,2",
-                   help="comma-separated alpha values")
+    p.add_argument("--grid", type=str, required=True,
+                   help="YAML mapping: run directory name -> config overrides")
     p.add_argument("--demos", type=str, default=None)
 
     p = sub.add_parser("heatmap", help="dump the reward term over the arena grid")
@@ -101,30 +96,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "train-expert":
-        cfg = _config_from_args(args)
-        path = harness.train_expert(cfg)
+        path = harness.train_expert(load_config(args.config, _overrides(args)))
         print(f"expert checkpoint: {path}")
         return 0
 
     if args.command == "collect-demos":
         episodes = {} if args.episodes is None else {"expert": {"n_demo_episodes": args.episodes}}
-        cfg = _config_from_args(args, **episodes)
+        cfg = load_config(args.config, _overrides(args, **episodes))
         demos = harness.collect_demos(cfg, args.expert, args.demos_out)
         print(f"saved {int(demos.batch.ends.sum())} episodes to {args.demos_out}")
         return 0
 
     if args.command == "run":
-        cfg = _config_from_args(args, method=args.method, demos_path=args.demos,
-                                expert_path=args.expert)
-        out = harness.run_experiment(cfg)
+        out = harness.run_experiment(load_config(args.config, _overrides(
+            args, method=args.method, demos_path=args.demos, expert_path=args.expert)))
         with open(Path(out) / "summary.json") as fh:
             print(json.dumps(json.load(fh), indent=2))
         return 0
 
-    if args.command == "ablate":
-        cfg = _config_from_args(args, method="odirl", demos_path=args.demos)
-        dirs = harness.run_ablation(cfg, args.alphas)
-        for d in dirs:
+    if args.command == "sweep":
+        with open(args.grid) as fh:
+            grid = yaml.safe_load(fh)
+        for d in harness.run_sweep(args.config, _overrides(args, demos_path=args.demos), grid):
             print(d)
         return 0
 
@@ -140,7 +133,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eval":
-        cfg = _config_from_args(args)
+        cfg = load_config(args.config, _overrides(args))
         _, _, (_, _, src_eval, tgt_eval) = harness._setup(cfg)
         env = tgt_eval if args.domain == "target" else src_eval
         policy, _ = harness._load_policy(cfg, env.spec, args.policy)

@@ -62,7 +62,8 @@ def _plan(hint) -> tuple:
 def checked(hint, val, name: str, bound: str | None):
     """val as a value of the field type hint, floats finite, and at or above the
     lower bound `bound` of `_LOWER_BOUNDS` if there is one; else a ValueError naming the key.
-    A numpy scalar is stored as the Python number it holds, so YAML and JSON take it."""
+    A numpy scalar is stored as the Python number it holds, so YAML and JSON take it,
+    and a float field's value as a float, so `0` and `0.0` write the same config."""
     item, accepted = _plan(hint)
     if item is not None:
         if not isinstance(val, (list, tuple)):
@@ -79,6 +80,11 @@ def checked(hint, val, name: str, bound: str | None):
     if type(val) is not hint and (not isinstance(val, accepted)
                                   or (isinstance(val, bool) and hint is not bool)):
         raise ValueError(f"{name} must be {hint.__name__}, not {val!r}")
+    if hint is float:
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
     if isinstance(val, float) and not math.isfinite(val):
         raise ValueError(f"{name} must be finite, not {val!r}")
     if bound and not _BOUND_HOLDS[bound](val):

@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import logging
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .buffers import DemoSet, ReplayBuffer, load_demos, save_demos
-from .config import ExperimentConfig, save_config
+from .config import ExperimentConfig, load_config, save_config
 from .dd import ClassifierPair, classifier_loss, dd_for_transitions
 from .envs import (SOURCE, TARGET, Batch, LinkChainEnv, PointMazeEnv, rollout, rollouts,
                    write_trajectory_csv)
@@ -105,12 +104,6 @@ def _run_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.out_dir)
 
 
-def _start_run(cfg: ExperimentConfig):
-    """`_setup`, then `_run_dir`; (out, seeds, rngs, envs)."""
-    seeds, rngs, envs = _setup(cfg)
-    return _run_dir(cfg), seeds, rngs, envs
-
-
 def _start_imitation(cfg: ExperimentConfig):
     """`_setup`, then the demos, checked before `_run_dir`; (demos, out, seeds, rngs, envs)."""
     seeds, rngs, envs = _setup(cfg)
@@ -118,6 +111,13 @@ def _start_imitation(cfg: ExperimentConfig):
         raise ValueError(f"demos_path is required for {cfg.method}")
     demos = load_demos(cfg.demos_path, envs[0].spec, cfg.env_config_hash())
     return demos, _run_dir(cfg), seeds, rngs, envs
+
+
+def _demo_provenance(cfg: ExperimentConfig, demos: DemoSet) -> dict:
+    """summary.json's record of the demos' env config hash and expert seed, next to
+    the run's own env config hash: a run on demos recorded under another config shows it."""
+    return dict(env_config_hash=cfg.env_config_hash(), demos_env_config_hash=demos.env_config_hash,
+                demos_expert_seed=demos.expert_seed)
 
 
 def build_envs(cfg: ExperimentConfig, seeds: dict):
@@ -219,7 +219,8 @@ def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, f
 
 def train_expert(cfg: ExperimentConfig) -> Path:
     """Train the source-domain expert against ground-truth reward, into cfg.out_dir."""
-    out, seeds, rngs, (src, _, src_eval, _) = _start_run(cfg)
+    seeds, rngs, (src, _, src_eval, _) = _setup(cfg)
+    out = _run_dir(cfg)
     policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
                              replace(cfg.policy, entropy_coef=cfg.expert.entropy_coef))
     reward_fn = lambda s, a, sn: src.ground_truth_reward(sn)  # noqa: E731
@@ -404,7 +405,7 @@ def _run_adversarial(cfg: ExperimentConfig, alpha: float, phase) -> Path:
                                                rngs, before_update)
     return _finish_run(cfg, out, policy, src_eval, tgt_eval,
                        {"policy": policy, "value": value, **nets}, final, alpha,
-                       target_steps=target_steps, **counts)
+                       target_steps=target_steps, **counts, **_demo_provenance(cfg, demos))
 
 
 def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
@@ -451,7 +452,7 @@ def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
                                                source_steps)
     return _finish_run(cfg, out, policy2, src_eval, tgt_eval, {"policy": policy2, "disc": disc},
                        final, None, target_steps=target_steps, source_steps=source_steps,
-                       source_episodes=source_episodes)
+                       source_episodes=source_episodes, **_demo_provenance(cfg, demos))
 
 
 def _train_on_g(cfg, out: Path, seeds, rngs, tgt, tgt_eval, disc, source_steps: int):
@@ -475,29 +476,27 @@ RECIPES = {
 
 
 # ---------------------------------------------------------------------------
-# Ablation sweep and aggregation
+# Sweeps and aggregation
 # ---------------------------------------------------------------------------
 
-def run_ablation(cfg: ExperimentConfig, alphas) -> list[Path]:
-    """One full run per alpha with shared demos and seed, each in out_dir/alpha_{alpha:g}."""
-    if cfg.method != "odirl":
-        raise ValueError("ablation sweeps are defined for the odirl method")
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("alpha list must be nonempty")
-    names = [f"alpha_{alpha:g}" for alpha in alphas]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"alphas {alphas[names.index(name)]!r} and {alphas[i]!r} would "
-                             f"share the run directory {name}")
-    subs = []
-    for alpha, name in zip(alphas, names):
-        sub = copy.deepcopy(cfg)
-        sub.alpha = float(alpha)
-        sub.out_dir = str(Path(cfg.out_dir) / name)
-        sub.validate()                  # every alpha before the first run
-        subs.append(sub)
-    return [run_experiment(sub) for sub in subs]
+def run_sweep(config_path, overrides: dict, runs: dict) -> list[Path]:
+    """One `run_experiment` per entry of runs (run-directory name -> config overrides)
+    on `load_config(config_path, {**overrides, **entry, "out_dir": OUT/name})`, OUT the
+    out_dir of config_path under overrides. Every config loads before the first run; a
+    fault, an out_dir or a top-level null (load_config drops it) raises naming the entry."""
+    if not isinstance(runs, dict) or not runs:
+        raise ValueError(f"a sweep grid must be a nonempty mapping, not {runs!r}")
+    out, cfgs = Path(load_config(config_path, overrides).out_dir), []
+    for name, entry in runs.items():
+        try:
+            if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+                raise ValueError("a run name must be a plain directory name")
+            if not isinstance(entry, dict) or "out_dir" in entry or None in entry.values():
+                raise ValueError(f"{entry!r} must be a mapping setting no out_dir and no null")
+            cfgs.append(load_config(config_path, {**overrides, **entry, "out_dir": str(out / name)}))
+        except ValueError as exc:
+            raise ValueError(f"sweep run {name!r}: {exc}") from exc
+    return [run_experiment(cfg) for cfg in cfgs]
 
 
 def aggregate(run_dirs, out_path) -> Path:

@@ -1,5 +1,4 @@
 import collections
-import copy
 import csv
 import dataclasses
 import json
@@ -22,7 +21,7 @@ from odirl.config import ExperimentConfig, load_config, save_config, section_hin
 from odirl.dd import ClassifierPair, DDConfig, dd_for_transitions
 from odirl.envs import (SOURCE, TARGET, Batch, LinkChainConfig, LinkChainEnv, PointMazeConfig,
                         PointMazeEnv, Transition, rollouts)
-from odirl.harness import aggregate, collect_demos, run_ablation, run_experiment, train_expert
+from odirl.harness import aggregate, collect_demos, run_experiment, run_sweep, train_expert
 from odirl.irl import Discriminator, GailDiscriminator, disc_loss, load_discriminator
 from odirl.nets import Adam, FlatParams, Mlp, load_blocks, load_params, minibatches, save_blocks
 from odirl.policy import GaussianPolicy, PolicyOptConfig, ValueNet, evaluate
@@ -515,46 +514,75 @@ def test_every_training_method_checkpoints_its_target_policy_every_checkpoint_ev
     assert (ckpt / "policy_000002.bin").read_bytes() == (ckpt / "policy_final.bin").read_bytes()
 
 
-def test_ablation_produces_one_dir_per_alpha(tmp_path, demo_file):
+def tiny_config_file(tmp_path, **kw):
+    """tiny_cfg (out_dir tmp_path/sweep) as a YAML config file, for sweeps."""
+    path = tmp_path / "tiny.yaml"
+    save_config(tiny_cfg(tmp_path, "sweep", **kw), path)
+    return path
+
+
+def tree_bytes(run_dir):
+    """Every file under run_dir by relative path, config.yaml without its out_dir line."""
+    files = {str(p.relative_to(run_dir)): p.read_bytes()
+             for p in sorted(Path(run_dir).rglob("*")) if p.is_file()}
+    files["config.yaml"] = re.sub(rb"(?m)^out_dir: .*\n", b"", files["config.yaml"])
+    return files
+
+
+def test_sweep_run_directories_equal_run_experiment_file_for_file(tmp_path, demo_file):
+    """An alpha, a method with a seed, and a target wall (demos recorded under
+    another env config): each run equals run_experiment on the same config."""
     demos, _ = demo_file
-    cfg = tiny_cfg(tmp_path, "ablate", steps=2, r=2)
-    cfg.demos_path = demos
-    dirs = run_ablation(cfg, [0.0, 1.0])
-    assert len(dirs) == 2
-    for d in dirs:
-        assert (Path(d) / "progress.csv").exists()
-    with pytest.raises(ValueError):
-        run_ablation(cfg, [])
-    cfg_bad = copy.deepcopy(cfg)
-    cfg_bad.method = "gail"
-    with pytest.raises(ValueError):
-        run_ablation(cfg_bad, [1.0])
+    path = tiny_config_file(tmp_path, steps=2, r=1)
+    grid = {"alpha_0.5": {"alpha": 0.5}, "airl_s1": {"method": "airl", "seed": 1},
+            "wall_0.6": {"pointmaze": {"target_wall_length": 0.6}}}
+    dirs = run_sweep(path, {"demos_path": demos}, grid)
+    assert dirs == [tmp_path / "sweep" / name for name in grid]
+    for d, (name, entry) in zip(dirs, grid.items()):
+        ref = run_experiment(load_config(path, {"demos_path": demos, **entry,
+                                                "out_dir": str(tmp_path / "ref" / name)}))
+        files = tree_bytes(d)
+        assert "heatmap.csv" in files and "checkpoints/disc_final.bin" in files
+        assert files == tree_bytes(ref), name
+        assert (d / "config.yaml").read_bytes() != (ref / "config.yaml").read_bytes()
 
 
-@pytest.mark.parametrize("alphas,named", [([0.5, 1.0, 0.5], "0.5 and 0.5"),
-                                          ([0.1, 0.1000001], "0.1 and 0.1000001")])
-def test_ablation_rejects_alphas_sharing_a_run_directory_before_any_run(tmp_path, monkeypatch,
-                                                                       alphas, named):
-    runs = []
-    monkeypatch.setattr(harness, "run_experiment", runs.append)
-    with pytest.raises(ValueError, match=f"alphas {named} .*alpha_{alphas[0]:g}"):
-        run_ablation(tiny_cfg(tmp_path, "ablate"), alphas)
-    assert runs == []
+@pytest.mark.parametrize("runs,named", [
+    pytest.param({}, "a sweep grid must be a nonempty mapping", id="empty"),
+    pytest.param(None, "a sweep grid must be a nonempty mapping, not None", id="null-grid"),
+    pytest.param(["a"], "a sweep grid must be a nonempty mapping", id="list-grid"),
+    pytest.param({"b": [0.5]}, "sweep run 'b': [0.5] must be a mapping", id="list-entry"),
+    pytest.param({"b": None}, "sweep run 'b': None must be a mapping", id="null-entry"),
+    pytest.param({"b": {"seed": None}}, "sweep run 'b': {'seed': None} must be a mapping setting "
+                 "no out_dir and no null", id="top-level-null"),
+    pytest.param({"b": {"out_dir": "x"}}, "sweep run 'b': {'out_dir': 'x'} must be",
+                 id="out-dir"),
+    *(pytest.param({name: {}}, f"sweep run {name!r}: a run name must be a plain directory name",
+                   id=f"name-{name}") for name in ("../x", "a/b", "", ".", "..", "/abs")),
+    pytest.param({1: {}}, "sweep run 1: a run name must be", id="name-int"),
+    pytest.param({"b": {"method": "airl", "alpha": 0.5}},
+                 "sweep run 'b': alpha is only meaningful for the odirl method", id="alpha-airl"),
+    pytest.param({"b": {"alpha": -1}}, "sweep run 'b': alpha must be >= 0", id="bad-alpha"),
+    pytest.param({"b": {"alpha": "x"}}, "sweep run 'b': alpha must be float, not 'x'",
+                 id="alpha-not-a-number"),
+    pytest.param({"b": {"policy": {"lr": None}}}, "sweep run 'b': policy.lr must be float",
+                 id="nested-null"),
+])
+def test_sweep_rejects_a_bad_grid_before_any_run(tmp_path, monkeypatch, runs, named):
+    """A fault in any entry, the last one here, raises before the first run."""
+    started = []
+    monkeypatch.setattr(harness, "run_experiment", started.append)
+    grid = {"a": {}, **runs} if isinstance(runs, dict) and runs else runs
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_sweep(tiny_config_file(tmp_path), {}, grid)
+    assert started == []
+    assert not (tmp_path / "sweep").exists()
 
 
-def test_ablation_rejects_a_bad_alpha_before_any_run(tmp_path, monkeypatch):
-    runs = []
-    monkeypatch.setattr(harness, "run_experiment", runs.append)
-    with pytest.raises(ValueError, match="alpha must be >= 0"):
-        run_ablation(tiny_cfg(tmp_path, "ablate"), [0.0, -1.0])
-    assert runs == []
-
-
-def test_ablation_alpha_zero_matches_airl_artifacts(tmp_path, demo_file):
+def test_sweep_alpha_zero_matches_airl_artifacts(tmp_path, demo_file):
     demos, _ = demo_file
-    cfg = tiny_cfg(tmp_path, "ablate0", steps=2, r=2)
-    cfg.demos_path = demos
-    (d0,) = run_ablation(cfg, [0.0])
+    (d0,) = run_sweep(tiny_config_file(tmp_path, steps=2, r=2), {"demos_path": demos},
+                      {"alpha_0": {"alpha": 0}})
 
     cfg_airl = tiny_cfg(tmp_path, "airl_ref", steps=2, r=2)
     cfg_airl.method = "airl"
@@ -562,6 +590,29 @@ def test_ablation_alpha_zero_matches_airl_artifacts(tmp_path, demo_file):
     out = run_experiment(cfg_airl)
     assert (Path(d0) / "progress.csv").read_bytes() == (Path(out) / "progress.csv").read_bytes()
     assert (Path(d0) / "heatmap.csv").read_bytes() == (Path(out) / "heatmap.csv").read_bytes()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("grid,expected", [
+    ("pointmaze_alpha.yaml", {f"alpha_{a:g}": ("odirl", 0, 300, 0.75, a) for a in (0, 0.5, 1, 2)}),
+    ("pointmaze_odirl_vs_airl.yaml", {f"{method}_s{seed}": (method, seed, 100, 0.7, alpha)
+                                      for method, alpha in (("odirl", 1.0), ("airl", 1.0))
+                                      for seed in range(1, 5)}),
+])
+def test_committed_sweep_grids_load_against_the_pointmaze_config(tmp_path, monkeypatch, grid,
+                                                                  expected):
+    started = []
+    monkeypatch.setattr(harness, "run_experiment", started.append)
+    with open(CONFIGS / "sweeps" / grid) as fh:
+        runs = yaml.safe_load(fh)
+    run_sweep(CONFIGS / "pointmaze.yaml", {"out_dir": str(tmp_path)}, runs)
+    assert {Path(cfg.out_dir).name: (cfg.method, cfg.seed, cfg.steps,
+                                     cfg.pointmaze.target_wall_length, cfg.alpha)
+            for cfg in started} == expected
+    assert [Path(cfg.out_dir) for cfg in started] == [tmp_path / name for name in runs]
+    assert not any(tmp_path.iterdir())
 
 
 def test_aggregate_single_seed_band_collapses(tmp_path, demo_file):
@@ -631,11 +682,10 @@ def test_aggregate_rejects_unlike_runs_of_one_method_naming_both(tmp_path, confs
     assert not (tmp_path / "agg.csv").exists()
 
 
-def test_aggregate_makes_one_band_per_alpha_of_an_ablation(tmp_path, demo_file):
+def test_aggregate_makes_one_band_per_alpha_of_a_sweep(tmp_path, demo_file):
     demos, _ = demo_file
-    cfg = tiny_cfg(tmp_path, "ablate", steps=2, r=2, seed=0)
-    cfg.demos_path = demos
-    dirs = run_ablation(cfg, [1.0, 0.5])
+    dirs = run_sweep(tiny_config_file(tmp_path, steps=2, r=2, seed=0), {"demos_path": demos},
+                     {"alpha_1": {"alpha": 1}, "alpha_0.5": {"alpha": 0.5}})
     # expert_transfer records a null alpha: an empty cell, sorted before numbers
     dirs.append(hand_built_run(tmp_path / "transfer", {"method": "expert_transfer",
                                                        "task": "pointmaze", "alpha": None,
@@ -1068,29 +1118,47 @@ def test_every_entry_point_rejects_a_bad_config_built_in_code_before_writing(tmp
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_ablate_rejects_an_alpha_that_is_not_a_number(capsys):
+def test_cli_sweep_rejects_an_alpha_that_is_not_a_number_naming_the_entry(tmp_path):
     from odirl.cli import main
 
-    with pytest.raises(SystemExit) as exc:
-        main(["ablate", "--alphas", "0,x"])
-    assert exc.value.code == 2
-    assert "argument --alphas: '0,x'" in capsys.readouterr().err
+    grid = tmp_path / "grid.yaml"
+    grid.write_text("alpha_0: {alpha: 0}\nalpha_x: {alpha: x}\n")
+    with pytest.raises(ValueError, match=re.escape("sweep run 'alpha_x': alpha must be float")):
+        main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "sweep")])
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_runs_its_grid_with_the_flags_under_each_entry(tmp_path, demo_file, capsys):
+    """Flags set every run's keys unless an entry sets them; each run's directory is printed."""
+    from odirl.cli import main
+
+    demos, _ = demo_file
+    grid = tmp_path / "grid.yaml"
+    grid.write_text("gail: {method: gail}\nseed_5: {seed: 5}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tiny_config_file(tmp_path, steps=4)), "--grid",
+                 str(grid), "--demos", demos, "--seed", "7", "--steps", "1", "--out",
+                 str(out)]) == 0
+    assert capsys.readouterr().out.split() == [str(out / "gail"), str(out / "seed_5")]
+    cfgs = [load_config(out / name / "config.yaml") for name in ("gail", "seed_5")]
+    assert [(c.method, c.seed, c.steps, c.demos_path) for c in cfgs] == [
+        ("gail", 7, 1, demos), ("odirl", 5, 1, demos)]
 
 
 @pytest.mark.parametrize("command,flag", [
     ("train-expert", "--alpha"), ("train-expert", "--steps"),
     ("collect-demos", "--out"), ("collect-demos", "--alpha"), ("collect-demos", "--steps"),
     ("eval", "--out"), ("eval", "--alpha"), ("eval", "--steps"),
-    ("ablate", "--alpha"),
+    ("sweep", "--alpha"), ("sweep", "--method"),
 ])
 def test_cli_rejects_a_flag_its_subcommand_does_not_read(tmp_path, capsys, command, flag):
     """train_expert reads expert.steps, collect_demos and eval write no run
-    directory and take no alpha, and ablate's --alphas sets every alpha: the
-    flag is a usage error, before the (missing) config file is opened."""
+    directory and take no alpha, and a sweep's grid sets each run's alpha and
+    method: the flag is a usage error, before the (missing) config file is opened."""
     from odirl.cli import main
 
     required = {"collect-demos": ["--expert", "x.bin", "--demos-out", "d.bin"],
-                "eval": ["--policy", "x.bin"]}.get(command, [])
+                "eval": ["--policy", "x.bin"], "sweep": ["--grid", "g.yaml"]}.get(command, [])
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(tmp_path / "missing.yaml"), *required, flag, "1"])
     assert exc.value.code == 2
@@ -1211,6 +1279,49 @@ def test_default_env_config_hash_is_pinned():
     assert load_config(overrides={"task": "linkchain"}).env_config_hash() == "10a65bb37e41"
 
 
+def test_a_float_field_given_an_int_stores_the_float(tmp_path):
+    """`0` and `0.0` for a float field, or a float list element, load as the same
+    config, with the same env config hash and config.yaml bytes."""
+    written, hashes = [], []
+    for zero in (0, 0.0):
+        cfg = load_config(overrides={"alpha": zero, "pointmaze": {"noise_std": zero,
+                                                                  "goal": [1, 1]}})
+        assert [type(v) for v in (cfg.alpha, cfg.pointmaze.noise_std, *cfg.pointmaze.goal)] == [
+            float] * 4
+        save_config(cfg, tmp_path / "conf.yaml")
+        written.append((tmp_path / "conf.yaml").read_bytes())
+        hashes.append(cfg.env_config_hash())
+    assert written[0] == written[1] and hashes[0] == hashes[1]
+    assert b"noise_std: 0.0\n" in written[0]
+
+
+@pytest.mark.parametrize("overrides,key", [({"alpha": 10 ** 400}, "alpha"),
+                                           ({"pointmaze": {"goal": [0.9, -10 ** 400]}},
+                                            "pointmaze.goal[1]")])
+def test_an_int_too_large_for_a_float_field_names_the_key(overrides, key):
+    with pytest.raises(ValueError, match=re.escape(f"{key} is too large for a float")):
+        load_config(overrides=overrides)
+
+
+@pytest.mark.parametrize("method", config_module.METHODS)
+def test_summary_records_the_demos_env_config_hash_and_expert_seed(tmp_path, demo_file, method):
+    """On demos recorded under another target wall, a demo method's summary.json
+    shows both hashes; expert_transfer reads no demos and records none."""
+    demos, expert = demo_file
+    cfg = tiny_cfg(tmp_path, method, steps=2, r=1, method=method)
+    cfg.demos_path, cfg.expert_path = demos, expert
+    cfg.pointmaze.target_wall_length = 0.6
+    summary = json.loads((run_experiment(cfg) / "summary.json").read_text())
+    recorded = load_tiny_demos(demos)
+    provenance = {"env_config_hash": cfg.env_config_hash(),
+                  "demos_env_config_hash": recorded.env_config_hash, "demos_expert_seed": 3}
+    assert cfg.env_config_hash() != recorded.env_config_hash
+    if method == "expert_transfer":
+        assert summary.keys().isdisjoint(provenance)
+    else:
+        assert {key: summary.get(key) for key in provenance} == provenance
+
+
 def _wave_envs():
     """A point maze whose episodes often end early (start next to the goal)
     and a link chain whose episodes always run to the horizon."""
@@ -1256,7 +1367,7 @@ def test_evaluate_and_final_artifacts_roll_exactly_n_episodes(tmp_path, monkeypa
     calls.clear()
     cfg = tiny_cfg(tmp_path, "final")
     cfg.final_eval_trajectories = 3
-    _, _, _, (_, _, src_eval, tgt_eval) = harness._start_run(cfg)
+    _, _, (_, _, src_eval, tgt_eval) = harness._setup(cfg)
     harness._final_artifacts(cfg, tmp_path, policy, src_eval, tgt_eval)
     assert calls == [(TARGET, 3, 3, True), (SOURCE, 3, 3, True)]
 
