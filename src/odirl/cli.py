@@ -15,10 +15,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import yaml
-
 from . import harness
-from .config import load_config
+from .config import load_config, read_yaml
 from .irl import load_discriminator, reward_heatmap
 from .policy import evaluate
 
@@ -115,8 +113,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        with open(args.grid) as fh:
-            grid = yaml.safe_load(fh)
+        grid = read_yaml(args.grid)
         for d in harness.run_sweep(args.config, _overrides(args, demos_path=args.demos), grid):
             print(d)
         return 0

@@ -197,16 +197,31 @@ def _overlay(section, values: dict, path: str):
             setattr(section, key, val)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a mapping giving one key twice raises a ValueError."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]  # not `<<` merges
+        keys = [self.construct_object(k, deep=deep) for k in own]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"key {key!r} given twice\n{own[i].start_mark}")
+        return super().construct_mapping(node, deep)
+
+
+def read_yaml(path):
+    """The YAML file at path, as `yaml.safe_load` reads it, but a key given twice raises."""
+    with open(path) as fh:
+        return yaml.load(fh, Loader=_UniqueKeyLoader)
+
+
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from defaults, an optional YAML file, and overrides, then validate it."""
     cfg = ExperimentConfig()
-    raw = {}
-    if path is not None:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: config must be a mapping")
-        _overlay(cfg, raw, "config")
+    raw = {} if path is None else read_yaml(path) or {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a mapping")
+    _overlay(cfg, raw, "config")
     if overrides:
         _overlay(cfg, {k: v for k, v in overrides.items() if v is not None}, "override")
     cfg.validate()

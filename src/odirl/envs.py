@@ -26,11 +26,6 @@ class EnvSpec:
     horizon: int
     goal: np.ndarray
 
-    def __post_init__(self):
-        self.action_low = np.asarray(self.action_low, dtype=np.float64)
-        self.action_high = np.asarray(self.action_high, dtype=np.float64)
-        self.goal = np.asarray(self.goal, dtype=np.float64)
-
 
 @dataclass(slots=True)
 class Transition:
@@ -121,6 +116,49 @@ class Batch:
 
 
 # ---------------------------------------------------------------------------
+# The body both tasks share
+# ---------------------------------------------------------------------------
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of (2,) or (N, 2) vectors."""
+    return np.hypot(v[..., 0], v[..., 1])
+
+
+class _TaskEnv:
+    """One domain of a task, config a section `ExperimentConfig.validate` has checked.
+
+    The task passes its spec, start box (lo, hi) and success radius, and defines step
+    and _tip, the point of a state whose distance to spec.goal gives reward and success.
+    """
+
+    def __init__(self, config, domain_tag: str, seed: int, spec: EnvSpec, start_box, radius):
+        self.config = config
+        self.domain_tag = domain_tag
+        self.rng = np.random.default_rng(seed)
+        self.spec = spec
+        self._start_lo, self._start_hi = (np.array(b, dtype=np.float64) for b in start_box)
+        self._radius = radius
+
+    def reset(self, n: int | None = None) -> np.ndarray:
+        """One (state_dim,) start state, or (n, state_dim) of them from one draw."""
+        return self.rng.uniform(self._start_lo, self._start_hi,
+                                self._start_lo.shape if n is None else (n, self.spec.state_dim))
+
+    def ground_truth_reward(self, state: np.ndarray):
+        """Minus the tip's distance to the goal: a float for one 1-D state, else one per row."""
+        state = np.asarray(state, dtype=np.float64)
+        if not np.isfinite(state).all():
+            raise ValueError("non-finite state")
+        reward = -_norm(self._tip(state) - self.spec.goal)
+        return reward.item() if reward.ndim == 0 else reward
+
+    def is_success(self, states: np.ndarray) -> np.ndarray:
+        """Whether each row of (N, state_dim) states has its tip within the success radius."""
+        tip = self._tip(np.asarray(states, dtype=np.float64))
+        return _norm(tip - self.spec.goal) <= self._radius
+
+
+# ---------------------------------------------------------------------------
 # Point maze
 # ---------------------------------------------------------------------------
 
@@ -175,50 +213,26 @@ def _boxes_overlap(a: tuple, b: tuple) -> bool:
     return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis of (2,) or (N, 2) vectors."""
-    return np.hypot(v[..., 0], v[..., 1])
-
-
-def _per_row(values: np.ndarray):
-    """A 0-d result as a Python scalar (the 1-D form), a per-row array as is."""
-    return values.item() if values.ndim == 0 else values
-
-
-class PointMazeEnv:
+class PointMazeEnv(_TaskEnv):
     """Position-controlled point mass in the unit square with one wall.
 
-    State is the (x, y) position; actions are bounded displacements with
-    additive Gaussian noise. Motion is truncated where the displacement
+    State is the (x, y) position, its own tip; actions are bounded displacements
+    with additive Gaussian noise. Motion is truncated where the displacement
     segment first meets the wall rectangle or the arena boundary.
-
-    reset, step and ground_truth_reward take one (2,) state or a leading batch
-    axis of states, like ``Mlp.forward``; is_success takes (N, 2) states.
-    config is a section `ExperimentConfig.validate` has checked.
     """
 
     def __init__(self, config: PointMazeConfig, domain_tag: str, seed: int):
-        self.config = config
-        self.domain_tag = domain_tag
-        self.rng = np.random.default_rng(seed)
-        a = config.action_scale
-        self.spec = EnvSpec(
-            state_dim=2,
-            action_dim=2,
-            action_low=np.array([-a, -a]),
-            action_high=np.array([a, a]),
-            horizon=config.horizon,
-            goal=np.asarray(config.goal, dtype=np.float64),
-        )
-        self._start_lo = np.array(config.start_region[:2], dtype=np.float64)
-        self._start_hi = np.array(config.start_region[2:], dtype=np.float64)
+        a, box = config.action_scale, config.start_region
+        spec = EnvSpec(2, 2, np.array([-a, -a]), np.array([a, a]), config.horizon,
+                       np.asarray(config.goal, dtype=np.float64))
+        super().__init__(config, domain_tag, seed, spec, (box[:2], box[2:]), config.goal_radius)
         self._wall = config.wall_box(domain_tag)
         self._wall_lo, self._wall_hi = np.array(self._wall[:2]), np.array(self._wall[2:])
         self._wall_bounds = np.array([self._wall_lo, self._wall_hi])[:, None]   # (2, 1, 2)
 
-    def reset(self, n: int | None = None) -> np.ndarray:
-        """One (2,) start state, or (n, 2) of them from one draw."""
-        return self.rng.uniform(self._start_lo, self._start_hi, 2 if n is None else (n, 2))
+    @staticmethod
+    def _tip(states: np.ndarray) -> np.ndarray:
+        return states
 
     def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
         """Next state and done flag of a (2,) state, or of each row of (N, 2) states.
@@ -289,15 +303,6 @@ class PointMazeEnv:
         out[axis] = value
         return out
 
-    def ground_truth_reward(self, state: np.ndarray):
-        state = np.asarray(state, dtype=np.float64)
-        if not np.isfinite(state).all():
-            raise ValueError("non-finite state")
-        return _per_row(-_norm(state - self.spec.goal))
-
-    def is_success(self, states: np.ndarray) -> np.ndarray:
-        return _norm(np.asarray(states) - self.spec.goal) <= self.config.goal_radius
-
 
 # ---------------------------------------------------------------------------
 # Link chain
@@ -344,37 +349,24 @@ def _chain_tip(angles: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
-class LinkChainEnv:
+class LinkChainEnv(_TaskEnv):
     """Torque-controlled planar joint chain; masked actuators produce zero torque.
 
-    Each joint integrates a damped second-order servo; the task reward is
-    defined on the chain tip via forward kinematics. config is a section
-    `ExperimentConfig.validate` has checked.
+    A state is the joint angles, then their velocities; each joint integrates a
+    damped second-order servo. spec.goal is the tip of goal_angles.
     """
 
     def __init__(self, config: LinkChainConfig, domain_tag: str, seed: int):
-        self.config = config
-        self.domain_tag = domain_tag
-        self.rng = np.random.default_rng(seed)
-        n = config.num_joints
-        lim = config.torque_limit
+        n, lim = config.num_joints, config.torque_limit
+        init = np.repeat([config.init_angle_range, config.init_vel_range], n)
+        spec = EnvSpec(2 * n, n, np.full(n, -lim), np.full(n, lim), config.horizon,
+                       _chain_tip(np.asarray(config.goal_angles, dtype=np.float64)))
+        super().__init__(config, domain_tag, seed, spec, (-init, init), config.success_radius)
         # A source chain drives every joint.
         self.mask = np.asarray(config.target_disabled_mask, dtype=bool) & (domain_tag == TARGET)
-        self.goal_tip = _chain_tip(np.asarray(config.goal_angles, dtype=np.float64))
-        self.spec = EnvSpec(
-            state_dim=2 * n,
-            action_dim=n,
-            action_low=np.full(n, -lim),
-            action_high=np.full(n, lim),
-            horizon=config.horizon,
-            goal=self.goal_tip,
-        )
-        self._init_range = np.repeat([config.init_angle_range, config.init_vel_range], n)
 
-    def reset(self, n: int | None = None) -> np.ndarray:
-        """One (2 * num_joints,) start state (angles, then velocities), or n rows of them."""
-        return self.rng.uniform(-self._init_range, self._init_range,
-                                self._init_range.shape if n is None else (n, self.spec.state_dim))
+    def _tip(self, states: np.ndarray) -> np.ndarray:
+        return _chain_tip(states[..., :self.config.num_joints])
 
     def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
         """Next state and done flag of one state, or of each row of (N, 2 * num_joints) states."""
@@ -391,18 +383,6 @@ class LinkChainEnv:
         new_angles = angles + self.config.dt * new_vels
         done = False if state.ndim == 1 else np.zeros(len(state), dtype=bool)
         return np.concatenate([new_angles, new_vels], axis=-1), done
-
-    def ground_truth_reward(self, state: np.ndarray):
-        state = np.asarray(state, dtype=np.float64)
-        if not np.isfinite(state).all():
-            raise ValueError("non-finite state")
-        angles = state[..., :self.config.num_joints]
-        return _per_row(-_norm(_chain_tip(angles) - self.goal_tip))
-
-    def is_success(self, states: np.ndarray) -> np.ndarray:
-        """Whether each row of (N, 2 * num_joints) states has its tip within success_radius."""
-        tip = _chain_tip(np.asarray(states, dtype=np.float64)[..., :self.config.num_joints])
-        return _norm(tip - self.goal_tip) <= self.config.success_radius
 
 
 def make_pointmaze_pair(

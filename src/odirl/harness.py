@@ -104,12 +104,19 @@ def _run_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.out_dir)
 
 
+def _input_path(cfg: ExperimentConfig, where: str = "") -> str:
+    """The file cfg.method reads: expert_path for expert_transfer, else demos_path.
+    An empty path or one that is no file raises a ValueError naming the key after where."""
+    key = "expert_path" if cfg.method == "expert_transfer" else "demos_path"
+    if not (path := getattr(cfg, key)) or not Path(path).is_file():
+        raise ValueError(f"{where}{key} is required for {cfg.method}: {path!r} is not a file")
+    return path
+
+
 def _start_imitation(cfg: ExperimentConfig):
     """`_setup`, then the demos, checked before `_run_dir`; (demos, out, seeds, rngs, envs)."""
     seeds, rngs, envs = _setup(cfg)
-    if not cfg.demos_path:
-        raise ValueError(f"demos_path is required for {cfg.method}")
-    demos = load_demos(cfg.demos_path, envs[0].spec, cfg.env_config_hash())
+    demos = load_demos(_input_path(cfg), envs[0].spec, cfg.env_config_hash())
     return demos, _run_dir(cfg), seeds, rngs, envs
 
 
@@ -411,9 +418,7 @@ def _run_adversarial(cfg: ExperimentConfig, alpha: float, phase) -> Path:
 def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     """Evaluate the source expert directly in the target domain; no training."""
     _, _, (_, tgt, src_eval, tgt_eval) = _setup(cfg)
-    if not cfg.expert_path:
-        raise ValueError("expert_path is required for expert_transfer")
-    policy, _ = _load_policy(cfg, tgt.spec, cfg.expert_path)
+    policy, _ = _load_policy(cfg, tgt.spec, _input_path(cfg))
     out = _run_dir(cfg)
     with closing(ProgressWriter(out / "progress.csv")) as writer:
         gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
@@ -480,10 +485,10 @@ RECIPES = {
 # ---------------------------------------------------------------------------
 
 def run_sweep(config_path, overrides: dict, runs: dict) -> list[Path]:
-    """One `run_experiment` per entry of runs (run-directory name -> config overrides)
-    on `load_config(config_path, {**overrides, **entry, "out_dir": OUT/name})`, OUT the
-    out_dir of config_path under overrides. Every config loads before the first run; a
-    fault, an out_dir or a top-level null (load_config drops it) raises naming the entry."""
+    """One `run_experiment` per entry of runs (run-directory name -> config overrides) on
+    `load_config(config_path, {**overrides, **entry, "out_dir": OUT/name})`, OUT the out_dir
+    of config_path under overrides. All configs, then all `_input_path`s, are checked before the
+    first run; a fault, an out_dir or a top-level null (dropped by load_config) names its entry."""
     if not isinstance(runs, dict) or not runs:
         raise ValueError(f"a sweep grid must be a nonempty mapping, not {runs!r}")
     out, cfgs = Path(load_config(config_path, overrides).out_dir), []
@@ -496,6 +501,8 @@ def run_sweep(config_path, overrides: dict, runs: dict) -> list[Path]:
             cfgs.append(load_config(config_path, {**overrides, **entry, "out_dir": str(out / name)}))
         except ValueError as exc:
             raise ValueError(f"sweep run {name!r}: {exc}") from exc
+    for name, cfg in zip(runs, cfgs):
+        _input_path(cfg, f"sweep run {name!r}: ")
     return [run_experiment(cfg) for cfg in cfgs]
 
 

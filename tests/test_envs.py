@@ -176,6 +176,34 @@ def test_ground_truth_reward_examples():
     assert closer > farther
 
 
+def _tip_by_sums(angles):
+    """The unit-length chain's tip: cumulative cos and sin sums over equal links."""
+    cum = np.cumsum(angles, axis=-1)
+    tip = np.stack([np.cos(cum).sum(axis=-1), np.sin(cum).sum(axis=-1)], axis=-1)
+    return tip / angles.shape[-1]
+
+
+def test_linkchain_reward_and_success_read_the_tip_by_forward_kinematics():
+    cfg = LinkChainConfig()
+    env = LinkChainEnv(cfg, TARGET, seed=0)
+    goal = _tip_by_sums(np.array(cfg.goal_angles))
+    assert np.allclose(env.spec.goal, goal, rtol=0, atol=1e-15)
+    # zero angles stretch the chain along x: tip (1, 0), whatever the velocities
+    assert np.allclose(_tip_by_sums(np.zeros(3)), [1.0, 0.0], rtol=0, atol=0)
+    assert env.ground_truth_reward(np.r_[0.0, 0, 0, 1, 2, 3]) == pytest.approx(
+        -np.hypot(1.0 - goal[0], -goal[1]), abs=1e-15)
+    at_goal = np.r_[cfg.goal_angles, 0.5, -0.5, 2.0]
+    assert env.ground_truth_reward(at_goal) == 0.0
+    assert env.is_success(at_goal[None]).tolist() == [True]
+    _, states = _states_near_the_goal("linkchain")
+    dist = np.hypot(*(_tip_by_sums(states[:, :3]) - goal).T)
+    assert np.allclose(env.ground_truth_reward(states), -dist, rtol=0, atol=1e-15)
+    margin = np.abs(dist - cfg.success_radius) > 1e-12      # no row on the radius itself
+    success = env.is_success(states)
+    assert success[margin].any() and not success[margin].all()
+    assert np.array_equal(success[margin], (dist <= cfg.success_radius)[margin])
+
+
 def test_linkchain_masked_action_equals_zero_action():
     base = LinkChainConfig()
     _, tgt = make_linkchain_pair(base, (False, False, True), 1, 1)
@@ -340,9 +368,19 @@ def test_linkchain_batched_step_equals_row_by_row():
     assert np.array_equal(env.is_success(nxt), [env.is_success(s[None])[0] for s in nxt])
 
 
-def test_pointmaze_batched_reward_and_success_equal_row_by_row():
-    env = PointMazeEnv(PointMazeConfig(), TARGET, seed=0)
-    states = np.random.default_rng(2).uniform(0.6, 1.0, (50, 2))
+def _states_near_the_goal(task):
+    """An env of task and 50 states around its goal, some within its success radius."""
+    rng = np.random.default_rng(2)
+    if task == "pointmaze":
+        return PointMazeEnv(PointMazeConfig(), TARGET, seed=0), rng.uniform(0.6, 1.0, (50, 2))
+    angles = np.add(LinkChainConfig().goal_angles, rng.normal(0.0, 0.3, (50, 3)))
+    return (LinkChainEnv(LinkChainConfig(), TARGET, seed=0),
+            np.concatenate([angles, rng.normal(size=(50, 3))], axis=1))
+
+
+@pytest.mark.parametrize("task", ["pointmaze", "linkchain"])
+def test_batched_reward_and_success_equal_row_by_row(task):
+    env, states = _states_near_the_goal(task)
     assert np.array_equal(env.ground_truth_reward(states),
                           [env.ground_truth_reward(s) for s in states])
     success = env.is_success(states)

@@ -579,6 +579,19 @@ def test_sweep_rejects_a_bad_grid_before_any_run(tmp_path, monkeypatch, runs, na
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("entry", [{}, {"method": "expert_transfer"}], ids=["demos", "expert"])
+def test_sweep_checks_every_input_file_before_the_first_run(tmp_path, demo_file, entry):
+    """An input file missing in entry b raises naming b, and entry a never runs."""
+    method = entry.get("method", "odirl")
+    key = "expert_path" if entry else "demos_path"
+    missing = str(tmp_path / "missing.bin")
+    grid = {"a": {}, "b": {**entry, key: missing}}
+    with pytest.raises(ValueError, match=re.escape(
+            f"sweep run 'b': {key} is required for {method}: {missing!r} is not a file")):
+        run_sweep(tiny_config_file(tmp_path, steps=1), {"demos_path": demo_file[0]}, grid)
+    assert not (tmp_path / "sweep" / "a").exists()
+
+
 def test_sweep_alpha_zero_matches_airl_artifacts(tmp_path, demo_file):
     demos, _ = demo_file
     (d0,) = run_sweep(tiny_config_file(tmp_path, steps=2, r=2), {"demos_path": demos},
@@ -601,13 +614,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
                                       for method, alpha in (("odirl", 1.0), ("airl", 1.0))
                                       for seed in range(1, 5)}),
 ])
-def test_committed_sweep_grids_load_against_the_pointmaze_config(tmp_path, monkeypatch, grid,
-                                                                  expected):
+def test_committed_sweep_grids_load_against_the_pointmaze_config(tmp_path, monkeypatch, demo_file,
+                                                                  grid, expected):
+    """With demos given, as each grid's usage line gives them (`--demos`)."""
     started = []
     monkeypatch.setattr(harness, "run_experiment", started.append)
     with open(CONFIGS / "sweeps" / grid) as fh:
         runs = yaml.safe_load(fh)
-    run_sweep(CONFIGS / "pointmaze.yaml", {"out_dir": str(tmp_path)}, runs)
+    run_sweep(CONFIGS / "pointmaze.yaml", {"out_dir": str(tmp_path), "demos_path": demo_file[0]},
+              runs)
     assert {Path(cfg.out_dir).name: (cfg.method, cfg.seed, cfg.steps,
                                      cfg.pointmaze.target_wall_length, cfg.alpha)
             for cfg in started} == expected
@@ -1086,17 +1101,22 @@ def test_run_experiment_looks_every_method_up_in_one_table(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("fault", ["missing", "another task"])
+@pytest.mark.parametrize("fault", ["missing", "absent file", "another task"])
 @pytest.mark.parametrize("method", config_module.METHODS)
 def test_every_method_checks_its_input_before_making_its_run_directory(tmp_path, demo_file,
                                                                        method, fault):
-    """Without its input (demos, or the expert for expert_transfer), or with one made
-    for the point maze in a link-chain run, a method raises and leaves no run directory."""
+    """Without its input (demos, or the expert for expert_transfer), with a path where
+    no file is, or with one made for the point maze in a link-chain run, a method
+    raises and leaves no run directory."""
     demos, expert = demo_file
     key, path = ("expert_path", expert) if method == "expert_transfer" else ("demos_path", demos)
     cfg = tiny_cfg(tmp_path, "run", method=method)
     if fault == "missing":
         match = f"{key} is required for {method}"
+    elif fault == "absent file":
+        absent = str(tmp_path / "absent.bin")
+        setattr(cfg, key, absent)
+        match = re.escape(f"{key} is required for {method}: {absent!r} is not a file")
     else:
         cfg.task, match = "linkchain", re.escape(path)
         setattr(cfg, key, path)
@@ -1163,6 +1183,44 @@ def test_cli_rejects_a_flag_its_subcommand_does_not_read(tmp_path, capsys, comma
         main([command, "--config", str(tmp_path / "missing.yaml"), *required, flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key,line", [
+    ("steps: 10\nsteps: 20\n", "steps", 2),
+    ("policy:\n  lr: 0.1\n  epochs: 2\n  lr: 0.2\nseed: 1\n", "lr", 4),
+], ids=["top-level", "nested"])
+def test_a_config_file_that_gives_a_key_twice_raises_naming_the_key_and_its_line(tmp_path, text,
+                                                                                  key, line):
+    path = tmp_path / "conf.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"key {key!r} given twice\n  in \"{path}\", "
+                                                   f"line {line},")):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text,key,line", [
+    ("a: {alpha: 1}\nb: {seed: 2}\na: {alpha: 2}\n", "a", 3),
+    ("a: {alpha: 1}\nb: {seed: 2, alpha: 2,\n    seed: 3}\n", "seed", 3),
+], ids=["top-level", "nested"])
+def test_cli_sweep_rejects_a_grid_that_gives_a_key_twice_before_any_run(tmp_path, text, key, line):
+    from odirl.cli import main
+
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"key {key!r} given twice\n  in \"{grid}\", "
+                                                   f"line {line},")):
+        main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "sweep")])
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_the_yaml_reader_reads_what_safe_load_reads_where_no_key_repeats(tmp_path):
+    """Every committed config and grid, and a `<<` merge whose mapping overrides a merged key."""
+    for path in sorted(CONFIGS.rglob("*.yaml")):
+        with open(path) as fh:
+            assert config_module.read_yaml(path) == yaml.safe_load(fh), path
+    path = tmp_path / "merge.yaml"
+    path.write_text("base: &b {x: 1, y: 2}\nc: {<<: *b, x: 3}\n")
+    assert config_module.read_yaml(path) == {"base": {"x": 1, "y": 2}, "c": {"x": 3, "y": 2}}
 
 
 def test_config_converts_yaml_exponent_strings_and_takes_ints_for_floats(tmp_path):

@@ -20,7 +20,9 @@ of the call, so it has to stand for something the program cannot state as a
 value. The fifth flags every module of src/odirl other than config.py that
 calls the config field walker `check_fields`: `ExperimentConfig.validate`
 checks a config once, and the envs and the policy optimizer take the
-sections it has checked.
+sections it has checked. The sixth flags every module of src/odirl other
+than config.py that imports yaml: config.py keeps the one YAML reader
+(`read_yaml`, which rejects a key given twice) and the one writer.
 """
 
 import ast
@@ -192,8 +194,7 @@ NONE_DEFAULTS_ALLOWED = {
     "config.py:load_config(path)": "a config from the defaults and overrides alone, no YAML file",
     "config.py:load_config(overrides)": "a config from the defaults and the YAML file alone",
     "envs.py:rollouts(rng)": "a deterministic rollout draws nothing",
-    "envs.py:PointMazeEnv.reset(n)": "one (2,) state: the benchmark's one-state form",
-    "envs.py:LinkChainEnv.reset(n)": "one state: the benchmark's one-state form",
+    "envs.py:_TaskEnv.reset(n)": "one state: the benchmark's one-state form",
 }
 
 
@@ -249,3 +250,26 @@ def test_the_check_finds_every_module_that_calls_the_field_walker():
 def test_only_the_config_module_calls_the_field_walker():
     callers = calls_of("check_fields", {p.name: p.read_text() for p in MODULES})
     assert callers == ["config.py"]
+
+
+def yaml_importers(sources: dict[str, str]) -> list[str]:
+    """Each module of sources with an import of yaml or of a yaml submodule, at any depth."""
+    def imports_yaml(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "yaml" for a in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "yaml")
+    return [module for module, source in sources.items()
+            if any(map(imports_yaml, ast.walk(ast.parse(source))))]
+
+
+def test_the_check_finds_every_module_that_imports_yaml():
+    sources = {"a.py": "import yaml\n", "b.py": "def f():\n    import json, yaml.constructor\n",
+               "c.py": "from yaml import safe_load\n", "d.py": "from .config import read_yaml\n",
+               "e.py": "import yamlish\n", "f.py": "s = 'import yaml'\n",
+               "g.py": "from . import yaml\n"}
+    assert yaml_importers(sources) == ["a.py", "b.py", "c.py"]
+
+
+def test_only_the_config_module_imports_yaml():
+    assert yaml_importers({p.name: p.read_text() for p in SRC.glob("*.py")}) == ["config.py"]
