@@ -138,16 +138,17 @@ def load_demos(path, expected_spec, expected_config_hash: str) -> DemoSet:
     """Load a demo file written by save_demos for an env of `expected_spec`
     under env config hash `expected_config_hash`.
 
-    Dims other than the spec's, a malformed file (see `nets.load_params`), a
-    missing or misshapen array, a non-finite s, a or s_next value, a done or
-    ends other than 0 or 1, a last row that ends no episode and a set without
-    source-tagged rows raise a ValueError naming the file, and the array and
-    its 0-based row where one applies. A config-hash mismatch logs a warning
-    but the load proceeds.
+    Meta without an integer (not bool) state_dim, action_dim, expert_seed or
+    horizon, dims other than the spec's, a malformed file (see
+    `nets.load_params`), a missing or misshapen array, a non-finite s, a or
+    s_next value, a done or ends other than 0 or 1, a last row that ends no
+    episode and a set without source-tagged rows raise a ValueError naming the
+    file, and the array and its 0-based row where one applies. A config-hash
+    mismatch logs a warning but the load proceeds.
     """
     arrays, meta = load_params(path)
-    for key in ("state_dim", "action_dim"):
-        if not isinstance(meta, dict) or not isinstance(meta.get(key), int):
+    for key in ("state_dim", "action_dim", "expert_seed", "horizon"):
+        if not isinstance(meta, dict) or type(meta.get(key)) is not int:
             raise ValueError(f"{path}: metadata has no integer {key!r}")
     sd, ad = meta["state_dim"], meta["action_dim"]
     if (sd, ad) != (expected_spec.state_dim, expected_spec.action_dim):
@@ -182,7 +183,6 @@ def load_demos(path, expected_spec, expected_config_hash: str) -> DemoSet:
                   ends=arrays["ends"].astype(bool))
     try:
         return DemoSet(batch, env_config_hash=meta.get("env_config_hash", ""),
-                       expert_seed=int(meta.get("expert_seed", 0)),
-                       horizon=int(meta.get("horizon", 0)))
+                       expert_seed=meta["expert_seed"], horizon=meta["horizon"])
     except ValueError as exc:                  # no rows, or not source-tagged
         raise ValueError(f"{path}: {exc}") from exc

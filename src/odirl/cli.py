@@ -120,6 +120,7 @@ def main(argv=None) -> int:
 
     if args.command == "heatmap":
         disc = load_discriminator(args.disc)
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         reward_heatmap(disc, args.grid, args.out)
         print(f"wrote {args.grid * args.grid} cells to {args.out}")
         return 0
@@ -131,8 +132,8 @@ def main(argv=None) -> int:
 
     if args.command == "eval":
         cfg = load_config(args.config, _overrides(args))
-        _, _, (_, _, src_eval, tgt_eval) = harness._setup(cfg)
-        env = tgt_eval if args.domain == "target" else src_eval
+        run = harness._Run(cfg)
+        env = run.tgt_eval if args.domain == "target" else run.src_eval
         policy, _ = harness._load_policy(cfg, env.spec, args.policy)
         ret, succ = evaluate(policy, env, args.episodes)
         print(json.dumps({"domain": args.domain, "episodes": args.episodes,

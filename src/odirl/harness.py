@@ -1,12 +1,13 @@
-"""Experiment orchestration: one recipe per method, looked up once in `RECIPES`.
+"""Experiment orchestration: one recipe per method, looked up once in `RECIPES`,
+each on one `_Run` (a run's seeds, RNG streams, envs and what its recipe records).
 
 - odirl (`_run_adversarial`): `_start_imitation`, `_agent`, `_airl_phase` at
   cfg.alpha before each update of `_train_target_policy`, `_finish_run`;
 - airl: the same at alpha 0 (same code path and RNG draws, so bit-exact);
 - gail: the same with `_gail_phase` (no classifiers, no source rollouts);
 - airl_source_transfer: `_start_imitation`, adversarial IRL in the source
-  domain, `_train_on_g` (a fresh target agent on the learned g), `_finish_run`;
-- expert_transfer: `_setup`, the expert, `_run_dir`, one evaluation, `_finish_run`.
+  domain, a fresh target agent trained on the learned g, `_finish_run`;
+- expert_transfer: `_Run`, the expert, `_run_dir`, one evaluation, `_finish_run`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import logging
 from contextlib import closing
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +69,10 @@ class ProgressWriter:
         self._fh.close()
 
 
-def _setup(cfg: ExperimentConfig):
-    """Validate cfg, then (seeds, rngs, envs) for a run of it: named integer
-    seeds and RNG streams derived from cfg.seed, and `build_envs`' four envs.
+class _Run:
+    """A run of cfg, validated first: named integer seeds and RNG streams from cfg.seed,
+    `build_envs`' four envs, and what its recipe records: demos, run directory, the
+    trainables `_finish_run` checkpoints (file stem -> trainable) and summary counters.
 
     Rollouts consume two kinds of stream (see ``envs.rollouts``):
 
@@ -86,16 +87,22 @@ def _setup(cfg: ExperimentConfig):
     Each classifier step draws from ``classifier`` its source row indices, then its
     target row indices, then ``classifier_loss``'s two smoothing normals.
     """
-    cfg.validate()
-    ints = np.random.SeedSequence(cfg.seed).generate_state(24)
-    # The streams take ints[16..20]; ints[8..12], [15] and [21..23] seed nothing.
-    names = ["env_source", "env_target", "env_eval_source", "env_eval_target",
-             "policy_init", "value_init", "disc_init", "classifier_init",
-             "policy2_init", "value2_init"]
-    seeds = {name: int(ints[i]) for i, name in zip([*range(8), 13, 14], names)}
-    rngs = {name: np.random.default_rng(int(ints[16 + j]))
-            for j, name in enumerate(["actions", "classifier", "disc", "policy_update", "misc"])}
-    return seeds, rngs, build_envs(cfg, seeds)
+
+    def __init__(self, cfg: ExperimentConfig):
+        cfg.validate()
+        ints = np.random.SeedSequence(cfg.seed).generate_state(24)
+        # The streams take ints[16..20]; ints[8..12], [15] and [21..23] seed nothing.
+        names = ["env_source", "env_target", "env_eval_source", "env_eval_target",
+                 "policy_init", "value_init", "disc_init", "classifier_init",
+                 "policy2_init", "value2_init"]
+        self.cfg = cfg
+        self.seeds = {name: int(ints[i]) for i, name in zip([*range(8), 13, 14], names)}
+        self.rngs = {name: np.random.default_rng(int(ints[16 + j])) for j, name in
+                     enumerate(["actions", "classifier", "disc", "policy_update", "misc"])}
+        self.src, self.tgt, self.src_eval, self.tgt_eval = build_envs(cfg, self.seeds)
+        self.demos = self.out = None
+        self.trainables = {}
+        self.target_steps = self.source_steps = self.source_episodes = 0
 
 
 def _run_dir(cfg: ExperimentConfig) -> Path:
@@ -113,18 +120,12 @@ def _input_path(cfg: ExperimentConfig, where: str = "") -> str:
     return path
 
 
-def _start_imitation(cfg: ExperimentConfig):
-    """`_setup`, then the demos, checked before `_run_dir`; (demos, out, seeds, rngs, envs)."""
-    seeds, rngs, envs = _setup(cfg)
-    demos = load_demos(_input_path(cfg), envs[0].spec, cfg.env_config_hash())
-    return demos, _run_dir(cfg), seeds, rngs, envs
-
-
-def _demo_provenance(cfg: ExperimentConfig, demos: DemoSet) -> dict:
-    """summary.json's record of the demos' env config hash and expert seed, next to
-    the run's own env config hash: a run on demos recorded under another config shows it."""
-    return dict(env_config_hash=cfg.env_config_hash(), demos_env_config_hash=demos.env_config_hash,
-                demos_expert_seed=demos.expert_seed)
+def _start_imitation(cfg: ExperimentConfig) -> _Run:
+    """A `_Run` of cfg with its demos, checked before `_run_dir` makes its run directory."""
+    run = _Run(cfg)
+    run.demos = load_demos(_input_path(cfg), run.src.spec, cfg.env_config_hash())
+    run.out = _run_dir(cfg)
+    return run
 
 
 def build_envs(cfg: ExperimentConfig, seeds: dict):
@@ -171,52 +172,54 @@ def _final_artifacts(cfg, out: Path, policy, src_eval, tgt_eval) -> None:
         write_trajectory_csv(out / f"final_eval_{name}.csv", batch)
 
 
-def _train_target_policy(cfg, out: Path, policy, popt, tgt, tgt_eval, reward_fn, rngs,
-                         before_update) -> tuple[int, tuple]:
-    """Train policy in tgt: each iteration t = 1..cfg.steps collects a batch,
-    runs before_update(t, batch), which returns its work's progress.csv
-    fields, updates on reward_fn, evaluates every eval_every iterations and at
-    the last one, then writes a progress.csv row and, every checkpoint_every-th
-    iteration (0: never), checkpoints/policy_NNNNNN.bin. Returns (target steps,
-    the last row's (return, success rate))."""
-    target_steps = 0
+def _train_target_policy(run: _Run, policy, popt, reward_fn, before_update) -> tuple:
+    """Train policy in run.tgt: each iteration t = 1..cfg.steps collects a batch (counted
+    in run.target_steps), runs before_update(t, batch), which returns its work's progress.csv
+    fields, updates on reward_fn, evaluates every eval_every iterations and at the last one,
+    then writes a progress.csv row and, every checkpoint_every-th iteration (0: never),
+    checkpoints/policy_NNNNNN.bin. Returns the last row's (return, success rate)."""
+    cfg, out, rngs = run.cfg, run.out, run.rngs
     with closing(ProgressWriter(out / "progress.csv")) as writer:
         for t in range(1, cfg.steps + 1):
-            batch = collect_batch(policy, tgt, cfg.batch_steps, rngs["actions"])
-            target_steps += len(batch)
+            batch = collect_batch(policy, run.tgt, cfg.batch_steps, rngs["actions"])
+            run.target_steps += len(batch)
             fields = before_update(t, batch)
             pstats = popt.update(batch, reward_fn, rngs["policy_update"])
             gt_return = success = None
             if t % cfg.eval_every == 0 or t == cfg.steps:
-                gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
+                gt_return, success = evaluate(policy, run.tgt_eval, cfg.eval_episodes)
                 logger.info("%s iter %d: return %.3f success %.2f",
                             cfg.method, t, gt_return, success)
-            writer.write(iteration=t, target_steps=target_steps, policy_entropy=pstats["entropy"],
-                         gt_return=gt_return, success_rate=success, **fields)
+            writer.write(iteration=t, target_steps=run.target_steps, source_steps=run.source_steps,
+                         policy_entropy=pstats["entropy"], gt_return=gt_return,
+                         success_rate=success, **fields)
             if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
                 (out / "checkpoints").mkdir(exist_ok=True)
                 save_blocks(out / "checkpoints" / f"policy_{t:06d}.bin", policy.blocks())
-    return target_steps, (gt_return, success)
+    return gt_return, success
 
 
-def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, final: tuple,
-                alpha, **counts) -> Path:
-    """Final checkpoints, checkpoints["disc"]'s heatmap, final-policy artifacts and summary.json.
-
-    checkpoints maps a file stem to the trainable whose blocks are saved there;
-    final is the (return, success rate) of the last progress row, which evaluated the final policy.
-    """
-    for name, net in checkpoints.items():
+def _finish_run(run: _Run, policy, final: tuple, alpha) -> Path:
+    """Final checkpoints of run.trainables, the "disc" one's heatmap, final-policy artifacts
+    and summary.json: final, the last progress row's (return, success rate), the run's counters
+    and, for a run on demos, their config hash and expert seed beside the run's own hash."""
+    cfg, out = run.cfg, run.out
+    for name, net in run.trainables.items():
         (out / "checkpoints").mkdir(exist_ok=True)
         save_blocks(out / "checkpoints" / f"{name}_final.bin", net.blocks(), **checkpoint_meta(net))
-    disc = checkpoints.get("disc")
+    disc = run.trainables.get("disc")
     if disc is not None and cfg.task == "pointmaze" and cfg.disc.state_only_g:
         reward_heatmap(disc, cfg.heatmap_grid, out / "heatmap.csv")
-    _final_artifacts(cfg, out, policy, src_eval, tgt_eval)
+    _final_artifacts(cfg, out, policy, run.src_eval, run.tgt_eval)
+    provenance = {} if run.demos is None else dict(
+        env_config_hash=cfg.env_config_hash(), demos_env_config_hash=run.demos.env_config_hash,
+        demos_expert_seed=run.demos.expert_seed)
     with open(out / "summary.json", "w") as fh:
         json.dump(dict(method=cfg.method, task=cfg.task, seed=cfg.seed, alpha=alpha,
                        final_gt_return=final[0], final_success_rate=final[1],
-                       **counts), fh, indent=2, sort_keys=True)
+                       target_steps=run.target_steps, source_steps=run.source_steps,
+                       source_episodes=run.source_episodes, **provenance),
+                  fh, indent=2, sort_keys=True)
     return out
 
 
@@ -226,9 +229,9 @@ def _finish_run(cfg, out: Path, policy, src_eval, tgt_eval, checkpoints: dict, f
 
 def train_expert(cfg: ExperimentConfig) -> Path:
     """Train the source-domain expert against ground-truth reward, into cfg.out_dir."""
-    seeds, rngs, (src, _, src_eval, _) = _setup(cfg)
-    out = _run_dir(cfg)
-    policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
+    run = _Run(cfg)
+    src, rngs, out = run.src, run.rngs, _run_dir(cfg)
+    policy, _, popt = _agent(cfg, src.spec, run.seeds["policy_init"], run.seeds["value_init"],
                              replace(cfg.policy, entropy_coef=cfg.expert.entropy_coef))
     reward_fn = lambda s, a, sn: src.ground_truth_reward(sn)  # noqa: E731
 
@@ -240,7 +243,7 @@ def train_expert(cfg: ExperimentConfig) -> Path:
             batch = collect_batch(policy, src, cfg.expert.batch_steps, rngs["actions"])
             stats = popt.update(batch, reward_fn, rngs["policy_update"])
             if t % cfg.eval_every == 0 or t == cfg.expert.steps:
-                ret, succ = evaluate(policy, src_eval, cfg.eval_episodes)
+                ret, succ = evaluate(policy, run.src_eval, cfg.eval_episodes)
                 writer.write(iteration=t, gt_return=ret, success_rate=succ, entropy=stats["entropy"])
                 logger.info("expert iter %d: return %.3f success %.2f", t, ret, succ)
                 score = succ + 0.01 * ret  # success first, return breaks ties
@@ -253,16 +256,16 @@ def train_expert(cfg: ExperimentConfig) -> Path:
 
 def collect_demos(cfg: ExperimentConfig, expert_path, out_path) -> DemoSet:
     """Roll the trained expert in the source domain; save cfg.expert.n_demo_episodes episodes."""
-    _, rngs, (src, _, _, _) = _setup(cfg)
-    n_episodes = cfg.expert.n_demo_episodes
+    run = _Run(cfg)
+    n_episodes, src = cfg.expert.n_demo_episodes, run.src
     policy, meta = _load_policy(cfg, src.spec, expert_path)
-    if not isinstance(meta, dict) or not isinstance(expert_seed := meta.get("expert_seed"), int):
+    if not isinstance(meta, dict) or type(expert_seed := meta.get("expert_seed")) is not int:
         raise ValueError(f"{expert_path}: no integer 'expert_seed' in the checkpoint meta")
     episodes, attempts = [], 0
     keep_success_only = cfg.expert.demo_success_only and cfg.task == "pointmaze"
     while len(episodes) < n_episodes and attempts < 20 * n_episodes:
         attempts += 1
-        episode = rollout(policy, src, rngs["misc"])
+        episode = rollout(policy, src, run.rngs["misc"])
         if keep_success_only and not episode.done[-1]:
             continue
         episodes.append(episode)
@@ -328,25 +331,26 @@ def _train_discriminator(minibatch_loss, disc_opt, n: int, epochs: int, minibatc
     return float(np.mean(d_losses)), float(np.mean(demo_accs)), float(np.mean(pol_accs))
 
 
-def _airl_phase(cfg, seeds, rngs, src, tgt, demos: DemoSet, policy, alpha: float):
-    """AIRL with alpha * DD on the demo logits. Each step puts a source episode into
-    the source buffer every r-th iteration; once that holds rows, it runs the classifier
-    steps; then it takes the DD of every demo row and reads the sampled rows' DD from it."""
-    disc, disc_opt = _airl_discriminator(cfg, tgt.spec, seeds["disc_init"])
+def _airl_phase(run: _Run, policy, alpha: float):
+    """AIRL with alpha * DD on the demo logits. Each step puts a source episode into the
+    source buffer every r-th iteration, counted on run; once that holds rows, it runs the
+    classifier steps; then it takes the DD of every demo row and reads the sampled rows' from it."""
+    cfg, rngs, src, tgt, demos = run.cfg, run.rngs, run.src, run.tgt, run.demos
+    disc, disc_opt = _airl_discriminator(cfg, tgt.spec, run.seeds["disc_init"])
     pair = ClassifierPair(tgt.spec.state_dim, tgt.spec.action_dim,
-                          hidden=cfg.dd.hidden, seed=seeds["classifier_init"])
+                          hidden=cfg.dd.hidden, seed=run.seeds["classifier_init"])
     cls_opt = Adam(pair.blocks().values(), lr=cfg.dd.lr, weight_decay=cfg.dd.weight_decay)
     # steps // r episodes, which may be 0
     b_src = ReplayBuffer(max(1, cfg.steps // cfg.r * src.spec.horizon), src.domain_tag)
-    counts = {"source_steps": 0, "source_episodes": 0}
+    run.trainables.update(disc=disc, classifiers=pair)
 
     def step(t, b_tgt, demo_idx, demo_batch, pol_batch):
         if t % cfg.r == 0:
             episode = rollout(policy, src, rngs["actions"])
             b_src.push(episode)
-            counts["source_steps"] += len(episode)
-            counts["source_episodes"] += 1
-        fields = {"source_steps": counts["source_steps"]}
+            run.source_steps += len(episode)
+            run.source_episodes += 1
+        fields = {}
         if len(b_src) > 0:
             for _ in range(cfg.dd.steps_per_iter):
                 sb = b_src.sample(cfg.dd.batch_size, rngs["classifier"])
@@ -359,22 +363,21 @@ def _airl_phase(cfg, seeds, rngs, src, tgt, demos: DemoSet, policy, alpha: float
         fields.update(mean_dd=float(dd_all.mean()), std_dd=float(dd_all.std()))
         return fields, _airl_minibatch_loss(disc, policy, demo_batch, pol_batch, dd_all[demo_idx])
 
-    return ({"disc": disc, "classifiers": pair}, _airl_reward_fn(disc, policy), disc_opt, step,
-            counts)
+    return _airl_reward_fn(disc, policy), disc_opt, step
 
 
-def _gail_phase(cfg, seeds, rngs, src, tgt, demos: DemoSet, policy):
-    """GAN imitation: no classifiers, no source rollouts, a reward that reads no log pi."""
-    gail = GailDiscriminator(tgt.spec.state_dim, tgt.spec.action_dim,
-                             hidden=cfg.disc.hidden, seed=seeds["disc_init"])
+def _gail_phase(run: _Run, policy, alpha: float):
+    """GAN imitation: no classifiers, no source rollouts, a reward that reads no log pi or alpha."""
+    cfg, spec = run.cfg, run.tgt.spec
+    gail = GailDiscriminator(spec.state_dim, spec.action_dim, hidden=cfg.disc.hidden,
+                             seed=run.seeds["disc_init"])
     disc_opt = Adam(gail.blocks().values(), lr=cfg.disc.lr, weight_decay=cfg.disc.weight_decay)
+    run.trainables["gail"] = gail
 
     def step(t, b_tgt, demo_idx, demo_batch, pol_batch):
-        return {"source_steps": 0}, lambda idx: gail_disc_loss(gail, demo_batch.rows(idx),
-                                                                pol_batch.rows(idx))
+        return {}, lambda idx: gail_disc_loss(gail, demo_batch.rows(idx), pol_batch.rows(idx))
 
-    return ({"gail": gail}, lambda s, a, sn: gail_policy_reward(gail, s, a), disc_opt, step,
-            {"source_steps": 0, "source_episodes": 0})
+    return lambda s, a, sn: gail_policy_reward(gail, s, a), disc_opt, step
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -385,16 +388,18 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 def _run_adversarial(cfg: ExperimentConfig, alpha: float, phase) -> Path:
     """A fresh target agent with a discriminator phase before each update.
 
-    phase(cfg, seeds, rngs, src, tgt, demos, policy) returns (nets, reward_fn, disc_opt,
-    step, source counts). Each iteration pushes its batch into the target buffer and draws
-    a buffer batch and a demo batch of its size from rngs["disc"]; step(t, buffer, demo_idx,
-    demo_batch, pol_batch) does the phase's own work and returns its progress fields and
-    the minibatch loss for `_train_discriminator`. alpha goes to summary.json.
+    phase(run, policy, alpha) adds its trainables to run.trainables and returns (reward_fn,
+    disc_opt, step). Each iteration pushes its batch into the target buffer and draws a buffer
+    batch and a demo batch of its size from rngs["disc"]; step(t, buffer, demo_idx, demo_batch,
+    pol_batch) does the phase's own work and returns its progress fields and the minibatch
+    loss for `_train_discriminator`. alpha also goes to summary.json.
     """
-    demos, out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_imitation(cfg)
-    policy, value, popt = _agent(cfg, tgt.spec, seeds["policy_init"], seeds["value_init"],
-                                 cfg.policy)
-    nets, reward_fn, disc_opt, step, counts = phase(cfg, seeds, rngs, src, tgt, demos, policy)
+    run = _start_imitation(cfg)
+    rngs, demos, tgt = run.rngs, run.demos, run.tgt
+    policy, value, popt = _agent(cfg, tgt.spec, run.seeds["policy_init"],
+                                 run.seeds["value_init"], cfg.policy)
+    run.trainables.update(policy=policy, value=value)
+    reward_fn, disc_opt, step = phase(run, policy, alpha)
     # collect_batch's bound on the rows of each step
     b_tgt = ReplayBuffer(cfg.steps * (cfg.batch_steps + tgt.spec.horizon - 1), tgt.domain_tag)
 
@@ -408,72 +413,59 @@ def _run_adversarial(cfg: ExperimentConfig, alpha: float, phase) -> Path:
             rngs["disc"])
         return dict(fields, disc_loss=d_loss, demo_acc=demo_acc, policy_acc=pol_acc)
 
-    target_steps, final = _train_target_policy(cfg, out, policy, popt, tgt, tgt_eval, reward_fn,
-                                               rngs, before_update)
-    return _finish_run(cfg, out, policy, src_eval, tgt_eval,
-                       {"policy": policy, "value": value, **nets}, final, alpha,
-                       target_steps=target_steps, **counts, **_demo_provenance(cfg, demos))
+    final = _train_target_policy(run, policy, popt, reward_fn, before_update)
+    return _finish_run(run, policy, final, alpha)
 
 
 def _run_expert_transfer(cfg: ExperimentConfig) -> Path:
     """Evaluate the source expert directly in the target domain; no training."""
-    _, _, (_, tgt, src_eval, tgt_eval) = _setup(cfg)
-    policy, _ = _load_policy(cfg, tgt.spec, _input_path(cfg))
-    out = _run_dir(cfg)
-    with closing(ProgressWriter(out / "progress.csv")) as writer:
-        gt_return, success = evaluate(policy, tgt_eval, cfg.eval_episodes)
+    run = _Run(cfg)
+    policy, _ = _load_policy(cfg, run.tgt.spec, _input_path(cfg))
+    run.out = _run_dir(cfg)
+    with closing(ProgressWriter(run.out / "progress.csv")) as writer:
+        final = evaluate(policy, run.tgt_eval, cfg.eval_episodes)
         writer.write(iteration=0, target_steps=0, source_steps=0,
-                     policy_entropy=policy.entropy(), gt_return=gt_return, success_rate=success)
-    return _finish_run(cfg, out, policy, src_eval, tgt_eval, {}, (gt_return, success), None,
-                       target_steps=0, source_steps=0, source_episodes=0)
+                     policy_entropy=policy.entropy(), gt_return=final[0], success_rate=final[1])
+    return _finish_run(run, policy, final, None)
 
 
 def _run_airl_source_transfer(cfg: ExperimentConfig) -> Path:
     """Adversarial IRL in the source domain on the same source budget, then
-    the transferable reward term g trains a fresh target policy."""
-    demos, out, seeds, rngs, (src, tgt, src_eval, tgt_eval) = _start_imitation(cfg)
+    the transferable reward term g trains a fresh target policy (policy2/value2
+    seeds): AIRL's reward-transfer protocol."""
+    run = _start_imitation(cfg)
+    seeds, rngs, src, tgt = run.seeds, run.rngs, run.src, run.tgt
 
     # Phase 1: source-domain adversarial IRL (zero DD), budget-matched to the main
     # method's source episode count, with an r-fold gradient-step multiplier.
     policy, _, popt = _agent(cfg, src.spec, seeds["policy_init"], seeds["value_init"],
                              replace(cfg.policy, epochs=cfg.policy.epochs * cfg.r))
     disc, disc_opt = _airl_discriminator(cfg, src.spec, seeds["disc_init"])
-    source_steps = source_episodes = 0
-    with closing(ProgressWriter(out / "source_phase.csv",
+    with closing(ProgressWriter(run.out / "source_phase.csv",
                                 ["iteration", "source_steps", "disc_loss"])) as phase_writer:
         for t in range(1, cfg.steps // cfg.r + 1):
             episode = rollout(policy, src, rngs["actions"])
-            source_steps += len(episode)
-            source_episodes += 1
-            _, demo_batch = demos.sample(len(episode), rngs["disc"])
+            run.source_steps += len(episode)
+            run.source_episodes += 1
+            _, demo_batch = run.demos.sample(len(episode), rngs["disc"])
             d_loss, _, _ = _train_discriminator(
                 _airl_minibatch_loss(disc, policy, demo_batch, episode, np.zeros(len(episode))),
                 disc_opt, len(episode), cfg.disc.epochs * cfg.r, cfg.disc.minibatch_size,
                 rngs["disc"])
             popt.update(episode, _airl_reward_fn(disc, policy), rngs["policy_update"])
-            phase_writer.write(iteration=t, source_steps=source_steps, disc_loss=d_loss)
+            phase_writer.write(iteration=t, source_steps=run.source_steps, disc_loss=d_loss)
 
-    policy2, target_steps, final = _train_on_g(cfg, out, seeds, rngs, tgt, tgt_eval, disc,
-                                               source_steps)
-    return _finish_run(cfg, out, policy2, src_eval, tgt_eval, {"policy": policy2, "disc": disc},
-                       final, None, target_steps=target_steps, source_steps=source_steps,
-                       source_episodes=source_episodes, **_demo_provenance(cfg, demos))
-
-
-def _train_on_g(cfg, out: Path, seeds, rngs, tgt, tgt_eval, disc, source_steps: int):
-    """A fresh target agent (policy2/value2 seeds) trained on a trained AIRL
-    discriminator's reward term g; (policy, target steps, final)."""
-    policy, _, popt = _agent(cfg, tgt.spec, seeds["policy2_init"], seeds["value2_init"],
-                             cfg.policy)
-    target_steps, final = _train_target_policy(
-        cfg, out, policy, popt, tgt, tgt_eval, lambda s, a, sn: disc.g_value(s, a), rngs,
-        lambda t, batch: {"source_steps": source_steps})
-    return policy, target_steps, final
+    policy2, _, popt2 = _agent(cfg, tgt.spec, seeds["policy2_init"], seeds["value2_init"],
+                               cfg.policy)
+    run.trainables.update(policy=policy2, disc=disc)
+    final = _train_target_policy(run, policy2, popt2, lambda s, a, sn: disc.g_value(s, a),
+                                 lambda t, batch: {})
+    return _finish_run(run, policy2, final, None)
 
 
 RECIPES = {
-    "odirl": lambda cfg: _run_adversarial(cfg, cfg.alpha, partial(_airl_phase, alpha=cfg.alpha)),
-    "airl": lambda cfg: _run_adversarial(cfg, 0.0, partial(_airl_phase, alpha=0.0)),
+    "odirl": lambda cfg: _run_adversarial(cfg, cfg.alpha, _airl_phase),
+    "airl": lambda cfg: _run_adversarial(cfg, 0.0, _airl_phase),
     "gail": lambda cfg: _run_adversarial(cfg, 0.0, _gail_phase),
     "airl_source_transfer": _run_airl_source_transfer,
     "expert_transfer": _run_expert_transfer,

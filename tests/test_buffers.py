@@ -400,6 +400,23 @@ def test_load_demos_names_a_dimension_the_metadata_lacks(tmp_path, meta, key):
         load_maze_demos(path)
 
 
+@pytest.mark.parametrize("value", [pytest.param(KeyError, id="missing"), None, 1.5, True, "7"])
+@pytest.mark.parametrize("key", ["expert_seed", "horizon"])
+def test_load_demos_requires_integer_provenance(tmp_path, key, value):
+    """A provenance value that is absent, null, fractional, a bool or a string
+    raises naming the file and the key; none loads as a number."""
+    path, _ = _saved_demos(tmp_path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    if value is KeyError:
+        del header["meta"][key]
+    else:
+        header["meta"][key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match=f"demos.bin: metadata has no integer '{key}'$"):
+        load_maze_demos(path)
+
+
 def _checkpoint(tmp_path):
     path = tmp_path / "demos.bin"
     save_blocks(path, GaussianPolicy(MAZE_SPEC, hidden=(4,)).blocks())

@@ -335,21 +335,21 @@ def test_gail_runs_without_source_interactions(tmp_path, demo_file, monkeypatch)
 
 
 def test_setup_names_each_seed_the_harness_reads(tmp_path, demo_file, monkeypatch):
-    """_setup's seeds map holds the 10 names that training, demo collection
+    """A run's seeds map holds the 10 names that training, demo collection
     and every method read, and each at the SeedSequence draw it always had."""
     demos, expert = demo_file
-    read, real_setup, real_build_envs = set(), harness._setup, harness.build_envs
+    read, real_init, real_build_envs = set(), harness._Run.__init__, harness.build_envs
 
     class ReadSeeds(dict):
         def __getitem__(self, name):
             read.add(name)
             return super().__getitem__(name)
 
-    def recording_setup(cfg):
-        seeds, rngs, envs = real_setup(cfg)
-        return ReadSeeds(seeds), rngs, envs
+    def recording_init(run, cfg):
+        real_init(run, cfg)
+        run.seeds = ReadSeeds(run.seeds)
 
-    monkeypatch.setattr(harness, "_setup", recording_setup)
+    monkeypatch.setattr(harness._Run, "__init__", recording_init)
     monkeypatch.setattr(harness, "build_envs",
                         lambda cfg, seeds: real_build_envs(cfg, ReadSeeds(seeds)))
     cfg = tiny_cfg(tmp_path, "expert", steps=2, r=1)
@@ -358,7 +358,7 @@ def test_setup_names_each_seed_the_harness_reads(tmp_path, demo_file, monkeypatc
     for method in ("odirl", "gail", "airl_source_transfer", "expert_transfer"):
         run_experiment(tiny_cfg(tmp_path, method, steps=2, r=1, method=method, demos_path=demos,
                                 expert_path=expert))
-    seeds, _, _ = real_setup(cfg)
+    seeds = harness._Run(cfg).seeds
     names = ["env_source", "env_target", "env_eval_source", "env_eval_target", "policy_init",
              "value_init", "disc_init", "classifier_init", "policy2_init", "value2_init"]
     assert read == seeds.keys() == set(names)
@@ -915,6 +915,30 @@ def test_collect_demos_rejects_a_checkpoint_without_an_expert_seed_naming_it(tmp
     assert not (tmp_path / "demos.bin").exists()
 
 
+def test_collect_demos_rejects_a_bool_expert_seed(tmp_path):
+    """JSON true is a Python bool, which is an int; the expert seed must be a real integer."""
+    cfg = tiny_cfg(tmp_path, "demos")
+    policy_path = tmp_path / "expert_policy.bin"
+    save_blocks(policy_path, GaussianPolicy(PointMazeEnv(cfg.pointmaze, SOURCE, 0).spec,
+                                            hidden=cfg.policy.hidden).blocks(), expert_seed=True)
+    with pytest.raises(ValueError, match=f"{re.escape(str(policy_path))}: no integer "
+                                         "'expert_seed' in the checkpoint meta"):
+        collect_demos(cfg, policy_path, tmp_path / "demos.bin")
+    assert not (tmp_path / "demos.bin").exists()
+
+
+def test_cli_heatmap_creates_the_directory_of_its_output(tmp_path):
+    from odirl.cli import main
+    from odirl.irl import checkpoint_meta
+
+    disc = Discriminator(2, 2, gamma=0.9, state_only_g=True, hidden=(8,), seed=0)
+    save_blocks(tmp_path / "disc.bin", disc.blocks(), **checkpoint_meta(disc))
+    out = tmp_path / "missing" / "nested" / "hm.csv"
+    assert main(["heatmap", "--disc", str(tmp_path / "disc.bin"), "--out", str(out),
+                 "--grid", "4"]) == 0
+    assert len(out.read_text().splitlines()) == 17
+
+
 def test_load_discriminator_parses_its_checkpoint_once(tmp_path, monkeypatch):
     import odirl.irl as irl
     import odirl.nets as nets
@@ -1322,11 +1346,12 @@ def test_each_config_value_is_checked_once_per_run(monkeypatch, task):
     monkeypatch.setattr(config_module, "checked", counting_checked)
     cfg = load_config(overrides={"task": task})
     seen.clear()
-    seeds, _, envs = harness._setup(cfg)
+    run = harness._Run(cfg)
     assert "pointmaze.noise_std" in seen and "linkchain.goal_angles[2]" in seen
     assert seen == dict.fromkeys(dotted_keys(cfg), 1)
     seen.clear()
-    harness._agent(cfg, envs[1].spec, seeds["policy_init"], seeds["value_init"], cfg.policy)
+    harness._agent(cfg, run.tgt.spec, run.seeds["policy_init"], run.seeds["value_init"],
+                   cfg.policy)
     assert seen == {}
 
 
@@ -1425,8 +1450,8 @@ def test_evaluate_and_final_artifacts_roll_exactly_n_episodes(tmp_path, monkeypa
     calls.clear()
     cfg = tiny_cfg(tmp_path, "final")
     cfg.final_eval_trajectories = 3
-    _, _, (_, _, src_eval, tgt_eval) = harness._setup(cfg)
-    harness._final_artifacts(cfg, tmp_path, policy, src_eval, tgt_eval)
+    run = harness._Run(cfg)
+    harness._final_artifacts(cfg, tmp_path, policy, run.src_eval, run.tgt_eval)
     assert calls == [(TARGET, 3, 3, True), (SOURCE, 3, 3, True)]
 
 
@@ -1594,7 +1619,9 @@ def test_every_method_writes_the_same_bytes_on_a_second_run(tmp_path):
 def test_every_method_reports_its_last_progress_row_as_its_final_scores(tmp_path):
     """summary.json of every run directory tests/digests.py writes (every
     method, both tasks) holds the gt_return and success_rate of the last
-    progress.csv row, in the row's .10g format."""
+    progress.csv row, in the row's .10g format, and its target_steps and
+    source_steps; source_episodes is steps // r for each method that rolls
+    source episodes and 0 for gail and expert_transfer."""
     subprocess.run([sys.executable, str(Path(__file__).parent / "digests.py"), str(tmp_path)],
                    check=True, capture_output=True)
     summaries = sorted(tmp_path.glob("*/*/summary.json"))
@@ -1603,6 +1630,11 @@ def test_every_method_reports_its_last_progress_row_as_its_final_scores(tmp_path
         summary, last = json.loads(path.read_text()), read_progress(path.parent)[-1]
         assert format(summary["final_gt_return"], ".10g") == last["gt_return"], path
         assert format(summary["final_success_rate"], ".10g") == last["success_rate"], path
+        assert str(summary["target_steps"]) == last["target_steps"], path
+        assert str(summary["source_steps"]) == last["source_steps"], path
+        cfg = load_config(path.parent / "config.yaml")
+        episodes = 0 if cfg.method in ("gail", "expert_transfer") else cfg.steps // cfg.r
+        assert summary["source_episodes"] == episodes, path
 
 
 def test_digests_against_exits_1_naming_the_first_differing_path(tmp_path):
