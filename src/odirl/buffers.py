@@ -10,7 +10,7 @@ Demonstrations are stored value-exactly in the checkpoint container of
 from __future__ import annotations
 
 import logging
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -94,16 +94,22 @@ class DemoSet:
 
     The batch must carry every array a demo file stores (done, gt_reward and
     ends as well as s, a and s_next). ``DemoSet(trajectories=...)`` packs a
-    list of ``Trajectory`` episodes into the batch instead.
+    list of ``Trajectory`` episodes into the batch instead. The provenance
+    is required, by keyword: an integer (not bool) expert_seed and a horizon
+    of at least 1.
     """
 
     batch: Batch | None = None
     env_config_hash: str = ""
-    expert_seed: int = 0
-    horizon: int = 0
     trajectories: InitVar[list | None] = None
+    expert_seed: int = field(kw_only=True)
+    horizon: int = field(kw_only=True)
 
     def __post_init__(self, trajectories):
+        if type(self.expert_seed) is not int:
+            raise ValueError(f"expert_seed must be an integer, not {self.expert_seed!r}")
+        if type(self.horizon) is not int or self.horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, not {self.horizon!r}")
         if trajectories is not None:
             self.batch = Batch.of(trajectories)
         if self.batch is None or len(self.batch) == 0:

@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 PROGRESS_COLUMNS = [
     "iteration", "target_steps", "source_steps", "disc_loss", "classifier_loss",
     "mean_dd", "policy_entropy", "gt_return", "success_rate",
-    "loss_sas", "loss_sa", "std_dd", "demo_acc", "policy_acc",
+    "loss_sas", "loss_sa", "std_dd", "demo_acc", "policy_acc", "approx_kl", "mean_reward",
 ]
 
 
@@ -176,8 +176,9 @@ def _train_target_policy(run: _Run, policy, popt, reward_fn, before_update) -> t
     """Train policy in run.tgt: each iteration t = 1..cfg.steps collects a batch (counted
     in run.target_steps), runs before_update(t, batch), which returns its work's progress.csv
     fields, updates on reward_fn, evaluates every eval_every iterations and at the last one,
-    then writes a progress.csv row and, every checkpoint_every-th iteration (0: never),
-    checkpoints/policy_NNNNNN.bin. Returns the last row's (return, success rate)."""
+    then writes a progress.csv row (with the update's approx_kl and mean_reward) and, every
+    checkpoint_every-th iteration (0: never), checkpoints/policy_NNNNNN.bin. Returns the last
+    row's (return, success rate)."""
     cfg, out, rngs = run.cfg, run.out, run.rngs
     with closing(ProgressWriter(out / "progress.csv")) as writer:
         for t in range(1, cfg.steps + 1):
@@ -192,7 +193,8 @@ def _train_target_policy(run: _Run, policy, popt, reward_fn, before_update) -> t
                             cfg.method, t, gt_return, success)
             writer.write(iteration=t, target_steps=run.target_steps, source_steps=run.source_steps,
                          policy_entropy=pstats["entropy"], gt_return=gt_return,
-                         success_rate=success, **fields)
+                         success_rate=success, approx_kl=pstats["approx_kl"],
+                         mean_reward=pstats["mean_reward"], **fields)
             if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
                 (out / "checkpoints").mkdir(exist_ok=True)
                 save_blocks(out / "checkpoints" / f"policy_{t:06d}.bin", policy.blocks())

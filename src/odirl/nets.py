@@ -1,12 +1,16 @@
 """Tanh MLPs with identity outputs, hand-written backprop, Adam, flat-file checkpoints.
 
-Everything is float64 numpy. Parameters live in a single flat vector per
-network so optimizers, checkpoints, and gradient checks can treat every
-trainable object uniformly through the (params, grad) interface. An `Adam`
-moves its blocks' vectors into one vector of its own, so each block's params
-and grad are then views into that optimizer's vectors. Each trainable names
-its blocks once, in a `blocks()` map; `save_blocks` and `load_blocks`
-checkpoint any such map. Only a training forward keeps memory past its call.
+Networks compute and learn in float32 (parameters, gradients, activations,
+every Adam vector); `Mlp.forward` returns float64 and `Mlp.backward` narrows
+its upstream, so the code around the nets stays float64. Checkpoints stay
+float64 on disk, which holds a float32 exactly; loading narrows to the
+nearest float32. Parameters live in a single flat vector per network so
+optimizers, checkpoints, and gradient checks can treat every trainable object
+uniformly through the (params, grad) interface. An `Adam` moves its blocks'
+vectors into one vector of its own, so each block's params and grad are then
+views into that optimizer's vectors. Each trainable names its blocks once, in
+a `blocks()` map; `save_blocks` and `load_blocks` checkpoint any such map.
+Only a training forward keeps memory past its call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ class FlatParams:
     """A bare trainable vector (e.g. a Gaussian policy's log-std)."""
 
     def __init__(self, values: np.ndarray):
-        self.params = np.asarray(values, dtype=np.float64).copy()
+        self.params = np.array(values, dtype=np.float32)
         self.grad = np.zeros_like(self.params)
 
     def adopt(self, params: np.ndarray, grad: np.ndarray) -> None:
@@ -35,11 +39,13 @@ class Mlp:
 
     layer_sizes is the full chain [in, h1, ..., out]. Hidden layers are tanh
     and the output is identity; every network the method trains has this
-    shape. Parameters are a flat float64 vector (a view into its optimizer's
+    shape. Parameters are a flat float32 vector (a view into its optimizer's
     vector once an `Adam` holds the net); per-layer weight/bias views share
     its memory, so in-place optimizer updates are visible everywhere.
 
-    forward rejects a non-finite input. forward(x) keeps x and the activations
+    forward narrows its input to float32, rejects a non-finite one (a float64
+    beyond float32's range included) and returns float64; the layers run in
+    float32. forward(x) keeps x and the activations
     for backward until the next such forward or parameter update (`Adam.step`,
     `load_blocks`); forward(x, keep=False) keeps nothing. backward rejects an
     input other than the kept one. The
@@ -65,7 +71,7 @@ class Mlp:
 
         n_params = sum((fan_in + 1) * fan_out
                        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-        self.adopt(np.zeros(n_params, dtype=np.float64), np.zeros(n_params, dtype=np.float64))
+        self.adopt(np.zeros(n_params, dtype=np.float32), np.zeros(n_params, dtype=np.float32))
         self._init_weights()
         self._kept = None           # the activations backward reads, from the last forward(x)
 
@@ -107,14 +113,14 @@ class Mlp:
 
     def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
         """Run the net on x of shape (in,) or (batch, in); keep: keep x as rows for backward."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.array(x, dtype=np.float32)       # a copy, which forward(x) may keep
         single = x.ndim == 1
         x2 = x[None, :] if single else x
         if x2.ndim != 2 or x2.shape[1] != self.in_dim:
             raise ValueError(f"expected input dim {self.in_dim}, got shape {x.shape}")
         if not np.isfinite(x2).all():
             raise ValueError("non-finite network input")
-        acts = [x2.copy()] if keep else None     # for backward: the input, hidden outputs
+        acts = [x2] if keep else None           # for backward: the input, hidden outputs
         h = x2
         for w, b in self._layers[:-1]:
             h = h @ w
@@ -127,16 +133,18 @@ class Mlp:
         h += b
         if keep:
             self._kept = acts
+        h = h.astype(np.float64)
         return h[0] if single else h
 
     def backward(self, x: np.ndarray, upstream: np.ndarray) -> None:
         """Accumulate d(sum(upstream * output))/d(params) into grad, for (batch, in) rows x.
 
-        Requires a training forward kept for exactly these rows since the last
-        parameter update. Only parameter gradients are formed: no input gradient.
+        Requires a training forward kept for exactly these rows (as float32) since
+        the last parameter update. upstream is narrowed to float32. Only parameter
+        gradients are formed: no input gradient.
         """
-        x = np.asarray(x, dtype=np.float64)
-        upstream = np.asarray(upstream, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float32)
+        upstream = np.asarray(upstream, dtype=np.float32)
         acts = self._kept
         # The shape test and element compare of np.array_equal, without its call overhead.
         if acts is None or acts[0].shape != x.shape or not (acts[0] == x).all():
@@ -171,7 +179,7 @@ class Adam:
     """Adaptive-moment optimizer over a list of (params, grad) blocks.
 
     On construction it moves the blocks' params, and their grads, into one
-    vector each, in block order, and points every block at its slice
+    float32 vector each, in block order, and points every block at its slice
     (`adopt`), so each step runs the moments, the update and the checks once
     over the whole vector. A block has one optimizer: one that another
     optimizer holds (its params are a view), or one listed twice, raises a
@@ -181,7 +189,8 @@ class Adam:
     default, math.inf, never clips); the norm adds each block's g @ g in block
     order. step() zeroes gradients and releases each Mlp block's kept
     forward, which the update makes stale. The moments and the step go
-    through two work vectors, in the textbook update's arithmetic order.
+    through two work vectors, in the textbook update's arithmetic order. The
+    moments and work vectors are float32 too: no wider copy is kept.
 
     step() raises FloatingPointError on a non-finite gradient element (before
     changing anything) and on a non-finite parameter after the update, naming
@@ -209,8 +218,8 @@ class Adam:
         self.clip_norm = clip_norm
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self._params = np.concatenate([b.params.ravel() for b in self.blocks])
-        self._grad = np.concatenate([b.grad.ravel() for b in self.blocks])
+        self._params = np.concatenate([b.params.ravel() for b in self.blocks], dtype=np.float32)
+        self._grad = np.concatenate([b.grad.ravel() for b in self.blocks], dtype=np.float32)
         offset = 0
         for block in self.blocks:
             end = offset + block.params.size
@@ -341,7 +350,8 @@ def load_blocks(path, blocks: dict) -> dict:
 
 
 def copy_blocks(path, arrays: dict, blocks: dict) -> None:
-    """`load_blocks` on the arrays of the checkpoint at path, already read."""
+    """`load_blocks` on the arrays of the checkpoint at path, already read; each
+    float64 value is narrowed to its nearest float32."""
     for name, block in blocks.items():
         if name not in arrays:
             raise ValueError(f"{path}: no array {name!r} in checkpoint")

@@ -57,8 +57,10 @@ class GaussianPolicy:
             np.log(np.clip(0.5 * half_range, np.exp(LOG_STD_MIN), np.exp(LOG_STD_MAX))))
 
     def clipped_log_std(self) -> np.ndarray:
+        """The float32 log-std, widened to float64 and clipped to its bounds."""
         # np.minimum(np.maximum(...)) is np.clip bit for bit, nan included, at less cost per call.
-        return np.minimum(np.maximum(self.log_std.params, LOG_STD_MIN), LOG_STD_MAX)
+        return np.minimum(np.maximum(self.log_std.params.astype(np.float64), LOG_STD_MIN),
+                          LOG_STD_MAX)
 
     def sample_action(self, states: np.ndarray,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +80,7 @@ class GaussianPolicy:
 
     def log_prob(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Gaussian log-density of the given actions, shape (batch,)."""
-        mean = self.mean_net.forward(np.asarray(states, dtype=np.float64), keep=False)
+        mean = self.mean_net.forward(states, keep=False)
         log_std = self.clipped_log_std()
         return self._log_density(mean, np.asarray(actions, dtype=np.float64), log_std,
                                  np.exp(log_std))
@@ -102,7 +104,7 @@ class ValueNet:
         self.net = Mlp([spec.state_dim, *hidden, 1], seed=seed, zero_init_output=True)
 
     def predict(self, states: np.ndarray) -> np.ndarray:
-        return self.net.forward(np.asarray(states, dtype=np.float64), keep=False)[..., 0]
+        return self.net.forward(states, keep=False)[..., 0]
 
     def blocks(self) -> dict:
         return {"value": self.net}

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,8 +262,27 @@ def test_sample_uniformity_chi_square():
 
 
 def test_demo_set_requires_source_tag():
-    with pytest.raises(ValueError):
-        DemoSet(trajectories=[make_traj(3, tag=TARGET)])
+    with pytest.raises(ValueError, match="demo transitions must be source-tagged"):
+        DemoSet(trajectories=[make_traj(3, tag=TARGET)], expert_seed=1, horizon=3)
+
+
+def test_demo_set_requires_its_provenance_by_keyword():
+    batch = Batch.of([make_traj(3)])
+    with pytest.raises(TypeError):
+        DemoSet(batch, env_config_hash="x")
+    with pytest.raises(TypeError):
+        DemoSet(batch, "x", None, 1, 3)
+
+
+@pytest.mark.parametrize("provenance,message", [
+    ({"expert_seed": 1, "horizon": 0}, "horizon must be an integer >= 1, not 0"),
+    ({"expert_seed": 1, "horizon": 3.0}, "horizon must be an integer >= 1, not 3.0"),
+    ({"expert_seed": True, "horizon": 3}, "expert_seed must be an integer, not True"),
+    ({"expert_seed": 1.0, "horizon": 3}, "expert_seed must be an integer, not 1.0"),
+])
+def test_demo_set_rejects_provenance_no_expert_could_have(provenance, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DemoSet(Batch.of([make_traj(3)]), env_config_hash="x", **provenance)
 
 
 @pytest.mark.parametrize("missing", ["done", "gt_reward", "ends"])
@@ -270,7 +290,7 @@ def test_demo_set_names_an_array_its_batch_lacks(missing):
     # Such a set would save a file that load_demos rejects.
     batch = dataclasses.replace(Batch.of([make_traj(3)]), **{missing: None})
     with pytest.raises(ValueError, match=f"demo set has no '{missing}' array"):
-        DemoSet(batch)
+        DemoSet(batch, expert_seed=1, horizon=3)
 
 
 def _extreme_value_batch():

@@ -613,16 +613,23 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
     ("pointmaze_odirl_vs_airl.yaml", {f"{method}_s{seed}": (method, seed, 100, 0.7, alpha)
                                       for method, alpha in (("odirl", 1.0), ("airl", 1.0))
                                       for seed in range(1, 5)}),
+    ("precision_pointmaze.yaml", {f"odirl_s{seed}": ("odirl", seed, 300, 0.7, 1.0)
+                                  for seed in range(1, 11)}),
+    # The link-chain run's point-maze section keeps its default wall.
+    ("precision_linkchain.yaml", {f"odirl_s{seed}": ("odirl", seed, 300, 0.75, 1.0)
+                                  for seed in range(1, 11)}),
 ])
 def test_committed_sweep_grids_load_against_the_pointmaze_config(tmp_path, monkeypatch, demo_file,
                                                                   grid, expected):
-    """With demos given, as each grid's usage line gives them (`--demos`)."""
+    """With demos given, as each grid's usage line gives them (`--demos`); a link-chain
+    grid loads against configs/linkchain.yaml."""
     started = []
     monkeypatch.setattr(harness, "run_experiment", started.append)
     with open(CONFIGS / "sweeps" / grid) as fh:
         runs = yaml.safe_load(fh)
-    run_sweep(CONFIGS / "pointmaze.yaml", {"out_dir": str(tmp_path), "demos_path": demo_file[0]},
-              runs)
+    config = CONFIGS / ("linkchain.yaml" if "linkchain" in grid else "pointmaze.yaml")
+    run_sweep(config, {"out_dir": str(tmp_path), "demos_path": demo_file[0]}, runs)
+    assert {cfg.task for cfg in started} == {"linkchain" if "linkchain" in grid else "pointmaze"}
     assert {Path(cfg.out_dir).name: (cfg.method, cfg.seed, cfg.steps,
                                      cfg.pointmaze.target_wall_length, cfg.alpha)
             for cfg in started} == expected
@@ -843,8 +850,8 @@ def test_load_policy_returns_every_block_of_the_checkpoint_bit_for_bit(tmp_path)
     arrays, _ = load_params(path)
     loaded = harness._load_policy(cfg, spec, path)[0].blocks()
     assert loaded.keys() == arrays.keys()
-    for name, block in loaded.items():
-        assert block.params.tobytes() == arrays[name].tobytes(), name
+    for name, block in loaded.items():               # float32 params, widened exactly
+        assert block.params.astype("<f8").tobytes() == arrays[name].tobytes(), name
 
 
 def test_demo_file_roundtrip_through_harness(demo_file):
@@ -1532,10 +1539,13 @@ def test_discriminator_phase_equals_per_minibatch_disc_loss_calls(epochs, n, min
     """One phase against the loop that computes log pi and DD per minibatch.
 
     BLAS can round the rows of a matrix's last, partial row block (row counts
-    not a multiple of the kernel's block: 4 rows for OpenBLAS's x86-64 double
-    kernels) differently from the same rows inside a whole block. So with
+    not a multiple of the kernel's block) differently from the same rows
+    inside a whole block. The nets' float32 kernels use 4-row blocks, as the
+    double ones did (measured with OpenBLAS 0.3.31 on an AVX-512 Xeon: chunks
+    of a 2,500-row forward of three 64-64 nets matched the whole forward bit
+    for bit exactly when their row count was a multiple of 4). So with
     every row count a multiple of 16 the parameters match bit for bit, and
-    with ragged row counts to rounding.
+    with ragged row counts to float32 rounding (1e-6 of the largest parameter).
     """
     demo, pol, policy, pair = _phase_inputs(n, seed=epochs)
     dd_cfg, alpha = DDConfig(), 0.7
@@ -1558,7 +1568,8 @@ def test_discriminator_phase_equals_per_minibatch_disc_loss_calls(epochs, n, min
         if n % 16 == 0 and minibatch_size % 16 == 0:
             assert np.array_equal(net.params, ref.blocks()[name].params), name
         else:
-            assert np.allclose(net.params, ref.blocks()[name].params, rtol=0, atol=1e-12), name
+            want = ref.blocks()[name].params
+            assert np.allclose(net.params, want, rtol=0, atol=1e-6 * np.abs(want).max()), name
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.0])
@@ -1708,3 +1719,76 @@ def test_every_kept_forward_is_read_by_a_backward_before_the_next(tmp_path, demo
     run_experiment(cfg)
     assert not pending
     assert counts["kept"] == counts["backward"] > 0 and counts["inference"] > 0
+
+
+def test_progress_rows_report_what_each_policy_update_returned(tmp_path, demo_file, monkeypatch):
+    returned = []
+    update = policy_mod.PolicyOptimizer.update
+
+    def recording_update(popt, batch, reward_fn, rng):
+        returned.append(update(popt, batch, reward_fn, rng))
+        return returned[-1]
+
+    monkeypatch.setattr(policy_mod.PolicyOptimizer, "update", recording_update)
+    cfg = tiny_cfg(tmp_path, "run", steps=3, r=2)
+    cfg.demos_path = demo_file[0]
+    rows = read_progress(run_experiment(cfg))
+    assert harness.PROGRESS_COLUMNS[-2:] == ["approx_kl", "mean_reward"]
+    assert len(rows) == len(returned) == 3
+    for row, stats in zip(rows, returned):
+        for key in ("approx_kl", "mean_reward"):
+            assert row[key] == format(stats[key], ".10g"), key
+
+
+@pytest.mark.parametrize("method", ["odirl", "gail", "airl_source_transfer"])
+def test_nets_learn_in_float32_behind_a_float64_boundary(tmp_path, demo_file, monkeypatch,
+                                                         method):
+    """After a finished run, every trainable and every Adam holds float32, and
+    the reads the code around the nets makes of them return float64."""
+    adams, runs = [], []
+
+    class RecordingAdam(Adam):
+        def __init__(self, blocks, **kw):
+            super().__init__(blocks, **kw)
+            adams.append(self)
+
+    finish = harness._finish_run
+
+    def recording_finish(run, policy, final, alpha):
+        runs.append(run)
+        return finish(run, policy, final, alpha)
+
+    monkeypatch.setattr(harness, "Adam", RecordingAdam)
+    monkeypatch.setattr(policy_mod, "Adam", RecordingAdam)
+    monkeypatch.setattr(harness, "_finish_run", recording_finish)
+    cfg = tiny_cfg(tmp_path, "run", steps=2, r=1, method=method)
+    cfg.demos_path = demo_file[0]
+    run_experiment(cfg)
+
+    (run,) = runs
+    assert len(adams) == {"odirl": 4, "gail": 3, "airl_source_transfer": 5}[method]
+    for opt in adams:
+        for name in ("_params", "_grad", "_m", "_v"):
+            assert getattr(opt, name).dtype == np.float32, name
+        assert [w.dtype for w in opt._work] == [np.float32, np.float32]
+    blocks = [b for net in run.trainables.values() for b in net.blocks().values()]
+    assert {id(b) for b in blocks} <= {id(b) for opt in adams for b in opt.blocks}
+    batch = run.demos.batch
+    for block in blocks:
+        assert block.params.dtype == block.grad.dtype == np.float32
+        if isinstance(block, Mlp):
+            for x in (np.zeros((3, block.in_dim)), np.zeros((3, block.in_dim), np.float32),
+                      np.zeros(block.in_dim)):
+                assert block.forward(x, keep=False).dtype == np.float64
+    policy, value = run.trainables["policy"], run.trainables.get("value")
+    assert policy.log_prob(batch.s, batch.a).dtype == np.float64
+    assert policy.clipped_log_std().dtype == np.float64
+    if value is not None:
+        assert value.predict(batch.s).dtype == np.float64
+    if "classifiers" in run.trainables:
+        dd = dd_for_transitions(run.trainables["classifiers"], batch, cfg.dd, 1.0)
+        assert dd.dtype == np.float64
+    if "disc" in run.trainables:
+        reward = harness.policy_reward(run.trainables["disc"], batch.s, batch.a, batch.s_next,
+                                       policy.log_prob(batch.s, batch.a))
+        assert reward.dtype == np.float64

@@ -321,4 +321,5 @@ def test_shaping_constant_shift_leaves_logits_unchanged_at_gamma_one():
     before = disc_logit(disc.f_value(s, a, sn), log_pi)
     mlp_layers(disc.h_net)[-1][1][...] += 7.3
     after = disc_logit(disc.f_value(s, a, sn), log_pi)
-    assert np.max(np.abs(after - before)) <= 1e-9
+    # float32 h: the shift cancels to rounding at its magnitude (1e-6 of 7.3)
+    assert np.max(np.abs(after - before)) <= 1e-6 * 7.3

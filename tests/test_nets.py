@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from oracles import TextbookAdam, mlp_layers
 
 from odirl.nets import (Adam, FlatParams, Mlp, load_blocks, load_params, minibatches,
-                        save_blocks)
+                        save_arrays, save_blocks)
 
 
 def finite_difference_check(
@@ -14,28 +16,41 @@ def finite_difference_check(
     rel_tol: float = 1e-4,
     abs_floor: float = 1e-6,
 ) -> float:
-    """Compare analytic parameter gradients against central differences.
+    """Compare analytic (float32) parameter gradients against central differences.
 
-    For each draw a fresh random input and upstream vector are used and every
-    parameter is perturbed. Returns the worst relative error seen; raises
-    AssertionError on the first parameter outside tolerance.
+    The differences are taken in float64, through `mlp_layers` views of a
+    float64 copy of the net's float32 parameters, on float32-valued inputs and
+    upstreams, so float32 rounding does not swamp them. For each draw a fresh
+    random input and upstream vector are used and every parameter is
+    perturbed. Returns the worst relative error seen; raises AssertionError on
+    the first parameter outside tolerance.
     """
+    params64 = net.params.astype(np.float64)
+    layers64 = mlp_layers(SimpleNamespace(layer_sizes=net.layer_sizes, params=params64))
+
+    def objective(x, upstream):
+        h = x
+        for w, b in layers64[:-1]:
+            h = np.tanh(h @ w + b)
+        w, b = layers64[-1]
+        return float(((h @ w + b) * upstream).sum())
+
     worst = 0.0
     for _ in range(n_draws):
-        x = rng.normal(size=(1, net.in_dim))
-        upstream = rng.normal(size=(1, net.out_dim))
+        x, upstream = (rng.normal(size=(1, n)).astype(np.float32).astype(np.float64)
+                       for n in (net.in_dim, net.out_dim))
         net.grad[...] = 0.0
         net.forward(x)
         net.backward(x, upstream)
-        analytic = net.grad.copy()
+        analytic = net.grad.astype(np.float64)
         net.grad[...] = 0.0
-        for j in range(net.params.size):
-            orig = net.params[j]
-            net.params[j] = orig + eps
-            up = float((net.forward(x) * upstream).sum())
-            net.params[j] = orig - eps
-            down = float((net.forward(x) * upstream).sum())
-            net.params[j] = orig
+        for j in range(params64.size):
+            orig = params64[j]
+            params64[j] = orig + eps
+            up = objective(x, upstream)
+            params64[j] = orig - eps
+            down = objective(x, upstream)
+            params64[j] = orig
             fd = (up - down) / (2.0 * eps)
             diff = abs(analytic[j] - fd)
             tol = max(abs_floor, rel_tol * max(abs(analytic[j]), abs(fd)))
@@ -236,8 +251,8 @@ def test_adam_raises_naming_the_block_of_a_nan_gradient():
 
 def test_adam_raises_naming_the_block_an_update_makes_infinite():
     net, log_std = Mlp([2, 3, 1], seed=0), FlatParams(np.zeros(2))
-    opt = Adam([net, log_std], lr=1e308)
-    net.params[0] = 1.7e308
+    opt = Adam([net, log_std], lr=1e38)
+    net.params[0] = 3e38
     net.grad[0] = -1.0                      # the first step moves params[0] by +lr
     with np.errstate(over="ignore"), pytest.raises(
             FloatingPointError,
@@ -256,7 +271,7 @@ def test_adam_holds_its_blocks_in_one_vector_in_block_order():
         for block in blocks:
             view = getattr(block, name)
             assert view.base is vector
-            assert view.__array_interface__["data"][0] == start + 8 * offset
+            assert view.__array_interface__["data"][0] == start + view.itemsize * offset
             offset += view.size
         assert offset == vector.size
     assert np.array_equal(blocks[0].params.base, values)
@@ -339,10 +354,10 @@ def test_adam_raises_on_a_nan_gradient_before_changing_anything(clip_norm):
 
 @pytest.mark.parametrize("clip_norm", [None, 1.0])
 def test_adam_takes_finite_gradients_and_parameters_whose_square_sum_overflows(clip_norm):
-    # g @ g and p @ p overflow to inf here, but every element is finite
-    x = FlatParams(np.full(4, 1e200))
+    # g @ g and p @ p overflow float32 to inf here, but every element is finite
+    x = FlatParams(np.full(4, 1e30))
     opt = _adam([x], clip_norm, lr=0.1)
-    x.grad[...] = np.array([1e200, -1e200, 3.0, 0.0])
+    x.grad[...] = np.array([1e30, -1e30, 3.0, 0.0])
     with np.errstate(over="ignore"):    # numpy's overflow warnings are errors under pytest
         assert np.isinf(x.grad @ x.grad) and np.isinf(x.params @ x.params)
         opt.step()
@@ -350,8 +365,8 @@ def test_adam_takes_finite_gradients_and_parameters_whose_square_sum_overflows(c
 
 
 def test_adam_raises_on_a_parameter_the_update_makes_infinite():
-    x = FlatParams(np.array([1.7e308, 0.0]))
-    opt = Adam([x], lr=1e308)
+    x = FlatParams(np.array([3e38, 0.0]))
+    opt = Adam([x], lr=1e38)
     x.grad[...] = np.array([-1.0, 0.0])     # the first step moves params[0] by +lr
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="parameters"):
         opt.step()
@@ -369,8 +384,8 @@ def test_forward_and_backward_of_a_width_one_output_match_the_textbook_kernels(z
 def _check_forward_and_backward_against_textbook_kernels(sizes, zero_init_output):
     net = Mlp(sizes, seed=2, zero_init_output=zero_init_output)
     rng = np.random.default_rng(3)
-    x, up = rng.normal(size=(37, 4)), rng.normal(size=(37, sizes[-1]))
-    layers = mlp_layers(net)
+    x, up = (rng.normal(size=(37, n)).astype(np.float32) for n in (4, sizes[-1]))
+    layers = mlp_layers(net)                            # float32, as are all the arrays below
     acts, n_layers = [x], len(layers)                   # tanh hidden layers, identity output
     for i, (w, b) in enumerate(layers):
         z = acts[-1] @ w + b
@@ -383,7 +398,7 @@ def _check_forward_and_backward_against_textbook_kernels(sizes, zero_init_output
     assert np.array_equal(net.forward(x), acts[-1])
     net.backward(x, up)
     # Bit for bit, the sign of every zero included (a zero output layer makes many).
-    assert np.array_equal(net.grad.view(np.int64), np.concatenate(grads).view(np.int64))
+    assert np.array_equal(net.grad.view(np.int32), np.concatenate(grads).view(np.int32))
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
@@ -391,7 +406,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     blocks = {
         "a": FlatParams(rng.normal(size=137)),
         "b": FlatParams(rng.normal(size=(3, 5)) * 1e-17),
-        "c": FlatParams(np.array([np.pi, -0.0, 1e300])),
+        "c": FlatParams(np.array([np.pi, -0.0, 3e38, 1e-40])),      # 1e-40: a subnormal
         "net": Mlp([3, 4, 4, 2], seed=5, zero_init_output=True),
     }
     meta = {"layer_shapes": [[3, 5]], "seed": 4}
@@ -402,9 +417,35 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert loaded_meta == {"net": {"layer_sizes": [3, 4, 4, 2], "activations": ["tanh", "tanh", "identity"],
                                    "seed": 5, "zero_init_output": True}, **meta}
     assert list(loaded) == list(blocks)
+    # float32 values in a float64 container: widened exactly, and narrowed back bit for bit
     for k, block in blocks.items():
-        assert loaded[k].shape == block.params.shape
-        assert loaded[k].tobytes() == block.params.tobytes()
+        assert loaded[k].shape == block.params.shape and loaded[k].dtype == np.dtype("<f8")
+        assert loaded[k].tobytes() == block.params.astype("<f8").tobytes()
+        assert loaded[k].astype(np.float32).tobytes() == block.params.tobytes()
+
+
+def test_a_float32_net_round_trips_bit_for_bit_through_its_float64_file(tmp_path):
+    saved, loaded = Mlp([3, 16, 2], seed=1), Mlp([3, 16, 2], seed=2)
+    saved.params[...] = np.random.default_rng(1).normal(size=saved.params.size)
+    save_blocks(tmp_path / "net.bin", {"net": saved})
+    load_blocks(tmp_path / "net.bin", {"net": loaded})
+    assert loaded.params.dtype == np.float32
+    assert np.array_equal(loaded.params.view(np.int32), saved.params.view(np.int32))
+    x = np.random.default_rng(2).normal(size=(5, 3))
+    assert np.array_equal(loaded.forward(x).view(np.int64), saved.forward(x).view(np.int64))
+
+
+def test_a_float64_value_float32_cannot_hold_loads_as_its_nearest_float32(tmp_path):
+    values = np.array([0.1, 1.0 / 3.0, np.pi, 1.0 + 2.0 ** -30, -2.0 ** -140, 1e-45])
+    assert not np.array_equal(values.astype(np.float32).astype(np.float64), values)
+    save_arrays(tmp_path / "x.bin", {"x": values})
+    block = FlatParams(np.zeros(values.size))
+    load_blocks(tmp_path / "x.bin", {"x": block})
+    got = block.params.astype(np.float64)
+    for direction in (np.inf, -np.inf):               # no float32 neighbour is nearer
+        neighbour = np.nextafter(block.params, np.float32(direction)).astype(np.float64)
+        assert np.all(np.abs(got - values) <= np.abs(neighbour - values))
+    assert np.array_equal(block.params.view(np.int32), values.astype(np.float32).view(np.int32))
 
 
 # A demo file as the CSV codec wrote it before demos moved to the array container.
